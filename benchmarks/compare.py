@@ -25,7 +25,6 @@ GATED = {
     "test_bench_extraction",
     "test_bench_filters",
     "test_bench_classification",
-    "test_bench_columnar_analysis",
     "test_bench_full_pipeline",
     "test_bench_trace_all",
     "test_bench_fast_forward",

@@ -11,9 +11,8 @@ Two benchmarks additionally record *speedups* in ``extra_info``:
 
 * ``test_bench_trace_all`` / ``test_bench_full_pipeline`` time the
   single-process fast path against a ``memoize=False`` reference on
-  identical state — the route/hop/quoted-stack caches (DESIGN §8)
-  plus, for the full pipeline, the columnar engine (DESIGN §12) —
-  asserted >= 1.25x and >= 1.35x respectively;
+  identical state — the route/hop/quoted-stack caches (DESIGN §8) —
+  both asserted >= 1.25x;
 * ``test_bench_parallel_study_speedup`` / ``test_bench_intra_cycle_speedup``
   time sharded campaigns against the serial loop — multi-core wins that
   are only asserted on machines with enough cores.
@@ -122,42 +121,6 @@ def test_bench_classification(benchmark, study, cycle_data):
     assert len(result) == len(iotps)
 
 
-def test_bench_columnar_analysis(benchmark, study, cycle_data):
-    """The extraction+filter+classify span: columnar vs object engine
-    on the same cycle dataset (DESIGN §12).
-
-    The benchmark times the columnar ``process_cycle``; the object
-    engine runs on the identical data as the reference, its time and
-    the resulting speedup land in ``extra_info``, and the results are
-    asserted canonically identical (the differential matrix proves the
-    same per run).  The >= 2x kernel speedup is the PR 9 tentpole gate.
-    """
-    from repro.verify.differential import canonical_cycle
-
-    ip2as = study.simulator.internet.ip2as
-    columnar = LprPipeline(ip2as, engine="columnar")
-    reference = LprPipeline(ip2as)
-
-    result = benchmark(columnar.process_cycle, cycle_data)
-
-    rounds = 5
-    start = time.perf_counter()
-    for _ in range(rounds):
-        ref_result = reference.process_cycle(cycle_data)
-    object_s = (time.perf_counter() - start) / rounds
-
-    columnar_s = benchmark.stats.stats.mean
-    speedup = object_s / columnar_s if columnar_s else 0.0
-    benchmark.extra_info["object_engine_s"] = round(object_s, 4)
-    benchmark.extra_info["columnar_speedup"] = round(speedup, 2)
-
-    assert canonical_cycle(result) == canonical_cycle(ref_result)
-    assert speedup >= 2.0, (
-        f"expected >= 2x from the columnar kernels, got "
-        f"{speedup:.2f}x (columnar {columnar_s:.4f}s, "
-        f"object {object_s:.4f}s)")
-
-
 def test_bench_trace_all(benchmark, frozen_snapshot):
     """One snapshot's probing, memoized vs the uncached reference.
 
@@ -202,23 +165,25 @@ def test_bench_trace_all(benchmark, frozen_snapshot):
 def test_bench_full_pipeline(benchmark):
     """One end-to-end cycle — probing plus LPR — fast vs slow path.
 
-    The measured leg stacks every single-process optimisation: the
-    memoized forwarding plane (DESIGN §8) *and* the columnar analysis
-    engine (DESIGN §12); the reference runs uncached through the
-    object engine.  ``run_cycle`` mutates simulator state, so every
-    round gets its own identically fast-forwarded simulator and runs
-    the cycle exactly once.  The reference time and speedup land in
-    ``extra_info``; results are asserted identical.
+    The measured leg runs the memoized forwarding plane (DESIGN §8);
+    the reference runs uncached.  Both legs analyse the cycle through
+    the same LPR pipeline.  ``run_cycle`` mutates simulator state, so
+    every round gets its own identically fast-forwarded simulator and
+    runs the cycle exactly once.  The reference time and speedup land
+    in ``extra_info``; results are asserted identical.
 
-    The floor is 1.35 rather than the span's typical ~1.5x because
-    the two legs stress the host differently — the fast leg is
-    cache-bound, the uncached reference compute-bound — so the ratio
-    shifts several points with the machine's memory subsystem.
+    The floor is 1.25, the same as ``test_bench_trace_all``: both
+    measure memoization alone, and here the analysis stage, identical
+    in both legs, dilutes the ratio further (measured 1.34x to 1.45x
+    on a 2-vCPU Xeon VM).  The two legs also stress the host
+    differently — the fast leg is cache-bound, the uncached reference
+    compute-bound — so the ratio shifts several points with the
+    machine's memory subsystem.  The assert only pins down that
+    memoization still wins; the trajectory gate pins the magnitude.
     """
     result = benchmark.pedantic(
         lambda simulator: LprPipeline(
-            simulator.internet.ip2as,
-            engine="columnar").process_cycle(
+            simulator.internet.ip2as).process_cycle(
                 simulator.run_cycle(_BENCH_CYCLE)),
         setup=lambda: ((_forwarded_simulator(),), {}),
         rounds=3, iterations=1)
@@ -244,8 +209,8 @@ def test_bench_full_pipeline(benchmark):
     assert result.filter_stats == ref_result.filter_stats
     assert result.classification.verdicts == \
         ref_result.classification.verdicts
-    assert speedup >= 1.35, (
-        f"expected >= 1.35x from the stacked fast path, got "
+    assert speedup >= 1.25, (
+        f"expected >= 1.25x from the memoized fast path, got "
         f"{speedup:.2f}x (fast {memoized_s:.3f}s, "
         f"uncached {unmemoized_s:.3f}s)")
 

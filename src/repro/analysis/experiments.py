@@ -80,7 +80,6 @@ def run_longitudinal_study(scale: float = 1.0, seed: int = 2015,
                            backoff_base: float = 0.5,
                            progress: Optional[Callable] = None,
                            progress_clock=None,
-                           engine: str = "object",
                            resources: bool = False,
                            stall_timeout: Optional[float] = None,
                            stall_clock=None,
@@ -88,9 +87,9 @@ def run_longitudinal_study(scale: float = 1.0, seed: int = 2015,
     """Run the paper's measurement campaign end to end.
 
     ``scale`` shrinks router/prefix counts for fast tests; ``cycles``
-    truncates the study (default: the full 60).  ``workers > 1`` shards
-    the cycles over a process pool (`repro.par`) with byte-identical
-    results; the returned study's simulator is left in the same
+    truncates the study (``None``: the full 60; below 1 is a
+    ``ValueError``).  ``workers > 1`` shards the cycles over a process
+    pool (`repro.par`) with byte-identical results; the returned study's simulator is left in the same
     end-of-campaign state either way, so the post-study experiments
     (Figs 6, 16, 17) regenerate identically too.  ``checkpoint_dir``
     makes the campaign restartable (finished shards are persisted and
@@ -106,14 +105,15 @@ def run_longitudinal_study(scale: float = 1.0, seed: int = 2015,
     the live-plane knobs ``resources`` (per-process RSS/CPU/GC gauges
     on every heartbeat), ``stall_timeout``/``stall_clock`` (the
     heartbeat-deadline watchdog) and ``health`` (the monitor a
-    :class:`~repro.obs.live.TelemetryServer` shares) — all DESIGN §13,
+    :class:`~repro.obs.live.TelemetryServer` shares) — all DESIGN §12,
     all observational.
-    ``engine`` picks the analysis backend (``object`` or ``columnar``,
-    DESIGN §12) — byte-identical either way.
     """
-    spec = StudySpec(scale=scale, seed=seed, cycles=cycles or CYCLES,
-                     snapshots_per_cycle=snapshots_per_cycle,
-                     engine=engine)
+    if cycles is None:
+        cycles = CYCLES
+    if cycles < 1:
+        raise ValueError(f"a study needs at least 1 cycle, got {cycles}")
+    spec = StudySpec(scale=scale, seed=seed, cycles=cycles,
+                     snapshots_per_cycle=snapshots_per_cycle)
     _log.info("study.start", scale=scale, seed=seed, cycles=spec.cycles,
               workers=workers)
     with span("study.run", cycles=spec.cycles, workers=workers):

@@ -192,7 +192,7 @@ def _hit_rate_line(label: str, hits: float, misses: float) -> str:
 
 
 def _cache_totals(grouped: Dict[str, List[Event]]) -> Dict[str, float]:
-    """Raw cache/engine totals the section renderers share."""
+    """Raw cache totals the section renderers share."""
     hits = misses = 0
     for event in grouped.get("shard.done", []):
         hits += event.fields.get("cache_hits", 0)
@@ -213,20 +213,15 @@ def _cache_totals(grouped: Dict[str, List[Event]]) -> Dict[str, float]:
         "misses": misses,
         "ip2as_hits": metric("ip2as_lookup_cache_hits_total"),
         "ip2as_misses": metric("ip2as_lookup_cache_misses_total"),
-        "engine_traces": metric("engine_rows_encoded_total",
-                                kind="trace"),
-        "engine_hops": metric("engine_rows_encoded_total", kind="hop"),
-        "engine_seconds": metric("engine_kernel_seconds"),
     }
 
 
 def _cache_section(grouped: Dict[str, List[Event]]) -> List[str]:
     """Per-family cache telemetry: the forwarding-path caches (summed
-    over ``shard.done`` / ``cache.flush`` events), the IP2AS block
-    memo and the columnar engine's encode/kernel counters (both from
-    ``cycle.metrics`` registry deltas).  Families absent from the
-    events file are simply omitted — a partial or serial-only file
-    must never divide by zero."""
+    over ``shard.done`` / ``cache.flush`` events) and the IP2AS block
+    memo (from ``cycle.metrics`` registry deltas).  Families absent
+    from the events file are simply omitted — a partial or serial-only
+    file must never divide by zero."""
     totals = _cache_totals(grouped)
     lines = []
     if totals["hits"] + totals["misses"]:
@@ -235,13 +230,6 @@ def _cache_section(grouped: Dict[str, List[Event]]) -> List[str]:
     if totals["ip2as_hits"] + totals["ip2as_misses"]:
         lines.append(_hit_rate_line("ip2as memo", totals["ip2as_hits"],
                                     totals["ip2as_misses"]))
-    if totals["engine_traces"] + totals["engine_hops"]:
-        line = (f"columnar engine: {totals['engine_traces']:.0f} "
-                f"traces / "
-                f"{totals['engine_hops']:.0f} hops encoded")
-        if totals["engine_seconds"]:
-            line += f"  kernel time: {totals['engine_seconds']:.2f}s"
-        lines.append(line)
     if not lines:
         return []
     return ["== forwarding-path caches =="] + lines
@@ -256,12 +244,6 @@ def _cache_data(grouped: Dict[str, List[Event]]) -> Dict[str, Any]:
     if totals["ip2as_hits"] + totals["ip2as_misses"]:
         data["ip2as_memo"] = {"hits": totals["ip2as_hits"],
                               "misses": totals["ip2as_misses"]}
-    if totals["engine_traces"] + totals["engine_hops"]:
-        data["columnar_engine"] = {
-            "traces_encoded": totals["engine_traces"],
-            "hops_encoded": totals["engine_hops"],
-            "kernel_seconds": totals["engine_seconds"],
-        }
     return data
 
 

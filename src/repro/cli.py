@@ -12,7 +12,7 @@ Seven subcommands mirror the measurement workflow:
   Flight-recorder flags: ``--progress`` (live status line on stderr),
   ``--events-out`` (append-only JSONL event log), ``--trace-out``
   (Chrome trace-event JSON, loadable in Perfetto).  Live telemetry
-  plane (DESIGN §13): ``--serve-telemetry [HOST:]PORT`` starts a
+  plane (DESIGN §12): ``--serve-telemetry [HOST:]PORT`` starts a
   background HTTP server with ``/metrics``, ``/healthz``,
   ``/progress`` and ``/events`` endpoints and turns on per-process
   resource sampling; ``--stall-timeout SECS`` arms the
@@ -148,12 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "workers beyond the cycle count split "
                             "cycles into pair blocks (byte-identical "
                             "output either way; default serial)")
-    study.add_argument("--engine", default="object",
-                       choices=["object", "columnar"],
-                       help="analysis backend: the classic per-object "
-                            "pipeline or the columnar kernel engine "
-                            "(byte-identical results, columnar is "
-                            "faster; default object)")
     study.add_argument("--profile", action="store_true",
                        help="time every pipeline stage and print a "
                             "per-stage breakdown table")
@@ -279,19 +273,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_show(args) -> int:
+    if args.limit < 0:
+        print(f"--limit must be >= 0, got {args.limit}", file=sys.stderr)
+        return 2
     if args.tolerant:
         traces, skipped = salvage_archive(args.archive)
     else:
         traces, skipped = read_archive(args.archive), {}
     shown = 0
     for trace in traces:
+        if shown >= args.limit:
+            break
         if args.mpls_only and not trace.has_mpls:
             continue
         print(trace)
         print()
         shown += 1
-        if shown >= args.limit:
-            break
     print(f"({shown} of {len(traces)} traces shown)")
     if skipped:
         print(_salvage_summary(skipped), file=sys.stderr)
@@ -306,6 +303,10 @@ def _salvage_summary(skipped: dict) -> str:
 
 
 def cmd_classify(args) -> int:
+    if args.persistence_window < 0:
+        print(f"--persistence-window must be >= 0, "
+              f"got {args.persistence_window}", file=sys.stderr)
+        return 2
     try:
         ip2as, snapshots, skipped = _load_cycle(
             args.cycle_dir, tolerant=args.tolerant)
@@ -400,6 +401,9 @@ def _cycle_number(cycle_dir: Path) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        print(f"--limit must be >= 0, got {args.limit}", file=sys.stderr)
+        return 2
     try:
         ip2as, snapshots, _ = _load_cycle(args.cycle_dir)
     except FileNotFoundError as error:
@@ -422,6 +426,10 @@ def cmd_study(args) -> int:
         # monotonic one (results stay deterministic — only the span
         # durations read the clock, never the pipeline).
         set_tracer(Tracer(MonotonicClock()))
+    if args.cycles < 1:
+        print(f"--cycles must be >= 1, got {args.cycles}",
+              file=sys.stderr)
+        return 2
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}",
               file=sys.stderr)
@@ -484,7 +492,6 @@ def cmd_study(args) -> int:
             scale=args.scale, seed=args.seed,
             cycles=args.cycles,
             workers=args.workers,
-            engine=args.engine,
             checkpoint_dir=args.checkpoint_dir,
             state_dir=args.state_dir,
             snapshot_stride=args.snapshot_stride,

@@ -102,10 +102,14 @@ class CycleResult:
         return self.classification.for_as(asn)
 
 
-ENGINES = ("object", "columnar")
-"""Interchangeable analysis backends: the classic per-object pipeline
-and the columnar kernel engine (:mod:`repro.engine`, DESIGN §12).
-The differential matrix proves them byte-identical per run."""
+def follow_up_signatures(snapshots: Sequence[Sequence[Trace]],
+                         window: int) -> List[Set[LspSignature]]:
+    """Complete-LSP signature sets of the X+1..X+``window`` snapshots
+    (``snapshots[0]`` is the primary X)."""
+    return [
+        {lsp.signature for lsp in extract_all(snapshot) if lsp.complete}
+        for snapshot in snapshots[1:1 + window]
+    ]
 
 
 class LprPipeline:
@@ -113,30 +117,21 @@ class LprPipeline:
 
     def __init__(self, ip2as: Ip2AsMapper, persistence_window: int = 2,
                  reinject_threshold: float = 0.10,
-                 php_heuristic: bool = False, engine: str = "object"):
+                 php_heuristic: bool = False):
         """``persistence_window`` is the paper's ``j`` (default 2)."""
         if persistence_window < 0:
             raise ValueError(f"negative persistence window: "
                              f"{persistence_window}")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r} "
-                             f"(expected one of {ENGINES})")
         self.ip2as = ip2as
         self.persistence_window = persistence_window
         self.reinject_threshold = reinject_threshold
         self.php_heuristic = php_heuristic
-        self.engine = engine
 
     def follow_up_signatures(
         self, snapshots: Sequence[Sequence[Trace]]
     ) -> List[Set[LspSignature]]:
         """Complete-LSP signature sets of the X+1..X+j snapshots."""
-        window = snapshots[1:1 + self.persistence_window]
-        return [
-            {lsp.signature for lsp in extract_all(snapshot)
-             if lsp.complete}
-            for snapshot in window
-        ]
+        return follow_up_signatures(snapshots, self.persistence_window)
 
     def process_snapshots(self, cycle: int,
                           snapshots: Sequence[Sequence[Trace]]
@@ -148,34 +143,20 @@ class LprPipeline:
         before = registry.snapshot()
         primary = snapshots[0]
         with span("pipeline.cycle", cycle=cycle):
-            if self.engine == "columnar":
-                # Imported lazily: the kernels build on this module's
-                # DatasetStats, and object-only runs never pay for it.
-                from ..engine.kernels import analyze_snapshots
-
-                stats, filter_stats, iotps, classification = \
-                    analyze_snapshots(
-                        cycle, snapshots, self.ip2as,
-                        persistence_window=self.persistence_window,
-                        reinject_threshold=self.reinject_threshold,
-                        php_heuristic=self.php_heuristic,
-                    )
-            else:
-                with span("pipeline.extract"):
-                    lsps = extract_all(primary)
-                with span("pipeline.follow_ups"):
-                    follow_ups = self.follow_up_signatures(snapshots)
-                with span("pipeline.filters"):
-                    iotps, filter_stats = run_filters(
-                        lsps, self.ip2as,
-                        follow_up_signatures=follow_ups,
-                        reinject_threshold=self.reinject_threshold,
-                    )
-                with span("pipeline.dataset_stats"):
-                    stats = dataset_stats(primary, self.ip2as)
-                with span("pipeline.classify"):
-                    classification = classify(iotps,
-                                              self.php_heuristic)
+            with span("pipeline.extract"):
+                lsps = extract_all(primary)
+            with span("pipeline.follow_ups"):
+                follow_ups = self.follow_up_signatures(snapshots)
+            with span("pipeline.filters"):
+                iotps, filter_stats = run_filters(
+                    lsps, self.ip2as,
+                    follow_up_signatures=follow_ups,
+                    reinject_threshold=self.reinject_threshold,
+                )
+            with span("pipeline.dataset_stats"):
+                stats = dataset_stats(primary, self.ip2as)
+            with span("pipeline.classify"):
+                classification = classify(iotps, self.php_heuristic)
         _CYCLES_PROCESSED.inc()
         _log.info("pipeline.cycle.done", cycle=cycle,
                   traces=stats.trace_count,
@@ -224,7 +205,7 @@ def run_study(spec, workers: int = 1, **options):
     the warm-start state-store knobs ``state_dir`` /
     ``snapshot_stride`` (DESIGN §10), and the live telemetry knobs
     ``progress``, ``resources``, ``stall_timeout`` and ``health``
-    (DESIGN §9/§13) — all observational, never changing a byte of
+    (DESIGN §9/§12) — all observational, never changing a byte of
     output.
     """
     # Imported lazily: repro.par builds on this module and on repro.sim.
@@ -272,11 +253,7 @@ def persistence_sweep(snapshots: Sequence[Sequence[Trace]],
             lsps = extract_all(snapshots[0])
         widest = max(windows, default=0)
         with span("pipeline.follow_ups"):
-            follow_ups = [
-                {lsp.signature for lsp in extract_all(snapshot)
-                 if lsp.complete}
-                for snapshot in snapshots[1:1 + widest]
-            ]
+            follow_ups = follow_up_signatures(snapshots, widest)
         points = []
         for window in windows:
             with span("pipeline.filters", window=window):

@@ -22,7 +22,7 @@ Exporters (:mod:`repro.obs.export`) render registry snapshots as JSON
 or Prometheus text, and span trees as Chrome trace-event JSON
 (Perfetto-loadable).
 
-The **live telemetry plane** (DESIGN §13) builds on all of the above:
+The **live telemetry plane** (DESIGN §12) builds on all of the above:
 :class:`TelemetryServer` (:mod:`repro.obs.live`) serves the live
 registry, health, progress and event tail over HTTP while a study
 runs; :mod:`repro.obs.resources` samples per-process RSS/CPU/GC on

@@ -54,20 +54,21 @@ profiled and unprofiled checkpoints diverge.  Version 4:
 ``replayed_cycles`` is normalised to 0 on save — warm-started workers
 (:mod:`repro.par.statestore`) replay fewer cycles than cold ones, and
 that schedule detail must not leak into checkpoint bytes.  Version 5:
-``StudySpec`` grew the ``engine`` field (the spec hash covers it) and
-the stripped prefixes gained the engine/IP2AS-memo counters."""
+``StudySpec`` grew an analysis-backend field (the spec hash covers it)
+and the stripped prefixes gained the IP2AS-memo counters.  Removing
+that field later changed every spec hash, so no version bump was
+needed for it."""
 
 LAYOUT_DEPENDENT_PREFIXES = (
     "route_cache_", "hop_cache_", "quoted_stack_cache_",
-    "state_snapshot_", "engine_", "ip2as_lookup_cache_",
+    "state_snapshot_", "ip2as_lookup_cache_",
     "worker_", "par_shards_stalled")
 """Metric-name prefixes whose values depend on how the probe stream was
 split over caches — or, for ``state_snapshot_*``, on how warm the
 state store happened to be — stripped from persisted deltas.  The
-``engine_*`` and ``ip2as_lookup_cache_*`` families count *how* a cycle
-was computed (columnar encoding rows, kernel wall time, batched-lookup
-memo hits), which differs between byte-identical engines, so they are
-execution detail under the same rule.  The live-telemetry families —
+``ip2as_lookup_cache_*`` family counts batched-lookup memo hits, which
+depend on what the process looked up before, so it is execution detail
+under the same rule.  The live-telemetry families —
 ``worker_*`` resource gauges and the stall counter — are per-run
 operational state; they can only reach a delta window through a clock
 (never through results), and stripping them keeps telemetry-on

@@ -143,12 +143,6 @@ class StudySpec:
     so flipping this never changes results — which is precisely what
     the differential oracle (:mod:`repro.verify`) asserts by running
     the same campaign with and without them."""
-    engine: str = "object"
-    """Analysis backend: ``"object"`` (the classic per-``Lsp``
-    pipeline) or ``"columnar"`` (the interned kernel engine of
-    :mod:`repro.engine`, DESIGN §12).  Like ``memoize``, flipping it
-    never changes results — the differential matrix's ``columnar``
-    configs assert exactly that."""
 
 
 def build_study(spec: StudySpec) -> Tuple[ArkSimulator, LprPipeline]:
@@ -163,7 +157,6 @@ def build_study(spec: StudySpec) -> Tuple[ArkSimulator, LprPipeline]:
         persistence_window=spec.persistence_window,
         reinject_threshold=spec.reinject_threshold,
         php_heuristic=spec.php_heuristic,
-        engine=spec.engine,
     )
     return simulator, pipeline
 
@@ -376,7 +369,7 @@ fast_forward` — never probing — so output stays byte-identical with or
     workers time their own spans and the parent grafts each shard's
     tree under the study span, tagged ``shard=<id>``.
 
-    The live telemetry plane (DESIGN §13) adds three more opt-ins, all
+    The live telemetry plane (DESIGN §12) adds three more opt-ins, all
     default-off so the determinism contract stands.  ``resources=True``
     attaches an RSS/CPU/GC sample to every heartbeat (workers, the
     serial loop and the parent alike), folded into ``worker_*`` gauges

@@ -76,8 +76,7 @@ class VerifyConfig:
     ``cold`` run seeds the snapshots a later ``warm`` run restores.
     ``archive`` round-trips cycle 1 through the warts codec and back
     (``strict`` reader or ``tolerant`` salvage path) before the
-    pipeline runs.  ``engine`` selects the analysis backend
-    (``object`` or ``columnar``, DESIGN §12).
+    pipeline runs.
     """
 
     name: str
@@ -88,7 +87,6 @@ class VerifyConfig:
     resume: bool = False
     state: Optional[str] = None
     archive: Optional[str] = None
-    engine: str = "object"
 
     @property
     def partial(self) -> bool:
@@ -127,13 +125,6 @@ def default_matrix(workers: int = 2) -> List[VerifyConfig]:
         VerifyConfig(name="tolerant-archive", archive="tolerant",
                      description="cycle 1 round-tripped through the "
                                  "salvage reader (clean archives)"),
-        VerifyConfig(name="columnar", engine="columnar",
-                     description="serial run through the columnar "
-                                 "kernel engine (DESIGN §12)"),
-        VerifyConfig(name="columnar+workers", engine="columnar",
-                     workers=workers,
-                     description=f"columnar engine inside {workers} "
-                                 f"cycle-shard worker processes"),
     ]
 
 
@@ -378,8 +369,7 @@ def execute_config(spec: StudySpec, config: VerifyConfig,
     workdir = Path(workdir)
     if config.archive is not None:
         return _archive_roundtrip(spec, config, workdir), None
-    spec = replace(spec, memoize=config.memoize,
-                   engine=config.engine)
+    spec = replace(spec, memoize=config.memoize)
     workers = (2 * spec.cycles if config.oversubscribe
                else config.workers)
     options: Dict[str, Any] = {}

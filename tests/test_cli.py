@@ -56,6 +56,22 @@ class TestShow:
                      "--limit", "1", "--mpls-only"]) == 0
         assert "MPLS" in capsys.readouterr().out
 
+    def test_limit_zero_prints_no_trace(self, campaign_dir, capsys):
+        archive = campaign_dir / "cycle-30" / "snapshot-0.rwts"
+        assert main(["show", "--archive", str(archive),
+                     "--limit", "0"]) == 0
+        output = capsys.readouterr().out
+        assert "traceroute from" not in output
+        assert output.startswith("(0 of ")
+
+    def test_negative_limit_rejected(self, campaign_dir, capsys):
+        archive = campaign_dir / "cycle-30" / "snapshot-0.rwts"
+        assert main(["show", "--archive", str(archive),
+                     "--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--limit" in captured.err
+        assert captured.out == ""
+
 
 class TestClassify:
     def test_full_report(self, campaign_dir, capsys):
@@ -75,6 +91,16 @@ class TestClassify:
         assert main(["classify", "--cycle-dir", str(cycle_dir),
                      "--php-heuristic"]) == 0
 
+    def test_negative_persistence_window_rejected(self, campaign_dir,
+                                                  capsys):
+        cycle_dir = campaign_dir / "cycle-30"
+        assert main(["classify", "--cycle-dir", str(cycle_dir),
+                     "--persistence-window", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == \
+            "--persistence-window must be >= 0, got -1"
+        assert captured.out == ""
+
 
 class TestStudy:
     def test_regenerates_requested_artifacts(self, capsys):
@@ -84,6 +110,21 @@ class TestStudy:
         output = capsys.readouterr().out
         assert "== table1 ==" in output
         assert "== fig7 ==" in output
+
+    @pytest.mark.parametrize("cycles", ["0", "-2"])
+    def test_nonpositive_cycles_rejected(self, cycles, capsys):
+        assert main(["study", "--cycles", cycles, "--scale", "0.1",
+                     "--artifacts", "table1"]) == 2
+        captured = capsys.readouterr()
+        assert f"--cycles must be >= 1, got {cycles}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("cycles", [0, -2])
+    def test_api_rejects_nonpositive_cycles(self, cycles):
+        from repro.analysis import run_longitudinal_study
+
+        with pytest.raises(ValueError, match="at least 1 cycle"):
+            run_longitudinal_study(scale=0.1, cycles=cycles)
 
 
 class TestObservabilityFlags:
@@ -290,6 +331,14 @@ class TestAudit:
         empty = tmp_path / "none"
         empty.mkdir()
         assert main(["audit", "--cycle-dir", str(empty)]) == 1
+
+    def test_negative_limit_rejected(self, campaign_dir, capsys):
+        cycle_dir = campaign_dir / "cycle-30"
+        assert main(["audit", "--cycle-dir", str(cycle_dir),
+                     "--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--limit must be >= 0, got -1" in captured.err
+        assert captured.out == ""
 
 
 class TestAuditCycleNumber:

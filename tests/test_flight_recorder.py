@@ -55,7 +55,7 @@ def serial_run():
 @pytest.fixture(scope="module")
 def telemetry_run(tmp_path_factory):
     """One parallel run with every flight-recorder feature on,
-    including the DESIGN §13 live plane: a telemetry server scraped
+    including the DESIGN §12 live plane: a telemetry server scraped
     mid-run, resource sampling and an (ample) stall deadline."""
     out = tmp_path_factory.mktemp("flightrec")
     events_path = out / "events.jsonl"
@@ -285,27 +285,11 @@ class TestEventsFile:
         assert "stalls" not in decoded
 
     def test_report_cache_families_are_guarded(self, telemetry_run):
-        # An object-engine run has forwarding and ip2as-memo telemetry
-        # but no columnar counters: the absent family is omitted, not
-        # divided by zero.
+        # A run has forwarding and ip2as-memo telemetry; a family
+        # absent from the events file is omitted, not divided by zero.
         report = flight_report(telemetry_run["events_path"])
         assert "== forwarding-path caches ==" in report
         assert "ip2as memo" in report
-        assert "columnar engine" not in report
-
-    def test_report_includes_columnar_engine_counters(self, tmp_path):
-        from dataclasses import replace
-        events_path = tmp_path / "events.jsonl"
-        saved = get_event_bus()
-        bus = set_event_bus(EventBus(sink=events_path))
-        try:
-            run_study(replace(SPEC2, engine="columnar"), workers=1)
-        finally:
-            bus.close()
-            set_event_bus(saved)
-        report = flight_report(events_path)
-        assert "columnar engine" in report
-        assert "hops encoded" in report
 
     def test_serial_events_are_deterministic(self):
         def capture():

@@ -1,4 +1,4 @@
-"""Tests for the live telemetry plane (DESIGN §13).
+"""Tests for the live telemetry plane (DESIGN §12).
 
 Covers the pure parts with unit tests — endpoint parsing, the health
 monitor, the stall watchdog, resource sampling/folding, the transport-
@@ -205,7 +205,7 @@ _BEAT = st.tuples(st.sampled_from([0, 1, 2]),
 
 class TestHeartbeatRobustness:
     """Shuffled, duplicated, out-of-order heartbeats must not corrupt
-    the tracker or the resource gauges (DESIGN §13)."""
+    the tracker or the resource gauges (DESIGN §12)."""
 
     @staticmethod
     def _tracker():

@@ -360,7 +360,7 @@ class TestConfigNames:
         assert CONFIG_NAMES == (
             "workers", "pair-block", "no-memo", "resume",
             "state-cold", "state-warm", "strict-archive",
-            "tolerant-archive", "columnar", "columnar+workers")
+            "tolerant-archive")
 
 
 class TestVerifyCli:
