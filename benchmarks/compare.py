@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 GATED = {
+    "test_bench_warts_read",
     "test_bench_extraction",
     "test_bench_filters",
     "test_bench_classification",

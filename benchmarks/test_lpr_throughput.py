@@ -1,8 +1,9 @@
 """Throughput benchmarks for the LPR pipeline itself.
 
 Not a paper figure: these measure the cost of the reusable pieces —
-extraction, the filter chain, Algorithm-1 classification, probing
-(``trace_all``) and a whole end-to-end cycle — on the standard dataset,
+archive decoding, extraction, the filter chain, Algorithm-1
+classification, probing (``trace_all``) and a whole end-to-end cycle —
+on the standard dataset,
 so performance regressions in the algorithmic core are caught (CI
 compares the means against ``BENCH_baseline.json`` and fails on >25%
 regressions).
@@ -34,6 +35,7 @@ from repro.sim import ArkSimulator, paper_scenario
 from repro.sim.dataplane import DataPlane
 from repro.sim.scenarios import Scenario, build_universe, paper_policies
 from repro.sim.traceroute import TracerouteEngine
+from repro.warts import read_archive, write_archive
 
 from conftest import run_once
 
@@ -92,6 +94,33 @@ def _snapshot_engine(simulator: ArkSimulator,
         seed=flow_hash(simulator._seed, _BENCH_CYCLE, 0),
         loss_rate=simulator.loss_rate,
     )
+
+
+@pytest.fixture(scope="module")
+def cycle_archives(cycle_data, tmp_path_factory):
+    """The bench cycle's three snapshots, written once as archives."""
+    directory = tmp_path_factory.mktemp("archives")
+    paths = []
+    for index, snapshot in enumerate(cycle_data.snapshots):
+        path = directory / f"snapshot-{index}.rwts"
+        write_archive(path, snapshot)
+        paths.append(path)
+    return paths
+
+
+def test_bench_warts_read(benchmark, cycle_data, cycle_archives):
+    """Decoding one cycle's primary and follow-up archives (the read
+    side of ``repro classify``)."""
+    snapshots = benchmark(
+        lambda: [read_archive(path) for path in cycle_archives])
+    assert [len(traces) for traces in snapshots] == \
+        [len(traces) for traces in cycle_data.snapshots]
+    # RTTs are stored as f32, so compare what LPR reads.
+    def lpr_view(traces):
+        return [(hop.address, hop.quoted_stack, hop.quoted_ttl)
+                for trace in traces for hop in trace.hops]
+
+    assert lpr_view(snapshots[0]) == lpr_view(cycle_data.snapshots[0])
 
 
 def test_bench_extraction(benchmark, study, cycle_data):

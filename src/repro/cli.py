@@ -78,7 +78,8 @@ from .obs import (
 from .sim import ArkSimulator, paper_scenario
 from .traces import Trace
 from .verify import CONFIG_NAMES, default_matrix, run_matrix
-from .warts import read_archive, salvage_archive, write_archive
+from .warts import WartsError, read_archive, salvage_archive, \
+    write_archive
 
 _log = get_logger(__name__)
 
@@ -276,10 +277,10 @@ def cmd_show(args) -> int:
     if args.limit < 0:
         print(f"--limit must be >= 0, got {args.limit}", file=sys.stderr)
         return 2
-    if args.tolerant:
-        traces, skipped = salvage_archive(args.archive)
-    else:
-        traces, skipped = read_archive(args.archive), {}
+    try:
+        traces, skipped = _read_snapshot(args.archive, args.tolerant)
+    except (FileNotFoundError, WartsError) as error:
+        return _archive_failure(error, args.tolerant)
     shown = 0
     for trace in traces:
         if shown >= args.limit:
@@ -293,6 +294,19 @@ def cmd_show(args) -> int:
     if skipped:
         print(_salvage_summary(skipped), file=sys.stderr)
     return 0
+
+
+def _archive_failure(error: Exception, tolerant: Optional[bool]) -> int:
+    """Report a missing or corrupt archive on one line; exit status 1.
+
+    ``tolerant`` is None for commands without a ``--tolerant`` flag;
+    a strict read of a corrupt archive points at the flag.
+    """
+    message = str(error)
+    if isinstance(error, WartsError) and tolerant is False:
+        message += " (rerun with --tolerant to salvage)"
+    print(message, file=sys.stderr)
+    return 1
 
 
 def _salvage_summary(skipped: dict) -> str:
@@ -310,9 +324,8 @@ def cmd_classify(args) -> int:
     try:
         ip2as, snapshots, skipped = _load_cycle(
             args.cycle_dir, tolerant=args.tolerant)
-    except FileNotFoundError as error:
-        print(error, file=sys.stderr)
-        return 1
+    except (FileNotFoundError, WartsError) as error:
+        return _archive_failure(error, args.tolerant)
     if skipped:
         print(_salvage_summary(skipped), file=sys.stderr)
 
@@ -377,14 +390,25 @@ def _load_cycle(cycle_dir: Path, tolerant: bool = False
     snapshots: List[List[Trace]] = []
     skipped: dict = {}
     for path in snapshot_paths:
-        if tolerant:
-            traces, skips = salvage_archive(path)
-            for reason, count in skips.items():
-                skipped[reason] = skipped.get(reason, 0) + count
-        else:
-            traces = read_archive(path)
+        traces, skips = _read_snapshot(path, tolerant)
+        for reason, count in skips.items():
+            skipped[reason] = skipped.get(reason, 0) + count
         snapshots.append(traces)
     return ip2as, snapshots, skipped
+
+
+def _read_snapshot(path: Path, tolerant: bool
+                   ) -> Tuple[List[Trace], dict]:
+    """One archive's traces and salvage tally (empty when strict).
+
+    A corrupt archive raises :class:`WartsError` naming the file.
+    """
+    try:
+        if tolerant:
+            return salvage_archive(path)
+        return read_archive(path), {}
+    except WartsError as error:
+        raise WartsError(f"{path}: {error}") from None
 
 
 def _cycle_number(cycle_dir: Path) -> int:
@@ -406,9 +430,8 @@ def cmd_audit(args) -> int:
         return 2
     try:
         ip2as, snapshots, _ = _load_cycle(args.cycle_dir)
-    except FileNotFoundError as error:
-        print(error, file=sys.stderr)
-        return 1
+    except (FileNotFoundError, WartsError) as error:
+        return _archive_failure(error, None)
     pipeline = LprPipeline(ip2as)
     result = pipeline.process_snapshots(
         _cycle_number(args.cycle_dir), snapshots)

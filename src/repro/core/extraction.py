@@ -21,11 +21,11 @@ only hops whose quoted LSE-TTL shows genuine propagation
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..obs import get_registry, span
 from ..traces import Trace, TraceHop
-from .model import Lsp
+from .model import Lsp, LspHop, LspSignature
 
 _LSPS_EXTRACTED = get_registry().counter(
     "lsps_extracted_total",
@@ -46,6 +46,64 @@ def is_explicit_hop(hop: TraceHop) -> bool:
             and hop.quoted_stack[0].ttl <= MAX_EXPLICIT_LSE_TTL)
 
 
+def explicit_runs(hops: Sequence[TraceHop]
+                  ) -> Iterator[Tuple[int, int, int]]:
+    """``(run_start, run_end, holes)`` per explicit run, in TTL order.
+
+    The one scanner behind :func:`extract_lsps`, the follow-up
+    signatures and :func:`traces_with_tunnels`.  ``run_end`` is the
+    inclusive index of the run's last explicit hop; ``holes`` counts the
+    anonymous hops absorbed inside it.  An anonymous hop joins a run
+    only if explicit hops resume after it — otherwise it is context
+    after the run.  Reads the hop fields directly: this loop visits
+    every hop of every snapshot.
+    """
+    count = len(hops)
+    index = 0
+    while index < count:
+        stack = hops[index].quoted_stack
+        if not stack or stack[0].ttl > MAX_EXPLICIT_LSE_TTL:
+            index += 1
+            continue
+        run_end = index
+        probe = index + 1
+        holes = 0
+        pending_holes = 0
+        while probe < count:
+            hop = hops[probe]
+            stack = hop.quoted_stack
+            if stack and stack[0].ttl <= MAX_EXPLICIT_LSE_TTL:
+                run_end = probe
+                holes += pending_holes
+                pending_holes = 0
+            elif hop.address is None:
+                # Possibly an LSR that did not reply; absorbed only if
+                # labels resume afterwards.
+                pending_holes += 1
+            else:
+                break
+            probe += 1
+        yield index, run_end, holes
+        index = run_end + 1 + pending_holes
+
+
+def _run_context(hops: Sequence[TraceHop], run_start: int,
+                 run_end: int) -> Tuple[Optional[int], Optional[int]]:
+    """Entry and exit addresses around a run (None when absent or
+    anonymous)."""
+    entry = hops[run_start - 1].address if run_start > 0 else None
+    exit_ = hops[run_end + 1].address if run_end + 1 < len(hops) else None
+    return entry, exit_
+
+
+def _run_hops(hops: Sequence[TraceHop], run_start: int,
+              run_end: int) -> Tuple[LspHop, ...]:
+    """``(address, top label)`` of a run's explicit hops."""
+    return tuple((hop.address, hop.quoted_stack[0].label)
+                 for hop in hops[run_start:run_end + 1]
+                 if is_explicit_hop(hop))
+
+
 def extract_lsps(trace: Trace) -> List[Lsp]:
     """All explicit-tunnel observations in one trace.
 
@@ -56,62 +114,18 @@ def extract_lsps(trace: Trace) -> List[Lsp]:
     """
     hops = trace.hops
     lsps: List[Lsp] = []
-    index = 0
-    while index < len(hops):
-        if not is_explicit_hop(hops[index]):
-            index += 1
-            continue
-        run_start = index
-        run_end = index  # inclusive index of last labeled hop
-        probe = index + 1
-        holes = 0
-        pending_holes = 0
-        while probe < len(hops):
-            hop = hops[probe]
-            if is_explicit_hop(hop):
-                run_end = probe
-                holes += pending_holes
-                pending_holes = 0
-                probe += 1
-            elif hop.is_anonymous:
-                # Possibly an LSR that did not reply; absorb it only if
-                # labels resume afterwards.
-                pending_holes += 1
-                probe += 1
-            else:
-                break
-        lsps.append(_build_lsp(trace, run_start, run_end, holes))
-        index = run_end + 1 + pending_holes
+    for run_start, run_end, holes in explicit_runs(hops):
+        entry, exit_ = _run_context(hops, run_start, run_end)
+        lsps.append(Lsp(
+            entry=entry,
+            exit=exit_,
+            hops=_run_hops(hops, run_start, run_end),
+            complete=(holes == 0 and entry is not None
+                      and exit_ is not None),
+            monitor=trace.monitor,
+            dst=trace.dst,
+        ))
     return lsps
-
-
-def _build_lsp(trace: Trace, run_start: int, run_end: int,
-               holes: int) -> Lsp:
-    hops = trace.hops
-    labeled = [hop for hop in hops[run_start:run_end + 1]
-               if is_explicit_hop(hop)]
-
-    entry: Optional[int] = None
-    if run_start > 0:
-        before = hops[run_start - 1]
-        if not before.is_anonymous:
-            entry = before.address
-
-    exit_: Optional[int] = None
-    if run_end + 1 < len(hops):
-        after = hops[run_end + 1]
-        if not after.is_anonymous:
-            exit_ = after.address
-
-    complete = holes == 0 and entry is not None and exit_ is not None
-    return Lsp(
-        entry=entry,
-        exit=exit_,
-        hops=tuple((hop.address, hop.labels[0]) for hop in labeled),
-        complete=complete,
-        monitor=trace.monitor,
-        dst=trace.dst,
-    )
 
 
 def _canonicalize(lsp: Lsp, table: dict) -> Lsp:
@@ -148,16 +162,45 @@ def extract_all(traces: Iterable[Trace]) -> List[Lsp]:
             lsps.extend(_canonicalize(lsp, table)
                         for lsp in extract_lsps(trace))
             count += 1
-    complete = sum(1 for lsp in lsps if lsp.complete)
-    _TRACES_SCANNED.inc(count)
-    _LSPS_EXTRACTED.inc(complete, complete="true")
-    _LSPS_EXTRACTED.inc(len(lsps) - complete, complete="false")
+    _count_extraction(count, len(lsps),
+                      sum(1 for lsp in lsps if lsp.complete))
     return lsps
+
+
+def _count_extraction(traces: int, lsps: int, complete: int) -> None:
+    _TRACES_SCANNED.inc(traces)
+    _LSPS_EXTRACTED.inc(complete, complete="true")
+    _LSPS_EXTRACTED.inc(lsps - complete, complete="false")
+
+
+def complete_signatures(traces: Iterable[Trace]) -> Set[LspSignature]:
+    """Signatures of the complete LSPs in a snapshot.
+
+    Equal to ``{lsp.signature for lsp in extract_all(traces) if
+    lsp.complete}`` and moves the extraction counters by the same
+    amounts, but builds no :class:`Lsp` and interns nothing: the
+    persistence filter only tests membership, so a follow-up snapshot
+    needs signature tuples for complete runs alone.
+    """
+    signatures: Set[LspSignature] = set()
+    scanned = runs = complete = 0
+    for trace in traces:
+        scanned += 1
+        hops = trace.hops
+        for run_start, run_end, holes in explicit_runs(hops):
+            runs += 1
+            if holes:
+                continue
+            entry, exit_ = _run_context(hops, run_start, run_end)
+            if entry is not None and exit_ is not None:
+                complete += 1
+                signatures.add(
+                    (entry, exit_, _run_hops(hops, run_start, run_end)))
+    _count_extraction(scanned, runs, complete)
+    return signatures
 
 
 def traces_with_tunnels(traces: Iterable[Trace]) -> int:
     """How many traces traverse at least one explicit tunnel (Fig 5a)."""
-    return sum(
-        1 for trace in traces
-        if any(is_explicit_hop(hop) for hop in trace.hops)
-    )
+    return sum(1 for trace in traces
+               if next(explicit_runs(trace.hops), None) is not None)

@@ -21,7 +21,7 @@ from ..net.ip2as import Ip2AsMapper
 from ..obs import emit, get_logger, get_registry, span
 from ..traces import Trace
 from .classification import ClassificationResult, classify
-from .extraction import extract_all, traces_with_tunnels
+from .extraction import complete_signatures, extract_all, is_explicit_hop
 from .filters import FilterStats, run_filters
 from .model import Iotp, IotpKey, LspSignature
 
@@ -55,16 +55,25 @@ def dataset_stats(traces: Sequence[Trace],
 
     An address counts as "used in MPLS" when it ever appears as a
     label-quoting hop; every other responding address is non-MPLS.
+    The same hop loop counts the traces crossing an explicit tunnel
+    (:func:`repro.core.extraction.traces_with_tunnels`).
     """
     mpls: Set[int] = set()
     every: Set[int] = set()
+    with_tunnels = 0
     for trace in traces:
+        explicit = False
         for hop in trace.hops:
-            if hop.address is None:
+            labeled = bool(hop.quoted_stack)
+            if labeled and not explicit:
+                explicit = is_explicit_hop(hop)
+            address = hop.address
+            if address is None:
                 continue
-            every.add(hop.address)
-            if hop.has_labels:
-                mpls.add(hop.address)
+            every.add(address)
+            if labeled:
+                mpls.add(address)
+        with_tunnels += explicit
 
     # One origin lookup per distinct address, feeding both histograms.
     mpls_by_as: Dict[int, int] = {}
@@ -76,7 +85,7 @@ def dataset_stats(traces: Sequence[Trace],
 
     return DatasetStats(
         trace_count=len(traces),
-        traces_with_tunnels=traces_with_tunnels(traces),
+        traces_with_tunnels=with_tunnels,
         mpls_addresses=len(mpls),
         non_mpls_addresses=len(every) - len(mpls),
         mpls_by_as=mpls_by_as,
@@ -106,10 +115,8 @@ def follow_up_signatures(snapshots: Sequence[Sequence[Trace]],
                          window: int) -> List[Set[LspSignature]]:
     """Complete-LSP signature sets of the X+1..X+``window`` snapshots
     (``snapshots[0]`` is the primary X)."""
-    return [
-        {lsp.signature for lsp in extract_all(snapshot) if lsp.complete}
-        for snapshot in snapshots[1:1 + window]
-    ]
+    return [complete_signatures(snapshot)
+            for snapshot in snapshots[1:1 + window]]
 
 
 class LprPipeline:

@@ -72,6 +72,8 @@ _HOP_HEAD = struct.Struct("!BB")
 _HOP_RESPONSE = struct.Struct("!IfB")
 _TRACE_HEAD = struct.Struct("!IIdBH")
 
+Stack = Tuple[LabelStackEntry, ...]
+
 
 class WartsError(ValueError):
     """Raised on malformed archive data."""
@@ -117,60 +119,60 @@ def encode_trace(trace: Trace) -> bytes:
     return b"".join(parts)
 
 
-class _Cursor:
-    """Bounds-checked reader over one record body."""
-
-    __slots__ = ("data", "offset")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def take(self, count: int) -> bytes:
-        end = self.offset + count
-        if end > len(self.data):
-            raise WartsError("truncated record")
-        chunk = self.data[self.offset:end]
-        self.offset = end
-        return chunk
-
-    def unpack(self, fmt: struct.Struct):
-        return fmt.unpack(self.take(fmt.size))
-
-    def done(self) -> bool:
-        return self.offset == len(self.data)
-
-
 def decode_trace(body: bytes) -> Trace:
     """Parse one trace record body."""
-    cursor = _Cursor(body)
-    (name_length,) = cursor.unpack(_U8)
-    monitor = cursor.take(name_length).decode("utf-8")
-    src, dst, timestamp, stop_code, hop_count = cursor.unpack(
-        _TRACE_HEAD)
-    if stop_code not in _STOP_REASONS:
-        raise WartsError(f"unknown stop reason code {stop_code}")
-    hops: List[TraceHop] = []
-    for _ in range(hop_count):
-        probe_ttl, flags = cursor.unpack(_HOP_HEAD)
-        address = None
-        rtt = 0.0
-        quoted_ttl = 1
-        if flags & _FLAG_RESPONDED:
-            address, rtt, quoted_ttl = cursor.unpack(_HOP_RESPONSE)
-        stack: List[LabelStackEntry] = []
-        if flags & _FLAG_LABELS:
-            (lse_count,) = cursor.unpack(_U8)
-            for _ in range(lse_count):
-                (word,) = cursor.unpack(_U32)
-                stack.append(LabelStackEntry.decode(word))
-        hops.append(TraceHop(probe_ttl=probe_ttl, address=address,
-                             rtt_ms=rtt, quoted_stack=tuple(stack),
-                             quoted_ttl=quoted_ttl))
-    if not cursor.done():
-        raise WartsError(
-            f"{len(body) - cursor.offset} trailing bytes in record"
-        )
+    return _decode_record(body, {})
+
+
+def _decode_record(body: bytes, stacks: Dict[bytes, Stack]) -> Trace:
+    """Parse one record body; ``stacks`` memoises decoded label stacks.
+
+    Every field is read with ``Struct.unpack_from`` (a bare byte by
+    index) at a running offset instead of slicing the body per field.
+    A read past the end raises ``struct.error`` or ``IndexError``,
+    mapped to :class:`WartsError` here, in one place.
+    """
+    try:
+        name_end = 1 + body[0]
+        src, dst, timestamp, stop_code, hop_count = \
+            _TRACE_HEAD.unpack_from(body, name_end)
+        monitor = body[1:name_end].decode("utf-8")
+        if stop_code not in _STOP_REASONS:
+            raise WartsError(f"unknown stop reason code {stop_code}")
+        offset = name_end + _TRACE_HEAD.size
+        hop_response = _HOP_RESPONSE.unpack_from
+        hops: List[TraceHop] = []
+        append = hops.append
+        for _ in range(hop_count):
+            probe_ttl = body[offset]
+            flags = body[offset + 1]
+            offset += 2
+            if flags & _FLAG_RESPONDED:
+                address, rtt, quoted_ttl = hop_response(body, offset)
+                offset += _HOP_RESPONSE.size
+            else:
+                address = None
+                rtt = 0.0
+                quoted_ttl = 1
+            stack: Stack = ()
+            if flags & _FLAG_LABELS:
+                start = offset + 1
+                offset = start + 4 * body[offset]
+                if offset > len(body):
+                    raise WartsError("truncated record")
+                raw = body[start:offset]
+                stack = stacks.get(raw)
+                if stack is None:
+                    stack = stacks[raw] = tuple(
+                        LabelStackEntry.decode(word)
+                        for (word,) in _U32.iter_unpack(raw))
+            append(TraceHop(probe_ttl, address, rtt, stack, quoted_ttl))
+    except (struct.error, IndexError):
+        raise WartsError("truncated record") from None
+    except UnicodeDecodeError as exc:
+        raise WartsError(f"monitor name is not utf-8: {exc}") from None
+    if offset != len(body):
+        raise WartsError(f"{len(body) - offset} trailing bytes in record")
     return Trace(monitor=monitor, src=src, dst=dst, timestamp=timestamp,
                  stop_reason=_STOP_REASONS[stop_code], hops=hops)
 
@@ -220,6 +222,10 @@ class WartsReader:
         self._buffer = b""
         self.tolerant = tolerant
         self.skipped: Dict[str, int] = {}
+        # Decoded label stacks by their raw LSE bytes, shared by every
+        # hop that quotes the same stack: an archive holds far fewer
+        # distinct stacks than labeled hops (DESIGN §8).
+        self._stacks: Dict[bytes, Stack] = {}
         header = self._read(6)
         if len(header) != 6 or header[:4] != MAGIC:
             raise WartsError("not a warts-like archive (bad magic)")
@@ -307,7 +313,7 @@ class WartsReader:
                     return
                 raise WartsError("truncated record body")
             try:
-                trace = decode_trace(body)
+                trace = _decode_record(body, self._stacks)
             except WartsError:
                 if self.tolerant:
                     self._skip("decode_error")

@@ -85,9 +85,13 @@ def load_jsonl(stream: TextIO) -> Iterator[Trace]:
         if not line:
             continue
         try:
-            yield trace_from_dict(json.loads(line))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad trace on line {line_number}: {exc}")
+            trace = trace_from_dict(json.loads(line))
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+            # Wrong JSON types (a list, a null, a number for an address)
+            # surface as TypeError/AttributeError deep in the decode.
+            raise ValueError(
+                f"bad trace on line {line_number}: {exc}") from exc
+        yield trace
 
 
 def read_jsonl(path) -> List[Trace]:

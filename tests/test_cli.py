@@ -193,6 +193,68 @@ class TestObservabilityFlags:
         assert "missing" in capsys.readouterr().err
 
 
+@pytest.fixture
+def corrupt_cycle(tmp_path, campaign_dir):
+    """A copy of cycle 30 whose primary snapshot is cut mid-record."""
+    cycle_dir = tmp_path / "corrupt" / "cycle-30"
+    cycle_dir.mkdir(parents=True)
+    (cycle_dir.parent / "pfx2as.txt").write_bytes(
+        (campaign_dir / "pfx2as.txt").read_bytes())
+    for snapshot in (campaign_dir / "cycle-30").glob("snapshot-*.rwts"):
+        data = snapshot.read_bytes()
+        if snapshot.name == "snapshot-0.rwts":
+            data = data[:-7]
+        (cycle_dir / snapshot.name).write_bytes(data)
+    return cycle_dir
+
+
+class TestCorruptArchive:
+    """A strict read of a corrupt archive fails on one line, exit 1."""
+
+    def test_show(self, corrupt_cycle, capsys):
+        archive = corrupt_cycle / "snapshot-0.rwts"
+        assert main(["show", "--archive", str(archive)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"{archive}: truncated record body "
+                                f"(rerun with --tolerant to salvage)\n")
+        assert captured.out == ""
+
+    def test_show_tolerant_salvages(self, corrupt_cycle, capsys):
+        archive = corrupt_cycle / "snapshot-0.rwts"
+        assert main(["show", "--archive", str(archive), "--limit", "1",
+                     "--tolerant"]) == 0
+        assert "truncated_body=1" in capsys.readouterr().err
+
+    def test_show_missing_file(self, tmp_path, capsys):
+        assert main(["show", "--archive",
+                     str(tmp_path / "absent.rwts")]) == 1
+        assert "absent.rwts" in capsys.readouterr().err
+
+    def test_classify(self, corrupt_cycle, capsys):
+        assert main(["classify", "--cycle-dir", str(corrupt_cycle)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"{corrupt_cycle / 'snapshot-0.rwts'}: truncated record "
+            f"body (rerun with --tolerant to salvage)"]
+
+    def test_classify_bad_header_even_when_tolerant(self, corrupt_cycle,
+                                                    capsys):
+        archive = corrupt_cycle / "snapshot-1.rwts"
+        archive.write_bytes(b"JUNK" + archive.read_bytes()[4:])
+        assert main(["classify", "--cycle-dir", str(corrupt_cycle),
+                     "--tolerant"]) == 1
+        # Snapshot 0 was salvaged (a logged skip); snapshot 1 aborts.
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == \
+            f"{archive}: not a warts-like archive (bad magic)"
+
+    def test_audit_has_no_tolerant_hint(self, corrupt_cycle, capsys):
+        assert main(["audit", "--cycle-dir", str(corrupt_cycle)]) == 1
+        assert capsys.readouterr().err == (
+            f"{corrupt_cycle / 'snapshot-0.rwts'}: "
+            f"truncated record body\n")
+
+
 class TestFlightRecorderFlags:
     def test_parser_accepts_telemetry_flags(self):
         args = build_parser().parse_args(

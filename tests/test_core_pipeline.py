@@ -2,15 +2,18 @@
 
 import pytest
 
-from repro.core.extraction import extract_all
+from repro.core.extraction import extract_all, extract_lsps
 from repro.core.pipeline import (
     LprPipeline,
     dataset_stats,
+    follow_up_signatures,
     persistence_sweep,
 )
 from repro.mpls.lse import LabelStackEntry
 from repro.net.ip import Prefix, ip_to_int
 from repro.net.ip2as import Ip2AsMapper
+from repro.obs import get_registry
+from repro.sim import ArkSimulator, paper_scenario
 from repro.traces import StopReason, Trace, TraceHop
 
 AS_T = 65001
@@ -184,3 +187,45 @@ class TestPersistenceSweep:
     def test_sweep_requires_primary(self):
         with pytest.raises(ValueError):
             persistence_sweep([], mapper(), windows=(0,))
+
+
+class TestFollowUpsOnSimulatedCycle:
+    """The lean follow-up scan against full extraction as the oracle."""
+
+    @pytest.fixture(scope="class")
+    def cycle(self):
+        simulator = ArkSimulator(paper_scenario(scale=0.4, seed=7))
+        simulator.fast_forward(1, 39)
+        return simulator.run_cycle(40)
+
+    @staticmethod
+    def _extraction_delta(run):
+        registry = get_registry()
+        before = registry.snapshot()
+        value = run()
+        delta = registry.diff(before, registry.snapshot())
+        return value, {name: payload for name, payload in delta.items()
+                       if name.startswith(("lsps_extracted",
+                                           "extraction_"))}
+
+    def test_signatures_and_counters_match_extract_all(self, cycle):
+        snapshots = cycle.snapshots
+        assert len(snapshots) == 3
+        lean, lean_delta = self._extraction_delta(
+            lambda: follow_up_signatures(snapshots, 2))
+
+        def oracle():
+            return [{lsp.signature for lsp in extract_all(snapshot)
+                     if lsp.complete} for snapshot in snapshots[1:]]
+
+        expected, oracle_delta = self._extraction_delta(oracle)
+        assert lean == expected
+        assert all(expected)  # the cycle does exercise tunnels
+        assert lean_delta == oracle_delta
+        assert lean_delta  # and the counters did move
+
+    def test_dataset_stats_counts_tunnel_traces(self, cycle):
+        primary = cycle.snapshots[0]
+        stats = dataset_stats(primary, Ip2AsMapper())
+        assert stats.traces_with_tunnels == sum(
+            1 for trace in primary if extract_lsps(trace))

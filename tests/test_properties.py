@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.classification import TunnelClass, classify_iotp
-from repro.core.extraction import extract_lsps
+from repro.core.extraction import complete_signatures, explicit_runs, \
+    extract_all, extract_lsps, traces_with_tunnels
+from repro.core.pipeline import dataset_stats
+from repro.net.ip2as import Ip2AsMapper
+from repro.obs import get_registry
 from repro.core.model import Iotp, Lsp
 from repro.igp.spf import spf_to
 from repro.igp.topology import Router, Topology
@@ -201,3 +205,65 @@ class TestExtractionProperties:
         first = [lsp.signature for lsp in extract_lsps(trace)]
         second = [lsp.signature for lsp in extract_lsps(trace)]
         assert first == second
+
+
+@st.composite
+def mixed_traces(draw):
+    """Traces adding opaque (LSE-TTL 255) and labeled-anonymous hops."""
+    hop_count = draw(st.integers(min_value=0, max_value=12))
+    hops = []
+    for ttl in range(1, hop_count + 1):
+        kind = draw(st.sampled_from(
+            ["plain", "label", "label", "opaque", "anon", "anon-label"]))
+        address = None if kind.startswith("anon") else 1000 + ttl % 5
+        stack = ()
+        if kind in ("label", "opaque", "anon-label"):
+            label = draw(st.integers(min_value=16, max_value=19))
+            stack = (LabelStackEntry(
+                label, bottom=True,
+                ttl=255 if kind == "opaque" else draw(
+                    st.integers(min_value=0, max_value=2))),)
+        hops.append(TraceHop(probe_ttl=ttl, address=address,
+                             quoted_stack=stack))
+    return Trace(monitor="m", src=1, dst=2, timestamp=0.0,
+                 stop_reason=StopReason.COMPLETED, hops=hops)
+
+
+def _extraction_counts(run):
+    registry = get_registry()
+    before = registry.snapshot()
+    value = run()
+    delta = registry.diff(before, registry.snapshot())
+    return value, {name: delta.get(name) for name in
+                   ("extraction_traces_scanned_total",
+                    "lsps_extracted_total")}
+
+
+class TestRunScannerProperties:
+    """The scanner's three consumers agree with full extraction."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(mixed_traces(), max_size=4))
+    def test_complete_signatures_match_extract_all(self, snapshot):
+        lean, lean_counts = _extraction_counts(
+            lambda: complete_signatures(snapshot))
+        lsps, full_counts = _extraction_counts(
+            lambda: extract_all(snapshot))
+        assert lean == {lsp.signature for lsp in lsps if lsp.complete}
+        assert lean_counts == full_counts
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(mixed_traces(), max_size=4))
+    def test_tunnel_counts_agree(self, snapshot):
+        expected = sum(1 for trace in snapshot if extract_lsps(trace))
+        assert traces_with_tunnels(snapshot) == expected
+        stats = dataset_stats(snapshot, Ip2AsMapper())
+        assert stats.traces_with_tunnels == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_traces())
+    def test_runs_are_disjoint_and_ordered(self, trace):
+        runs = list(explicit_runs(trace.hops))
+        assert len(runs) == len(extract_lsps(trace))
+        for (_, end, _), (start, _, _) in zip(runs, runs[1:]):
+            assert end < start

@@ -1,10 +1,12 @@
 """Unit tests for the warts-like binary and JSONL trace codecs."""
 
+import dataclasses
 import io
+import pickle
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.mpls.lse import LabelStackEntry
 from repro.net.ip import ip_to_int
@@ -243,6 +245,33 @@ class TestTolerantReader:
             read_archive(path)
         assert len(read_archive(path, tolerant=True)) == 3
 
+    def test_bad_utf8_monitor_is_a_decode_error(self):
+        good = encode_trace(sample_trace())
+        bad = b"\x01\xff" + good[1 + len("mon-a"):]  # 1-byte name 0xFF
+        framed = b"".join(struct.pack("!I", len(body)) + body
+                          for body in (bad, good))
+        data = MAGIC + struct.pack("!H", VERSION) + framed
+        with pytest.raises(WartsError, match="utf-8"):
+            decode_trace(bad)
+        with pytest.raises(WartsError, match="utf-8"):
+            list(WartsReader(io.BytesIO(data)))
+        reader = WartsReader(io.BytesIO(data), tolerant=True)
+        loaded = list(reader)
+        assert len(loaded) == 1
+        assert traces_equal(loaded[0], sample_trace())
+        assert reader.skipped == {"decode_error": 1}
+
+    def test_unknown_stop_code_is_a_decode_error(self):
+        body = bytearray(encode_trace(sample_trace()))
+        body[1 + len("mon-a") + 16] = 0xEE  # the stop-reason byte
+        with pytest.raises(WartsError, match="stop reason"):
+            decode_trace(bytes(body))
+
+    def test_label_block_past_the_end_is_truncation(self):
+        body = encode_trace(sample_trace())
+        with pytest.raises(WartsError, match="truncated"):
+            decode_trace(body[:-2])
+
     def test_skip_counter_increments(self):
         counter = get_registry().counter("warts_records_skipped_total")
         before = counter.value(reason="truncated_body")
@@ -277,6 +306,19 @@ class TestJsonlCodec:
     def test_bad_line_reports_number(self):
         with pytest.raises(ValueError, match="line 1"):
             list(load_jsonl(io.StringIO('{"nope": 1}\n')))
+
+    @pytest.mark.parametrize("line", [
+        "[1, 2]",                              # not an object
+        '{"hops": null}',                      # hops not a list
+        '{"monitor": "m", "src": 5, "dst": "1.2.3.4", "timestamp": 0,'
+        ' "stop_reason": "completed", "hops": []}',  # int address
+    ])
+    def test_wrongly_typed_line_reports_number(self, line):
+        good = io.StringIO()
+        dump_jsonl([sample_trace()], good)
+        text = good.getvalue() + "\n" + line + "\n"
+        with pytest.raises(ValueError, match="bad trace on line 3"):
+            list(load_jsonl(io.StringIO(text)))
 
     def test_addresses_rendered_dotted(self):
         data = trace_to_dict(sample_trace())
@@ -350,3 +392,123 @@ class TestGzipArchives:
         assert packed.stat().st_size < plain.stat().st_size
         with open(packed, "rb") as stream:
             assert stream.read(2) == b"\x1f\x8b"  # gzip magic
+
+
+def labeled_trace(monitor, labels):
+    """Responding hops quoting one explicit LSE each (``None``: none)."""
+    hops = tuple(
+        TraceHop(probe_ttl=ttl, address=1000 + ttl, rtt_ms=0.25 * ttl,
+                 quoted_stack=(() if label is None else
+                               (LabelStackEntry(label, bottom=True,
+                                                ttl=1),)))
+        for ttl, label in enumerate(labels, start=1))
+    return Trace(monitor=monitor, src=1, dst=2, timestamp=1.0,
+                 stop_reason=StopReason.COMPLETED, hops=list(hops))
+
+
+class TestStackMemo:
+    def test_reader_shares_equal_stacks(self):
+        data = archive_bytes([labeled_trace("a", [None, 100, 200]),
+                              labeled_trace("b", [None, 100, 300])])
+        first, second = WartsReader(io.BytesIO(data))
+        assert first.hops[1].quoted_stack is second.hops[1].quoted_stack
+        assert first.hops[2].quoted_stack != second.hops[2].quoted_stack
+        assert first.hops[0].quoted_stack == ()
+
+    def test_decode_trace_uses_a_fresh_memo(self):
+        body = encode_trace(labeled_trace("a", [100]))
+        one, two = decode_trace(body), decode_trace(body)
+        assert one.hops[0].quoted_stack == two.hops[0].quoted_stack
+        assert one.hops[0].quoted_stack is not two.hops[0].quoted_stack
+
+    def test_memo_is_per_reader(self):
+        data = archive_bytes([labeled_trace("a", [100])])
+        (one,) = WartsReader(io.BytesIO(data))
+        (two,) = WartsReader(io.BytesIO(data))
+        assert one.hops[0].quoted_stack is not two.hops[0].quoted_stack
+
+
+_FUZZ_ARCHIVE = archive_bytes([
+    sample_trace("mon-a"), anonymous_trace(),
+    labeled_trace("mon-b", [None, 100, 200, None]),
+    sample_trace("mon-c", hop_count=5),
+])
+
+
+def _read_or_warts_error(data, tolerant):
+    try:
+        return list(WartsReader(io.BytesIO(data), tolerant=tolerant))
+    except WartsError:
+        if tolerant and data[:6] == _FUZZ_ARCHIVE[:6]:
+            raise  # only a bad file header may abort a salvage
+        return None
+
+
+class TestCorruptionFuzz:
+    """A damaged archive either decodes or fails with WartsError only;
+    a tolerant reader never fails once the file header is intact."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=len(_FUZZ_ARCHIVE)))
+    def test_truncation(self, cut):
+        data = _FUZZ_ARCHIVE[:cut]
+        _read_or_warts_error(data, tolerant=False)
+        _read_or_warts_error(data, tolerant=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=len(_FUZZ_ARCHIVE) - 1),
+           st.integers(min_value=1, max_value=255))
+    def test_one_flipped_byte(self, index, mask):
+        data = bytearray(_FUZZ_ARCHIVE)
+        data[index] ^= mask
+        _read_or_warts_error(bytes(data), tolerant=False)
+        _read_or_warts_error(bytes(data), tolerant=True)
+
+
+@dataclasses.dataclass(frozen=True)
+class _GeneratedHop:
+    """TraceHop's fields with the dataclass-generated ``__init__``."""
+
+    probe_ttl: int
+    address: object
+    rtt_ms: float = 0.0
+    quoted_stack: tuple = ()
+    quoted_ttl: int = 1
+
+
+class TestTraceHopInit:
+    def hop(self):
+        return TraceHop(3, 1234, 1.5,
+                        (LabelStackEntry(100, bottom=True, ttl=1),), 2)
+
+    def test_dict_keys_follow_the_fields(self):
+        names = [field.name for field in dataclasses.fields(TraceHop)]
+        assert list(self.hop().__dict__) == names
+        assert list(TraceHop(1, None).__dict__) == names
+        assert names == [field.name for field in
+                         dataclasses.fields(_GeneratedHop)]
+
+    def test_pickle_bytes_match_the_generated_init(self):
+        for args in [(3, 1234, 1.5, (LabelStackEntry(100),), 2),
+                     (7, None), (1, 5, 0.5)]:
+            # A TraceHop filled in by the generated __init__.
+            reference = object.__new__(TraceHop)
+            _GeneratedHop.__init__(reference, *args)
+            ours = pickle.dumps(TraceHop(*args))
+            assert ours == pickle.dumps(reference)
+            assert pickle.loads(ours) == TraceHop(*args)
+
+    def test_keywords_defaults_and_dataclass_protocol(self):
+        hop = TraceHop(probe_ttl=1, address=None)
+        assert (hop.rtt_ms, hop.quoted_stack, hop.quoted_ttl) == \
+            (0.0, (), 1)
+        assert self.hop() == self.hop()
+        assert hash(self.hop()) == hash(self.hop())
+        assert repr(hop) == ("TraceHop(probe_ttl=1, address=None, "
+                             "rtt_ms=0.0, quoted_stack=(), quoted_ttl=1)")
+        moved = dataclasses.replace(self.hop(), address=9)
+        assert moved.address == 9 and moved.quoted_ttl == 2
+
+    def test_still_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.hop().address = 5
