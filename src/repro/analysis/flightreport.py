@@ -50,12 +50,19 @@ def _by_kind(events: Sequence[Event]) -> Dict[str, List[Event]]:
 # -- study summary -----------------------------------------------------------
 
 _SUMMARY_COUNTS = {
-    "restored from checkpoint": "shard.restored",
     "retries": "shard.retry",
     "subdivisions": "shard.subdivided",
     "checkpoint writes": "checkpoint.write",
     "checkpoint rejects": "checkpoint.rejected",
 }
+
+
+def _restored_cycles(grouped: Dict[str, List[Event]]) -> int:
+    """Cycles restored from checkpoints, counted alike for serial and
+    parallel runs: every ``checkpoint.hit`` names the cycles its entry
+    held (pair-block entries hold none)."""
+    return sum(event.fields.get("cycles", 0)
+               for event in grouped.get("checkpoint.hit", []))
 
 
 def _summary_section(grouped: Dict[str, List[Event]]) -> List[str]:
@@ -69,6 +76,9 @@ def _summary_section(grouped: Dict[str, List[Event]]) -> List[str]:
                      f"workers: {fields.get('workers', '?')}")
     if plan:
         lines.append(f"planned shards: {plan[0].fields.get('shards')}")
+    restored = _restored_cycles(grouped)
+    if restored:
+        lines.append(f"restored from checkpoint: {restored}")
     for label, kind in _SUMMARY_COUNTS.items():
         if grouped.get(kind):
             lines.append(f"{label}: {len(grouped[kind])}")
@@ -91,6 +101,9 @@ def _summary_data(grouped: Dict[str, List[Event]]) -> Dict[str, Any]:
         data["workers"] = start[0].fields.get("workers")
     if plan:
         data["planned_shards"] = plan[0].fields.get("shards")
+    restored = _restored_cycles(grouped)
+    if restored:
+        data["restored_from_checkpoint"] = restored
     for label, kind in _SUMMARY_COUNTS.items():
         if grouped.get(kind):
             data[label.replace(" ", "_")] = len(grouped[kind])

@@ -76,6 +76,7 @@ from .obs import (
     write_metrics_json,
 )
 from .sim import ArkSimulator, paper_scenario
+from .sim.scenarios import check_scale
 from .traces import Trace
 from .verify import CONFIG_NAMES, default_matrix, run_matrix
 from .warts import WartsError, read_archive, salvage_archive, \
@@ -154,9 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "per-stage breakdown table")
     study.add_argument("--checkpoint-dir", type=Path, default=None,
                        metavar="DIR",
-                       help="persist finished shards here; a restarted "
-                            "study replays only unfinished cycle "
-                            "ranges (keyed by the study spec's hash)")
+                       help="persist every finished cycle here; a "
+                            "restarted study replays only unfinished "
+                            "cycles, whatever the worker count (keyed "
+                            "by the study spec's hash)")
     study.add_argument("--state-dir", type=Path, default=None,
                        metavar="DIR",
                        help="share warm-start control-plane snapshots "
@@ -255,7 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _scale_error(scale: float) -> bool:
+    """Print the one-line --scale error; True when ``scale`` is bad."""
+    try:
+        check_scale(scale)
+    except ValueError as error:
+        print(f"--{error}", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_simulate(args) -> int:
+    if _scale_error(args.scale):
+        return 2
     simulator = ArkSimulator(
         paper_scenario(scale=args.scale, seed=args.seed))
     args.out.mkdir(parents=True, exist_ok=True)
@@ -453,6 +467,8 @@ def cmd_study(args) -> int:
         print(f"--cycles must be >= 1, got {args.cycles}",
               file=sys.stderr)
         return 2
+    if _scale_error(args.scale):
+        return 2
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}",
               file=sys.stderr)
@@ -561,6 +577,8 @@ def cmd_verify(args) -> int:
     if args.cycles < 1:
         print(f"--cycles must be >= 1, got {args.cycles}",
               file=sys.stderr)
+        return 2
+    if _scale_error(args.scale):
         return 2
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}",

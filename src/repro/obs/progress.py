@@ -53,6 +53,7 @@ class ProgressTracker:
         self.shards: Dict[int, ShardProgress] = {}
         self._start = self.clock.now()
         self._high_water = 0.0
+        self._restored = 0.0
         # Mutations come from the runner's thread, reads also from the
         # telemetry server's handler threads; reentrant because
         # add_shard(done=True) folds through shard_done.
@@ -74,6 +75,13 @@ class ProgressTracker:
             self.shards[shard_id] = progress
             if done:
                 self.shard_done(shard_id)
+
+    def add_restored(self, cycles: float) -> None:
+        """Count cycles restored from a checkpoint before planning:
+        finished work that belongs to no shard."""
+        with self._lock:
+            self._restored += cycles
+            self._advance()
 
     def abandon_shard(self, shard_id: int) -> None:
         """Mark a failed shard: its work will be redone elsewhere."""
@@ -109,8 +117,9 @@ class ProgressTracker:
             self._advance()
 
     def _advance(self) -> None:
-        live = sum(p.work_done for p in self.shards.values()
-                   if not p.abandoned)
+        live = self._restored + sum(p.work_done
+                                    for p in self.shards.values()
+                                    if not p.abandoned)
         self._high_water = max(self._high_water, live)
 
     # -- derived totals ------------------------------------------------------

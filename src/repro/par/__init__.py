@@ -7,6 +7,7 @@ have at its cycles.  This package provides that:
 
 * :func:`shard_cycles` splits a cycle range into contiguous blocks, one
   per worker — contiguity minimises replay work; :func:`plan_shards`
+  plans over the cycles still missing (all of them on a fresh run) and
   extends the split *inside* cycles when workers outnumber them
   (intra-cycle pair blocks, reassembled in pair order by the runner);
 * each worker deterministically reconstructs its block's starting state
@@ -22,9 +23,10 @@ The contract — asserted in ``tests/test_par.py`` — is that a run with
 classifications and merged metrics to the serial run (DESIGN §6 and §8).
 
 The runner is also **fault tolerant**: failed shards retry with
-exponential backoff (and optional subdivision), completed shards can be
-checkpointed to disk and replayed on restart
-(:mod:`repro.par.checkpoint`), and :mod:`repro.par.faults` provides the
+exponential backoff (and optional subdivision), finished cycles can be
+checkpointed to disk, one entry per cycle, and a restart under any
+worker count runs only the missing ones (:mod:`repro.par.checkpoint`),
+and :mod:`repro.par.faults` provides the
 test-only hooks that stage worker deaths so the recovery paths stay
 covered (``tests/test_par_faults.py``).
 

@@ -33,9 +33,10 @@ The runner is **fault tolerant** (DESIGN §8):
   exponential backoff up to ``max_retries`` times, optionally
   subdivided — cycle ranges into halves, pair blocks into half-blocks —
   to route around a poisonous unit of work;
-* with ``checkpoint_dir`` set, every completed shard (cycle ranges,
-  assembled cycles and raw pair blocks alike) is persisted and a
-  restarted study replays only the missing work
+* with ``checkpoint_dir`` set, every finished cycle (from a cycle-range
+  shard or reassembled from pair blocks) and every raw pair block is
+  persisted under a per-cycle key, and a restarted study — under any
+  worker count — plans shards over the still-missing cycles only
   (:mod:`repro.par.checkpoint`);
 * both paths keep the headline guarantee: because each shard is a pure
   function of ``(spec, cycle range, pair range)``, a retried,
@@ -182,6 +183,14 @@ class ShardResult:
     """The worker's tracer roots, returned only on profiled runs and
     grafted under the parent's study span (stripped from checkpoints —
     timing is per-run observability, not a campaign result)."""
+    entries: Optional[List[bytes]] = None
+    """A cycle-range shard run with a checkpoint store: one encoded
+    checkpoint entry per entry of ``results``
+    (:meth:`CheckpointStore.encode`), holding that cycle's result and
+    its own metrics delta, windowed around the cycle's simulation and
+    pipeline exactly as the serial loop windows it.  The parent writes
+    these bytes as they are; ``metrics_delta`` still covers the whole
+    shard (prefix replay included) and is what the parent absorbs."""
 
 
 @dataclass
@@ -193,7 +202,8 @@ class StudyRun:
     results: List[CycleResult]
     shards: List[ShardResult] = field(default_factory=list)
     """Per-shard accounting of a parallel run (empty when serial):
-    cycle-range results and raw pair blocks, in (cycle, pair) order."""
+    cycle-range results, restored cycle entries and raw pair blocks,
+    in (cycle, pair) order."""
 
 
 def _beat(beats, shard: Shard, **fields: Any) -> None:
@@ -208,7 +218,7 @@ def _beat(beats, shard: Shard, **fields: Any) -> None:
 
 def _run_shard(
     args: Tuple[StudySpec, Shard, int, Optional[ShardFault], bool, Any,
-                Any, bool]
+                Any, bool, Any]
 ) -> ShardResult:
     """Worker entry: reconstruct state, run the shard's work locally.
 
@@ -224,6 +234,12 @@ def _run_shard(
     worker process; the parent folds it into its own registry, so the
     shard's ``metrics_delta`` stays free of resource gauges.
 
+    With ``checkpoint_dir`` set each cycle also gets its own metrics
+    window around its simulation and pipeline only — the warm-start
+    restore and prefix replay stay outside — and is encoded here, in
+    the process that computed it, into the checkpoint entry the parent
+    writes (``ShardResult.entries``).
+
     With ``state_dir`` set the worker warm-starts: it restores the
     newest usable snapshot at or before ``first - 1`` from the shared
     :class:`StateStore` and replays only the tail, instead of the whole
@@ -233,7 +249,7 @@ def _run_shard(
     was actually replayed.
     """
     (spec, shard, attempt, fault, profile, beats, state_dir,
-     resources) = args
+     resources, checkpoint_dir) = args
     set_event_bus(EventBus())
     tracer = set_tracer(Tracer(MonotonicClock() if profile
                                else NullClock()))
@@ -249,7 +265,11 @@ def _run_shard(
     traces_start = sim_traces.value()
     block_attrs = ({"block": f"{shard.block[0]}/{shard.block[1]}"}
                    if shard.block is not None else {})
+    store = (CheckpointStore(checkpoint_dir, spec)
+             if checkpoint_dir is not None else None)
     results: List[CycleResult] = []
+    entries: Optional[List[bytes]] = (
+        [] if store is not None and shard.block is None else None)
     snapshots: Optional[List[list]] = None
     replay_from = 1
     with tracer.span("par.worker", first=shard.first, last=shard.last,
@@ -276,8 +296,15 @@ def _run_shard(
             for index, cycle in enumerate(shard.cycles):
                 if fault is not None:
                     fault.maybe_fire(attempt, index)
-                results.append(
-                    pipeline.process_cycle(simulator.run_cycle(cycle)))
+                window = (registry.snapshot() if store is not None
+                          else None)
+                result = pipeline.process_cycle(
+                    simulator.run_cycle(cycle))
+                results.append(result)
+                if store is not None:
+                    entries.append(store.encode(_cycle_entry(
+                        result,
+                        registry.diff(window, registry.snapshot()))))
                 _beat(beats, shard, cycles_done=index + 1,
                       traces=sim_traces.value() - traces_start,
                       **_res())
@@ -290,6 +317,7 @@ def _run_shard(
                if shard.block is not None else None),
         snapshots=snapshots,
         spans=tracer.roots if profile else None,
+        entries=entries,
     )
 
 
@@ -337,12 +365,14 @@ def run_study(spec: StudySpec, workers: int = 1, *,
     the work.  When every retry is exhausted the study aborts with
     :class:`StudyFailure`.
 
-    With ``checkpoint_dir`` set, finished shards (or, serially, single
-    cycles) are persisted through a :class:`CheckpointStore` and a
-    restarted run replays only the missing work — byte-identical output
-    either way.  Reassembled cycles are checkpointed under the same key
-    a serial run uses, so serial checkpoints seed parallel resumes and
-    vice versa.  ``fault_plan`` is the test-only injection hook
+    With ``checkpoint_dir`` set, every finished cycle is persisted
+    through a :class:`CheckpointStore` under a per-cycle key — one
+    entry per cycle of a range shard, per reassembled cycle and per
+    serial cycle, with identical bytes whichever wrote it — plus one
+    entry per raw pair block.  A restarted run looks every cycle up
+    once, restores the hits and plans shards over the missing cycles
+    only, so any worker layout resumes from any other — byte-identical
+    output either way.  ``fault_plan`` is the test-only injection hook
     (:mod:`repro.par.faults`); production runs leave it None.
 
     With ``state_dir`` set, control-plane snapshots are shared through
@@ -415,7 +445,16 @@ fast_forward` — never probing — so output stays byte-identical with or
     # clock means span durations are wanted, so shards time themselves
     # and return their trees for grafting.
     profile = not isinstance(get_tracer().clock, NullClock)
-    shards = plan_shards(1, spec.cycles, workers)
+    # Look every cycle up once: whatever layout wrote a cycle's entry,
+    # it is reused, and only the cycles no entry covers are planned.
+    restored: Dict[int, ShardResult] = {}
+    if store is not None:
+        for cycle in range(1, spec.cycles + 1):
+            cached = store.load(cycle)
+            if cached is not None:
+                restored[cycle] = cached
+    shards = plan_shards((cycle for cycle in range(1, spec.cycles + 1)
+                          if cycle not in restored), workers)
     emit("study.plan", shards=len(shards), workers=workers)
     tracker: Optional[ProgressTracker] = None
     manager = None
@@ -429,6 +468,7 @@ fast_forward` — never probing — so output stays byte-identical with or
         tracker = ProgressTracker(spec.cycles,
                                   clock=progress_clock
                                   or MonotonicClock())
+        tracker.add_restored(len(restored))
     if telemetry:
         manager = _pool_context().Manager()
         beats = manager.Queue()
@@ -502,52 +542,22 @@ fast_forward` — never probing — so output stays byte-identical with or
                           stride=snapshot_stride):
                     _seed_state_store(simulator, state_store,
                                       spec.cycles, snapshot_stride)
-            # completed: full cycle-range ShardResults (executed or
-            # restored at cycle granularity); blocks: raw pair blocks
-            # per cycle.
+            # completed: executed cycle-range ShardResults; blocks: raw
+            # pair blocks per cycle (executed or restored).
             completed: List[ShardResult] = []
             blocks: Dict[int, List[ShardResult]] = {}
             pending: List[Shard] = []
             attempts: Dict[Shard, int] = {}
             next_id = len(shards)
-            cycle_restored: set = set()
             for shard in shards:
-                if shard.block is None:
-                    cached = (store.load(shard.first, shard.last)
-                              if store is not None else None)
-                    if cached is not None:
-                        completed.append(cached)
-                        _register(shard, done=True)
-                        emit("shard.restored", shard=shard.shard_id,
-                             first=shard.first, last=shard.last)
-                    else:
-                        pending.append(shard)
-                        attempts[shard] = 0
-                        _register(shard)
-                    continue
-                # Intra-cycle shard: prefer a whole-cycle checkpoint
-                # (same key a serial run writes), then this block's own
-                # file.
-                cycle = shard.first
-                if cycle in cycle_restored:
-                    _register(shard, done=True)
-                    continue
-                if store is not None and shard.block[0] == 0:
-                    cached = store.load(cycle, cycle)
-                    if cached is not None:
-                        completed.append(cached)
-                        cycle_restored.add(cycle)
-                        _register(shard, done=True)
-                        emit("shard.restored", shard=shard.shard_id,
-                             first=cycle, last=cycle)
-                        continue
-                cached = (store.load(cycle, cycle, shard.block)
-                          if store is not None else None)
+                cached = (store.load(shard.first, shard.block)
+                          if store is not None and shard.block is not None
+                          else None)
                 if cached is not None:
-                    blocks.setdefault(cycle, []).append(cached)
+                    blocks.setdefault(shard.first, []).append(cached)
                     _register(shard, done=True)
                     emit("shard.restored", shard=shard.shard_id,
-                         first=cycle, last=cycle,
+                         first=shard.first, last=shard.last,
                          block=list(shard.block))
                 else:
                     pending.append(shard)
@@ -565,6 +575,7 @@ fast_forward` — never probing — so output stays byte-identical with or
                                              attempts, fault_plan,
                                              profile, beats, _on_beat,
                                              state_dir=state_dir,
+                                             checkpoint_dir=checkpoint_dir,
                                              resources=resources,
                                              watchdog=watchdog,
                                              on_tick=_on_tick,
@@ -653,13 +664,15 @@ fast_forward` — never probing — so output stays byte-identical with or
                 pending = retry
                 round_index += 1
 
-            # Assemble in cycle order: absorb cycle-range deltas
-            # as-is; reassemble pair-block cycles and pipeline them
-            # in-process, exactly where a serial run would.
+            # Assemble in cycle order: absorb restored and cycle-range
+            # deltas as-is; reassemble pair-block cycles and pipeline
+            # them in-process, exactly where a serial run would.
             registry = get_registry()
             results: List[CycleResult] = []
             shards_out: List[ShardResult] = []
-            units = [(r.results[0].cycle, r, None) for r in completed]
+            units = [(cycle, entry, None)
+                     for cycle, entry in restored.items()]
+            units.extend((r.results[0].cycle, r, None) for r in completed)
             for cycle, cycle_blocks in blocks.items():
                 units.append((cycle, None, cycle_blocks))
             units.sort(key=lambda unit: unit[0])
@@ -669,9 +682,11 @@ fast_forward` — never probing — so output stays byte-identical with or
                         get_tracer().graft(whole.spans,
                                            shard=whole.shard_id)
                     registry.absorb(whole.metrics_delta)
+                    flag = ({"restored": True} if cycle in restored
+                            else {})
                     for result in whole.results:
                         emit("cycle.metrics", cycle=result.cycle,
-                             metrics=result.metrics)
+                             metrics=result.metrics, **flag)
                     results.extend(whole.results)
                     shards_out.append(whole)
                     continue
@@ -735,6 +750,14 @@ def _seed_state_store(simulator: ArkSimulator, state_store: StateStore,
             state_store.save(cycle, simulator.internet.capture_state())
 
 
+def _cycle_entry(result: CycleResult,
+                 delta: Dict[str, Any]) -> ShardResult:
+    """One cycle as its own unit — the shape of a per-cycle checkpoint
+    entry, whichever layout computed the cycle."""
+    return ShardResult(shard_id=result.cycle - 1, results=[result],
+                       metrics_delta=delta, replayed_cycles=0)
+
+
 def _delta_total(delta: Dict[str, Any], name: str) -> float:
     """Sum of one metric's values across label sets in a delta."""
     data = delta.get(name)
@@ -796,12 +819,8 @@ def _assemble_cycle(spec: StudySpec, cycle: int,
         registry.absorb(block.metrics_delta)
     result = pipeline.process_cycle(
         CycleData(cycle=cycle, snapshots=snapshots))
-    assembled = ShardResult(
-        shard_id=cycle - 1,
-        results=[result],
-        metrics_delta=registry.diff(before, registry.snapshot()),
-        replayed_cycles=0,
-    )
+    assembled = _cycle_entry(
+        result, registry.diff(before, registry.snapshot()))
     emit("cycle.assembled", cycle=cycle, blocks=len(ordered))
     emit("cycle.metrics", cycle=cycle, metrics=result.metrics)
     return assembled, ordered
@@ -831,6 +850,7 @@ def _dispatch(spec: StudySpec, shards: List[Shard], workers: int,
               on_beat: Optional[Callable[[Dict[str, Any]],
                                          None]] = None,
               state_dir=None,
+              checkpoint_dir=None,
               resources: bool = False,
               watchdog: Optional[StallWatchdog] = None,
               on_tick: Optional[Callable[[], None]] = None,
@@ -859,7 +879,7 @@ def _dispatch(spec: StudySpec, shards: List[Shard], workers: int,
                 _run_shard,
                 (spec, shard, attempts[shard],
                  fault_plan.for_shard(shard) if fault_plan else None,
-                 profile, beats, state_dir, resources),
+                 profile, beats, state_dir, resources, checkpoint_dir),
             ): shard
             for shard in shards
         }
@@ -959,7 +979,7 @@ def _run_serial(spec: StudySpec, store: Optional[CheckpointStore],
             state_cursor = target
 
     for cycle in range(1, spec.cycles + 1):
-        cached = (store.load(cycle, cycle)
+        cached = (store.load(cycle)
                   if store is not None else None)
         if cached is not None:
             if state_store is None:
@@ -974,21 +994,16 @@ def _run_serial(spec: StudySpec, store: Optional[CheckpointStore],
                 fault = fault_plan.for_cycle(cycle)
                 if fault is not None:
                     fault.maybe_fire(0, 0)
-            before = registry.snapshot() if store is not None else None
             _advance_to(cycle - 1)
+            before = registry.snapshot() if store is not None else None
             result = pipeline.process_cycle(simulator.run_cycle(cycle))
             state_cursor = cycle
             results.append(result)
             emit("cycle.metrics", cycle=result.cycle,
                  metrics=result.metrics)
             if store is not None:
-                store.save(ShardResult(
-                    shard_id=cycle - 1,
-                    results=[result],
-                    metrics_delta=registry.diff(before,
-                                                registry.snapshot()),
-                    replayed_cycles=0,
-                ))
+                store.save(_cycle_entry(
+                    result, registry.diff(before, registry.snapshot())))
             if (state_store is not None
                     and cycle % snapshot_stride == 0
                     and not state_store.has(cycle)):

@@ -8,6 +8,12 @@ pure function of ``(first, last, shards)`` — no randomness, no
 load-balancer state — which keeps shard assignment reproducible and the
 merged output independent of worker scheduling.
 
+A resumed study plans only the cycles no checkpoint covers:
+:func:`plan_shards` takes the *missing* cycles, splits them into
+maximal contiguous runs and deals the workers over those runs, so a
+crash at cycle 13 of 24 resumes as ``13-18`` and ``19-24`` whatever
+layout wrote cycles 1-12.
+
 When callers ask for more workers than there are cycles,
 :func:`plan_shards` keeps going *inside* the cycles: the surplus
 workers each take one contiguous **pair block** — a slice of a cycle's
@@ -21,7 +27,7 @@ byte-identical (DESIGN §8).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -73,11 +79,42 @@ def shard_cycles(first: int, last: int, shards: int) -> List[Shard]:
     return out
 
 
-def plan_shards(first: int, last: int, workers: int) -> List[Shard]:
-    """One shard per worker, splitting cycles when workers outnumber them.
+def contiguous_runs(cycles: Iterable[int]) -> List[Tuple[int, int]]:
+    """The maximal runs ``(first, last)`` of consecutive cycles, in
+    ascending order (duplicates ignored)."""
+    runs: List[Tuple[int, int]] = []
+    for cycle in sorted(set(cycles)):
+        if runs and runs[-1][1] == cycle - 1:
+            runs[-1] = (runs[-1][0], cycle)
+        else:
+            runs.append((cycle, cycle))
+    return runs
 
-    With ``workers <= cycles`` this is exactly :func:`shard_cycles`.
-    With more workers, every cycle becomes its own unit and the surplus
+
+def _deal(runs: List[Tuple[int, int]], workers: int) -> List[int]:
+    """Workers per run: one each, then every spare worker goes to the
+    run whose largest shard is currently biggest (earliest run on
+    ties), which minimises the largest shard of the plan."""
+    lengths = [last - first + 1 for first, last in runs]
+    shares = [1] * len(runs)
+    for _ in range(workers - len(runs)):
+        best = max(range(len(runs)),
+                   key=lambda i: ((lengths[i] + shares[i] - 1)
+                                  // shares[i], -i))
+        shares[best] += 1
+    return shares
+
+
+def plan_shards(cycles: Iterable[int], workers: int) -> List[Shard]:
+    """One shard per worker over the given (missing) cycles.
+
+    A pure function of ``(set of cycles, workers)``.  With ``workers <=
+    len(cycles)`` the cycles split into maximal contiguous runs, the
+    workers are dealt over the runs (:func:`_deal`) and each run splits
+    like :func:`shard_cycles` — so a full ``1..N`` range plans exactly
+    ``shard_cycles(1, N, workers)``.  More runs than workers yields one
+    shard per run (the pool queues the surplus).  With more workers
+    than cycles, every cycle becomes its own unit and the surplus
     workers split cycles into pair blocks: ``divmod`` spreads the
     workers over the cycles (earlier cycles take the remainder), and a
     cycle assigned ``k > 1`` workers yields ``k`` intra-cycle shards
@@ -85,24 +122,25 @@ def plan_shards(first: int, last: int, workers: int) -> List[Shard]:
     """
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    total = last - first + 1
-    if total <= 0:
-        return []
-    if workers <= total:
-        return shard_cycles(first, last, workers)
-    base, extra = divmod(workers, total)
+    missing = sorted(set(cycles))
     out: List[Shard] = []
-    shard_id = 0
-    for offset in range(total):
-        cycle = first + offset
+    if not missing:
+        return out
+    if workers <= len(missing):
+        runs = contiguous_runs(missing)
+        for (first, last), share in zip(runs, _deal(runs, workers)):
+            for shard in shard_cycles(first, last, share):
+                out.append(Shard(shard_id=len(out), first=shard.first,
+                                 last=shard.last))
+        return out
+    base, extra = divmod(workers, len(missing))
+    for offset, cycle in enumerate(missing):
         count = base + (1 if offset < extra else 0)
         if count == 1:
-            out.append(Shard(shard_id=shard_id, first=cycle,
+            out.append(Shard(shard_id=len(out), first=cycle,
                              last=cycle))
-            shard_id += 1
             continue
         for index in range(count):
-            out.append(Shard(shard_id=shard_id, first=cycle,
+            out.append(Shard(shard_id=len(out), first=cycle,
                              last=cycle, block=(index, count)))
-            shard_id += 1
     return out

@@ -14,6 +14,7 @@ simulated label distributions measured through traceroute.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
@@ -76,12 +77,27 @@ def _scaled(value: int, scale: float, minimum: int = 1) -> int:
     return max(minimum, round(value * scale))
 
 
+def check_scale(scale: float) -> None:
+    """Raise ValueError unless ``scale`` is a finite number > 0.
+
+    Every count clamps to its minimum below some positive scale, so a
+    zero or negative scale would not fail by itself: it would quietly
+    build the smallest universe under a spec hash of its own.
+    """
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be a finite number > 0, "
+                         f"got {scale}")
+
+
 def build_universe(scale: float = 1.0, seed: int = 2015) -> UniverseSpec:
     """The paper universe at a given size multiplier.
 
     ``scale`` multiplies router and prefix counts; 1.0 is the default used
-    by the benchmark harness, smaller values make unit tests fast.
+    by the benchmark harness, smaller values make unit tests fast.  A
+    scale that is not finite and > 0 raises ValueError
+    (:func:`check_scale`).
     """
+    check_scale(scale)
     ases: List[AsSpec] = [
         # -- focus ASes ------------------------------------------------
         AsSpec(LEVEL3, "Level3", Tier.TIER1,

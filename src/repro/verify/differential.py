@@ -71,7 +71,7 @@ class VerifyConfig:
     ``memoize=False`` runs the uncached forwarding reference.
     ``resume`` stages a mid-study crash (RAISE fault against a
     checkpointed serial run) and re-runs to completion from the
-    checkpoints.  ``state`` names a shared warm-start store key:
+    checkpoints on ``workers`` processes — a cross-layout resume.  ``state`` names a shared warm-start store key:
     configs with the same key use the same ``--state-dir``, so a
     ``cold`` run seeds the snapshots a later ``warm`` run restores.
     ``archive`` round-trips cycle 1 through the warts codec and back
@@ -110,9 +110,10 @@ def default_matrix(workers: int = 2) -> List[VerifyConfig]:
         VerifyConfig(name="no-memo", memoize=False,
                      description="forwarding-path memoization "
                                  "disabled (uncached reference)"),
-        VerifyConfig(name="resume", resume=True,
-                     description="mid-study crash, then checkpoint "
-                                 "resume"),
+        VerifyConfig(name="resume", resume=True, workers=workers,
+                     description=f"serial mid-study crash, then "
+                                 f"checkpoint resume on {workers} "
+                                 f"workers"),
         VerifyConfig(name="state-cold", state="shared",
                      description="serial run seeding a warm-start "
                                  "state store"),
@@ -386,7 +387,7 @@ def execute_config(spec: StudySpec, config: VerifyConfig,
             pass
         else:  # pragma: no cover - the staged fault always fires
             raise RuntimeError("staged mid-study fault did not fire")
-        run = run_study(spec, workers=1,
+        run = run_study(spec, workers=config.workers,
                         checkpoint_dir=checkpoint_dir, **options)
     else:
         run = run_study(spec, workers=workers, **options)

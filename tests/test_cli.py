@@ -119,6 +119,23 @@ class TestStudy:
         assert f"--cycles must be >= 1, got {cycles}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", [
+        ["study", "--cycles", "1", "--artifacts", "table1"],
+        ["simulate", "--cycles", "1"],
+        ["verify", "--cycles", "1"],
+    ])
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_bad_scale_rejected(self, command, scale, tmp_path, capsys):
+        extra = (["--out", str(tmp_path / "out")]
+                 if command[0] == "simulate" else [])
+        assert main(command + ["--scale", scale] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            f"--scale must be a finite number > 0, "
+            f"got {float(scale)}"]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cycles", [0, -2])
     def test_api_rejects_nonpositive_cycles(self, cycles):
         from repro.analysis import run_longitudinal_study

@@ -306,6 +306,50 @@ class TestEventsFile:
         assert all("ts" not in row for row in first)
 
 
+class TestRestoreCount:
+    """``repro report`` counts restored *cycles*, the same way for a
+    serial and a parallel resume (from ``checkpoint.hit`` events)."""
+
+    @staticmethod
+    def _resume(tmp_path, workers):
+        """A full checkpointed run, minus cycles 3-4, resumed on
+        ``workers``; returns the resume's events file."""
+        checkpoints = tmp_path / "checkpoints"
+        run_study(SPEC, workers=1, checkpoint_dir=checkpoints)
+        store = CheckpointStore(checkpoints, SPEC)
+        store.path_for(3).unlink()
+        store.path_for(4).unlink()
+        events_path = tmp_path / "events.jsonl"
+        saved = get_event_bus()
+        bus = set_event_bus(EventBus(sink=events_path))
+        try:
+            run_study(SPEC, workers=workers, checkpoint_dir=checkpoints)
+        finally:
+            bus.close()
+            set_event_bus(saved)
+        return events_path
+
+    def test_serial_resume_reports_restored_cycles(self, tmp_path):
+        events_path = self._resume(tmp_path, workers=1)
+        assert "restored from checkpoint: 2" in \
+            flight_report(events_path)
+        data = flight_report_data(events_path)
+        assert data["study"]["restored_from_checkpoint"] == 2
+
+    def test_parallel_resume_reports_restored_cycles(self, tmp_path):
+        events_path = self._resume(tmp_path, workers=2)
+        report = flight_report(events_path)
+        assert "restored from checkpoint: 2" in report
+        assert "planned shards: 2" in report
+        data = flight_report_data(events_path)
+        assert data["study"]["restored_from_checkpoint"] == 2
+        # Restored cycles take no shard id: the timeline holds exactly
+        # the two planned shards, both executed.
+        assert [(row["shard"], row["work"], row["status"])
+                for row in data["shards"]] == [
+            (0, "cycle 3", "done"), (1, "cycle 4", "done")]
+
+
 class TestTelemetryByteIdentity:
     """Telemetry must observe, never perturb (DESIGN §6)."""
 
@@ -357,7 +401,7 @@ class TestCheckpointSpans:
             spans=[Span(name="par.worker", start=0.0, end=1.0)],
         )
         store.save(result)
-        loaded = store.load(1, 1)
+        loaded = store.load(1)
         assert loaded is not None
         assert loaded.spans is None
 
@@ -367,9 +411,9 @@ class TestCheckpointSpans:
         run = run_study(SPEC2, workers=1)
         result = ShardResult(shard_id=0, results=run.results[:1],
                              metrics_delta={}, replayed_cycles=0)
-        path = store.save(result)
+        path, = store.save(result)
         payload = pickle.loads(path.read_bytes())
-        assert payload["version"] == CHECKPOINT_VERSION == 5
-        payload["version"] = 4
+        assert payload["version"] == CHECKPOINT_VERSION == 6
+        payload["version"] = 5
         path.write_bytes(pickle.dumps(payload))
-        assert store.load(1, 1) is None
+        assert store.load(1) is None

@@ -121,6 +121,19 @@ class TestProgressTracker:
         assert tracker.work_done == 3.0
         assert tracker.fraction == pytest.approx(0.75)
 
+    def test_restored_cycles_count_as_done_work(self):
+        # A resume restores cycles 1-2 before planning; they belong to
+        # no shard but count toward the campaign.
+        tracker = ProgressTracker(4)
+        tracker.add_restored(2)
+        tracker.add_shard(0, 2.0)
+        assert tracker.work_done == 2.0
+        assert tracker.shards_total == 1
+        tracker.heartbeat(0, cycles_done=1)
+        assert tracker.work_done == 3.0
+        tracker.shard_done(0)
+        assert tracker.fraction == 1.0
+
     def test_stale_heartbeat_never_moves_backwards(self):
         tracker = ProgressTracker(4)
         tracker.add_shard(0, 4.0)

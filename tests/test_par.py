@@ -9,6 +9,7 @@ metrics deltas reconcile exactly with serial totals.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import LongitudinalStudy, Study, regenerate
 from repro.cli import main
@@ -22,6 +23,7 @@ from repro.par import (
     plan_shards,
     shard_cycles,
 )
+from repro.par.shard import contiguous_runs
 
 SPEC = StudySpec(scale=0.25, seed=7, cycles=4, snapshots_per_cycle=2)
 SPEC1 = StudySpec(scale=0.25, seed=7, cycles=1, snapshots_per_cycle=2)
@@ -155,11 +157,11 @@ class TestShardReconciliation:
 
 class TestPlanShards:
     def test_few_workers_delegates_to_shard_cycles(self):
-        assert plan_shards(1, 8, 3) == shard_cycles(1, 8, 3)
-        assert plan_shards(1, 4, 4) == shard_cycles(1, 4, 4)
+        assert plan_shards(range(1, 9), 3) == shard_cycles(1, 8, 3)
+        assert plan_shards(range(1, 5), 4) == shard_cycles(1, 4, 4)
 
     def test_surplus_workers_split_cycles_into_blocks(self):
-        shards = plan_shards(1, 2, 5)
+        shards = plan_shards(range(1, 3), 5)
         assert [(s.first, s.block) for s in shards] == [
             (1, (0, 3)), (1, (1, 3)), (1, (2, 3)),
             (2, (0, 2)), (2, (1, 2)),
@@ -167,19 +169,77 @@ class TestPlanShards:
         assert [s.shard_id for s in shards] == list(range(5))
 
     def test_single_cycle_takes_every_worker(self):
-        shards = plan_shards(1, 1, 4)
+        shards = plan_shards([1], 4)
         assert [(s.first, s.last, s.block) for s in shards] == \
             [(1, 1, (index, 4)) for index in range(4)]
 
     def test_exact_fit_gets_no_blocks(self):
-        assert all(s.block is None for s in plan_shards(1, 3, 3))
+        assert all(s.block is None for s in plan_shards(range(1, 4), 3))
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            plan_shards(1, 4, 0)
+            plan_shards(range(1, 5), 0)
 
     def test_empty_range(self):
-        assert plan_shards(5, 4, 3) == []
+        assert plan_shards([], 3) == []
+
+    def test_resume_plans_only_the_missing_run(self):
+        # A serial run that crashed at cycle 13 of 24, resumed on 2
+        # workers: the 12 missing cycles split in half.
+        assert [(s.first, s.last) for s in
+                plan_shards(range(13, 25), 2)] == [(13, 18), (19, 24)]
+
+    def test_spare_workers_go_to_the_longest_run(self):
+        shards = plan_shards([2, 3, 4, 5, 6, 7, 9], 3)
+        assert [(s.first, s.last) for s in shards] == \
+            [(2, 4), (5, 7), (9, 9)]
+
+    def test_more_runs_than_workers_gives_one_shard_per_run(self):
+        shards = plan_shards([1, 3, 5, 7, 8], 2)
+        assert [(s.first, s.last) for s in shards] == \
+            [(1, 1), (3, 3), (5, 5), (7, 8)]
+
+    def test_contiguous_runs(self):
+        assert contiguous_runs([5, 1, 2, 3, 5, 9]) == \
+            [(1, 3), (5, 5), (9, 9)]
+        assert contiguous_runs([]) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.integers(1, 40), max_size=30),
+           st.integers(1, 12))
+    def test_plan_tiles_the_missing_cycles(self, missing, workers):
+        shards = plan_shards(sorted(missing), workers)
+        # Deterministic, and a function of the cycle *set* only.
+        assert shards == plan_shards(sorted(missing), workers)
+        assert shards == plan_shards(sorted(missing, reverse=True),
+                                     workers)
+        assert [s.shard_id for s in shards] == list(range(len(shards)))
+        ranged = [s for s in shards if s.block is None]
+        blocked = [s for s in shards if s.block is not None]
+        covered = [c for s in ranged for c in s.cycles]
+        assert len(covered) == len(set(covered))
+        for shard in ranged:  # contiguous, inside the missing set
+            assert set(shard.cycles) <= missing
+        blocks = {}
+        for shard in blocked:
+            assert shard.first == shard.last
+            blocks.setdefault(shard.first, []).append(shard.block)
+        for cycle, cycle_blocks in blocks.items():
+            count = cycle_blocks[0][1]
+            assert cycle_blocks == [(i, count) for i in range(count)]
+        assert not set(blocks) & set(covered)
+        assert set(covered) | set(blocks) == missing
+        runs = len(contiguous_runs(missing))
+        assert len(ranged) <= max(workers, runs)
+        if runs <= workers:
+            assert len(ranged) <= workers
+        if not missing:
+            assert shards == []
+        elif workers >= len(missing):
+            assert len(shards) == workers
+        else:
+            assert not blocked
+            assert len(shards) == max(workers, runs)
 
 
 class TestOversubscription:
@@ -264,10 +324,26 @@ class TestIntraCycle:
         # The assembled cycle is checkpointed under the serial key, and
         # stripping the layout-dependent cache counters makes the two
         # files byte-for-byte equal.
-        assert serial_store.path_for(1, 1).read_bytes() == \
-            parallel_store.path_for(1, 1).read_bytes()
+        assert serial_store.path_for(1).read_bytes() == \
+            parallel_store.path_for(1).read_bytes()
         for index in range(4):
-            assert parallel_store.path_for(1, 1, (index, 4)).exists()
+            assert parallel_store.path_for(1, (index, 4)).exists()
+
+    def test_cycle_entries_byte_identical_across_layouts(self,
+                                                          tmp_path):
+        # Serial, 2 and 3 cycle-range workers and pair blocks (8
+        # workers over 4 cycles) all write the same bytes per cycle.
+        layouts = {"serial": 1, "two": 2, "three": 3, "blocks": 8}
+        stores = {}
+        for name, workers in layouts.items():
+            run_study(SPEC, workers=workers,
+                      checkpoint_dir=tmp_path / name)
+            stores[name] = CheckpointStore(tmp_path / name, SPEC)
+        for cycle in range(1, SPEC.cycles + 1):
+            expected = stores["serial"].path_for(cycle).read_bytes()
+            for name in ("two", "three", "blocks"):
+                assert stores[name].path_for(cycle).read_bytes() == \
+                    expected, (name, cycle)
 
     def test_serial_checkpoints_seed_parallel_resume(self, serial_one,
                                                      tmp_path):
@@ -284,8 +360,8 @@ class TestIntraCycle:
     def test_partial_block_resume(self, serial_one, tmp_path):
         run_study(SPEC1, workers=4, checkpoint_dir=tmp_path)
         store = CheckpointStore(tmp_path, SPEC1)
-        store.path_for(1, 1).unlink()
-        store.path_for(1, 1, (2, 4)).unlink()
+        store.path_for(1).unlink()
+        store.path_for(1, (2, 4)).unlink()
         resumed = run_study(SPEC1, workers=4, checkpoint_dir=tmp_path)
         serial, = serial_one.results
         restored, = resumed.results

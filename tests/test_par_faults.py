@@ -7,8 +7,9 @@ Three failure families, staged deterministically via repro.par.faults:
   subdividing the shard), and the finished study stays byte-identical
   to a serial run;
 * **checkpoint/resume** — an interrupted campaign restarted with the
-  same ``checkpoint_dir`` replays only the unfinished cycle ranges,
-  and stale or corrupt checkpoints are rejected, never reused;
+  same ``checkpoint_dir`` — under any worker count — runs only the
+  cycles no checkpoint covers, and stale or corrupt checkpoints are
+  rejected, never reused;
 * **archive salvage** — a truncated/corrupted warts archive read
   tolerantly yields every intact record and tallies each skip.
 
@@ -21,7 +22,7 @@ import shutil
 import pytest
 
 from repro.core.pipeline import run_study
-from repro.obs import get_registry
+from repro.obs import EventBus, get_event_bus, get_registry, set_event_bus
 from repro.par import (
     KILL,
     RAISE,
@@ -50,6 +51,34 @@ def _counter_total(name, **labels):
     if labels:
         return metric.value(**labels)
     return sum(value for _, value in metric.labelled_values())
+
+
+def _run_recorded(*args, **kwargs):
+    """``run_study`` under a fresh event bus: (run, events)."""
+    saved = get_event_bus()
+    bus = set_event_bus(EventBus())
+    try:
+        run = run_study(*args, **kwargs)
+    finally:
+        set_event_bus(saved)
+    return run, bus.events
+
+
+def _dispatched(events):
+    """(first, last, block) of every shard dispatch, in order."""
+    return [(e.fields["first"], e.fields["last"],
+             tuple(e.fields["block"]) if "block" in e.fields else None)
+            for e in events if e.kind == "shard.dispatch"]
+
+
+def _crash_parallel_at_cycle_3(checkpoint_dir):
+    """A 2-worker run whose second shard (cycles 3-4) always fails:
+    the study aborts with cycles 1-2 checkpointed."""
+    plan = FaultPlan({3: ShardFault(kind=RAISE, attempts=(0, 1, 2, 3))})
+    with pytest.raises(StudyFailure):
+        run_study(SPEC, workers=2, checkpoint_dir=checkpoint_dir,
+                  fault_plan=plan, max_retries=0, backoff_base=0.0,
+                  subdivide=False)
 
 
 def _assert_identical(serial, recovered):
@@ -123,39 +152,41 @@ class TestCheckpointResume:
                                                  tmp_path):
         before_writes = _counter_total("par_checkpoint_writes_total")
         run_study(SPEC, workers=2, checkpoint_dir=tmp_path)
+        # One entry per cycle, not per shard.
         assert _counter_total("par_checkpoint_writes_total") == \
-            before_writes + 2
+            before_writes + SPEC.cycles
         before_hits = _counter_total("par_checkpoint_hits_total")
-        resumed = run_study(SPEC, workers=2, checkpoint_dir=tmp_path)
+        resumed, events = _run_recorded(SPEC, workers=2,
+                                        checkpoint_dir=tmp_path)
         assert _counter_total("par_checkpoint_hits_total") == \
-            before_hits + 2
+            before_hits + SPEC.cycles
+        assert _dispatched(events) == []
         _assert_identical(serial_run, resumed)
 
     def test_interrupt_then_resume_runs_only_missing_shards(
             self, serial_run, tmp_path):
         # First attempt: the shard at cycles 3-4 always fails, so the
         # study aborts — but cycles 1-2 were already checkpointed.
-        plan = FaultPlan({3: ShardFault(kind=RAISE,
-                                        attempts=(0, 1, 2, 3))})
-        with pytest.raises(StudyFailure):
-            run_study(SPEC, workers=2, checkpoint_dir=tmp_path,
-                      fault_plan=plan, max_retries=0,
-                      backoff_base=0.0, subdivide=False)
+        _crash_parallel_at_cycle_3(tmp_path)
         store = CheckpointStore(tmp_path, SPEC)
-        assert store.path_for(1, 2).exists()
-        assert not store.path_for(3, 4).exists()
+        assert store.path_for(1).exists()
+        assert store.path_for(2).exists()
+        assert not store.path_for(3).exists()
+        assert not store.path_for(4).exists()
 
         before_hits = _counter_total("par_checkpoint_hits_total")
-        resumed = run_study(SPEC, workers=2, checkpoint_dir=tmp_path)
+        resumed, events = _run_recorded(SPEC, workers=2,
+                                        checkpoint_dir=tmp_path)
         assert _counter_total("par_checkpoint_hits_total") == \
-            before_hits + 1
+            before_hits + 2
+        assert _dispatched(events) == [(3, 3, None), (4, 4, None)]
         _assert_identical(serial_run, resumed)
 
     def test_corrupt_checkpoint_is_rejected_and_rerun(
             self, serial_run, tmp_path):
         run_study(SPEC, workers=2, checkpoint_dir=tmp_path)
         store = CheckpointStore(tmp_path, SPEC)
-        store.path_for(1, 2).write_bytes(b"not a checkpoint at all")
+        store.path_for(1).write_bytes(b"not a checkpoint at all")
         before = _counter_total("par_checkpoint_rejected_total",
                                 reason="corrupt")
         resumed = run_study(SPEC, workers=2, checkpoint_dir=tmp_path)
@@ -173,10 +204,10 @@ class TestCheckpointResume:
         source = CheckpointStore(tmp_path, SPEC)
         target = CheckpointStore(tmp_path, other_spec)
         target.directory.mkdir(parents=True, exist_ok=True)
-        shutil.copy(source.path_for(1, 2), target.path_for(1, 2))
+        shutil.copy(source.path_for(1), target.path_for(1))
         before = _counter_total("par_checkpoint_rejected_total",
                                 reason="spec_mismatch")
-        assert target.load(1, 2) is None
+        assert target.load(1) is None
         assert _counter_total("par_checkpoint_rejected_total",
                               reason="spec_mismatch") == before + 1
 
@@ -192,6 +223,83 @@ class TestCheckpointResume:
         assert _counter_total("par_checkpoint_hits_total") == \
             before_hits + 2
         _assert_identical(serial_run, resumed)
+
+
+    def test_misfiled_entry_is_rejected(self, tmp_path):
+        # An entry copied under another cycle's key is caught by the
+        # key check, not restored as the wrong cycle.
+        run_study(SPEC, workers=1, checkpoint_dir=tmp_path)
+        store = CheckpointStore(tmp_path, SPEC)
+        shutil.copy(store.path_for(1), store.path_for(2))
+        before = _counter_total("par_checkpoint_rejected_total",
+                                reason="corrupt")
+        assert store.load(2) is None
+        assert _counter_total("par_checkpoint_rejected_total",
+                              reason="corrupt") == before + 1
+
+
+class TestAnyLayoutResume:
+    """Checkpoint entries are keyed per cycle, so any worker layout
+    resumes from any other and only the missing cycles run."""
+
+    def test_serial_crash_resumes_with_two_workers(self, serial_run,
+                                                   tmp_path):
+        plan = FaultPlan({3: ShardFault(kind=RAISE, attempts=(0,))})
+        with pytest.raises(FaultInjected):
+            run_study(SPEC, workers=1, checkpoint_dir=tmp_path,
+                      fault_plan=plan)
+        before_hits = _counter_total("par_checkpoint_hits_total")
+        resumed, events = _run_recorded(SPEC, workers=2,
+                                        checkpoint_dir=tmp_path)
+        assert _counter_total("par_checkpoint_hits_total") == \
+            before_hits + 2
+        assert _dispatched(events) == [(3, 3, None), (4, 4, None)]
+        _assert_identical(serial_run, resumed)
+
+    def test_parallel_crash_resumes_serially(self, serial_run,
+                                             tmp_path):
+        _crash_parallel_at_cycle_3(tmp_path)
+        before_hits = _counter_total("par_checkpoint_hits_total")
+        before_misses = _counter_total("par_checkpoint_misses_total")
+        before_writes = _counter_total("par_checkpoint_writes_total")
+        resumed = run_study(SPEC, workers=1, checkpoint_dir=tmp_path)
+        # The first shard's cycles (1-2) hit; only 3-4 run and are
+        # written.
+        assert _counter_total("par_checkpoint_hits_total") == \
+            before_hits + 2
+        assert _counter_total("par_checkpoint_misses_total") == \
+            before_misses + 2
+        assert _counter_total("par_checkpoint_writes_total") == \
+            before_writes + 2
+        _assert_identical(serial_run, resumed)
+
+    def test_two_workers_resume_with_three(self, serial_run, tmp_path):
+        _crash_parallel_at_cycle_3(tmp_path)
+        before_hits = _counter_total("par_checkpoint_hits_total")
+        resumed, events = _run_recorded(SPEC, workers=3,
+                                        checkpoint_dir=tmp_path)
+        assert _counter_total("par_checkpoint_hits_total") == \
+            before_hits + 2
+        # Three workers over two missing cycles: pair blocks.
+        assert _dispatched(events) == [(3, 3, (0, 2)), (3, 3, (1, 2)),
+                                       (4, 4, None)]
+        _assert_identical(serial_run, resumed)
+
+    def test_non_contiguous_holes_run_exactly_those_cycles(
+            self, serial_run, tmp_path):
+        run_study(SPEC, workers=1, checkpoint_dir=tmp_path)
+        store = CheckpointStore(tmp_path, SPEC)
+        kept = {cycle: store.path_for(cycle).read_bytes()
+                for cycle in (1, 3)}
+        store.path_for(2).unlink()
+        store.path_for(4).unlink()
+        resumed, events = _run_recorded(SPEC, workers=2,
+                                        checkpoint_dir=tmp_path)
+        assert _dispatched(events) == [(2, 2, None), (4, 4, None)]
+        _assert_identical(serial_run, resumed)
+        for cycle, data in kept.items():
+            assert store.path_for(cycle).read_bytes() == data
+        assert store.path_for(2).exists() and store.path_for(4).exists()
 
 
 class TestTruncatedArchive:

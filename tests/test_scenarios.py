@@ -50,6 +50,19 @@ class TestUniverseShape:
             assert spec.prefix_count >= 1
 
 
+class TestScale:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"),
+                                       float("inf"), float("-inf")])
+    def test_bad_scale_raises(self, scale):
+        with pytest.raises(ValueError, match="finite number > 0"):
+            build_universe(scale=scale)
+        with pytest.raises(ValueError, match="finite number > 0"):
+            paper_scenario(scale=scale)
+
+    def test_small_positive_scale_builds(self):
+        assert build_universe(scale=0.01).ases
+
+
 class TestPolicyTimelines:
     def test_level3_timeline(self):
         before = paper_policies(LEVEL3_RISE_CYCLE - 1)[LEVEL3]

@@ -371,8 +371,8 @@ class TestWarmStudies:
         cold_store = CheckpointStore(tmp_path / "cold", SPEC)
         warm_store = CheckpointStore(tmp_path / "warm", SPEC)
         for cycle in range(1, SPEC.cycles + 1):
-            assert cold_store.path_for(cycle, cycle).read_bytes() == \
-                warm_store.path_for(cycle, cycle).read_bytes()
+            assert cold_store.path_for(cycle).read_bytes() == \
+                warm_store.path_for(cycle).read_bytes()
 
     def test_interrupted_serial_study_resumes_warm(self, cold_run,
                                                    tmp_path):
