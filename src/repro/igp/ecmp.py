@@ -27,6 +27,25 @@ def _splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
+_SEED = 0x243F6A8885A308D3  # pi, nothing up the sleeve
+
+
+def fold(state: int, *fields: int) -> int:
+    """Mix more fields into a running hash state (one splitmix step
+    per field).
+
+    :func:`flow_hash` is this left fold started from a fixed seed, so a
+    hash over a shared field prefix can be computed once and extended
+    per suffix: ``flow_hash(*a, *b) == fold(flow_hash(*a), *b)``.
+
+    >>> fold(flow_hash(1, 2), 3) == flow_hash(1, 2, 3)
+    True
+    """
+    for field in fields:
+        state = _splitmix64(state ^ (field & _MASK64))
+    return state
+
+
 def flow_hash(*fields: int) -> int:
     """Stable 64-bit hash of integer header fields.
 
@@ -35,10 +54,7 @@ def flow_hash(*fields: int) -> int:
     >>> flow_hash(1, 2, 3) != flow_hash(1, 2, 4)
     True
     """
-    digest = 0x243F6A8885A308D3  # pi, nothing up the sleeve
-    for field in fields:
-        digest = _splitmix64(digest ^ (field & _MASK64))
-    return digest
+    return fold(_SEED, *fields)
 
 
 class FlowKey:

@@ -88,6 +88,18 @@ class ArkSimulator:
                  team_count: int = 3, snapshots_per_cycle: int = 3,
                  loss_rate: float = 0.01, flap_rate: float = 0.012,
                  egress_noise: float = 0.12, memoize: bool = True):
+        # Checked up front: a bad knob must not surface mid-cycle,
+        # after the cycle's policies were already applied.
+        for name, count in (("monitors_per_as", monitors_per_as),
+                            ("team_count", team_count),
+                            ("snapshots_per_cycle", snapshots_per_cycle)):
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count}")
+        for name, rate in (("loss_rate", loss_rate),
+                           ("flap_rate", flap_rate),
+                           ("egress_noise", egress_noise)):
+            if not 0.0 <= rate < 1.0:
+                raise ValueError(f"{name} out of [0,1): {rate}")
         self.scenario = scenario
         self.memoize = memoize
         self.internet = Internet(scenario.universe)

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..bgp.asgraph import AsGraph, AsNode, Tier
 from ..bgp.routing import BgpRouting
 from ..igp.ecmp import flow_hash
-from ..igp.spf import SpfTable, spf_to
+from ..igp.spf import SpfResult, SpfTable, spf_to
 from ..igp.topology import Link, Router, Topology
 from ..mpls.fec import PrefixFec
 from ..mpls.ldp import LdpEngine
@@ -544,9 +544,11 @@ class SegmentCache:
     from the IGP — never on MPLS state — so a single cache can serve
     every :class:`~repro.sim.dataplane.DataPlane` of a whole study:
     snapshots, cycles and post-study campaigns all hit the same entries
-    instead of re-enumerating DAG paths per era.  Entries computed under
-    withdrawn links are keyed by the exact excluded-link set, which
-    makes hits exact across eras and flap rates.
+    instead of re-enumerating DAG paths per era.  A flap that misses
+    the pair's shortest-path DAG leaves its segments intact, so it is
+    served the intact entry; entries computed under withdrawn links
+    that do touch the DAG are keyed by the exact excluded-link set,
+    which makes hits exact across eras and flap rates.
     """
 
     SEGMENT_LIMIT = 64
@@ -554,6 +556,8 @@ class SegmentCache:
     def __init__(self) -> None:
         # (asn, entry, target) -> segments on the intact topology
         self._base: Dict[Tuple[int, int, int], List[list]] = {}
+        # (asn, entry, target) -> link ids of the intact DAG from entry
+        self._dag_links: Dict[Tuple[int, int, int], frozenset] = {}
         # (asn, entry, target, excluded link ids) -> degraded segments
         self._degraded: Dict[Tuple[int, int, int, frozenset],
                              List[list]] = {}
@@ -585,13 +589,33 @@ class SegmentCache:
                           ) -> List[list]:
         """Segments with some links withdrawn (transient flaps).
 
-        Falls back to the intact segments when the exclusion would
+        When no excluded link lies on the intact shortest-path DAG
+        reachable from ``entry``, this returns the intact segments
+        themselves (the very :meth:`base_segments` list), because the
+        degraded DAG restricted to ``entry`` is identical.  Removing
+        links never shortens a distance, and every shortest path from
+        the sub-DAG survives, so no distance on the sub-DAG changes.
+        Each sub-DAG router therefore keeps exactly its successors: the
+        intact ones (their links and next hops are untouched) and no
+        new ones (a neighbor's distance can only have grown).
+        Successor lists are sorted by ``(neighbor, link_id)``, so
+        ``all_paths`` enumerates the same list in the same order.
+
+        Otherwise the DAG is recomputed without the excluded links,
+        falling back to the intact segments when the exclusion would
         disconnect the pair — a flap on the only path reconverges before
-        traffic is affected at our observation timescale.  Entries are
-        keyed by the exact excluded-link frozenset, so two eras whose
+        traffic is affected at our observation timescale.  Those entries
+        are keyed by the exact excluded-link frozenset, so two eras whose
         flap draws overlap on an AS hit the same entries.
         """
-        key = (network.asn, entry, target, excluded)
+        pair = (network.asn, entry, target)
+        links = self._dag_links.get(pair)
+        if links is None:
+            links = self._dag_links[pair] = _dag_link_ids(
+                network.spf.to_destination(target), entry)
+        if links.isdisjoint(excluded):
+            return self.base_segments(network, entry, target)
+        key = pair + (excluded,)
         segments = self._degraded.get(key)
         if segments is None:
             self.degraded_misses += 1
@@ -604,6 +628,20 @@ class SegmentCache:
         else:
             self.degraded_hits += 1
         return segments
+
+
+def _dag_link_ids(dag: SpfResult, entry: int) -> frozenset:
+    """Link ids of every successor edge reachable from ``entry``."""
+    links = set()
+    seen = {entry}
+    stack = [entry]
+    while stack:
+        for neighbor, link in dag.next_hops(stack.pop()):
+            links.add(link.link_id)
+            if neighbor not in seen:
+                seen.add(neighbor)
+                stack.append(neighbor)
+    return frozenset(links)
 
 
 class Internet:

@@ -12,6 +12,13 @@ semantics of ICMP-Paris traceroute against RFC 4950 routers:
 * transient per-probe loss is drawn deterministically from the engine
   seed, so a cycle's dataset is reproducible yet differs between cycles.
 
+Per-probe loss and RTT jitter are ``flow_hash(seed, src, dst, ttl)`` and
+``flow_hash(seed, 0x277, src, dst, ttl)``.  ``flow_hash`` is a left
+fold (:func:`repro.igp.ecmp.fold`), so :meth:`TracerouteEngine.trace`
+folds each flow prefix into a hash state once per trace and every hop
+costs one more splitmix step per draw — the exact same values as
+hashing every probe from scratch.
+
 The engine memoizes the decoded quoted label stack per ``(labels,
 LSE-TTL)`` pair: the RFC 4884/4950 reply bytes depend only on the MPLS
 object (the quoted probe datagram is skipped by the decoder), so every
@@ -20,6 +27,12 @@ once per distinct stack instead of once per probe is bit-identical.
 Like the DataPlane's route/hop caches, it is gated on
 ``dataplane.memoize`` and its counters are flushed to :mod:`repro.obs`
 after each ``trace_all``.
+
+Under a real tracer clock (``repro study --profile``), ``trace_all``
+splits its time into child spans ``sim.forward`` (the forwarding walk),
+``sim.reply`` (loss, RTT and hop synthesis) and ``net.icmp_codec``
+(quoted-stack encode + decode).  Under the default :class:`NullClock`
+it reads no clock and records no children.
 """
 
 from __future__ import annotations
@@ -27,15 +40,20 @@ from __future__ import annotations
 from itertools import chain
 from typing import List, Optional
 
-from ..igp.ecmp import flow_hash
+from ..igp.ecmp import _splitmix64, flow_hash, fold
 from ..mpls.lse import LabelStack, LabelStackEntry
 from ..net.icmp import TimeExceeded, build_probe_quote
-from ..obs import emit, get_registry, span
+from ..obs import NullClock, Span, emit, get_registry, get_tracer
 from ..traces import StopReason, Trace, TraceHop
 from .dataplane import DataPlane, HopObs, UnreachableError
 from .monitors import Monitor
 
 _LOSS_SCALE = float(1 << 64)
+_RTT_SALT = 0x277
+
+# Child spans of each ``sim.trace_all`` under a real clock, in the
+# order of the engine's ``_spent`` accumulators.
+_LAYERS = ("sim.forward", "sim.reply", "net.icmp_codec")
 
 _PROBES = get_registry().counter(
     "probes_total", "Traceroute probes issued (one per TTL)")
@@ -62,6 +80,8 @@ class TracerouteEngine:
             raise ValueError(f"loss_rate out of [0,1): {loss_rate}")
         self.dataplane = dataplane
         self.seed = seed
+        # The hash state after the seed field, shared by every probe.
+        self._seeded = flow_hash(seed)
         self.loss_rate = loss_rate
         self.gap_limit = gap_limit
         self.max_ttl = max_ttl
@@ -70,21 +90,43 @@ class TracerouteEngine:
         self.stack_cache_hits = 0
         self.stack_cache_misses = 0
         self._flushed = [0, 0]
+        # Profiling only: the tracer clock's ``now`` while a timed
+        # ``trace_all`` runs (None otherwise), and the seconds spent
+        # per layer of ``_LAYERS``.
+        self._now = None
+        self._spent = [0.0, 0.0, 0.0]
 
     def trace(self, monitor: Monitor, dst_addr: int,
               timestamp: float = 0.0) -> Trace:
         """Run one traceroute from a monitor towards a destination."""
+        now = self._now
+        if now is not None:
+            started = now()
         try:
             path = self.dataplane.forward_path(
                 monitor.asn, monitor.attachment_router,
                 monitor.src_addr, dst_addr,
             )
         except UnreachableError:
+            if now is not None:
+                self._spent[0] += now() - started
             _TRACES.inc(stop=StopReason.UNREACHABLE.value)
             return Trace(monitor=monitor.name, src=monitor.src_addr,
                          dst=dst_addr, timestamp=timestamp,
                          stop_reason=StopReason.UNREACHABLE, hops=[])
+        if now is not None:
+            walked = now()
+            self._spent[0] += walked - started
+            codec_before = self._spent[2]
 
+        # Per-trace hash states: hop ``ttl`` draws
+        # flow_hash(seed, src, dst, ttl) for loss and
+        # flow_hash(seed, 0x277, src, dst, ttl) for RTT.
+        src = monitor.src_addr
+        loss_rate = self.loss_rate
+        loss_state = (fold(self._seeded, src, dst_addr)
+                      if loss_rate > 0.0 else None)
+        rtt_state = fold(self._seeded, _RTT_SALT, src, dst_addr)
         first_hop = HopObs(asn=monitor.asn,
                            router_id=monitor.attachment_router,
                            address=monitor.gateway_addr)
@@ -94,31 +136,63 @@ class TracerouteEngine:
         for ttl, obs in enumerate(chain((first_hop,), path), start=1):
             if ttl > self.max_ttl:
                 break
-            hop = self._reply_for(monitor, dst_addr, ttl, obs)
-            hops.append(hop)
-            if hop.is_anonymous:
+            if not obs.responsive or (
+                    loss_state is not None
+                    and _splitmix64(loss_state ^ ttl) / _LOSS_SCALE
+                    < loss_rate):
+                hops.append(TraceHop(probe_ttl=ttl, address=None))
                 silent_streak += 1
                 if silent_streak >= self.gap_limit:
                     stop = StopReason.GAP_LIMIT
                     break
-            else:
-                silent_streak = 0
-            if obs.router_id == -1 and not hop.is_anonymous:
+                continue
+            hops.append(TraceHop(
+                probe_ttl=ttl,
+                address=obs.address,
+                rtt_ms=(1.0 + 1.8 * ttl
+                        + _splitmix64(rtt_state ^ ttl) % 4000 / 1000.0),
+                quoted_stack=(self._quoted_stack(monitor, dst_addr, ttl,
+                                                 obs)
+                              if obs.labels and obs.quotes_labels
+                              else ()),
+                quoted_ttl=obs.quoted_ttl,
+            ))
+            silent_streak = 0
+            if obs.router_id == -1:
                 stop = StopReason.COMPLETED
                 break
         _PROBES.inc(len(hops))
         _PROBES_UNANSWERED.inc(
             sum(1 for hop in hops if hop.is_anonymous))
         _TRACES.inc(stop=stop.value)
-        return Trace(monitor=monitor.name, src=monitor.src_addr,
-                     dst=dst_addr, timestamp=timestamp,
-                     stop_reason=stop, hops=hops)
+        trace = Trace(monitor=monitor.name, src=monitor.src_addr,
+                      dst=dst_addr, timestamp=timestamp,
+                      stop_reason=stop, hops=hops)
+        if now is not None:
+            self._spent[1] += (now() - walked
+                               - (self._spent[2] - codec_before))
+        return trace
 
     def trace_all(self, pairs, timestamp: float = 0.0) -> List[Trace]:
         """Trace every (monitor, destination) pair of an iterable."""
-        with span("sim.trace_all"):
-            traces = [self.trace(monitor, dst, timestamp)
-                      for monitor, dst in pairs]
+        tracer = get_tracer()
+        with tracer.span("sim.trace_all") as node:
+            clock = tracer.clock
+            timed = not isinstance(clock, NullClock)
+            if timed:
+                self._now = clock.now
+                self._spent = [0.0, 0.0, 0.0]
+            try:
+                traces = [self.trace(monitor, dst, timestamp)
+                          for monitor, dst in pairs]
+            finally:
+                self._now = None
+            if timed:
+                start = node.start
+                for name, seconds in zip(_LAYERS, self._spent):
+                    node.children.append(
+                        Span(name=name, start=start, end=start + seconds))
+                    start += seconds
             self.flush_cache_metrics()
             return traces
 
@@ -155,32 +229,21 @@ class TracerouteEngine:
 
     # -- internals -----------------------------------------------------------
 
-    def _reply_for(self, monitor: Monitor, dst_addr: int, ttl: int,
-                   obs: HopObs) -> TraceHop:
-        if not obs.responsive or self._lost(monitor, dst_addr, ttl):
-            return TraceHop(probe_ttl=ttl, address=None)
-        stack = ()
-        if obs.labels and obs.quotes_labels:
-            cache = self._stack_cache
-            if cache is None:
-                stack = self._decode_stack(monitor, dst_addr, ttl, obs)
-            else:
-                key = (obs.labels, obs.lse_ttl)
-                stack = cache.get(key)
-                if stack is None:
-                    self.stack_cache_misses += 1
-                    stack = self._decode_stack(monitor, dst_addr, ttl,
-                                               obs)
-                    cache[key] = stack
-                else:
-                    self.stack_cache_hits += 1
-        return TraceHop(
-            probe_ttl=ttl,
-            address=obs.address,
-            rtt_ms=self._rtt(monitor, dst_addr, ttl),
-            quoted_stack=stack,
-            quoted_ttl=obs.quoted_ttl,
-        )
+    def _quoted_stack(self, monitor: Monitor, dst_addr: int, ttl: int,
+                      obs: HopObs) -> tuple:
+        """The label stack a labelled RFC 4950 hop's reply quotes."""
+        cache = self._stack_cache
+        if cache is None:
+            return self._decode_stack(monitor, dst_addr, ttl, obs)
+        key = (obs.labels, obs.lse_ttl)
+        stack = cache.get(key)
+        if stack is None:
+            self.stack_cache_misses += 1
+            stack = self._decode_stack(monitor, dst_addr, ttl, obs)
+            cache[key] = stack
+        else:
+            self.stack_cache_hits += 1
+        return stack
 
     def _decode_stack(self, monitor: Monitor, dst_addr: int, ttl: int,
                       obs: HopObs) -> tuple:
@@ -201,19 +264,14 @@ class TracerouteEngine:
             )
             for index, label in enumerate(obs.labels)
         ])
+        now = self._now
+        if now is not None:
+            started = now()
         message = TimeExceeded(
             quoted=build_probe_quote(monitor.src_addr, dst_addr, ttl),
             stack=wire_stack,
         )
-        return tuple(TimeExceeded.decode(message.encode()).stack)
-
-    def _lost(self, monitor: Monitor, dst_addr: int, ttl: int) -> bool:
-        if self.loss_rate <= 0.0:
-            return False
-        digest = flow_hash(self.seed, monitor.src_addr, dst_addr, ttl)
-        return digest / _LOSS_SCALE < self.loss_rate
-
-    def _rtt(self, monitor: Monitor, dst_addr: int, ttl: int) -> float:
-        jitter = flow_hash(self.seed, 0x277, monitor.src_addr,
-                           dst_addr, ttl) % 4000 / 1000.0
-        return 1.0 + 1.8 * ttl + jitter
+        stack = tuple(TimeExceeded.decode(message.encode()).stack)
+        if now is not None:
+            self._spent[2] += now() - started
+        return stack

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.igp.ecmp import FlowKey, branch_distribution, flow_hash, \
-    select_next_hop
+    fold, select_next_hop
 from repro.igp.spf import SpfTable, spf_to
 from repro.igp.topology import Router, Topology, TopologyError
 
@@ -195,6 +195,16 @@ class TestEcmpHashing:
         tweaked = list(fields)
         tweaked[-1] ^= 1
         assert flow_hash(*fields) != flow_hash(*tweaked)
+
+    @given(st.lists(st.integers(min_value=-2**70, max_value=2**70),
+                    max_size=5),
+           st.lists(st.integers(min_value=-2**70, max_value=2**70),
+                    max_size=5))
+    def test_flow_hash_is_a_left_fold(self, prefix, suffix):
+        # What lets a per-trace prefix state stand in for re-hashing
+        # the whole field list per probe.
+        assert flow_hash(*prefix, *suffix) \
+            == fold(flow_hash(*prefix), *suffix)
 
     def test_same_flow_same_branch(self):
         topology = diamond_topology()

@@ -37,6 +37,32 @@ class TestScenarioPlanning:
         assert dip.monitor_fraction < neighbor.monitor_fraction
 
 
+class TestSimulatorArguments:
+    """Bad knobs fail at construction, before any cycle runs."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("loss_rate", 1.5),
+        ("loss_rate", -0.01),
+        ("flap_rate", -0.1),
+        ("flap_rate", 1.0),
+        ("egress_noise", 1.0),
+        ("egress_noise", -0.5),
+        ("snapshots_per_cycle", 0),
+        ("team_count", 0),
+        ("monitors_per_as", 0),
+    ])
+    def test_invalid_knob_rejected(self, simulator, name, value):
+        with pytest.raises(ValueError, match=name):
+            ArkSimulator(simulator.scenario, **{name: value})
+
+    def test_range_edges_accepted(self, simulator):
+        edge = ArkSimulator(simulator.scenario, loss_rate=0.0,
+                            flap_rate=0.0, egress_noise=0.0,
+                            monitors_per_as=1, team_count=1,
+                            snapshots_per_cycle=1)
+        assert len(edge.run_cycle(1).snapshots) == 1
+
+
 class TestAssignments:
     def test_every_team_covers_every_destination(self, simulator):
         plan = simulator.scenario.plan(10)

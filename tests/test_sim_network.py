@@ -1,8 +1,12 @@
 """Unit tests for universe construction (config, topology, addressing)."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bgp.asgraph import Tier
+from repro.igp.spf import spf_to
 from repro.net.ip import Prefix, int_to_ip, ip_to_int
 from repro.sim.config import AsSpec, MplsPolicy, UniverseSpec
 from repro.sim.dataplane import DataPlane
@@ -279,9 +283,10 @@ class TestSegmentCacheCounters:
         internet = Internet(tiny_universe())
         cache = internet.segment_cache
         network = internet.network(100)
-        links = sorted(network.topology.links)
-        one = frozenset(links[:1])
-        two = frozenset(links[:2])
+        on_dag = _dag_links(network, 0, 7)
+        assert len(on_dag) >= 2
+        one = frozenset(on_dag[:1])
+        two = frozenset(on_dag[:2])
         # Two eras whose flap draws overlap on the same AS hit the
         # same entry; a different excluded set is its own entry.
         cache.degraded_segments(network, 0, 7, one)
@@ -289,6 +294,17 @@ class TestSegmentCacheCounters:
         cache.degraded_segments(network, 0, 7, two)
         assert cache.degraded_misses == 2
         assert cache.degraded_hits == 1
+
+    def test_flap_off_the_dag_serves_the_intact_segments(self):
+        internet = Internet(tiny_universe())
+        cache = internet.segment_cache
+        network = internet.network(100)
+        off_dag = frozenset(network.topology.links) \
+            - frozenset(_dag_links(network, 0, 7))
+        assert off_dag
+        base = cache.base_segments(network, 0, 7)
+        assert cache.degraded_segments(network, 0, 7, off_dag) is base
+        assert (cache.degraded_misses, cache.degraded_hits) == (0, 0)
 
     def test_dataplanes_of_different_eras_share_the_cache(self):
         internet = Internet(tiny_universe())
@@ -302,3 +318,52 @@ class TestSegmentCacheCounters:
         hits_before = cache.base_hits
         second_era._segments(network, 0, 7)
         assert cache.base_hits == hits_before + 1
+
+
+def _dag_links(network, entry, target):
+    """Sorted link ids on the intact equal-cost paths entry -> target."""
+    dag = network.spf.to_destination(target)
+    return sorted({link.link_id for path in dag.all_paths(entry)
+                   for _router, link in path})
+
+
+@lru_cache(maxsize=None)
+def _segment_internet(which):
+    """One shared Internet per universe, so cache entries made by
+    earlier examples are re-checked as hits by later ones."""
+    if which == "tiny":
+        return Internet(tiny_universe())
+    return Internet(build_universe(scale=0.4))
+
+
+class TestDegradedSegmentsExact:
+    """``degraded_segments`` equals recomputing the DAG without the
+    excluded links, whichever way the cache serves it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([("tiny", 100), ("scaled", 6453)]),
+           st.data())
+    def test_matches_a_direct_recomputation(self, universe, data):
+        which, asn = universe
+        internet = _segment_internet(which)
+        network = internet.network(asn)
+        routers = sorted(network.topology.routers)
+        entry = data.draw(st.sampled_from(routers), label="entry")
+        target = data.draw(st.sampled_from(routers), label="target")
+        on_dag = _dag_links(network, entry, target)
+        links = sorted(network.topology.links)
+        excluded = frozenset(data.draw(
+            st.sets(st.sampled_from(on_dag), max_size=2)
+            if on_dag and data.draw(st.booleans(), label="touch dag")
+            else st.just(set()), label="dag links")) | frozenset(
+            data.draw(st.sets(st.sampled_from(links), max_size=4),
+                      label="any links"))
+        limit = internet.segment_cache.SEGMENT_LIMIT
+        reference = spf_to(network.topology, target,
+                           excluded_links=excluded).all_paths(
+                               entry, limit=limit)
+        if not reference:
+            reference = network.spf.to_destination(target).all_paths(
+                entry, limit=limit)
+        assert internet.segment_cache.degraded_segments(
+            network, entry, target, excluded) == reference

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.igp.ecmp import flow_hash
+from repro.obs import FakeClock, NullClock, Tracer, get_tracer, set_tracer
 from repro.sim.dataplane import DataPlane
 from repro.sim.monitors import build_monitors, split_into_teams
 from repro.sim.traceroute import TracerouteEngine
@@ -156,3 +158,90 @@ class TestTraceroute:
         internet = build()
         with pytest.raises(ValueError):
             TracerouteEngine(DataPlane(internet), loss_rate=1.0)
+
+    def test_lossy_trace_matches_per_probe_hashes(self):
+        # Per-trace hash states must reproduce, hop for hop, the values
+        # of hashing every probe from scratch:
+        #   lost  <=> flow_hash(seed, src, dst, ttl) / 2**64 < loss_rate
+        #   rtt    =  1.0 + 1.8*ttl
+        #             + flow_hash(seed, 0x277, src, dst, ttl) % 4000 / 1000
+        internet = build(MplsPolicy(enabled=True, ldp=True),
+                         transit_routers=12)
+        seed, loss_rate = 3, 0.3
+        engine, monitor = engine_and_monitor(
+            internet, seed=seed, loss_rate=loss_rate, gap_limit=99)
+        dst = a_destination(internet)
+        path = DataPlane(internet).forward_path(
+            monitor.asn, monitor.attachment_router, monitor.src_addr, dst)
+        src = monitor.src_addr
+        expected = []
+        for ttl, address in enumerate(
+                [monitor.gateway_addr] + [obs.address for obs in path],
+                start=1):
+            if flow_hash(seed, src, dst, ttl) / float(2**64) < loss_rate:
+                expected.append((ttl, None, 0.0))
+            else:
+                jitter = flow_hash(seed, 0x277, src, dst, ttl) \
+                    % 4000 / 1000.0
+                expected.append((ttl, address, 1.0 + 1.8 * ttl + jitter))
+        trace = engine.trace(monitor, dst)
+        assert [(hop.probe_ttl, hop.address, hop.rtt_ms)
+                for hop in trace.hops] == expected
+        # The pin covers both branches.
+        assert any(hop.is_anonymous for hop in trace.hops)
+        assert any(hop.has_labels for hop in trace.hops)
+
+
+class _TickingClock(FakeClock):
+    """Advances one millisecond per read."""
+
+    def now(self):
+        self.advance(0.001)
+        return super().now()
+
+
+class _CountingNullClock(NullClock):
+    def __init__(self):
+        self.reads = 0
+
+    def now(self):
+        self.reads += 1
+        return super().now()
+
+
+def _trace_all_under(clock):
+    internet = build(MplsPolicy(enabled=True, ldp=True))
+    engine, monitor = engine_and_monitor(internet, loss_rate=0.2)
+    dests = [address for address, _ in internet.destination_addresses()]
+    previous = get_tracer()
+    tracer = set_tracer(Tracer(clock))
+    try:
+        traces = engine.trace_all([(monitor, d) for d in dests]
+                                  + [(monitor, 0xDEADBEEF)])
+    finally:
+        set_tracer(previous)
+    (node,) = tracer.roots
+    return traces, node
+
+
+class TestTraceAllProfileSplit:
+    def test_children_split_the_parent_under_a_real_clock(self):
+        traces, node = _trace_all_under(_TickingClock())
+        assert node.name == "sim.trace_all"
+        assert [child.name for child in node.children] == \
+            ["sim.forward", "sim.reply", "net.icmp_codec"]
+        assert all(child.duration > 0 for child in node.children)
+        assert sum(child.duration for child in node.children) \
+            <= node.duration
+        assert any(trace.has_mpls for trace in traces)
+
+    def test_null_clock_reads_no_extra_time(self):
+        clock = _CountingNullClock()
+        _traces, node = _trace_all_under(clock)
+        assert node.children == []
+        assert clock.reads == 2  # the span's own open and close
+
+    def test_split_does_not_change_traces(self):
+        timed, _ = _trace_all_under(_TickingClock())
+        untimed, _ = _trace_all_under(NullClock())
+        assert timed == untimed
