@@ -28,7 +28,7 @@ of that cycle, not an abort.
 Persisted metrics deltas are **stripped of layout-dependent cache
 counters** (``route_cache_*``, ``hop_cache_*``,
 ``quoted_stack_cache_*``): serial and sharded runs split the same probe
-stream over differently warmed per-era caches, so those hit/miss splits
+stream over differently warmed caches, so those hit/miss splits
 are per-process observability, not campaign results.  Stripping keeps a
 cycle's checkpoint byte-identical whatever worker layout produced it.
 """

@@ -20,7 +20,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..igp.ecmp import flow_hash
+from ..igp.ecmp import flow_hash, fold
 from ..obs import get_logger, get_registry, span
 from ..traces import Trace
 from .config import MplsPolicy
@@ -121,6 +121,9 @@ class ArkSimulator:
         self._ranked_monitors: Optional[List[Monitor]] = None
         self._ranked_destinations: Optional[List[int]] = None
         self._assignment_cache: OrderedDict = OrderedDict()
+        # The last cycle's member draws (see _member_draws).
+        self._draws_key: Optional[tuple] = None
+        self._draws: List[tuple] = []
 
     _ASSIGNMENT_CACHE_SIZE = 8
 
@@ -170,23 +173,48 @@ class ArkSimulator:
         if cached is not None:
             self._assignment_cache.move_to_end(key)
             return cached
-        teams = split_into_teams(
-            self._active_monitors(monitor_fraction), self.team_count)
-        active = self._active_destinations(dest_fraction)
-        churn_bound = int(churn * 10_000)
-        pairs = []
-        for team_index, team in enumerate(teams):
-            for dst in active:
-                churned = (flow_hash(0xC4, dst, cycle, team_index)
-                           % 10_000 < churn_bound)
-                slot = snapshot if churned else 0
-                member = team[flow_hash(dst, cycle, team_index, slot)
-                              % len(team)]
-                pairs.append((member, dst))
+        pairs = [
+            (member if state is None or not snapshot
+             else team[fold(state, snapshot) % len(team)], dst)
+            for team, dst, state, member in self._member_draws(
+                cycle, monitor_fraction, dest_fraction, churn)
+        ]
         self._assignment_cache[key] = pairs
         if len(self._assignment_cache) > self._ASSIGNMENT_CACHE_SIZE:
             self._assignment_cache.popitem(last=False)
         return pairs
+
+    def _member_draws(self, cycle: int, monitor_fraction: float,
+                      dest_fraction: float, churn: float) -> List[tuple]:
+        """One ``(team, dst, churn state, slot-0 member)`` row per
+        (team, active destination), in pair order.
+
+        A team's member for a destination is
+        ``flow_hash(dst, cycle, team_index, slot)``, where the slot is
+        the snapshot for a churned assignment and 0 otherwise.  The
+        churn flag and the slot-0 member are the same for every
+        snapshot of a cycle, so they are drawn once per cycle; a
+        churned row keeps the ``(dst, cycle, team_index)`` hash state
+        (None when not churned), and each later snapshot folds its
+        slot into it.
+        """
+        key = (cycle, monitor_fraction, dest_fraction, churn)
+        if key != self._draws_key:
+            teams = split_into_teams(
+                self._active_monitors(monitor_fraction), self.team_count)
+            active = self._active_destinations(dest_fraction)
+            churn_bound = int(churn * 10_000)
+            rows = []
+            for team_index, team in enumerate(teams):
+                for dst in active:
+                    churned = (flow_hash(0xC4, dst, cycle, team_index)
+                               % 10_000 < churn_bound)
+                    state = flow_hash(dst, cycle, team_index)
+                    rows.append((team, dst, state if churned else None,
+                                 team[fold(state, 0) % len(team)]))
+            self._draws_key = key
+            self._draws = rows
+        return self._draws
 
     # -- campaign drivers ----------------------------------------------------
 
@@ -210,10 +238,11 @@ class ArkSimulator:
         parallel runner uses it to leave the parent simulator in the
         serial end-of-campaign state (DESIGN §8).
         """
-        for cycle in range(first, last + 1):
-            self._apply_cycle(cycle)
-            for _ in range(self.snapshots_per_cycle):
-                self.internet.tick()
+        with span("sim.control"):
+            for cycle in range(first, last + 1):
+                self._apply_cycle(cycle)
+                for _ in range(self.snapshots_per_cycle):
+                    self.internet.tick()
 
     def run_cycle(self, cycle: int,
                   pair_block: Optional[Tuple[int, int]] = None
@@ -236,12 +265,14 @@ class ArkSimulator:
         data = CycleData(cycle=cycle)
         counts = pair_block is None or pair_block[0] == 0
         with span("sim.cycle", cycle=cycle):
-            plan = self._apply_cycle(cycle)
+            with span("sim.control"):
+                plan = self._apply_cycle(cycle)
             for snapshot in range(self.snapshots_per_cycle):
                 with span("sim.snapshot", cycle=cycle,
                           snapshot=snapshot):
                     # dynamic ASes re-optimize between runs
-                    self.internet.tick()
+                    with span("sim.control"):
+                        self.internet.tick()
                     pairs = self.assignments(
                         cycle, plan.monitor_fraction,
                         plan.dest_fraction, snapshot)

@@ -15,22 +15,31 @@ DataPlane of a study: rebuilding the DataPlane each snapshot changes the
 era (the flap/churn draw) without throwing the warm path enumerations
 away.
 
-On top of the internet-scoped segment cache sit two **era-scoped**
-memoizations (DESIGN §8), both exact:
+Memoization has three scopes (DESIGN §8), all exact:
 
-* a :class:`RouteCache` memoizing the destination-based decisions —
-  IP2AS origin, BGP AS-path and per-AS egress selection — per
-  destination /24 (every probe of a traceroute, and every monitor pair
-  aimed at the same /24, repeats them verbatim);
-* a hop-materialization cache in :meth:`DataPlane._walk_as` keyed by
-  ``(asn, entry, target, segment index | TE session, internal)``:
-  within one era an LSP's observable hops are flow-invariant, so the
-  frozen :class:`HopObs` tuples are built once and shared as flyweights
-  across every trace that rides the same LSP.
+* **study-scoped decisions** — the
+  :class:`~repro.sim.network.DecisionCache`, also on the ``Internet``:
+  IP2AS origin, BGP AS-path and /24 per (source AS, destination /24),
+  the base egress link per (AS, neighbor, /24), each inter-AS link's
+  neighbor-border :class:`HopObs`, flow digests, full 64-bit ECMP pick
+  hashes, LDP pair draws and loopback FECs.  None of them depends on
+  the era, so every snapshot after the first reuses them; only the
+  per-era draws (link flaps and egress churn, with their ``(tag,
+  era)`` prefixes folded once per DataPlane) are computed per era;
+* **era-scoped** — a hop-materialization cache in
+  :meth:`DataPlane._walk_as` keyed by ``(asn, entry, target, segment
+  index | TE session, internal)``: within one era an LSP's observable
+  hops are flow-invariant, so the frozen :class:`HopObs` tuples are
+  built once and shared as flyweights across every trace that rides
+  the same LSP.  It dies with the DataPlane because labels and flaps
+  change per era.
 
-Both caches die with the DataPlane because flap/churn draws are per era;
-the segment cache survives because segments are era-independent modulo
-the flapped-link set (which keys its degraded entries).
+A :class:`RouteCache` per DataPlane counts one study-table hit or miss
+per ``forward_path``, so ``hits + misses`` still reconciles with the
+traces issued.  ``memoize=False`` bypasses every memo above (the
+shared segment cache stays) and recomputes each decision fresh.
+Single-link egress, single-segment ECMP and single-tunnel TE choices
+skip their hash altogether: the modulus would select index 0 anyway.
 """
 
 from __future__ import annotations
@@ -38,24 +47,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..igp.ecmp import flow_hash
+from ..igp.ecmp import flow_hash, fold
 from ..mpls.fec import PrefixFec
 from ..mpls.vendor import get_profile
 from ..net.ip import Prefix
 from ..obs import get_registry
-from .network import (
-    AsNetwork,
-    Internet,
-    SegmentCache,
-    destination_prefix,
-)
+from .network import AsNetwork, DecisionCache, Internet, SegmentCache
 
 _ROUTE_HITS = get_registry().counter(
     "route_cache_hits_total",
-    "Destination /24 route resolutions served from a RouteCache")
+    "Destination /24 route resolutions served from the study's table")
 _ROUTE_MISSES = get_registry().counter(
     "route_cache_misses_total",
-    "Route resolutions computed and memoized (first probe to a /24)")
+    "Route resolutions computed and memoized (first trace per source "
+    "AS and /24)")
 _HOP_HITS = get_registry().counter(
     "hop_cache_hits_total",
     "Per-AS hop materializations served from the era's hop cache")
@@ -104,29 +109,21 @@ class UnreachableError(RuntimeError):
 
 
 class RouteCache:
-    """Destination-based routing decisions, memoized per /24.
+    """One DataPlane's tally of route lookups in the study's table.
 
-    IP2AS origin lookup, the BGP AS-path and every transit AS's egress
-    (plus the neighbor border's :class:`HopObs`) are functions of the
-    destination /24 alone — never of the flow key — so one resolution
-    serves every probe of every traceroute towards that /24 within an
-    era.  ``hits``/``misses`` count once per ``forward_path`` call, so
-    ``hits + misses`` reconciles exactly with the traces issued over
-    this cache (including unreachable destinations, whose negative
-    entries are memoized too).
+    IP2AS origin, the BGP AS-path and the /24 are functions of (source
+    AS, destination /24) alone, memoized study-wide in
+    :attr:`DecisionCache.routes`.  ``hits``/``misses`` count once per
+    ``forward_path`` call, so ``hits + misses`` reconciles exactly with
+    the traces issued over this DataPlane (including unreachable
+    destinations, whose negative entries are memoized too).
     """
 
-    __slots__ = ("hits", "misses", "routes", "egress")
+    __slots__ = ("hits", "misses")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        # (src_asn, dst_addr >> 8) -> (dst_origin | None, as_path | None,
-        # dst_prefix); origin None = no simulated AS, path None = no route.
-        self.routes: Dict[Tuple[int, int], tuple] = {}
-        # (asn, next_asn, dst /24 network) -> (egress router, remote
-        # router, remote border HopObs)
-        self.egress: Dict[Tuple[int, int, int], tuple] = {}
 
 
 class _FecLabels:
@@ -154,9 +151,10 @@ class DataPlane:
     links (withdrawn from the IGP for this era only), the routing noise
     that the paper's Persistence filter exists to remove.
 
-    ``memoize`` enables the per-era route/hop caches (on by default —
-    they are exact, so results are bit-identical either way; switching
-    them off exists for benchmarking the uncached reference).  The
+    ``memoize`` enables the study-scoped decision table and the per-era
+    hop cache (on by default — they are exact, so results are
+    bit-identical either way; switching them off exists for the
+    uncached reference of benchmarks and ``repro verify``).  The
     DataPlane must not outlive control-plane mutations: rebuild it after
     any ``apply_policies``/``tick``/label churn, as the simulators do.
     """
@@ -183,7 +181,13 @@ class DataPlane:
         self._cache = cache if cache is not None \
             else internet.segment_cache
         self._flapped: Dict[int, frozenset] = {}
+        # The per-era draws' shared hash prefixes, folded once.
+        self._flap_state = flow_hash(0xF1A9, era)
+        self._churn_state = flow_hash(0xB6, era)
+        self._churn_bound = egress_noise * 10_000
         self.memoize = memoize
+        self.decisions: Optional[DecisionCache] = \
+            internet.decision_cache if memoize else None
         self.route_cache: Optional[RouteCache] = \
             RouteCache() if memoize else None
         self._hop_cache: Optional[Dict[tuple, Tuple[HopObs, ...]]] = \
@@ -197,11 +201,11 @@ class DataPlane:
         cached = self._flapped.get(asn)
         if cached is None:
             bound = int(self.flap_rate * 10_000)
+            state = fold(self._flap_state, asn)
             cached = frozenset(
                 link_id
                 for link_id in self.internet.network(asn).topology.links
-                if flow_hash(0xF1A9, self.era, asn, link_id)
-                % 10_000 < bound
+                if fold(state, link_id) % 10_000 < bound
             ) if bound else frozenset()
             self._flapped[asn] = cached
         return cached
@@ -232,7 +236,7 @@ class DataPlane:
             raise UnreachableError(
                 f"no route from AS{src_asn} to AS{dst_origin}"
             )
-        flow_digest = flow_hash(src_addr, dst_addr, flow_id)
+        flow_digest = self._flow_digest(src_addr, dst_addr, flow_id)
 
         hops: List[HopObs] = []
         entry_router = src_router
@@ -250,7 +254,7 @@ class DataPlane:
                 break
             next_asn = as_path[position + 1]
             egress, remote_router, remote_hop = \
-                self._transit_step(asn, next_asn, dst_prefix)
+                self._transit_step(network, next_asn, dst_prefix)
             hops.extend(self._walk_as(network, entry_router, egress,
                                       dst_prefix, flow_digest,
                                       internal=False))
@@ -304,12 +308,12 @@ class DataPlane:
         cache = self.route_cache
         if cache is None:
             return self._compute_route(src_asn, dst_addr)
+        routes = self.decisions.routes
         key = (src_asn, dst_addr >> 8)
-        entry = cache.routes.get(key)
+        entry = routes.get(key)
         if entry is None:
             cache.misses += 1
-            entry = self._compute_route(src_asn, dst_addr)
-            cache.routes[key] = entry
+            entry = routes[key] = self._compute_route(src_asn, dst_addr)
         else:
             cache.hits += 1
         return entry
@@ -319,45 +323,58 @@ class DataPlane:
         if dst_origin not in self.internet.networks:
             return (None, None, None)
         as_path = self.internet.routing.as_path(src_asn, dst_origin)
-        return (dst_origin, as_path, Prefix.from_host(dst_addr, 24))
+        return (dst_origin,
+                tuple(as_path) if as_path is not None else None,
+                Prefix.from_host(dst_addr, 24))
 
-    def _transit_step(self, asn: int, next_asn: int,
+    def _flow_digest(self, src_addr: int, dst_addr: int,
+                     flow_id: int) -> int:
+        memo = self.decisions
+        key = (src_addr, dst_addr, flow_id)
+        digest = memo.flow_digests.get(key) if memo else None
+        if digest is None:
+            digest = flow_hash(*key)
+            if memo:
+                memo.flow_digests[key] = digest
+        return digest
+
+    def _transit_step(self, network: AsNetwork, next_asn: int,
                       dst_prefix: Prefix) -> tuple:
-        """(egress router, remote router, remote HopObs), memoized.
+        """(egress router, remote router, remote HopObs) leaving an AS.
 
-        The egress decision and the neighbor border's observation are
-        destination-/24-based, so one resolution serves every flow.
+        Hot-potato egress selection is deterministic per destination
+        /24 (the study-scoped base link); per era, an ``egress_noise``
+        share of multi-link decisions churns to the next peering link.
         """
-        cache = self.route_cache
-        if cache is not None:
-            key = (asn, next_asn, dst_prefix.network)
-            step = cache.egress.get(key)
-            if step is not None:
-                return step
-        (egress, _egress_addr, _remote_asn, remote_router,
-         remote_addr) = self._egress_towards(asn, next_asn, dst_prefix)
-        remote_hop = self._plain_hop(self.internet.network(next_asn),
-                                     remote_router, remote_addr)
-        step = (egress, remote_router, remote_hop)
-        if cache is not None:
-            cache.egress[key] = step
-        return step
-
-    def _egress_towards(self, asn: int, next_asn: int,
-                        dst_prefix: Prefix):
-        """Egress link selection, with per-era hot-potato churn."""
-        links = self.internet.network(asn).interas.get(next_asn)
+        asn = network.asn
+        links = network.interas.get(next_asn)
         if not links:
             raise UnreachableError(
                 f"AS{asn} has no link to AS{next_asn}")
-        index = flow_hash(dst_prefix.network, asn, next_asn) % len(links)
-        if self.egress_noise and len(links) > 1:
-            churned = flow_hash(0xB6, self.era, asn, next_asn,
-                                dst_prefix.network) % 10_000 \
-                < self.egress_noise * 10_000
-            if churned:
+        memo = self.decisions
+        index = 0
+        if len(links) > 1:
+            network_addr = dst_prefix.network
+            key = (asn, next_asn, network_addr)
+            index = memo.egress.get(key) if memo else None
+            if index is None:
+                index = flow_hash(network_addr, asn, next_asn) % len(links)
+                if memo:
+                    memo.egress[key] = index
+            if self.egress_noise and fold(
+                    self._churn_state, asn, next_asn, network_addr) \
+                    % 10_000 < self._churn_bound:
                 index = (index + 1) % len(links)
-        return links[index]
+        egress, _egress_addr, _remote_asn, remote_router, remote_addr = \
+            links[index]
+        key = (asn, next_asn, index)
+        remote_hop = memo.border_hops.get(key) if memo else None
+        if remote_hop is None:
+            remote_hop = self._plain_hop(self.internet.network(next_asn),
+                                         remote_router, remote_addr)
+            if memo:
+                memo.border_hops[key] = remote_hop
+        return egress, remote_router, remote_hop
 
     def _attachment_router(self, network: AsNetwork, dst_addr: int) -> int:
         prefix_index = (dst_addr >> 8) & 0xFF
@@ -398,14 +415,34 @@ class DataPlane:
         """The flow's equal-cost segment, plus its index (the flow-
         dependent part of a hop-cache key)."""
         segments = self._segments(network, entry, target)
-        if not segments:
-            raise UnreachableError(
-                f"AS{network.asn}: router {target} unreachable "
-                f"from {entry}"
-            )
-        index = flow_hash(flow_digest, network.asn, entry, target) \
-            % len(segments)
+        if len(segments) < 2:
+            if not segments:
+                raise UnreachableError(
+                    f"AS{network.asn}: router {target} unreachable "
+                    f"from {entry}"
+                )
+            return 0, segments[0]
+        memo = self.decisions
+        key = (flow_digest, network.asn, entry, target)
+        draw = memo.picks.get(key) if memo else None
+        if draw is None:
+            draw = flow_hash(*key)
+            if memo:
+                memo.picks[key] = draw
+        index = draw % len(segments)
         return index, segments[index]
+
+    def _transit_fec(self, network: AsNetwork,
+                     target: int) -> Optional[PrefixFec]:
+        """The established LDP FEC towards ``target``, if any."""
+        memo = self.decisions
+        key = (network.asn, target)
+        fec = memo.fecs.get(key) if memo else None
+        if fec is None:
+            fec = network.loopback_fec(target)
+            if memo:
+                memo.fecs[key] = fec
+        return network.transit_fec(fec)
 
     def _cached_hops(self, key: tuple) -> Optional[Tuple[HopObs, ...]]:
         cache = self._hop_cache
@@ -460,10 +497,11 @@ class DataPlane:
                     return self._sr_hops(network, sr_policy, flow_digest)
             use_ldp = policy.ldp and (
                 policy.ldp_internal if internal
-                else network.ldp_pair_active(entry, target)
+                else network.ldp_pair_active(entry, target,
+                                             self.decisions)
             )
             if use_ldp:
-                fec = network.transit_fec(target)
+                fec = self._transit_fec(network, target)
                 if fec is not None:
                     index, steps = self._pick_segment(
                         network, entry, target, flow_digest)

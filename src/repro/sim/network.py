@@ -400,20 +400,30 @@ class AsNetwork:
 
     # -- lookup helpers used by the data plane ------------------------------
 
-    def ldp_pair_active(self, entry: int, egress: int) -> bool:
+    def ldp_pair_active(self, entry: int, egress: int,
+                        decisions: Optional["DecisionCache"] = None
+                        ) -> bool:
         """Whether transit between two borders rides LSPs this cycle.
 
         The active pair set is keyed on a stable hash, so raising
         ``mpls_pair_fraction`` over cycles only ever *adds* pairs —
         existing tunnels persist, as in an incremental deployment.
+        The hash draw is era-invariant, so ``decisions`` (a study's
+        :class:`DecisionCache`) memoizes it; the comparison against
+        this cycle's fraction stays per call.
         """
         fraction = self.policy.mpls_pair_fraction
         if fraction >= 1.0:
             return True
         if fraction <= 0.0:
             return False
-        return (flow_hash(self.spec.asn, 0x1D9, entry, egress) % 10_000
-                < fraction * 10_000)
+        key = (self.spec.asn, entry, egress)
+        draw = decisions.ldp_draws.get(key) if decisions else None
+        if draw is None:
+            draw = flow_hash(self.spec.asn, 0x1D9, entry, egress) % 10_000
+            if decisions:
+                decisions.ldp_draws[key] = draw
+        return draw < fraction * 10_000
 
     def churn_labels(self, per_router: int) -> None:
         """Advance every allocator, modelling unobserved signalling load.
@@ -509,16 +519,20 @@ class AsNetwork:
         count = self._te_active.get((ingress, egress), 0)
         if count == 0:
             return None
-        tunnel_id = flow_hash(dst_prefix.network, ingress, egress) % count
+        # One tunnel: the destination hash would pick 0 anyway.
+        tunnel_id = (flow_hash(dst_prefix.network, ingress, egress) % count
+                     if count > 1 else 0)
         return self.rsvp.session(ingress, egress, tunnel_id)
 
-    def transit_fec(self, egress: int) -> Optional[PrefixFec]:
-        """The established LDP FEC towards a border/attachment loopback."""
+    def loopback_fec(self, router: int) -> PrefixFec:
+        """The LDP FEC of one router's loopback /32."""
+        return PrefixFec(Prefix(self.topology.routers[router].loopback, 32))
+
+    def transit_fec(self, fec: PrefixFec) -> Optional[PrefixFec]:
+        """``fec`` (a :meth:`loopback_fec`) if LDP has established it
+        in this AS this cycle, else None."""
         if self.ldp is None:
             return None
-        fec = PrefixFec(
-            Prefix(self.topology.routers[egress].loopback, 32)
-        )
         return fec if self.ldp.egress_of(fec) is not None else None
 
     def attachment_of(self, prefix_index: int) -> int:
@@ -630,6 +644,49 @@ class SegmentCache:
         return segments
 
 
+class DecisionCache:
+    """Era-invariant forwarding decisions, shared by a study's DataPlanes.
+
+    Every table maps the inputs of one decision to its result and is a
+    pure function of state fixed once :class:`Internet` is built: the
+    IP2AS table and AS graph (foreign quirks are applied in
+    ``Internet.__init__``), the inter-AS links, router vendors and
+    responsiveness, and the stable hashes.  Nothing here depends on the
+    era, the MPLS policy or the label state, so one cache serves every
+    snapshot, cycle and post-study campaign of a universe (DESIGN §8,
+    *study-scoped decisions*).  Per-era draws — link flaps, egress
+    churn, loss and RTT — are never stored here.
+
+    Derived data only: it never enters :meth:`Internet.capture_state`.
+    A ``DataPlane(memoize=False)`` bypasses it entirely.
+    """
+
+    __slots__ = ("routes", "egress", "border_hops", "flow_digests",
+                 "picks", "ldp_draws", "fecs", "stacks")
+
+    def __init__(self) -> None:
+        # (src_asn, dst_addr >> 8) -> (dst origin | None, AS path tuple
+        # | None, dst /24 Prefix); origin None = no simulated AS, path
+        # None = no route.
+        self.routes: Dict[Tuple[int, int], tuple] = {}
+        # (asn, next_asn, dst /24 network) -> base egress link index
+        # (multi-link neighbors only; churn is drawn per era on top).
+        self.egress: Dict[Tuple[int, int, int], int] = {}
+        # (asn, next_asn, link index) -> the neighbor border's HopObs.
+        self.border_hops: Dict[Tuple[int, int, int], object] = {}
+        # (src, dst, flow_id) -> flow digest.
+        self.flow_digests: Dict[Tuple[int, int, int], int] = {}
+        # (flow digest, asn, entry, target) -> 64-bit ECMP pick hash;
+        # the era's segment count only takes its modulus.
+        self.picks: Dict[Tuple[int, int, int, int], int] = {}
+        # (asn, entry, egress) -> LDP pair draw in [0, 10000).
+        self.ldp_draws: Dict[Tuple[int, int, int], int] = {}
+        # (asn, router) -> the router's loopback PrefixFec.
+        self.fecs: Dict[Tuple[int, int], PrefixFec] = {}
+        # (quoted labels, LSE-TTL) -> decoded RFC 4950 stack.
+        self.stacks: Dict[Tuple[Tuple[int, ...], int], tuple] = {}
+
+
 def _dag_link_ids(dag: SpfResult, entry: int) -> frozenset:
     """Link ids of every successor edge reachable from ``entry``."""
     links = set()
@@ -678,6 +735,7 @@ class Internet:
         # Shared by every DataPlane over this universe (topology-only
         # state, so it stays valid across cycles and policy changes).
         self.segment_cache = SegmentCache()
+        self.decision_cache = DecisionCache()
 
     def _register_addresses(self, network: AsNetwork) -> None:
         self.ip2as.add(infra_block(network.as_index), network.asn)

@@ -19,14 +19,19 @@ folds each flow prefix into a hash state once per trace and every hop
 costs one more splitmix step per draw — the exact same values as
 hashing every probe from scratch.
 
-The engine memoizes the decoded quoted label stack per ``(labels,
-LSE-TTL)`` pair: the RFC 4884/4950 reply bytes depend only on the MPLS
-object (the quoted probe datagram is skipped by the decoder), so every
-probe expiring with the same stack decodes to the same tuple — encoding
-once per distinct stack instead of once per probe is bit-identical.
-Like the DataPlane's route/hop caches, it is gated on
-``dataplane.memoize`` and its counters are flushed to :mod:`repro.obs`
-after each ``trace_all``.
+The decoded quoted label stack is memoized per ``(labels, LSE-TTL)``
+pair in the study-scoped :class:`~repro.sim.network.DecisionCache`: the
+RFC 4884/4950 reply bytes depend only on the MPLS object (the quoted
+probe datagram is skipped by the decoder), so every probe expiring with
+the same stack, in any snapshot, decodes to the same tuple — each
+distinct stack still takes the real encode + decode round trip once.
+Like the DataPlane's memos it is bypassed when ``dataplane.memoize`` is
+off; its hit/miss counters are per engine and flushed to
+:mod:`repro.obs` after each ``trace_all``.
+
+``trace_all`` tallies probes, unanswered probes and traces per stop
+reason locally and publishes each counter once per call (stop reasons
+in first-seen order) — the same registry totals as counting per trace.
 
 Under a real tracer clock (``repro study --profile``), ``trace_all``
 splits its time into child spans ``sim.forward`` (the forwarding walk),
@@ -70,6 +75,34 @@ _STACK_MISSES = get_registry().counter(
     "ICMP quoted stacks encoded + decoded (first probe per stack)")
 
 
+class _Tally:
+    """Probe and trace counts of one batch, published to the registry
+    once: the same totals as counting every trace as it finishes."""
+
+    __slots__ = ("probes", "unanswered", "answered", "stops")
+
+    def __init__(self) -> None:
+        self.probes = 0
+        self.unanswered = 0
+        self.answered = False  # any reachable trace (probes counted)
+        self.stops: dict = {}  # stop reason -> traces, first-seen order
+
+    def probed(self, probes: int, unanswered: int) -> None:
+        self.probes += probes
+        self.unanswered += unanswered
+        self.answered = True
+
+    def stopped(self, reason: str) -> None:
+        self.stops[reason] = self.stops.get(reason, 0) + 1
+
+    def publish(self) -> None:
+        if self.answered:
+            _PROBES.inc(self.probes)
+            _PROBES_UNANSWERED.inc(self.unanswered)
+        for reason, count in self.stops.items():
+            _TRACES.inc(count, stop=reason)
+
+
 class TracerouteEngine:
     """Issues simulated Paris traceroutes over one frozen network state."""
 
@@ -78,6 +111,11 @@ class TracerouteEngine:
                  max_ttl: int = 30):
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate out of [0,1): {loss_rate}")
+        # IP's TTL field is 8 bits, and a trace needs at least one probe.
+        if not 1 <= max_ttl <= 255:
+            raise ValueError(f"max_ttl out of [1,255]: {max_ttl}")
+        if gap_limit < 1:
+            raise ValueError(f"gap_limit must be >= 1, got {gap_limit}")
         self.dataplane = dataplane
         self.seed = seed
         # The hash state after the seed field, shared by every probe.
@@ -85,8 +123,9 @@ class TracerouteEngine:
         self.loss_rate = loss_rate
         self.gap_limit = gap_limit
         self.max_ttl = max_ttl
+        decisions = dataplane.decisions
         self._stack_cache: Optional[dict] = \
-            {} if dataplane.memoize else None
+            decisions.stacks if decisions is not None else None
         self.stack_cache_hits = 0
         self.stack_cache_misses = 0
         self._flushed = [0, 0]
@@ -99,6 +138,13 @@ class TracerouteEngine:
     def trace(self, monitor: Monitor, dst_addr: int,
               timestamp: float = 0.0) -> Trace:
         """Run one traceroute from a monitor towards a destination."""
+        tally = _Tally()
+        trace = self._trace(monitor, dst_addr, timestamp, tally)
+        tally.publish()
+        return trace
+
+    def _trace(self, monitor: Monitor, dst_addr: int, timestamp: float,
+               tally: "_Tally") -> Trace:
         now = self._now
         if now is not None:
             started = now()
@@ -110,7 +156,7 @@ class TracerouteEngine:
         except UnreachableError:
             if now is not None:
                 self._spent[0] += now() - started
-            _TRACES.inc(stop=StopReason.UNREACHABLE.value)
+            tally.stopped(StopReason.UNREACHABLE.value)
             return Trace(monitor=monitor.name, src=monitor.src_addr,
                          dst=dst_addr, timestamp=timestamp,
                          stop_reason=StopReason.UNREACHABLE, hops=[])
@@ -130,19 +176,23 @@ class TracerouteEngine:
         first_hop = HopObs(asn=monitor.asn,
                            router_id=monitor.attachment_router,
                            address=monitor.gateway_addr)
+        max_ttl = self.max_ttl
+        gap_limit = self.gap_limit
         hops: List[TraceHop] = []
         silent_streak = 0
+        unanswered = 0
         stop = StopReason.TTL_EXHAUSTED
         for ttl, obs in enumerate(chain((first_hop,), path), start=1):
-            if ttl > self.max_ttl:
+            if ttl > max_ttl:
                 break
             if not obs.responsive or (
                     loss_state is not None
                     and _splitmix64(loss_state ^ ttl) / _LOSS_SCALE
                     < loss_rate):
                 hops.append(TraceHop(probe_ttl=ttl, address=None))
+                unanswered += 1
                 silent_streak += 1
-                if silent_streak >= self.gap_limit:
+                if silent_streak >= gap_limit:
                     stop = StopReason.GAP_LIMIT
                     break
                 continue
@@ -161,10 +211,8 @@ class TracerouteEngine:
             if obs.router_id == -1:
                 stop = StopReason.COMPLETED
                 break
-        _PROBES.inc(len(hops))
-        _PROBES_UNANSWERED.inc(
-            sum(1 for hop in hops if hop.is_anonymous))
-        _TRACES.inc(stop=stop.value)
+        tally.probed(len(hops), unanswered)
+        tally.stopped(stop.value)
         trace = Trace(monitor=monitor.name, src=monitor.src_addr,
                       dst=dst_addr, timestamp=timestamp,
                       stop_reason=stop, hops=hops)
@@ -182,11 +230,13 @@ class TracerouteEngine:
             if timed:
                 self._now = clock.now
                 self._spent = [0.0, 0.0, 0.0]
+            tally = _Tally()
             try:
-                traces = [self.trace(monitor, dst, timestamp)
+                traces = [self._trace(monitor, dst, timestamp, tally)
                           for monitor, dst in pairs]
             finally:
                 self._now = None
+                tally.publish()
             if timed:
                 start = node.start
                 for name, seconds in zip(_LAYERS, self._spent):

@@ -184,6 +184,7 @@ class TestObservabilityFlags:
         assert "span" in output
         assert "pipeline.filters" in output
         assert "sim.cycle" in output
+        assert "sim.control" in output
 
     def test_classify_shares_come_from_counts(self, campaign_dir,
                                               capsys):

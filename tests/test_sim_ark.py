@@ -2,6 +2,10 @@
 
 import pytest
 
+import pickle
+
+from repro.igp.ecmp import flow_hash
+from repro.obs import FakeClock, Tracer, get_tracer, set_tracer
 from repro.sim import ArkSimulator, paper_scenario
 from repro.sim.ark import (
     block_bounds,
@@ -9,6 +13,7 @@ from repro.sim.ark import (
     label_dynamics_campaign,
 )
 from repro.sim.config import MplsPolicy
+from repro.sim.monitors import split_into_teams
 from repro.sim.scenarios import LEVEL3, LEVEL3_RISE_CYCLE, VODAFONE
 from repro.traces import StopReason
 
@@ -92,6 +97,30 @@ class TestAssignments:
         base_list = simulator.assignments(10, 1.0, 1.0, snapshot=0)
         changed = sum(1 for a, b in zip(base_list, follow) if a != b)
         assert 0 < changed < 0.5 * len(base_list)
+
+
+    @pytest.mark.parametrize("cycle, monitor_fraction, dest_fraction",
+                             [(10, 1.0, 1.0), (23, 0.6, 0.7)])
+    def test_matches_the_per_snapshot_formula(self, cycle,
+                                              monitor_fraction,
+                                              dest_fraction):
+        fresh = ArkSimulator(paper_scenario(scale=0.3, seed=5))
+        teams = split_into_teams(
+            fresh._active_monitors(monitor_fraction), fresh.team_count)
+        active = fresh._active_destinations(dest_fraction)
+        churn_bound = int(0.18 * 10_000)
+        for snapshot in range(3):
+            expected = []
+            for team_index, team in enumerate(teams):
+                for dst in active:
+                    churned = (flow_hash(0xC4, dst, cycle, team_index)
+                               % 10_000 < churn_bound)
+                    slot = snapshot if churned else 0
+                    expected.append((team[flow_hash(dst, cycle,
+                                                    team_index, slot)
+                                          % len(team)], dst))
+            assert fresh.assignments(cycle, monitor_fraction,
+                                     dest_fraction, snapshot) == expected
 
 
 class TestRunCycle:
@@ -208,3 +237,53 @@ class TestPairBlocks:
             for snapshot, traces in zip(merged, data.snapshots):
                 snapshot.extend(traces)
         assert merged == whole.snapshots
+
+
+class TestStudyScopedState:
+    def test_capture_state_ignores_the_decision_memos(self):
+        probed = ArkSimulator(paper_scenario(scale=0.3, seed=9),
+                              snapshots_per_cycle=2)
+        replayed = ArkSimulator(paper_scenario(scale=0.3, seed=9),
+                                snapshots_per_cycle=2)
+        for cycle in range(1, 5):
+            probed.run_cycle(cycle)
+        replayed.fast_forward(1, 4)
+        decisions = probed.internet.decision_cache
+        assert decisions.routes and decisions.stacks and decisions.picks
+        assert not replayed.internet.decision_cache.routes
+        assert pickle.dumps(probed.internet.capture_state()) \
+            == pickle.dumps(replayed.internet.capture_state())
+
+
+class TestControlSpans:
+    def _spans_under_fake_clock(self, action):
+        previous = get_tracer()
+        tracer = set_tracer(Tracer(FakeClock()))
+        try:
+            action()
+        finally:
+            set_tracer(previous)
+        return tracer.roots
+
+    def test_control_plane_nests_under_the_cycle(self):
+        simulator = ArkSimulator(paper_scenario(scale=0.25, seed=4),
+                                 snapshots_per_cycle=2)
+        (cycle,) = self._spans_under_fake_clock(
+            lambda: simulator.run_cycle(1))
+        assert cycle.name == "sim.cycle"
+        control = [node for _depth, node in cycle.walk()
+                   if node.name == "sim.control"]
+        # The cycle's policy apply, then one timer tick per snapshot.
+        assert len(control) == 1 + simulator.snapshots_per_cycle
+        assert cycle.children[0].name == "sim.control"
+        snapshots = [child for child in cycle.children
+                     if child.name == "sim.snapshot"]
+        assert [child.children[0].name for child in snapshots] \
+            == ["sim.control"] * simulator.snapshots_per_cycle
+
+    def test_fast_forward_is_one_control_span(self):
+        simulator = ArkSimulator(paper_scenario(scale=0.25, seed=4))
+        roots = self._spans_under_fake_clock(
+            lambda: simulator.fast_forward(1, 3))
+        assert [root.name for root in roots] == ["sim.control"]
+        assert roots[0].children == []

@@ -353,3 +353,121 @@ class TestMemoization:
 
         assert total("route_cache_misses_total") == 1
         assert total("route_cache_hits_total") == 0
+
+
+def rich_universe():
+    """A mesh transit with parallel links, multi-homed neighbors and
+    an ECMP source and destinations: every forwarding decision has
+    several outcomes, so a memo keyed on too little shows up."""
+    ases = [
+        AsSpec(TRANSIT, "TR", Tier.TIER1, router_count=16,
+               border_count=4, ecmp_breadth=3,
+               parallel_link_fraction=0.3),
+        AsSpec(SRC_AS, "SRC", Tier.TRANSIT, router_count=6,
+               border_count=2, ecmp_breadth=2, prefix_count=1),
+        AsSpec(DST_AS, "D1", Tier.STUB, router_count=6, border_count=2,
+               ecmp_breadth=2, prefix_count=3),
+        AsSpec(OTHER_DST_AS, "D2", Tier.STUB, router_count=5,
+               border_count=2, prefix_count=2),
+    ]
+    return UniverseSpec(
+        ases=ases,
+        c2p_edges=[(SRC_AS, TRANSIT)] * 2 + [(DST_AS, TRANSIT)] * 3
+        + [(OTHER_DST_AS, TRANSIT)] * 2,
+        p2p_edges=[],
+        monitor_ases=[SRC_AS],
+        seed=23,
+    )
+
+
+# The control-plane configurations the cross-era test cycles through:
+# LDP on a growing share of border pairs; LDP plus two-tunnel TE and
+# SR policies with per-cycle re-optimization; single-tunnel TE over
+# opaque tunnels.
+_ERA_POLICIES = (
+    MplsPolicy(enabled=True, ldp=True, mpls_pair_fraction=0.4),
+    MplsPolicy(enabled=True, ldp=True, mpls_pair_fraction=0.75),
+    MplsPolicy(enabled=True, ldp=True, mpls_pair_fraction=0.7,
+               te_pair_fraction=0.25, te_tunnels_per_pair=2,
+               te_reoptimize_per_cycle=True, sr_pair_fraction=0.5,
+               sr_policies_per_pair=2, sr_waypoints=2),
+    MplsPolicy(enabled=True, ldp=True, ldp_internal=False,
+               ttl_propagate=False, mpls_pair_fraction=0.55,
+               te_pair_fraction=0.5, te_tunnels_per_pair=1),
+)
+
+
+def _forward_or_error(dataplane, src_asn, router, src_addr, dst, flow_id):
+    try:
+        return dataplane.forward_path(src_asn, router, src_addr, dst,
+                                      flow_id)
+    except UnreachableError as err:
+        return str(err)
+
+
+class TestStudyScopedDecisions:
+    """The study-wide decision table is exact across eras."""
+
+    def test_memoized_matches_fresh_across_eras(self):
+        internet = Internet(rich_universe())
+        transit = internet.network(TRANSIT)
+        assert max(len(links)
+                   for links in transit.interas.values()) >= 2
+        sources = [(asn, router, 0x0A630000 + 16 * index + router)
+                   for index, asn in enumerate((SRC_AS, DST_AS))
+                   for router in internet.network(asn).topology.routers]
+        dsts = [address for address, _ in
+                internet.destination_addresses()]
+        dsts.append(Prefix.parse("203.0.113.0/24").first)
+        uses = {"te": 0, "sr": 0, "ecmp": 0}
+        for era in range(24):
+            policy = _ERA_POLICIES[era % len(_ERA_POLICIES)]
+            transit.apply_policy(policy)
+            internet.tick()
+            memoized = DataPlane(internet, era=era, flap_rate=0.3,
+                                 egress_noise=0.5)
+            fresh = DataPlane(internet, era=era, flap_rate=0.3,
+                              egress_noise=0.5, memoize=False)
+            for src_asn, router, src_addr in sources:
+                for dst in dsts:
+                    for flow_id in range(4):
+                        assert _forward_or_error(
+                            memoized, src_asn, router, src_addr, dst,
+                            flow_id) == _forward_or_error(
+                            fresh, src_asn, router, src_addr, dst,
+                            flow_id), (era, src_asn, router, dst, flow_id)
+            uses["te"] += bool(transit.rsvp and transit.rsvp.sessions)
+            uses["sr"] += policy.uses_sr
+        decisions = internet.decision_cache
+        uses["ecmp"] = len(decisions.picks)
+        # Every branch the table feeds was exercised.
+        assert all(uses.values()), uses
+        assert decisions.routes and decisions.egress \
+            and decisions.border_hops and decisions.ldp_draws \
+            and decisions.fecs
+        assert any(entry[0] is None for entry in decisions.routes.values())
+
+    def test_unmemoized_dataplane_leaves_the_table_untouched(self):
+        internet = build(MplsPolicy(enabled=True, ldp=True,
+                                    mpls_pair_fraction=0.5),
+                         ecmp=2, multi_link=True)
+        dataplane = DataPlane(internet, egress_noise=0.5,
+                              memoize=False)
+        assert dataplane.decisions is None
+        for dst, _ in internet.destination_addresses():
+            dataplane.forward_path(SRC_AS, 1, 99, dst, 1)
+        decisions = internet.decision_cache
+        assert not any(getattr(decisions, name)
+                       for name in decisions.__slots__)
+
+    def test_later_eras_hit_the_study_route_table(self):
+        internet = build()
+        dst = a_destination(internet)
+        first = DataPlane(internet, era=1)
+        second = DataPlane(internet, era=2)
+        first.forward_path(SRC_AS, 1, 99, dst)
+        second.forward_path(SRC_AS, 1, 99, dst)
+        assert (first.route_cache.misses, first.route_cache.hits) \
+            == (1, 0)
+        assert (second.route_cache.misses, second.route_cache.hits) \
+            == (0, 1)

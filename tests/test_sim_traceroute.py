@@ -3,7 +3,16 @@
 import pytest
 
 from repro.igp.ecmp import flow_hash
-from repro.obs import FakeClock, NullClock, Tracer, get_tracer, set_tracer
+from repro.mpls.lse import LabelStack, LabelStackEntry
+from repro.net.icmp import TimeExceeded, build_probe_quote
+from repro.obs import (
+    FakeClock,
+    NullClock,
+    Tracer,
+    get_registry,
+    get_tracer,
+    set_tracer,
+)
 from repro.sim.dataplane import DataPlane
 from repro.sim.monitors import build_monitors, split_into_teams
 from repro.sim.traceroute import TracerouteEngine
@@ -159,6 +168,27 @@ class TestTraceroute:
         with pytest.raises(ValueError):
             TracerouteEngine(DataPlane(internet), loss_rate=1.0)
 
+    @pytest.mark.parametrize("max_ttl", [0, -3, 256, 400])
+    def test_max_ttl_outside_ip_ttl_range_rejected(self, max_ttl):
+        internet = build()
+        with pytest.raises(ValueError, match="max_ttl"):
+            TracerouteEngine(DataPlane(internet), max_ttl=max_ttl)
+
+    @pytest.mark.parametrize("gap_limit", [0, -1])
+    def test_gap_limit_below_one_rejected(self, gap_limit):
+        internet = build()
+        with pytest.raises(ValueError, match="gap_limit"):
+            TracerouteEngine(DataPlane(internet), gap_limit=gap_limit)
+
+    def test_knob_edges_accepted(self):
+        internet = build()
+        dst = a_destination(internet)
+        for max_ttl in (1, 255):
+            engine, monitor = engine_and_monitor(
+                internet, loss_rate=0.0, gap_limit=1, max_ttl=max_ttl)
+            trace = engine.trace(monitor, dst)
+            assert 1 <= len(trace.hops) <= max_ttl
+
     def test_lossy_trace_matches_per_probe_hashes(self):
         # Per-trace hash states must reproduce, hop for hop, the values
         # of hashing every probe from scratch:
@@ -245,3 +275,122 @@ class TestTraceAllProfileSplit:
         timed, _ = _trace_all_under(_TickingClock())
         untimed, _ = _trace_all_under(NullClock())
         assert timed == untimed
+
+
+def _fresh_decode(monitor, dst, ttl, labels, lse_ttl):
+    """The quoted stack straight off a freshly encoded ICMP reply."""
+    wire = LabelStack([
+        LabelStackEntry(label=label, tc=0,
+                        bottom=index == len(labels) - 1, ttl=lse_ttl)
+        for index, label in enumerate(labels)])
+    message = TimeExceeded(
+        quoted=build_probe_quote(monitor.src_addr, dst, ttl), stack=wire)
+    return tuple(TimeExceeded.decode(message.encode()).stack)
+
+
+def _counter_delta(registry, before, name):
+    payload = registry.diff(before, registry.snapshot()).get(name, {})
+    return {tuple(sorted(entry["labels"].items())): entry["value"]
+            for entry in payload.get("values", [])}
+
+
+_COUNTED = ("probes_total", "probes_unanswered_total", "traces_total")
+
+
+class TestStudyScopedStackMemo:
+    def test_memo_entries_equal_a_fresh_encode_and_decode(self):
+        internet = build(MplsPolicy(enabled=True, ldp=True,
+                                    te_pair_fraction=0.5,
+                                    te_tunnels_per_pair=2),
+                         transit_routers=12, ecmp=2)
+        monitors = build_monitors(internet, per_as=2)
+        dests = [address for address, _ in
+                 internet.destination_addresses()]
+        traces = []
+        for era in range(4):
+            engine = TracerouteEngine(DataPlane(internet, era=era),
+                                      seed=era, loss_rate=0.0)
+            traces += engine.trace_all(
+                [(monitor, dst) for monitor in monitors for dst in dests])
+        stacks = internet.decision_cache.stacks
+        assert stacks
+        quoted = {hop.quoted_stack for trace in traces
+                  for hop in trace.hops if hop.quoted_stack}
+        assert quoted <= set(stacks.values())
+        for (labels, lse_ttl), stack in stacks.items():
+            assert stack == _fresh_decode(monitors[0], dests[0], 7,
+                                          labels, lse_ttl)
+
+    def test_later_snapshots_hit_the_memo(self):
+        internet = build(MplsPolicy(enabled=True, ldp=True))
+        engine, monitor = engine_and_monitor(internet, loss_rate=0.0)
+        dst = a_destination(internet)
+        engine.trace(monitor, dst)
+        assert engine.stack_cache_misses > 0
+        later = TracerouteEngine(DataPlane(internet, era=1),
+                                 loss_rate=0.0)
+        assert later.trace(monitor, dst) == engine.trace(monitor, dst)
+        assert (later.stack_cache_hits, later.stack_cache_misses) \
+            == (engine.stack_cache_misses, 0)
+
+    def test_unmemoized_engine_decodes_every_stack(self):
+        internet = build(MplsPolicy(enabled=True, ldp=True))
+        monitors = build_monitors(internet, per_as=2)
+        dst = a_destination(internet)
+        fresh = TracerouteEngine(DataPlane(internet, memoize=False),
+                                 loss_rate=0.0)
+        memoized = TracerouteEngine(DataPlane(internet), loss_rate=0.0)
+        assert fresh.trace(monitors[0], dst) \
+            == memoized.trace(monitors[0], dst)
+        assert fresh.stack_cache_hits == fresh.stack_cache_misses == 0
+
+
+class TestBatchedCounters:
+    def _pairs(self, internet):
+        monitors = build_monitors(internet, per_as=2)
+        dests = [address for address, _ in
+                 internet.destination_addresses()]
+        # Unreachable destinations and heavy loss give every stop
+        # reason, anonymous hops and zero-probe traces.
+        return [(monitor, dst) for monitor in monitors
+                for dst in dests + [0xDEADBEEF]]
+
+    def test_trace_all_delta_equals_per_trace_counting(self):
+        registry = get_registry()
+        deltas = []
+        for batched in (True, False):
+            internet = build(MplsPolicy(enabled=True, ldp=True),
+                             transit_routers=12)
+            engine = TracerouteEngine(DataPlane(internet), seed=5,
+                                      loss_rate=0.6, gap_limit=2)
+            pairs = self._pairs(internet)
+            before = registry.snapshot()
+            if batched:
+                traces = engine.trace_all(pairs)
+            else:
+                traces = [engine.trace(monitor, dst)
+                          for monitor, dst in pairs]
+            deltas.append({name: _counter_delta(registry, before, name)
+                           for name in _COUNTED})
+        assert deltas[0] == deltas[1]
+        stops = {reason: sum(1 for trace in traces
+                             if trace.stop_reason.value == reason)
+                 for reason in {t.stop_reason.value for t in traces}}
+        assert len(stops) >= 3
+        assert deltas[0]["traces_total"] == {
+            (("stop", reason),): count for reason, count in stops.items()}
+        assert deltas[0]["probes_total"] == {
+            (): sum(len(trace.hops) for trace in traces)}
+        assert deltas[0]["probes_unanswered_total"] == {
+            (): sum(hop.is_anonymous for trace in traces
+                    for hop in trace.hops)}
+
+    def test_all_unreachable_batch_counts_no_probes(self):
+        registry = get_registry()
+        internet = build()
+        engine, monitor = engine_and_monitor(internet)
+        before = registry.snapshot()
+        engine.trace_all([(monitor, 0xDEADBEEF)] * 3)
+        assert _counter_delta(registry, before, "probes_total") == {}
+        assert _counter_delta(registry, before, "traces_total") == {
+            (("stop", StopReason.UNREACHABLE.value),): 3}

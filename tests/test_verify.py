@@ -50,10 +50,10 @@ def _broken_resolve(original):
     """A stale-cache bug: memoized lookups perturb some AS paths."""
     def resolve(self, src_asn, dst_addr):
         origin, as_path, prefix = original(self, src_asn, dst_addr)
-        cache = self.route_cache
-        if (origin is not None and cache is not None
+        decisions = self.decisions
+        if (origin is not None and decisions is not None
                 and dst_addr % 7 == 0
-                and (src_asn, dst_addr >> 8) in cache.routes):
+                and (src_asn, dst_addr >> 8) in decisions.routes):
             return origin, as_path[:1] + as_path[1:][::-1], prefix
         return origin, as_path, prefix
     return resolve
