@@ -15,9 +15,9 @@ Two benchmarks additionally record *speedups* in ``extra_info``:
   identical state — the route/hop/quoted-stack caches (DESIGN §8) —
   both asserted >= 1.25x on the median of paired rounds (a reference
   round right before each fast round, timed the same way);
-* ``test_bench_parallel_study_speedup`` / ``test_bench_intra_cycle_speedup``
-  time sharded campaigns against the serial loop — multi-core wins that
-  are only asserted on machines with enough cores.
+* ``test_bench_parallel_study_speedup`` times a sharded campaign
+  against the serial loop — a multi-core win that is only asserted on
+  machines with enough cores.
 """
 
 import os
@@ -386,43 +386,4 @@ def test_bench_parallel_study_speedup(benchmark):
         assert speedup >= 2.0, (
             f"expected >= 2x speedup on {cores} cores, got "
             f"{speedup:.2f}x (serial {serial_s:.2f}s, "
-            f"parallel {parallel_s:.2f}s)")
-
-
-def test_bench_intra_cycle_speedup(benchmark):
-    """A 1-cycle campaign split into 4 pair blocks vs the serial loop.
-
-    With fewer workers than cycles sharding used to idle; intra-cycle
-    pair blocks (DESIGN §8) let even a single cycle fill every core.
-    As above, the serial time and speedup land in ``extra_info`` and
-    the >= 2x assertion applies only on machines with >= 4 cores.
-    """
-    spec = StudySpec(scale=1.0, seed=2015, cycles=1)
-    cores = os.cpu_count() or 1
-
-    serial_start = time.perf_counter()
-    serial = run_study(spec, workers=1)
-    serial_s = time.perf_counter() - serial_start
-
-    parallel = run_once(benchmark, run_study, spec, workers=4)
-
-    parallel_s = benchmark.stats.stats.mean
-    speedup = serial_s / parallel_s if parallel_s else 0.0
-    benchmark.extra_info["serial_s"] = round(serial_s, 3)
-    benchmark.extra_info["cpu_count"] = cores
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-
-    assert [s.block for s in parallel.shards] == \
-        [(1, index, 4) for index in range(4)]
-    serial_result, = serial.results
-    parallel_result, = parallel.results
-    assert serial_result.stats == parallel_result.stats
-    assert serial_result.classification.verdicts == \
-        parallel_result.classification.verdicts
-    assert serial_result.metrics == parallel_result.metrics
-
-    if cores >= 4:
-        assert speedup >= 2.0, (
-            f"expected >= 2x intra-cycle speedup on {cores} cores, "
-            f"got {speedup:.2f}x (serial {serial_s:.2f}s, "
             f"parallel {parallel_s:.2f}s)")

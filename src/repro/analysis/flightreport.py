@@ -5,7 +5,7 @@ from the files the flight recorder left behind:
 
 * the **events file** (``--events-out``, :mod:`repro.obs.events`
   JSONL) drives the run summary, the shard timeline (dispatches,
-  restores, retries, subdivisions, failures), the cache hit rates, the
+  retries, subdivisions, failures), the cache hit rates, the
   per-cycle filter-drop trajectories, and — when the run served live
   telemetry — the per-process resource usage and stall sections;
 * the optional **trace file** (``--trace-out``, Chrome trace-event
@@ -59,10 +59,8 @@ _SUMMARY_COUNTS = {
 
 def _restored_cycles(grouped: Dict[str, List[Event]]) -> int:
     """Cycles restored from checkpoints, counted alike for serial and
-    parallel runs: every ``checkpoint.hit`` names the cycles its entry
-    held (pair-block entries hold none)."""
-    return sum(event.fields.get("cycles", 0)
-               for event in grouped.get("checkpoint.hit", []))
+    parallel runs: one ``checkpoint.hit`` per restored cycle."""
+    return len(grouped.get("checkpoint.hit", []))
 
 
 def _summary_section(grouped: Dict[str, List[Event]]) -> List[str]:
@@ -132,10 +130,6 @@ def _shard_cells(grouped: Dict[str, List[Event]]
                                 event.fields.get("attempt", 1))
         if entry["status"] == "pending":
             entry["status"] = "dispatched"
-    for event in grouped.get("shard.restored", []):
-        entry = cell(event.fields["shard"])
-        entry["work"] = _work_label(event.fields)
-        entry["status"] = "restored"
     for event in grouped.get("shard.retry", []):
         entry = cell(event.fields["shard"])
         entry["attempts"] = max(entry["attempts"],
@@ -186,9 +180,6 @@ def _shard_rows(grouped: Dict[str, List[Event]]) -> List[Dict[str, Any]]:
 
 def _work_label(fields: Dict[str, Any]) -> str:
     first, last = fields.get("first"), fields.get("last")
-    block = fields.get("block")
-    if block is not None:
-        return f"cycle {first} block {block[0]}/{block[1]}"
     if first == last:
         return f"cycle {first}"
     return f"cycles {first}-{last}"

@@ -20,8 +20,8 @@ Seven subcommands mirror the measurement workflow:
 * ``report`` — reconstruct a past study from its flight-recorder
   files, as text or (``--format json``) one JSON object;
 * ``verify`` — the differential oracle: execute one spec through every
-  fast-path configuration (workers, pair blocks, no-memo, checkpoint
-  resume, warm-start state store, archive round-trips), diff canonical
+  fast-path configuration (workers, no-memo, checkpoint resume,
+  warm-start state store, archive round-trips), diff canonical
   artifacts against the serial reference, audit invariants, and
   auto-shrink any divergence to a minimal reproducing spec.
 
@@ -147,9 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=list(ALL_ARTIFACTS))
     study.add_argument("--workers", type=int, default=1, metavar="N",
                        help="shard the study over N worker processes; "
-                            "workers beyond the cycle count split "
-                            "cycles into pair blocks (byte-identical "
-                            "output either way; default serial)")
+                            "a shard is at least one whole cycle, so "
+                            "workers beyond the cycle count stay idle "
+                            "(byte-identical output either way; "
+                            "default serial)")
     study.add_argument("--profile", action="store_true",
                        help="time every pipeline stage and print a "
                             "per-stage breakdown table")

@@ -195,16 +195,12 @@ def run_study(spec, workers: int = 1, **options):
 
     ``spec`` is a :class:`repro.par.StudySpec`; the return value is a
     :class:`repro.par.StudyRun` whose ``results`` list is ordered by
-    cycle regardless of how the work was scheduled.  ``workers <= 1``
-    runs the classic serial loop in this process; ``workers > 1`` shards
-    the cycle range over a process pool — each worker reconstructs its
-    block's network state deterministically and the per-shard metrics
-    deltas merge back into this process's registry — with byte-identical
-    output either way (asserted in ``tests/test_par.py``).  Workers
-    beyond the cycle count keep sharding *inside* cycles: surplus
-    workers trace contiguous (monitor, destination) pair blocks that
-    are reassembled in pair order (DESIGN §8), so even a 1-cycle study
-    scales out.
+    cycle regardless of how the work was scheduled.  ``workers=1``
+    runs every cycle in this process; ``workers > 1`` shards the cycle
+    range over a process pool — each worker reconstructs its block's
+    network state deterministically and the per-shard metrics deltas
+    merge back into this process's registry — with byte-identical
+    output either way (asserted in ``tests/test_par.py``).
 
     Keyword ``options`` pass straight to
     :func:`repro.par.runner.run_study` — fault tolerance knobs such as

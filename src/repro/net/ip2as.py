@@ -26,10 +26,11 @@ UNKNOWN_AS = -1
 
 _LOOKUP_HITS = get_registry().counter(
     "ip2as_lookup_cache_hits_total",
-    "Batched IP2AS lookups answered by the per-call prefix memo")
+    "Batched IP2AS lookups answered by the per-call prefix memo",
+    execution=True)
 _LOOKUP_MISSES = get_registry().counter(
     "ip2as_lookup_cache_misses_total",
-    "Batched IP2AS lookups that walked the radix trie")
+    "Batched IP2AS lookups that walked the radix trie", execution=True)
 
 _MEMO_PREFIX_LENGTH = 24
 """Granularity of the :meth:`Ip2AsMapper.lookup_many` memo: one trie

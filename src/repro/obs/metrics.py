@@ -21,6 +21,14 @@ how `repro.par` workers' registries merge back into the parent process
 on sharded runs.  The process-wide default registry lives in
 :data:`REGISTRY`; tests and the CLI reset it via
 :meth:`MetricsRegistry.reset`.
+
+Every metric is either a **result** or **execution telemetry**, declared
+once at registration (``execution=True``).  Execution metrics — cache
+hit/miss splits, store lookups, runner accounting, resource gauges —
+depend on how a run was laid out over processes, not on the campaign,
+so :meth:`MetricsRegistry.results_only` drops them wherever a delta is
+persisted or compared (checkpoints, ``repro verify``).  Snapshots mark
+them with ``"execution": True`` so the flag travels with a delta.
 """
 
 from __future__ import annotations
@@ -43,11 +51,13 @@ class Metric:
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str, help: str = "",
+                 execution: bool = False):
         if not name or not name.replace("_", "").isalnum():
             raise ValueError(f"bad metric name {name!r}")
         self.name = name
         self.help = help
+        self.execution = execution
 
     def labelled_values(self) -> List[Tuple[LabelKey, Any]]:
         raise NotImplementedError
@@ -61,8 +71,9 @@ class Counter(Metric):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = ""):
-        super().__init__(name, help)
+    def __init__(self, name: str, help: str = "",
+                 execution: bool = False):
+        super().__init__(name, help, execution)
         self._values: Dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1, **labels: Any) -> None:
@@ -87,8 +98,9 @@ class Gauge(Metric):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = ""):
-        super().__init__(name, help)
+    def __init__(self, name: str, help: str = "",
+                 execution: bool = False):
+        super().__init__(name, help, execution)
         self._values: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
@@ -122,8 +134,9 @@ class Histogram(Metric):
     kind = "histogram"
 
     def __init__(self, name: str, help: str = "",
-                 buckets: Iterable[float] = DEFAULT_BUCKETS):
-        super().__init__(name, help)
+                 buckets: Iterable[float] = DEFAULT_BUCKETS,
+                 execution: bool = False):
+        super().__init__(name, help, execution)
         bounds = tuple(float(b) for b in buckets)
         if not bounds or list(bounds) != sorted(set(bounds)):
             raise ValueError(f"histogram {name}: buckets must be "
@@ -183,28 +196,43 @@ class MetricsRegistry:
         self._metrics: Dict[str, Metric] = {}
 
     def _get_or_create(self, cls, name: str, help: str,
+                       execution: Optional[bool],
                        **kwargs: Any) -> Metric:
+        """The metric registered under ``name``, created on first use.
+
+        ``execution`` declares result (False) or execution telemetry
+        (True); a declaration that contradicts the registered one
+        raises like a kind mismatch.  None looks the metric up without
+        declaring anything (a new metric is then a result).
+        """
         existing = self._metrics.get(name)
         if existing is not None:
             if not isinstance(existing, cls):
                 raise TypeError(
                     f"metric {name!r} already registered as "
                     f"{existing.kind}, requested {cls.kind}")
+            if execution is not None and existing.execution != execution:
+                raise TypeError(
+                    f"metric {name!r} already registered with "
+                    f"execution={existing.execution}, requested "
+                    f"execution={execution}")
             return existing
-        metric = cls(name, help, **kwargs)
+        metric = cls(name, help, execution=bool(execution), **kwargs)
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help)
+    def counter(self, name: str, help: str = "",
+                execution: Optional[bool] = None) -> Counter:
+        return self._get_or_create(Counter, name, help, execution)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help)
+    def gauge(self, name: str, help: str = "",
+              execution: Optional[bool] = None) -> Gauge:
+        return self._get_or_create(Gauge, name, help, execution)
 
     def histogram(self, name: str, help: str = "",
-                  buckets: Iterable[float] = DEFAULT_BUCKETS
-                  ) -> Histogram:
-        return self._get_or_create(Histogram, name, help,
+                  buckets: Iterable[float] = DEFAULT_BUCKETS,
+                  execution: Optional[bool] = None) -> Histogram:
+        return self._get_or_create(Histogram, name, help, execution,
                                    buckets=buckets)
 
     def get(self, name: str) -> Optional[Metric]:
@@ -225,23 +253,26 @@ class MetricsRegistry:
         registry delta a sharded-run worker sends home).  Counters and
         histogram cells add onto the current values; gauges take the
         delta's value.  Metrics absent from this registry are created
-        with the delta's type and help text.
+        with the delta's type, help text and execution flag.
         """
         for name in sorted(delta):
             data = delta[name]
             kind = data.get("type", "counter")
+            execution = data.get("execution")
             if kind == "counter":
-                counter = self.counter(name, data.get("help", ""))
+                counter = self.counter(name, data.get("help", ""),
+                                       execution)
                 for entry in data["values"]:
                     counter.inc(entry["value"], **entry["labels"])
             elif kind == "gauge":
-                gauge = self.gauge(name, data.get("help", ""))
+                gauge = self.gauge(name, data.get("help", ""), execution)
                 for entry in data["values"]:
                     gauge.set(entry["value"], **entry["labels"])
             elif kind == "histogram":
                 histogram = self.histogram(
                     name, data.get("help", ""),
-                    buckets=data.get("buckets", DEFAULT_BUCKETS))
+                    buckets=data.get("buckets", DEFAULT_BUCKETS),
+                    execution=execution)
                 for entry in data["values"]:
                     histogram.absorb_cell(entry["value"],
                                           **entry["labels"])
@@ -265,7 +296,20 @@ class MetricsRegistry:
             }
             if isinstance(metric, Histogram):
                 out[metric.name]["buckets"] = list(metric.buckets)
+            if metric.execution:
+                out[metric.name]["execution"] = True
         return out
+
+    @staticmethod
+    def results_only(delta: Mapping[str, Any]) -> Dict[str, Any]:
+        """A snapshot or delta without its execution metrics.
+
+        Keeps the (sorted) key order of the input, so equal deltas
+        pickle to equal bytes whatever execution telemetry ran beside
+        them.
+        """
+        return {name: data for name, data in delta.items()
+                if not data.get("execution")}
 
     @staticmethod
     def diff(before: Mapping[str, Any],

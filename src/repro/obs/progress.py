@@ -3,7 +3,7 @@
 A sharded study is a black box without this: workers probe for minutes
 before their shard returns.  :class:`ProgressTracker` aggregates the
 per-shard heartbeats the workers push over the runner's progress queue
-(cycles done, pair blocks done, traces simulated) into campaign-level
+(cycles done, traces simulated) into campaign-level
 totals, and derives an ETA from the completed-work rate.
 
 The displayed work counter is **monotonically non-decreasing**: stale
@@ -35,9 +35,7 @@ class ShardProgress:
 
     shard_id: int
     work: float
-    """Cycle-units this shard covers (len(cycles), or 1/count for an
-    intra-cycle pair block)."""
-    is_block: bool = False
+    """Cycle-units this shard covers (its cycle count)."""
     work_done: float = 0.0
     traces: int = 0
     done: bool = False
@@ -62,7 +60,6 @@ class ProgressTracker:
     # -- shard registry ------------------------------------------------------
 
     def add_shard(self, shard_id: int, work: float,
-                  is_block: bool = False,
                   done: bool = False) -> None:
         """Register one shard's share of the campaign.
 
@@ -70,8 +67,7 @@ class ProgressTracker:
         already-finished shard (e.g. restored from a checkpoint).
         """
         with self._lock:
-            progress = ShardProgress(shard_id=shard_id, work=work,
-                                     is_block=is_block)
+            progress = ShardProgress(shard_id=shard_id, work=work)
             self.shards[shard_id] = progress
             if done:
                 self.shard_done(shard_id)
@@ -93,16 +89,14 @@ class ProgressTracker:
     # -- updates -------------------------------------------------------------
 
     def heartbeat(self, shard_id: int, cycles_done: float = 0,
-                  blocks_done: int = 0, traces: int = 0) -> None:
+                  traces: int = 0) -> None:
         """Fold one worker heartbeat in (monotonic per shard)."""
         with self._lock:
             progress = self.shards.get(shard_id)
             if progress is None:
                 return
-            work = float(cycles_done) + blocks_done * (
-                progress.work if progress.is_block else 0.0)
-            progress.work_done = min(progress.work,
-                                     max(progress.work_done, work))
+            progress.work_done = min(
+                progress.work, max(progress.work_done, float(cycles_done)))
             progress.traces = max(progress.traces, traces)
             self._advance()
 
@@ -184,7 +178,7 @@ class ProgressTracker:
                 "shards": [
                     {"shard": p.shard_id, "work": p.work,
                      "work_done": p.work_done, "traces": p.traces,
-                     "block": p.is_block, "done": p.done,
+                     "done": p.done,
                      "abandoned": p.abandoned}
                     for p in sorted(self.shards.values(),
                                     key=lambda p: p.shard_id)

@@ -89,12 +89,12 @@ def absorb_resources(shard: Any, sample: Dict[str, Any],
     """
     registry = registry or get_registry()
     shard = str(shard)
-    _fold(registry.gauge(RSS_GAUGE, _HELP[RSS_GAUGE]),
+    _fold(registry.gauge(RSS_GAUGE, _HELP[RSS_GAUGE], execution=True),
           sample.get("rss_bytes", 0), shard=shard)
-    cpu = registry.gauge(CPU_GAUGE, _HELP[CPU_GAUGE])
+    cpu = registry.gauge(CPU_GAUGE, _HELP[CPU_GAUGE], execution=True)
     _fold(cpu, sample.get("cpu_user_s", 0.0), shard=shard, mode="user")
     _fold(cpu, sample.get("cpu_sys_s", 0.0), shard=shard, mode="sys")
-    gc_gauge = registry.gauge(GC_GAUGE, _HELP[GC_GAUGE])
+    gc_gauge = registry.gauge(GC_GAUGE, _HELP[GC_GAUGE], execution=True)
     for gen, count in enumerate(sample.get("gc_collections", [])):
         _fold(gc_gauge, count, shard=shard, gen=str(gen))
 

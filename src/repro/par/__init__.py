@@ -1,49 +1,46 @@
-"""Parallel study execution: deterministic cycle sharding.
+"""Study execution: one plan, run in-process or over a process pool.
 
 The longitudinal campaign (60 monthly cycles, simulate -> extract ->
 filter -> classify each) is embarrassingly parallel *across* cycles as
 long as every worker sees the exact network state a serial run would
 have at its cycles.  This package provides that:
 
-* :func:`shard_cycles` splits a cycle range into contiguous blocks, one
-  per worker — contiguity minimises replay work; :func:`plan_shards`
-  plans over the cycles still missing (all of them on a fresh run) and
-  extends the split *inside* cycles when workers outnumber them
-  (intra-cycle pair blocks, reassembled in pair order by the runner);
-* each worker deterministically reconstructs its block's starting state
-  with :meth:`~repro.sim.ark.ArkSimulator.fast_forward` (control-plane
-  replay: policies applied and timers ticked, no probes), then runs its
-  cycles locally;
-* :func:`run_study` collects the per-shard :class:`CycleResult` lists in
-  cycle order and merges each shard's metrics delta back into the parent
-  registry via :meth:`repro.obs.MetricsRegistry.absorb`.
+* :func:`plan_shards` splits the cycles still missing (all of them on a
+  fresh run) into contiguous shards, one per worker — contiguity
+  minimises replay work;
+* :func:`run_study` runs the shards in-process with one worker, or on
+  a process pool where each worker reconstructs its shard's starting
+  state with :meth:`~repro.sim.ark.ArkSimulator.fast_forward`
+  (control-plane replay: policies applied and timers ticked, no
+  probes); results come back in cycle order and each worker's metrics
+  delta merges into the parent registry via
+  :meth:`repro.obs.MetricsRegistry.absorb`.
 
 The contract — asserted in ``tests/test_par.py`` — is that a run with
 ``workers=N`` produces **byte-identical** tables, figures,
 classifications and merged metrics to the serial run (DESIGN §6 and §8).
 
-The runner is also **fault tolerant**: failed shards retry with
-exponential backoff (and optional subdivision), finished cycles can be
-checkpointed to disk, one entry per cycle, and a restart under any
-worker count runs only the missing ones (:mod:`repro.par.checkpoint`),
-and :mod:`repro.par.faults` provides the
-test-only hooks that stage worker deaths so the recovery paths stay
-covered (``tests/test_par_faults.py``).
+What a study leaves on disk lives in one content-addressed store
+(:mod:`repro.par.store`) with two kinds of entry, both keyed by cycle:
 
-Replay itself is near-O(1) when a **state store** is attached
-(:mod:`repro.par.statestore`): full control-plane snapshots every
-``snapshot_stride`` cycles let workers and resumed runs restore the
-nearest snapshot and replay only the tail, instead of the whole prefix
-— still byte-identical (DESIGN §10).
+* **checkpoints** (:mod:`repro.par.checkpoint`) — one per finished
+  cycle, so a restart under any worker count runs only the missing
+  cycles;
+* **state snapshots** (:mod:`repro.par.statestore`) — the control
+  plane every ``snapshot_stride`` cycles, so workers and resumed runs
+  restore the nearest snapshot and replay only the tail (DESIGN §10).
+
+Persisted metrics keep result metrics only: every metric declares at
+registration whether it is execution telemetry
+(:meth:`~repro.obs.MetricsRegistry.results_only`).  Pool shards retry
+with exponential backoff (and optional subdivision), and
+:mod:`repro.par.faults` provides the test-only hooks that stage worker
+deaths so the recovery paths stay covered
+(``tests/test_par_faults.py``).
 """
 
 from .shard import Shard, plan_shards, shard_cycles
-from .checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointStore,
-    spec_hash,
-    strip_layout_dependent,
-)
+from .checkpoint import CHECKPOINT_VERSION, CheckpointStore, spec_hash
 from .faults import KILL, RAISE, FaultInjected, FaultPlan, ShardFault
 from .statestore import (
     DEFAULT_SNAPSHOT_STRIDE,
@@ -64,7 +61,6 @@ __all__ = [
     "Shard",
     "plan_shards",
     "shard_cycles",
-    "strip_layout_dependent",
     "CHECKPOINT_VERSION",
     "CheckpointStore",
     "spec_hash",

@@ -7,11 +7,13 @@ tests a deterministic way to stage those deaths so the recovery paths in
 :mod:`repro.par.runner` stay exercised (``tests/test_par_faults.py``,
 run as its own CI step).
 
-A :class:`FaultPlan` maps a shard's **first cycle** (stable across
-worker counts, unlike shard ids) to a :class:`ShardFault` saying how and
-when to fail.  Plans are plain frozen dataclasses so they pickle into
-worker processes; production runs simply pass no plan, and the hooks
-cost one ``is None`` check per cycle.
+A :class:`FaultPlan` maps a **cycle** (stable across worker counts,
+unlike shard ids) to a :class:`ShardFault` saying how to fail: the
+fault fires when any executor — a pool worker or the in-process loop —
+is about to run that cycle, on the attempts it lists.  Plans are plain
+frozen dataclasses so they pickle into worker processes; production
+runs simply pass no plan, and the hook costs one ``is None`` check per
+cycle.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 KILL = "kill"
 """Terminate the worker process abruptly (``os._exit``) — what an
@@ -45,14 +47,12 @@ class ShardFault:
     """One staged failure.
 
     ``attempts`` gates firing on the runner's retry counter, so a fault
-    that fires on attempt 0 only lets the retry succeed; ``after_cycles``
-    delays the death until that many of the shard's cycles finished
-    (mid-campaign kills leave partial work behind, the interesting case).
+    that fires on attempt 0 only lets the retry succeed.  In-process
+    shards never retry: they always run attempt 0.
     """
 
     kind: str
     attempts: Tuple[int, ...] = (0,)
-    after_cycles: int = 0
     hang_seconds: float = 1.0
     """How long a ``HANG`` fault stays silent before resuming."""
 
@@ -62,11 +62,6 @@ class ShardFault:
         if self.hang_seconds < 0:
             raise ValueError(
                 f"negative hang_seconds: {self.hang_seconds}")
-
-    def maybe_fire(self, attempt: int, cycles_done: int) -> None:
-        """Fire iff this attempt is staged and enough cycles ran."""
-        if attempt in self.attempts and cycles_done == self.after_cycles:
-            self.fire()
 
     def fire(self) -> None:
         if self.kind == HANG:
@@ -80,13 +75,12 @@ class ShardFault:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Which shards fail, keyed by the shard's first cycle."""
+    """Which cycles fail, keyed by cycle."""
 
-    by_first_cycle: Mapping[int, ShardFault] = field(default_factory=dict)
+    by_cycle: Mapping[int, ShardFault] = field(default_factory=dict)
 
-    def for_shard(self, shard) -> Optional[ShardFault]:
-        return self.by_first_cycle.get(shard.first)
-
-    def for_cycle(self, cycle: int) -> Optional[ShardFault]:
-        """Serial runs treat every cycle as a one-cycle shard."""
-        return self.by_first_cycle.get(cycle)
+    def maybe_fire(self, cycle: int, attempt: int) -> None:
+        """Fire the cycle's fault iff this attempt is staged."""
+        fault = self.by_cycle.get(cycle)
+        if fault is not None and attempt in fault.attempts:
+            fault.fire()

@@ -1,4 +1,4 @@
-"""The process-pool study runner.
+"""The study runner: one plan, two executors.
 
 A :class:`StudySpec` is the complete, picklable recipe for one
 longitudinal campaign; :func:`build_study` turns it into a fresh
@@ -8,56 +8,31 @@ builds the same spec and fast-forwards to its shard's first cycle holds
 exactly the network state the serial run would have there — label
 allocators, TE sessions and all.
 
-:func:`run_study` is the single entry point: ``workers <= 1`` runs the
-familiar serial loop in-process; ``workers > 1`` fans the shards out
-over a process pool, collects the per-shard results in cycle order,
-absorbs each shard's metrics delta into the parent registry (tagged
-with per-shard accounting counters), and finally fast-forwards a parent
-simulator through the whole campaign so that post-study experiments
-(Figs 6, 16, 17 re-run cycles on top of the end state) see the identical
-state a serial run leaves behind.
-
-When ``workers`` exceeds the cycle count — including the degenerate but
-common 1-cycle study — :func:`~repro.par.shard.plan_shards` keeps
-sharding *inside* cycles: surplus workers each trace one contiguous
-**pair block** of a cycle's (monitor, destination) list over the same
-fast-forwarded state, the parent reassembles the blocks' traces in pair
-order into one :class:`~repro.sim.ark.CycleData` and runs the pipeline
-on it exactly as a serial cycle would, so results, metrics deltas and
-checkpoints stay byte-identical (DESIGN §8).
-
-The runner is **fault tolerant** (DESIGN §8):
-
-* a dead worker (``BrokenProcessPool``) or a per-shard exception marks
-  the shard failed, not the study; failed shards are re-dispatched with
-  exponential backoff up to ``max_retries`` times, optionally
-  subdivided — cycle ranges into halves, pair blocks into half-blocks —
-  to route around a poisonous unit of work;
-* with ``checkpoint_dir`` set, every finished cycle (from a cycle-range
-  shard or reassembled from pair blocks) and every raw pair block is
-  persisted under a per-cycle key, and a restarted study — under any
-  worker count — plans shards over the still-missing cycles only
-  (:mod:`repro.par.checkpoint`);
-* both paths keep the headline guarantee: because each shard is a pure
-  function of ``(spec, cycle range, pair range)``, a retried,
-  subdivided or resumed run stays byte-identical to an uninterrupted
-  serial one.
+:func:`run_study` looks every cycle up once in the checkpoint store,
+plans shards over the missing cycles
+(:func:`~repro.par.shard.plan_shards`) and runs them — in-process on
+the parent's own simulator with one worker, on a process pool
+otherwise.  Both executors run a shard's cycles through one loop
+(:func:`_run_cycles`), which fires staged faults
+(:mod:`repro.par.faults`) by cycle and, when checkpointing, encodes
+each cycle's entry in the process that ran it, so cycle *k*'s bytes
+are the same whatever the layout (DESIGN §8).  Results are assembled
+in cycle order and the parent simulator ends in the campaign's end
+state, so post-study experiments (Figs 6, 16, 17 re-run cycles on top
+of it) see exactly what an uninterrupted serial run leaves behind.
 
 The runner is also the **flight recorder's** main instrument
-(DESIGN §9): it emits study/shard/cycle lifecycle events to the
-:mod:`repro.obs.events` bus, streams worker heartbeats (cycles done,
-pair blocks done, traces simulated) over a progress queue into a live
-:class:`~repro.obs.progress.ProgressTracker`, persists each cycle's
-metrics delta as a ``cycle.metrics`` event, and — when the caller
-profiles — grafts every worker's span tree under the study root so
-``--profile`` and ``--trace-out`` account for time spent *inside*
-workers.
+(DESIGN §9): it emits study/shard/cycle lifecycle events, feeds
+heartbeats (cycles done, traces simulated) into a live
+:class:`~repro.obs.progress.ProgressTracker` — over a queue from pool
+workers, by direct call in-process — and, when the caller profiles,
+grafts every worker's span tree under the study span so ``--profile``
+and ``--trace-out`` account for time spent *inside* workers.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -65,8 +40,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.pipeline import CycleResult, LprPipeline
 from ..obs import (
@@ -90,34 +64,34 @@ from ..obs import (
     span,
 )
 from ..sim import ArkSimulator
-from ..sim.ark import CycleData
 from ..sim.scenarios import CYCLES, paper_scenario
 from .checkpoint import CheckpointStore
-from .faults import FaultPlan, ShardFault
+from .faults import FaultPlan
 from .shard import Shard, plan_shards, shard_cycles
 from .statestore import DEFAULT_SNAPSHOT_STRIDE, StateStore
 
 _log = get_logger(__name__)
 _SHARDS_RUN = get_registry().counter(
-    "par_shards_total", "Shards executed by parallel study runs")
+    "par_shards_total", "Shards executed by study runs", execution=True)
 _SHARD_CYCLES = get_registry().counter(
-    "par_shard_cycles_total",
-    "Cycles processed per shard of a parallel study run")
-_PAIR_BLOCKS = get_registry().counter(
-    "par_pair_blocks_total",
-    "Intra-cycle pair blocks traced by parallel study runs")
+    "par_shard_cycles_total", "Cycles processed per shard of a study run",
+    execution=True)
 _CYCLES_REPLAYED = get_registry().counter(
     "par_cycles_replayed_total",
-    "Cycles fast-forwarded (control-plane replay, no probes)")
+    "Cycles fast-forwarded (control-plane replay, no probes)",
+    execution=True)
 _SHARD_RETRIES = get_registry().counter(
     "par_shard_retries_total",
-    "Shard re-dispatches after a worker death or shard exception")
+    "Shard re-dispatches after a worker death or shard exception",
+    execution=True)
 _SHARDS_FAILED = get_registry().counter(
     "par_shards_failed_total",
-    "Shards that exhausted their retry budget (aborts the study)")
+    "Shards that exhausted their retry budget (aborts the study)",
+    execution=True)
 _SHARDS_STALLED = get_registry().counter(
     "par_shards_stalled_total",
-    "Shards flagged silent past the --stall-timeout deadline")
+    "Shards flagged silent past the --stall-timeout deadline",
+    execution=True)
 
 
 class StudyFailure(RuntimeError):
@@ -164,33 +138,23 @@ def build_study(spec: StudySpec) -> Tuple[ArkSimulator, LprPipeline]:
 
 @dataclass
 class ShardResult:
-    """What one worker sends back: results plus its metrics delta.
+    """What one pool worker sends back: results plus its metrics delta.
 
-    A cycle-range shard carries processed ``results``; an intra-cycle
-    pair block instead carries the raw per-snapshot ``snapshots`` it
-    traced, tagged with its ``block = (cycle, index, count)`` — the
-    parent reassembles a full cycle from the blocks and runs the
-    pipeline itself.
+    ``metrics_delta`` covers the whole shard, prefix replay included,
+    and is what the parent absorbs.
     """
 
     shard_id: int
     results: List[CycleResult]
     metrics_delta: Dict[str, Any]
     replayed_cycles: int
-    block: Optional[Tuple[int, int, int]] = None
-    snapshots: Optional[List[list]] = None
     spans: Optional[List[Span]] = None
     """The worker's tracer roots, returned only on profiled runs and
-    grafted under the parent's study span (stripped from checkpoints —
-    timing is per-run observability, not a campaign result)."""
+    grafted under the parent's study span."""
     entries: Optional[List[bytes]] = None
-    """A cycle-range shard run with a checkpoint store: one encoded
-    checkpoint entry per entry of ``results``
-    (:meth:`CheckpointStore.encode`), holding that cycle's result and
-    its own metrics delta, windowed around the cycle's simulation and
-    pipeline exactly as the serial loop windows it.  The parent writes
-    these bytes as they are; ``metrics_delta`` still covers the whole
-    shard (prefix replay included) and is what the parent absorbs."""
+    """With a checkpoint store: one encoded entry per entry of
+    ``results`` (:meth:`CheckpointStore.encode`), which the parent
+    writes unchanged."""
 
 
 @dataclass
@@ -201,26 +165,64 @@ class StudyRun:
     pipeline: LprPipeline
     results: List[CycleResult]
     shards: List[ShardResult] = field(default_factory=list)
-    """Per-shard accounting of a parallel run (empty when serial):
-    cycle-range results, restored cycle entries and raw pair blocks,
-    in (cycle, pair) order."""
+    """The pool shards this run executed, in cycle order (empty when
+    the shards ran in-process)."""
 
 
-def _beat(beats, shard: Shard, **fields: Any) -> None:
-    """Push one heartbeat; a dying progress channel never fails work."""
-    if beats is None:
-        return
-    try:
-        beats.put({"shard": shard.shard_id, **fields})
-    except Exception:
-        pass
+def _advance(simulator: ArkSimulator, cursor: int, target: int,
+             state_store: Optional[StateStore]) -> int:
+    """Move ``simulator`` from the state after cycle ``cursor`` to the
+    state after ``target``; returns the cycles replayed.
+
+    With a state store the newest usable snapshot in ``(cursor,
+    target]`` is restored first and only the tail is replayed.
+    Probing never mutates the control plane (DESIGN §6), so the state
+    is byte-identical either way.
+    """
+    if target <= cursor:
+        return 0
+    if state_store is not None:
+        found = state_store.load_nearest(target, after=cursor)
+        if found is not None:
+            cursor, state = found
+            simulator.internet.restore_state(state)
+    if cursor < target:
+        simulator.fast_forward(cursor + 1, target)
+    return target - cursor
+
+
+def _run_cycles(shard: Shard, simulator: ArkSimulator,
+                pipeline: LprPipeline, store: Optional[CheckpointStore],
+                fault_plan: Optional[FaultPlan], attempt: int
+                ) -> Iterator[Tuple[CycleResult, Optional[bytes]]]:
+    """Run a shard's cycles on a simulator holding the state after
+    ``shard.first - 1``, yielding each result with its encoded
+    checkpoint entry (None without a store).
+
+    With a store each cycle gets its own metrics window around its
+    simulation and pipeline only — warm-start restore and prefix
+    replay stay outside; without one no registry snapshot is taken.
+    """
+    registry = get_registry()
+    for cycle in shard.cycles:
+        if fault_plan is not None:
+            fault_plan.maybe_fire(cycle, attempt)
+        window = registry.snapshot() if store is not None else None
+        result = pipeline.process_cycle(simulator.run_cycle(cycle))
+        entry = (None if store is None else store.encode(
+            result, registry.diff(window, registry.snapshot())))
+        yield result, entry
+
+
+def _sample(resources: bool) -> Dict[str, Any]:
+    return {"resources": sample_resources()} if resources else {}
 
 
 def _run_shard(
-    args: Tuple[StudySpec, Shard, int, Optional[ShardFault], bool, Any,
+    args: Tuple[StudySpec, Shard, int, Optional[FaultPlan], bool, Any,
                 Any, bool, Any]
 ) -> ShardResult:
-    """Worker entry: reconstruct state, run the shard's work locally.
+    """Pool worker entry: reconstruct state, run the shard locally.
 
     The worker installs a *fresh* event bus (a forked sink file
     descriptor must never be written from two processes) and a fresh
@@ -228,96 +230,59 @@ def _run_shard(
     ``par.worker`` span tree carries real durations the parent grafts
     into its own trace.  ``beats`` (a manager queue or None) receives
     a liveness heartbeat on entry and after the prefix replay — what
-    arms the stall watchdog's deadline — then one per finished cycle /
-    pair block.  With ``resources`` set each heartbeat also carries a
+    arms the stall watchdog's deadline — then one per finished cycle.
+    With ``resources`` set each heartbeat also carries a
     :func:`~repro.obs.resources.sample_resources` sample of *this*
-    worker process; the parent folds it into its own registry, so the
-    shard's ``metrics_delta`` stays free of resource gauges.
+    worker process; the parent folds it into its own registry.
 
-    With ``checkpoint_dir`` set each cycle also gets its own metrics
-    window around its simulation and pipeline only — the warm-start
-    restore and prefix replay stay outside — and is encoded here, in
-    the process that computed it, into the checkpoint entry the parent
-    writes (``ShardResult.entries``).
-
-    With ``state_dir`` set the worker warm-starts: it restores the
-    newest usable snapshot at or before ``first - 1`` from the shared
-    :class:`StateStore` and replays only the tail, instead of the whole
-    ``1..first-1`` prefix.  Probing never mutates the control plane
-    (DESIGN §6), so the resulting state — and hence the shard's output
-    — is byte-identical either way; ``replayed_cycles`` records what
-    was actually replayed.
+    With ``state_dir`` set the worker warm-starts from the newest
+    usable snapshot at or before ``first - 1`` (:func:`_advance`);
+    ``replayed_cycles`` records what was actually replayed.
     """
-    (spec, shard, attempt, fault, profile, beats, state_dir,
+    (spec, shard, attempt, fault_plan, profile, beats, state_dir,
      resources, checkpoint_dir) = args
     set_event_bus(EventBus())
     tracer = set_tracer(Tracer(MonotonicClock() if profile
                                else NullClock()))
 
-    def _res() -> Dict[str, Any]:
-        return ({"resources": sample_resources()} if resources else {})
+    def beat(**fields: Any) -> None:
+        if beats is None:
+            return
+        try:
+            beats.put({"shard": shard.shard_id, **fields,
+                       **_sample(resources)})
+        except Exception:
+            pass  # a dying progress channel never fails work
 
-    _beat(beats, shard, **_res())
+    beat()
     simulator, pipeline = build_study(spec)
     registry = get_registry()
     before = registry.snapshot()
     sim_traces = registry.counter("sim_traces_total")
     traces_start = sim_traces.value()
-    block_attrs = ({"block": f"{shard.block[0]}/{shard.block[1]}"}
-                   if shard.block is not None else {})
     store = (CheckpointStore(checkpoint_dir, spec)
              if checkpoint_dir is not None else None)
+    state_store = (StateStore(state_dir, spec)
+                   if state_dir is not None else None)
     results: List[CycleResult] = []
-    entries: Optional[List[bytes]] = (
-        [] if store is not None and shard.block is None else None)
-    snapshots: Optional[List[list]] = None
-    replay_from = 1
-    with tracer.span("par.worker", first=shard.first, last=shard.last,
-                     **block_attrs):
-        if state_dir is not None and shard.first > 1:
-            found = StateStore(state_dir, spec).load_nearest(
-                shard.first - 1)
-            if found is not None:
-                snapshot_cycle, state = found
-                simulator.internet.restore_state(state)
-                replay_from = snapshot_cycle + 1
-        simulator.fast_forward(replay_from, shard.first - 1)
+    entries: List[Optional[bytes]] = []
+    with tracer.span("par.worker", first=shard.first, last=shard.last):
+        replayed = _advance(simulator, 0, shard.first - 1, state_store)
         if shard.first > 1:
-            _beat(beats, shard, **_res())  # prefix replayed, alive
-        if shard.block is not None:
-            if fault is not None:
-                fault.maybe_fire(attempt, 0)
-            data = simulator.run_cycle(shard.first,
-                                       pair_block=shard.block)
-            snapshots = data.snapshots
-            _beat(beats, shard, blocks_done=1,
-                  traces=sim_traces.value() - traces_start, **_res())
-        else:
-            for index, cycle in enumerate(shard.cycles):
-                if fault is not None:
-                    fault.maybe_fire(attempt, index)
-                window = (registry.snapshot() if store is not None
-                          else None)
-                result = pipeline.process_cycle(
-                    simulator.run_cycle(cycle))
-                results.append(result)
-                if store is not None:
-                    entries.append(store.encode(_cycle_entry(
-                        result,
-                        registry.diff(window, registry.snapshot()))))
-                _beat(beats, shard, cycles_done=index + 1,
-                      traces=sim_traces.value() - traces_start,
-                      **_res())
+            beat()  # prefix replayed, alive
+        for result, entry in _run_cycles(shard, simulator, pipeline,
+                                         store, fault_plan, attempt):
+            results.append(result)
+            entries.append(entry)
+            beat(cycles_done=len(results),
+                 traces=sim_traces.value() - traces_start)
     return ShardResult(
         shard_id=shard.shard_id,
         results=results,
         metrics_delta=registry.diff(before, registry.snapshot()),
-        replayed_cycles=shard.first - replay_from,
-        block=((shard.first,) + shard.block
-               if shard.block is not None else None),
-        snapshots=snapshots,
+        replayed_cycles=replayed,
         spans=tracer.roots if profile else None,
-        entries=entries,
+        entries=entries if store is not None else None,
     )
 
 
@@ -347,75 +312,69 @@ def run_study(spec: StudySpec, workers: int = 1, *,
               stall_timeout: Optional[float] = None,
               stall_clock: Optional[Clock] = None,
               health: Optional[HealthMonitor] = None) -> StudyRun:
-    """Execute a campaign, sharded over ``workers`` processes.
+    """Execute a campaign over ``workers`` (>= 1) executors.
 
     Results come back ordered by cycle whatever the pool's scheduling,
-    and each shard's metrics delta is absorbed into this process's
+    and each pool shard's metrics delta is absorbed into this process's
     registry, so counters reconcile exactly with a serial run.  With
-    more workers than cycles the surplus splits cycles into pair blocks
-    (:func:`~repro.par.shard.plan_shards`), so even a 1-cycle study
-    scales out — still byte-identical.
+    one worker the shards run in this process on the parent's own
+    simulator: no queue, no pickling, and — without a checkpoint
+    store — no per-cycle registry snapshot.
 
-    Failure handling: a shard whose worker dies or raises is
-    re-dispatched up to ``max_retries`` times, sleeping
+    Failure handling (pool only): a shard whose worker dies or raises
+    is re-dispatched up to ``max_retries`` times, sleeping
     ``backoff_base * 2^round`` seconds between rounds (``sleep`` is
     injectable for tests); on retry, when ``subdivide`` is set,
-    multi-cycle shards split into halves and pair blocks into
-    half-blocks, so a single bad allocation or kill costs only part of
-    the work.  When every retry is exhausted the study aborts with
-    :class:`StudyFailure`.
+    multi-cycle shards split into halves, so a single bad allocation or
+    kill costs only part of the work.  When every retry is exhausted
+    the study aborts with :class:`StudyFailure`.
 
-    With ``checkpoint_dir`` set, every finished cycle is persisted
-    through a :class:`CheckpointStore` under a per-cycle key — one
-    entry per cycle of a range shard, per reassembled cycle and per
-    serial cycle, with identical bytes whichever wrote it — plus one
-    entry per raw pair block.  A restarted run looks every cycle up
-    once, restores the hits and plans shards over the missing cycles
-    only, so any worker layout resumes from any other — byte-identical
-    output either way.  ``fault_plan`` is the test-only injection hook
+    With ``checkpoint_dir`` set every finished cycle is persisted
+    through a :class:`CheckpointStore` under its cycle, with identical
+    bytes whichever executor wrote it; a restarted run looks every
+    cycle up once, restores the hits and plans shards over the missing
+    cycles only, so any worker layout resumes from any other.
+    ``fault_plan`` is the test-only injection hook
     (:mod:`repro.par.faults`); production runs leave it None.
 
     With ``state_dir`` set, control-plane snapshots are shared through
-    a :class:`StateStore` every ``snapshot_stride`` cycles
-    (:mod:`repro.par.statestore`): the parent seeds the store while
-    advancing its own end-state simulator *before* dispatching, each
-    worker warm-starts from the nearest snapshot ≤ its shard's first
-    cycle instead of replaying the whole prefix, and the serial loop
-    writes snapshots as it runs so an interrupted study resumes warm.
-    Snapshots only shortcut :meth:`~repro.sim.ark.ArkSimulator.\
-fast_forward` — never probing — so output stays byte-identical with or
-    without them.
+    a :class:`StateStore` every ``snapshot_stride`` cycles: the pool
+    parent seeds the store while advancing its own end-state simulator
+    *before* dispatching, each worker warm-starts from the nearest
+    snapshot ≤ its shard's first cycle instead of replaying the whole
+    prefix, and the in-process executor writes snapshots as it runs so
+    an interrupted study resumes warm.  A snapshot that does not
+    verify is rewritten.  Snapshots only shortcut
+    :meth:`~repro.sim.ark.ArkSimulator.fast_forward` — never probing —
+    so output stays byte-identical with or without them.
 
     Telemetry (DESIGN §9): lifecycle events (``study.start``,
-    ``shard.dispatch``/``done``/``retry``/``restored``,
+    ``study.plan``, ``shard.dispatch``/``done``/``retry``,
     ``cycle.metrics`` with each cycle's registry delta, ``study.done``)
-    go to the current :mod:`repro.obs.events` bus.  ``progress`` is an
-    optional callback invoked with a live
-    :class:`~repro.obs.progress.ProgressTracker` on every heartbeat and
-    shard completion — passing it opens a worker→parent progress queue
-    and (unless ``progress_clock`` injects a fake) reads the wall clock
-    for ETA, an explicit observability opt-in.  When the caller's
-    global tracer has a real clock (``--profile``/``--trace-out``),
-    workers time their own spans and the parent grafts each shard's
-    tree under the study span, tagged ``shard=<id>``.
+    go to the current :mod:`repro.obs.events` bus.  ``progress`` is
+    invoked with a live :class:`~repro.obs.progress.ProgressTracker` on
+    every heartbeat and shard completion; it reads the wall clock for
+    ETA unless ``progress_clock`` injects a fake.
 
     The live telemetry plane (DESIGN §12) adds three more opt-ins, all
     default-off so the determinism contract stands.  ``resources=True``
     attaches an RSS/CPU/GC sample to every heartbeat (workers, the
-    serial loop and the parent alike), folded into ``worker_*`` gauges
-    in *this* process's registry and emitted as ``worker.resources``
-    events — never into results, per-cycle deltas or checkpoints.
+    in-process executor and the parent alike), folded into
+    ``worker_*`` gauges in *this* process's registry and emitted as
+    ``worker.resources`` events — never into results or checkpoints.
     ``stall_timeout`` arms a heartbeat-deadline
-    :class:`~repro.obs.watchdog.StallWatchdog` (``stall_clock``
-    injectable for tests): a shard silent past the deadline gets a
-    ``shard.stalled`` event, a ``par_shards_stalled_total`` bump and —
-    via ``health`` — flips ``/healthz``; a later beat or completion
-    emits ``shard.recovered``.  ``health`` is the
-    :class:`~repro.obs.live.HealthMonitor` a
-    :class:`~repro.obs.live.TelemetryServer` shares with this run;
-    the runner beats it on every sign of life and freezes it healthy
-    on return.
+    :class:`~repro.obs.watchdog.StallWatchdog` over pool shards
+    (``stall_clock`` injectable for tests): a shard silent past the
+    deadline gets a ``shard.stalled`` event, a
+    ``par_shards_stalled_total`` bump and — via ``health`` — flips
+    ``/healthz``; a later beat or completion emits ``shard.recovered``.
+    ``health`` is the :class:`~repro.obs.live.HealthMonitor` a
+    :class:`~repro.obs.live.TelemetryServer` shares with this run; the
+    runner beats it on every sign of life and freezes it healthy on
+    return.
     """
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     if max_retries < 0:
         raise ValueError(f"negative max_retries: {max_retries}")
     if backoff_base < 0:
@@ -429,63 +388,21 @@ fast_forward` — never probing — so output stays byte-identical with or
              if checkpoint_dir is not None else None)
     state_store = (StateStore(state_dir, spec)
                    if state_dir is not None else None)
-    emit("study.start", cycles=spec.cycles, workers=workers)
-    if workers <= 1:
-        run = _run_serial(spec, store, fault_plan, progress=progress,
-                          progress_clock=progress_clock,
-                          state_store=state_store,
-                          snapshot_stride=snapshot_stride,
-                          resources=resources, health=health)
-        if health is not None:
-            health.finish()
-        emit("study.done", cycles=len(run.results), shards=0)
-        return run
-
-    # Workers inherit profiling from the parent's tracer clock: a real
-    # clock means span durations are wanted, so shards time themselves
-    # and return their trees for grafting.
-    profile = not isinstance(get_tracer().clock, NullClock)
-    # Look every cycle up once: whatever layout wrote a cycle's entry,
-    # it is reused, and only the cycles no entry covers are planned.
-    restored: Dict[int, ShardResult] = {}
-    if store is not None:
-        for cycle in range(1, spec.cycles + 1):
-            cached = store.load(cycle)
-            if cached is not None:
-                restored[cycle] = cached
-    shards = plan_shards((cycle for cycle in range(1, spec.cycles + 1)
-                          if cycle not in restored), workers)
-    emit("study.plan", shards=len(shards), workers=workers)
-    tracker: Optional[ProgressTracker] = None
-    manager = None
-    beats = None
-    # Heartbeats carry progress, resource samples and watchdog
-    # liveness alike: open the worker→parent queue when any consumer
-    # exists.
+    in_process = workers == 1
+    # Heartbeats carry progress, resource samples and liveness alike:
+    # they flow when any consumer exists — over a queue from a pool.
     telemetry = (progress is not None or resources
-                 or stall_timeout is not None)
-    if progress is not None:
-        tracker = ProgressTracker(spec.cycles,
-                                  clock=progress_clock
-                                  or MonotonicClock())
-        tracker.add_restored(len(restored))
-    if telemetry:
-        manager = _pool_context().Manager()
-        beats = manager.Queue()
+                 or stall_timeout is not None or health is not None)
+    tracker = (ProgressTracker(spec.cycles,
+                               clock=progress_clock or MonotonicClock())
+               if progress is not None else None)
     watchdog = (StallWatchdog(stall_timeout, clock=stall_clock)
                 if stall_timeout is not None else None)
+    manager = beats = None
 
     def _notify() -> None:
-        if progress is not None and tracker is not None:
+        if tracker is not None:
             progress(tracker)
-
-    def _register(shard: Shard, done: bool = False) -> None:
-        if tracker is None:
-            return
-        work = (1.0 / shard.block[1] if shard.block is not None
-                else float(len(shard)))
-        tracker.add_shard(shard.shard_id, work,
-                          is_block=shard.block is not None, done=done)
 
     def _on_beat(beat: Dict[str, Any]) -> None:
         sample = beat.pop("resources", None)
@@ -493,269 +410,294 @@ fast_forward` — never probing — so output stays byte-identical with or
         if tracker is not None:
             tracker.heartbeat(shard_id,
                               cycles_done=beat.get("cycles_done", 0),
-                              blocks_done=beat.get("blocks_done", 0),
                               traces=beat.get("traces", 0))
         emit("shard.heartbeat", **beat)
         if sample is not None:
             record_resources(shard_id, sample)
         if watchdog is not None and watchdog.beat(shard_id):
-            emit("shard.recovered", shard=shard_id)
-            if health is not None:
-                health.clear(shard_id)
+            _recovered(shard_id)
         if health is not None:
             health.beat()
         _notify()
 
-    def _on_tick() -> None:
-        """Dispatch-loop pulse: flag shards newly past the deadline."""
-        if watchdog is None:
-            return
-        for shard_id in watchdog.check():
-            _SHARDS_STALLED.inc(shard=shard_id)
-            _log.warning("par.shard.stalled", shard=shard_id,
+    def _recovered(shard_id: int) -> None:
+        emit("shard.recovered", shard=shard_id)
+        if health is not None:
+            health.clear(shard_id)
+
+    def _pool_round(pending: List[Shard]
+                    ) -> Tuple[List[ShardResult],
+                               List[Tuple[Shard, BaseException]]]:
+        """Run every pending shard once on a fresh pool, sorting
+        survivors from casualties; a broken pool (worker killed) fails
+        every shard that had not finished.
+
+        With heartbeats the completion wait runs on a short timeout, so
+        beats drain — and stall deadlines are judged on the same pulse
+        — while shards are still in flight.  A shard flagged stalled is
+        unflagged once its future resolves, result or error.
+        """
+        profile = not isinstance(get_tracer().clock, NullClock)
+        executed: List[ShardResult] = []
+        failed: List[Tuple[Shard, BaseException]] = []
+        with ProcessPoolExecutor(max_workers=min(workers, len(pending)),
+                                 mp_context=_pool_context()) as pool:
+            futures = {
+                pool.submit(_run_shard, (
+                    spec, shard, attempts[shard], fault_plan, profile,
+                    beats, state_dir, resources, checkpoint_dir)): shard
+                for shard in pending}
+            for shard in pending:
+                if watchdog is not None:
+                    watchdog.watch(shard.shard_id)
+                emit("shard.dispatch", shard=shard.shard_id,
+                     first=shard.first, last=shard.last,
+                     attempt=attempts[shard] + 1)
+            waiting = set(futures)
+            while waiting:
+                done, waiting = wait(
+                    waiting, timeout=0.2 if beats is not None else None,
+                    return_when=FIRST_COMPLETED)
+                _drain(beats, _on_beat)
+                for shard_id in (watchdog.check() if watchdog is not None
+                                 else ()):
+                    _SHARDS_STALLED.inc(shard=shard_id)
+                    _log.warning("par.shard.stalled", shard=shard_id,
+                                 timeout=stall_timeout)
+                    emit("shard.stalled", shard=shard_id,
                          timeout=stall_timeout)
-            emit("shard.stalled", shard=shard_id,
-                 timeout=stall_timeout)
-            if health is not None:
-                health.stall(shard_id)
+                    if health is not None:
+                        health.stall(shard_id)
+                for future in done:
+                    shard = futures[future]
+                    try:
+                        executed.append(future.result())
+                    except Exception as error:  # incl. BrokenProcessPool
+                        failed.append((shard, error))
+                    if (watchdog is not None
+                            and watchdog.clear(shard.shard_id)):
+                        _recovered(shard.shard_id)
+            _drain(beats, _on_beat)
+        return executed, failed
 
-    def _on_settle(shard_id: int) -> None:
-        """A shard's future resolved (result or error): unflag it."""
-        if watchdog is not None and watchdog.clear(shard_id):
-            emit("shard.recovered", shard=shard_id)
-            if health is not None:
-                health.clear(shard_id)
-
-    _log.info("par.study.start", cycles=spec.cycles, workers=workers,
-              shards=len(shards))
-    try:
-        with span("par.study", cycles=spec.cycles, shards=len(shards)):
-            # The parent simulator never probes, but its end state
-            # backs post-study experiments — and, with a state store,
-            # its one replay pass seeds the snapshots every worker
-            # warm-starts from, so it runs *before* dispatch.  Without
-            # a store the replay is deferred until after collection
-            # (nothing to share).
-            simulator, pipeline = build_study(spec)
-            if state_store is not None:
-                with span("par.state_seed", cycles=spec.cycles,
-                          stride=snapshot_stride):
-                    _seed_state_store(simulator, state_store,
-                                      spec.cycles, snapshot_stride)
-            # completed: executed cycle-range ShardResults; blocks: raw
-            # pair blocks per cycle (executed or restored).
-            completed: List[ShardResult] = []
-            blocks: Dict[int, List[ShardResult]] = {}
-            pending: List[Shard] = []
-            attempts: Dict[Shard, int] = {}
-            next_id = len(shards)
-            for shard in shards:
-                cached = (store.load(shard.first, shard.block)
-                          if store is not None and shard.block is not None
-                          else None)
-                if cached is not None:
-                    blocks.setdefault(shard.first, []).append(cached)
-                    _register(shard, done=True)
-                    emit("shard.restored", shard=shard.shard_id,
-                         first=shard.first, last=shard.last,
-                         block=list(shard.block))
-                else:
-                    pending.append(shard)
-                    attempts[shard] = 0
-                    _register(shard)
+    def _finish(shard_id: int, cycles: int, replayed: int,
+                **fields: Any) -> None:
+        """Account for one executed shard, whichever executor ran it."""
+        _SHARDS_RUN.inc()
+        _SHARD_CYCLES.inc(cycles, shard=shard_id)
+        _CYCLES_REPLAYED.inc(replayed)
+        if tracker is not None:
+            tracker.shard_done(shard_id)
             _notify()
+        emit("shard.done", shard=shard_id, cycles=cycles,
+             replayed=replayed, **fields)
 
-            round_index = 0
-            while pending:
-                if round_index > 0:
-                    delay = backoff_base * (2 ** (round_index - 1))
-                    if delay > 0:
-                        sleep(delay)
-                executed, failed = _dispatch(spec, pending, workers,
-                                             attempts, fault_plan,
-                                             profile, beats, _on_beat,
-                                             state_dir=state_dir,
-                                             checkpoint_dir=checkpoint_dir,
-                                             resources=resources,
-                                             watchdog=watchdog,
-                                             on_tick=_on_tick,
-                                             on_settle=_on_settle)
-                for result in executed:
-                    _SHARDS_RUN.inc()
-                    if result.block is not None:
-                        _PAIR_BLOCKS.inc(shard=result.shard_id)
-                    else:
-                        _SHARD_CYCLES.inc(len(result.results),
-                                          shard=result.shard_id)
-                    _CYCLES_REPLAYED.inc(result.replayed_cycles)
-                    if store is not None:
-                        store.save(result)
-                    if result.block is not None:
-                        blocks.setdefault(result.block[0],
-                                          []).append(result)
-                    else:
+    emit("study.start", cycles=spec.cycles, workers=workers)
+    try:
+        with span("par.study", cycles=spec.cycles, workers=workers):
+            # Look every cycle up once: whatever layout wrote a cycle's
+            # entry, it is reused, and only the missing cycles run.
+            restored: Dict[int, Tuple[CycleResult, Dict[str, Any]]] = {}
+            if store is not None:
+                for cycle in range(1, spec.cycles + 1):
+                    entry = store.load(cycle)
+                    if entry is not None:
+                        restored[cycle] = entry
+            shards = plan_shards((cycle for cycle in
+                                  range(1, spec.cycles + 1)
+                                  if cycle not in restored), workers)
+            emit("study.plan", shards=len(shards), workers=workers)
+            _log.info("par.study.start", cycles=spec.cycles,
+                      workers=workers, shards=len(shards))
+            if tracker is not None:
+                tracker.add_restored(len(restored))
+                for shard in shards:
+                    tracker.add_shard(shard.shard_id, float(len(shard)))
+            simulator, pipeline = build_study(spec)
+            executed: Dict[int, CycleResult] = {}
+            completed: List[ShardResult] = []
+            if in_process:
+                # The shards run on the parent's own simulator; its
+                # control plane only moves forward, jumping restored
+                # gaps in one hop (snapshot plus tail replay).
+                sim_traces = get_registry().counter("sim_traces_total")
+                cursor = 0
+                for shard in shards:
+                    emit("shard.dispatch", shard=shard.shard_id,
+                         first=shard.first, last=shard.last, attempt=1)
+                    replayed = _advance(simulator, cursor,
+                                        shard.first - 1, state_store)
+                    traces_start = sim_traces.value()
+                    for done, (result, entry) in enumerate(_run_cycles(
+                            shard, simulator, pipeline, store,
+                            fault_plan, 0), 1):
+                        cycle = cursor = result.cycle
+                        executed[cycle] = result
+                        if store is not None:
+                            store.save(cycle, entry)
+                        if (state_store is not None
+                                and cycle % snapshot_stride == 0
+                                and state_store.load(cycle) is None):
+                            state_store.save(
+                                cycle, simulator.internet.capture_state())
+                        if telemetry:
+                            _on_beat({"shard": shard.shard_id,
+                                      "cycles_done": done,
+                                      "traces": (sim_traces.value()
+                                                 - traces_start),
+                                      **_sample(resources)})
+                    _finish(shard.shard_id, len(shard), replayed,
+                            traces=sim_traces.value() - traces_start)
+            else:
+                if telemetry:
+                    manager = _pool_context().Manager()
+                    beats = manager.Queue()
+                # The parent simulator never probes, but its end state
+                # backs post-study experiments — and, with a state
+                # store, its one replay pass seeds the snapshots every
+                # worker warm-starts from, so it runs *before* dispatch.
+                cursor = 0
+                if state_store is not None:
+                    with span("par.state_seed", cycles=spec.cycles,
+                              stride=snapshot_stride):
+                        _seed_state_store(simulator, state_store,
+                                          spec.cycles, snapshot_stride)
+                    cursor = spec.cycles
+                pending = list(shards)
+                attempts: Dict[Shard, int] = {s: 0 for s in shards}
+                next_id = len(shards)
+                round_index = 0
+                while pending:
+                    if round_index > 0:
+                        delay = backoff_base * (2 ** (round_index - 1))
+                        if delay > 0:
+                            sleep(delay)
+                    done_round, failed = _pool_round(pending)
+                    for result in done_round:
+                        if store is not None:
+                            for cycle_result, entry in zip(
+                                    result.results, result.entries):
+                                store.save(cycle_result.cycle, entry)
+                        for cycle_result in result.results:
+                            executed[cycle_result.cycle] = cycle_result
                         completed.append(result)
-                    if tracker is not None:
-                        tracker.shard_done(result.shard_id)
-                        _notify()
-                    emit("shard.done", shard=result.shard_id,
-                         cycles=len(result.results),
-                         replayed=result.replayed_cycles,
-                         traces=_delta_total(result.metrics_delta,
-                                             "sim_traces_total"),
-                         cache_hits=_cache_total(result.metrics_delta,
-                                                 "hits"),
-                         cache_misses=_cache_total(
-                             result.metrics_delta, "misses"),
-                         **({"block": list(result.block)}
-                            if result.block is not None else {}))
-                retry: List[Shard] = []
-                for shard, error in failed:
-                    attempt = attempts.pop(shard)
-                    if attempt >= max_retries:
-                        _SHARDS_FAILED.inc()
-                        emit("shard.failed", shard=shard.shard_id,
-                             first=shard.first, last=shard.last,
-                             attempts=attempt + 1, error=str(error))
-                        raise StudyFailure(
-                            f"shard of cycles {shard.first}-"
-                            f"{shard.last} failed after {attempt + 1} "
-                            f"attempts: {error}"
-                        ) from error
-                    _SHARD_RETRIES.inc(shard=shard.shard_id)
-                    _log.warning("par.shard.retry",
-                                 shard=shard.shard_id,
+                        delta = result.metrics_delta
+                        _finish(result.shard_id, len(result.results),
+                                result.replayed_cycles,
+                                traces=_delta_total(delta,
+                                                    "sim_traces_total"),
+                                cache_hits=_cache_total(delta, "hits"),
+                                cache_misses=_cache_total(delta,
+                                                          "misses"))
+                    pending = []
+                    for shard, error in failed:
+                        attempt = attempts.pop(shard)
+                        if attempt >= max_retries:
+                            _SHARDS_FAILED.inc()
+                            emit("shard.failed", shard=shard.shard_id,
                                  first=shard.first, last=shard.last,
-                                 attempt=attempt + 1,
-                                 error=str(error))
-                    emit("shard.retry", shard=shard.shard_id,
-                         first=shard.first, last=shard.last,
-                         attempt=attempt + 1, error=str(error))
-                    children: List[Shard] = []
-                    if subdivide and shard.block is not None:
-                        index, count = shard.block
-                        for child_block in ((2 * index, 2 * count),
-                                            (2 * index + 1,
-                                             2 * count)):
-                            children.append(Shard(
-                                shard_id=next_id, first=shard.first,
-                                last=shard.last, block=child_block))
-                            next_id += 1
-                    elif subdivide and len(shard) > 1:
-                        for half in shard_cycles(shard.first,
-                                                 shard.last, 2):
-                            children.append(Shard(
-                                shard_id=next_id, first=half.first,
-                                last=half.last))
-                            next_id += 1
-                    if children:
-                        if tracker is not None:
-                            tracker.abandon_shard(shard.shard_id)
-                        emit("shard.subdivided",
-                             parent=shard.shard_id,
-                             children=[c.shard_id for c in children])
+                                 attempts=attempt + 1, error=str(error))
+                            raise StudyFailure(
+                                f"shard of cycles {shard.first}-"
+                                f"{shard.last} failed after "
+                                f"{attempt + 1} attempts: {error}"
+                            ) from error
+                        _SHARD_RETRIES.inc(shard=shard.shard_id)
+                        _log.warning("par.shard.retry",
+                                     shard=shard.shard_id,
+                                     first=shard.first, last=shard.last,
+                                     attempt=attempt + 1,
+                                     error=str(error))
+                        emit("shard.retry", shard=shard.shard_id,
+                             first=shard.first, last=shard.last,
+                             attempt=attempt + 1, error=str(error))
+                        children = [shard]
+                        if subdivide and len(shard) > 1:
+                            children = [
+                                Shard(shard_id=next_id + index,
+                                      first=half.first, last=half.last)
+                                for index, half in enumerate(
+                                    shard_cycles(shard.first,
+                                                 shard.last, 2))]
+                            next_id += len(children)
+                            emit("shard.subdivided",
+                                 parent=shard.shard_id,
+                                 children=[c.shard_id for c in children])
+                            if tracker is not None:
+                                tracker.abandon_shard(shard.shard_id)
+                                for child in children:
+                                    tracker.add_shard(child.shard_id,
+                                                      float(len(child)))
                         for child in children:
                             attempts[child] = attempt + 1
-                            _register(child)
-                            retry.append(child)
-                    else:
-                        attempts[shard] = attempt + 1
-                        retry.append(shard)
-                pending = retry
-                round_index += 1
+                            pending.append(child)
+                    round_index += 1
 
-            # Assemble in cycle order: absorb restored and cycle-range
-            # deltas as-is; reassemble pair-block cycles and pipeline
-            # them in-process, exactly where a serial run would.
+            # Assemble in cycle order: graft and absorb what the pool
+            # sent home, absorb restored deltas, and emit every
+            # cycle's metrics exactly where a serial run's would sit.
             registry = get_registry()
+            completed.sort(key=lambda result: result.results[0].cycle)
+            for result in completed:
+                if result.spans:
+                    get_tracer().graft(result.spans,
+                                       shard=result.shard_id)
+                registry.absorb(result.metrics_delta)
             results: List[CycleResult] = []
-            shards_out: List[ShardResult] = []
-            units = [(cycle, entry, None)
-                     for cycle, entry in restored.items()]
-            units.extend((r.results[0].cycle, r, None) for r in completed)
-            for cycle, cycle_blocks in blocks.items():
-                units.append((cycle, None, cycle_blocks))
-            units.sort(key=lambda unit: unit[0])
-            for cycle, whole, cycle_blocks in units:
-                if whole is not None:
-                    if whole.spans:
-                        get_tracer().graft(whole.spans,
-                                           shard=whole.shard_id)
-                    registry.absorb(whole.metrics_delta)
-                    flag = ({"restored": True} if cycle in restored
-                            else {})
-                    for result in whole.results:
-                        emit("cycle.metrics", cycle=result.cycle,
-                             metrics=result.metrics, **flag)
-                    results.extend(whole.results)
-                    shards_out.append(whole)
-                    continue
-                assembled, ordered = _assemble_cycle(
-                    spec, cycle, cycle_blocks, pipeline, registry)
-                if store is not None:
-                    store.save(assembled)
-                results.extend(assembled.results)
-                shards_out.extend(ordered)
+            for cycle in range(1, spec.cycles + 1):
+                if cycle in restored:
+                    result, delta = restored[cycle]
+                    registry.absorb(delta)
+                    emit("cycle.metrics", cycle=cycle,
+                         metrics=result.metrics, restored=True)
+                else:
+                    result = executed[cycle]
+                    emit("cycle.metrics", cycle=cycle,
+                         metrics=result.metrics)
+                results.append(result)
 
-            # Post-study experiments (persistence sweeps, ramp
-            # campaigns, label dynamics) run extra cycles on top of
-            # the campaign's end state — replay the whole
-            # control-plane evolution so that state matches a serial
-            # run.  With a state store the seeding pass above already
-            # left the simulator at the end state.
-            if state_store is None:
-                with span("par.fast_forward", cycles=spec.cycles):
-                    simulator.fast_forward(1, spec.cycles)
+            # Post-study experiments run extra cycles on top of the
+            # campaign's end state, so the parent simulator must hold
+            # it — replayed here unless execution or seeding left it
+            # there already.
+            if cursor < spec.cycles:
+                with span("par.fast_forward",
+                          cycles=spec.cycles - cursor):
+                    _advance(simulator, cursor, spec.cycles,
+                             state_store)
     finally:
         if manager is not None:
             manager.shutdown()
     if resources:
-        # The parent's own footprint (reassembly, absorption, replay),
-        # after every delta window has closed.
+        # The parent's own footprint, after every delta window closed.
         record_resources("parent", sample_resources())
     if health is not None:
         health.finish()
     _log.info("par.study.done", cycles=len(results),
-              shards=len(shards_out))
-    emit("study.done", cycles=len(results), shards=len(shards_out))
+              shards=len(completed))
+    emit("study.done", cycles=len(results), shards=len(completed))
     return StudyRun(simulator=simulator, pipeline=pipeline,
-                    results=results, shards=shards_out)
+                    results=results, shards=completed)
 
 
 def _seed_state_store(simulator: ArkSimulator, state_store: StateStore,
                       cycles: int, stride: int) -> None:
-    """Advance ``simulator`` to the campaign's end state, writing any
-    missing stride snapshots on the way.
+    """Advance ``simulator`` to the campaign's end state, writing every
+    stride snapshot that does not verify on the way.
 
-    The seeding pass itself warm-starts: it restores the newest usable
-    snapshot that does not skip past a missing stride target, so a
-    resumed or repeated study pays only for the snapshots it still
-    lacks.  On completion the simulator holds the cycle-``cycles`` end
-    state — the parallel runner's final ``fast_forward`` folded into
-    the same pass.
+    The pass warm-starts from the newest usable snapshot before the
+    first missing one, so a resumed or repeated study pays only for
+    the snapshots it still lacks, and a rejected file is replaced.
     """
-    targets = range(stride, cycles + 1, stride)
-    missing = [cycle for cycle in targets
-               if not state_store.has(cycle)]
-    horizon = missing[0] if missing else cycles
-    cursor = 0
-    found = state_store.load_nearest(horizon)
-    if found is not None:
-        cursor, state = found
-        simulator.internet.restore_state(state)
-    remaining = set(missing)
-    for cycle in range(cursor + 1, cycles + 1):
-        simulator.fast_forward(cycle, cycle)
-        if cycle in remaining:
-            state_store.save(cycle, simulator.internet.capture_state())
-
-
-def _cycle_entry(result: CycleResult,
-                 delta: Dict[str, Any]) -> ShardResult:
-    """One cycle as its own unit — the shape of a per-cycle checkpoint
-    entry, whichever layout computed the cycle."""
-    return ShardResult(shard_id=result.cycle - 1, results=[result],
-                       metrics_delta=delta, replayed_cycles=0)
+    missing = [cycle for cycle in range(stride, cycles + 1, stride)
+               if state_store.load(cycle) is None]
+    cursor = missing[0] - 1 if missing else cycles
+    _advance(simulator, 0, cursor, state_store)
+    for cycle in missing:
+        _advance(simulator, cursor, cycle, None)
+        cursor = cycle
+        state_store.save(cycle, simulator.internet.capture_state())
+    _advance(simulator, cursor, cycles, None)
 
 
 def _delta_total(delta: Dict[str, Any], name: str) -> float:
@@ -771,256 +713,19 @@ _CACHE_METRICS = ("route_cache", "hop_cache", "quoted_stack_cache")
 
 def _cache_total(delta: Dict[str, Any], side: str) -> float:
     """Combined cache ``hits``/``misses`` across the memoization
-    layers (the per-process counters checkpoints strip)."""
+    layers (in-process runs report them as ``cache.flush`` events)."""
     return sum(_delta_total(delta, f"{prefix}_{side}_total")
                for prefix in _CACHE_METRICS)
 
 
-def _assemble_cycle(spec: StudySpec, cycle: int,
-                    cycle_blocks: List[ShardResult],
-                    pipeline: LprPipeline, registry
-                    ) -> Tuple[ShardResult, List[ShardResult]]:
-    """One cycle reassembled from its pair blocks, then pipelined.
-
-    Blocks sort by their fractional start (``index/count`` — retry
-    subdivision can mix granularities) and must tile [0, 1) exactly;
-    each snapshot's traces are concatenated in that order, which is
-    pair order.  The pipeline then runs in-process over the rebuilt
-    :class:`CycleData`, and the cycle's metrics delta — absorbed block
-    deltas plus the pipeline stages — matches a serial cycle's
-    (modulo the layout-dependent cache counters the checkpoint layer
-    strips).  Returns the cycle-level ShardResult (checkpointed under
-    the serial key) plus the ordered blocks for accounting.
-    """
-    ordered = sorted(cycle_blocks,
-                     key=lambda r: Fraction(r.block[1], r.block[2]))
-    position = Fraction(0)
-    for block in ordered:
-        _cycle, index, count = block.block
-        if Fraction(index, count) != position:
-            raise StudyFailure(
-                f"cycle {cycle}: pair blocks do not tile: expected a "
-                f"block starting at {position}, got {index}/{count}")
-        position = Fraction(index + 1, count)
-    if position != 1:
-        raise StudyFailure(
-            f"cycle {cycle}: pair blocks cover only {position} of the "
-            f"pair list")
-    snapshots: List[list] = []
-    for snapshot_index in range(spec.snapshots_per_cycle):
-        merged: list = []
-        for block in ordered:
-            merged.extend(block.snapshots[snapshot_index])
-        snapshots.append(merged)
-    before = registry.snapshot()
-    for block in ordered:
-        if block.spans:
-            get_tracer().graft(block.spans, shard=block.shard_id)
-        registry.absorb(block.metrics_delta)
-    result = pipeline.process_cycle(
-        CycleData(cycle=cycle, snapshots=snapshots))
-    assembled = _cycle_entry(
-        result, registry.diff(before, registry.snapshot()))
-    emit("cycle.assembled", cycle=cycle, blocks=len(ordered))
-    emit("cycle.metrics", cycle=cycle, metrics=result.metrics)
-    return assembled, ordered
-
-
 def _drain(beats, on_beat: Callable[[Dict[str, Any]], None]) -> None:
     """Deliver every queued heartbeat to the parent-side callback."""
-    if beats is None:
-        return
-    while True:
+    while beats is not None:
         try:
             beat = beats.get_nowait()
-        except queue_module.Empty:
-            return
         except Exception:
-            # Manager connection torn down mid-run: heartbeats are
-            # best-effort telemetry, never worth failing the study.
+            # Queue empty — or the manager connection torn down mid-run:
+            # heartbeats are best-effort telemetry, never worth failing
+            # the study.
             return
         on_beat(beat)
-
-
-def _dispatch(spec: StudySpec, shards: List[Shard], workers: int,
-              attempts: Dict[Shard, int],
-              fault_plan: Optional[FaultPlan],
-              profile: bool = False,
-              beats=None,
-              on_beat: Optional[Callable[[Dict[str, Any]],
-                                         None]] = None,
-              state_dir=None,
-              checkpoint_dir=None,
-              resources: bool = False,
-              watchdog: Optional[StallWatchdog] = None,
-              on_tick: Optional[Callable[[], None]] = None,
-              on_settle: Optional[Callable[[int], None]] = None
-              ) -> Tuple[List[ShardResult],
-                         List[Tuple[Shard, BaseException]]]:
-    """One pool round: run every shard once, sorting survivors from
-    casualties.  A broken pool (worker killed) fails every shard that
-    had not finished; the pool itself is rebuilt next round.
-
-    With a progress queue, the completion wait runs on a short timeout
-    so heartbeats drain (and the progress line refreshes) while shards
-    are still in flight; without one it blocks until each completion.
-    A ``watchdog`` registers each submitted shard and ``on_tick`` runs
-    after every drain, so stall deadlines are judged on the same pulse
-    heartbeats arrive on; ``on_settle`` fires once per resolved future
-    (success or failure), letting the runner unflag a stalled shard
-    whose worker finally returned.
-    """
-    executed: List[ShardResult] = []
-    failed: List[Tuple[Shard, BaseException]] = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(shards)),
-                             mp_context=_pool_context()) as pool:
-        futures = {
-            pool.submit(
-                _run_shard,
-                (spec, shard, attempts[shard],
-                 fault_plan.for_shard(shard) if fault_plan else None,
-                 profile, beats, state_dir, resources, checkpoint_dir),
-            ): shard
-            for shard in shards
-        }
-        for shard in shards:
-            if watchdog is not None:
-                watchdog.watch(shard.shard_id)
-            emit("shard.dispatch", shard=shard.shard_id,
-                 first=shard.first, last=shard.last,
-                 attempt=attempts[shard] + 1,
-                 **({"block": list(shard.block)}
-                    if shard.block is not None else {}))
-        pending = set(futures)
-        while pending:
-            done, pending = wait(
-                pending,
-                timeout=0.2 if beats is not None else None,
-                return_when=FIRST_COMPLETED)
-            if on_beat is not None:
-                _drain(beats, on_beat)
-            if on_tick is not None:
-                on_tick()
-            for future in done:
-                shard = futures[future]
-                try:
-                    executed.append(future.result())
-                except Exception as error:  # incl. BrokenProcessPool
-                    failed.append((shard, error))
-                if on_settle is not None:
-                    on_settle(shard.shard_id)
-        if on_beat is not None:
-            _drain(beats, on_beat)
-    return executed, failed
-
-
-def _run_serial(spec: StudySpec, store: Optional[CheckpointStore],
-                fault_plan: Optional[FaultPlan],
-                progress: Optional[Callable[[ProgressTracker],
-                                            None]] = None,
-                progress_clock: Optional[Clock] = None,
-                state_store: Optional[StateStore] = None,
-                snapshot_stride: int = DEFAULT_SNAPSHOT_STRIDE,
-                resources: bool = False,
-                health: Optional[HealthMonitor] = None
-                ) -> StudyRun:
-    """The in-process loop, with optional per-cycle checkpointing.
-
-    Serially each cycle is its own checkpoint unit: a resumed run
-    replays the control plane through checkpointed cycles (no probing)
-    and absorbs their stored metrics deltas, so registry totals and
-    results match an uninterrupted run exactly (modulo the stripped
-    cache counters, which only ever count probes actually issued by
-    this process).
-
-    With a ``state_store`` the loop writes a control-plane snapshot
-    after each probed stride-multiple cycle and the control-plane
-    advance is *deferred*: a checkpointed cycle needs no simulator
-    state, so over a run of restored cycles the loop stays put, then
-    jumps the gap in one hop — nearest snapshot plus tail replay — when
-    it next probes (or at the end, for the end state).  An interrupted
-    ``--state-dir`` study therefore resumes warm instead of replaying
-    its whole checkpointed prefix.
-
-    A serial run is its own single "shard" on the progress tracker (one
-    heartbeat per finished cycle), and emits the same ``cycle.metrics``
-    events a parallel run does, so ``repro report`` reads both alike.
-    With ``resources`` it samples itself once per cycle under shard
-    label 0 — *after* the cycle's checkpoint delta window closed, so
-    the persisted bytes never see a gauge — and beats ``health`` on
-    the same cadence (the serial path's stall detection is the
-    monitor's staleness rule, there being no per-shard watchdog).
-    """
-    simulator, pipeline = build_study(spec)
-    registry = get_registry()
-    sim_traces = registry.counter("sim_traces_total")
-    traces_start = sim_traces.value()
-    tracker: Optional[ProgressTracker] = None
-    if progress is not None:
-        tracker = ProgressTracker(spec.cycles,
-                                  clock=progress_clock
-                                  or MonotonicClock())
-        tracker.add_shard(0, float(spec.cycles))
-    results: List[CycleResult] = []
-    # Last cycle whose control-plane evolution the simulator holds.
-    state_cursor = 0
-
-    def _advance_to(target: int) -> None:
-        nonlocal state_cursor
-        if target <= state_cursor:
-            return
-        if state_store is not None:
-            found = state_store.load_nearest(target, after=state_cursor)
-            if found is not None:
-                state_cursor, state = found
-                simulator.internet.restore_state(state)
-        if state_cursor < target:
-            simulator.fast_forward(state_cursor + 1, target)
-            state_cursor = target
-
-    for cycle in range(1, spec.cycles + 1):
-        cached = (store.load(cycle)
-                  if store is not None else None)
-        if cached is not None:
-            if state_store is None:
-                _advance_to(cycle)
-            registry.absorb(cached.metrics_delta)
-            for result in cached.results:
-                emit("cycle.metrics", cycle=result.cycle,
-                     metrics=result.metrics, restored=True)
-            results.extend(cached.results)
-        else:
-            if fault_plan is not None:
-                fault = fault_plan.for_cycle(cycle)
-                if fault is not None:
-                    fault.maybe_fire(0, 0)
-            _advance_to(cycle - 1)
-            before = registry.snapshot() if store is not None else None
-            result = pipeline.process_cycle(simulator.run_cycle(cycle))
-            state_cursor = cycle
-            results.append(result)
-            emit("cycle.metrics", cycle=result.cycle,
-                 metrics=result.metrics)
-            if store is not None:
-                store.save(_cycle_entry(
-                    result, registry.diff(before, registry.snapshot())))
-            if (state_store is not None
-                    and cycle % snapshot_stride == 0
-                    and not state_store.has(cycle)):
-                state_store.save(cycle,
-                                 simulator.internet.capture_state())
-        if resources:
-            record_resources(0, sample_resources())
-        if health is not None:
-            health.beat()
-        if tracker is not None:
-            tracker.heartbeat(
-                0, cycles_done=cycle,
-                traces=sim_traces.value() - traces_start)
-            progress(tracker)
-    _advance_to(spec.cycles)
-    if tracker is not None:
-        tracker.shard_done(0)
-        progress(tracker)
-    return StudyRun(simulator=simulator, pipeline=pipeline,
-                    results=results)

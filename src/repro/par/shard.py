@@ -12,39 +12,23 @@ A resumed study plans only the cycles no checkpoint covers:
 :func:`plan_shards` takes the *missing* cycles, splits them into
 maximal contiguous runs and deals the workers over those runs, so a
 crash at cycle 13 of 24 resumes as ``13-18`` and ``19-24`` whatever
-layout wrote cycles 1-12.
-
-When callers ask for more workers than there are cycles,
-:func:`plan_shards` keeps going *inside* the cycles: the surplus
-workers each take one contiguous **pair block** — a slice of a cycle's
-(monitor, destination) list (``Shard.block``) — so a 1-cycle study
-still fills every core.  Pair-block shards trace over the same
-fast-forwarded state a full-cycle worker would hold, and the runner
-reassembles their traces in pair order, so the output stays
-byte-identical (DESIGN §8).
+layout wrote cycles 1-12.  The smallest unit is one whole cycle:
+workers beyond the missing-cycle count stay idle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 
 @dataclass(frozen=True)
 class Shard:
-    """One worker's contiguous block of cycles (inclusive bounds).
-
-    ``block`` is None for an ordinary cycle-range shard.  For an
-    intra-cycle shard it is ``(index, count)``: the shard covers pair
-    block ``index`` of ``count`` of the single cycle ``first``
-    (``first == last``), sliced per snapshot by
-    :func:`repro.sim.ark.block_bounds`.
-    """
+    """One worker's contiguous block of cycles (inclusive bounds)."""
 
     shard_id: int
     first: int
     last: int
-    block: Optional[Tuple[int, int]] = None
 
     @property
     def cycles(self) -> range:
@@ -108,39 +92,22 @@ def _deal(runs: List[Tuple[int, int]], workers: int) -> List[int]:
 def plan_shards(cycles: Iterable[int], workers: int) -> List[Shard]:
     """One shard per worker over the given (missing) cycles.
 
-    A pure function of ``(set of cycles, workers)``.  With ``workers <=
-    len(cycles)`` the cycles split into maximal contiguous runs, the
-    workers are dealt over the runs (:func:`_deal`) and each run splits
-    like :func:`shard_cycles` — so a full ``1..N`` range plans exactly
-    ``shard_cycles(1, N, workers)``.  More runs than workers yields one
-    shard per run (the pool queues the surplus).  With more workers
-    than cycles, every cycle becomes its own unit and the surplus
-    workers split cycles into pair blocks: ``divmod`` spreads the
-    workers over the cycles (earlier cycles take the remainder), and a
-    cycle assigned ``k > 1`` workers yields ``k`` intra-cycle shards
-    ``block=(0..k-1, k)``.  Shard ids run in (cycle, block) order.
+    A pure function of ``(set of cycles, workers)``: the cycles split
+    into maximal contiguous runs, the workers — at most one per cycle —
+    are dealt over the runs (:func:`_deal`) and each run splits like
+    :func:`shard_cycles`, so a full ``1..N`` range plans exactly
+    ``shard_cycles(1, N, workers)``.  More runs than workers yields
+    one shard per run (the pool queues the surplus).  Shard ids run in
+    cycle order.
     """
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     missing = sorted(set(cycles))
+    runs = contiguous_runs(missing)
     out: List[Shard] = []
-    if not missing:
-        return out
-    if workers <= len(missing):
-        runs = contiguous_runs(missing)
-        for (first, last), share in zip(runs, _deal(runs, workers)):
-            for shard in shard_cycles(first, last, share):
-                out.append(Shard(shard_id=len(out), first=shard.first,
-                                 last=shard.last))
-        return out
-    base, extra = divmod(workers, len(missing))
-    for offset, cycle in enumerate(missing):
-        count = base + (1 if offset < extra else 0)
-        if count == 1:
-            out.append(Shard(shard_id=len(out), first=cycle,
-                             last=cycle))
-            continue
-        for index in range(count):
-            out.append(Shard(shard_id=len(out), first=cycle,
-                             last=cycle, block=(index, count)))
+    for (first, last), share in zip(
+            runs, _deal(runs, min(workers, len(missing)))):
+        for shard in shard_cycles(first, last, share):
+            out.append(Shard(shard_id=len(out), first=shard.first,
+                             last=shard.last))
     return out

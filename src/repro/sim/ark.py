@@ -42,23 +42,6 @@ _SIM_TRACES = get_registry().counter(
     "sim_traces_total", "Traces produced by the simulated campaigns")
 
 
-def block_bounds(total: int, index: int, count: int) -> Tuple[int, int]:
-    """Half-open slice bounds of block ``index`` of ``count`` over a
-    ``total``-item list: ``[total*i//count, total*(i+1)//count)``.
-
-    The blocks are contiguous, cover every item exactly once for any
-    ``total``, and — the property the retry machinery leans on — the
-    children ``(2i, 2count)`` and ``(2i+1, 2count)`` of block
-    ``(i, count)`` tile exactly the parent's range, so a subdivided
-    pair block never duplicates or drops a probe.
-    """
-    if count < 1:
-        raise ValueError(f"need at least one block, got {count}")
-    if not 0 <= index < count:
-        raise ValueError(f"block index {index} out of [0, {count})")
-    return (total * index) // count, (total * (index + 1)) // count
-
-
 @dataclass
 class CycleData:
     """The traces of one monthly cycle.
@@ -116,8 +99,8 @@ class ArkSimulator:
         # The hash rankings are fraction-independent, so they are
         # computed once; fractions only slice them.  Assignment pair
         # lists are pure functions of their arguments, so a small LRU
-        # spares intra-cycle pair-block workers (and repeated-cycle
-        # experiments) the per-call team split and pair build.
+        # spares repeated-cycle experiments the per-call team split and
+        # pair build.
         self._ranked_monitors: Optional[List[Monitor]] = None
         self._ranked_destinations: Optional[List[int]] = None
         self._assignment_cache: OrderedDict = OrderedDict()
@@ -165,7 +148,6 @@ class ArkSimulator:
 
         The pair list is a pure function of the arguments, so it is
         memoized (small LRU); callers must treat it as read-only —
-        :meth:`run_cycle` slices blocks out of it and
         :class:`~repro.sim.traceroute.TracerouteEngine` only iterates.
         """
         key = (cycle, monitor_fraction, dest_fraction, snapshot, churn)
@@ -244,26 +226,9 @@ class ArkSimulator:
                 for _ in range(self.snapshots_per_cycle):
                     self.internet.tick()
 
-    def run_cycle(self, cycle: int,
-                  pair_block: Optional[Tuple[int, int]] = None
-                  ) -> CycleData:
-        """Execute one monthly cycle with its follow-up snapshots.
-
-        ``pair_block=(index, count)`` restricts probing to one
-        contiguous block of each snapshot's (monitor, destination)
-        pair list (:func:`block_bounds`): the control plane still
-        evolves exactly as a full cycle would (policies applied, timers
-        ticked), but only the block's traces are issued.  Concatenating
-        the per-snapshot traces of blocks ``0..count-1`` in order
-        reproduces the full cycle's snapshots byte-for-byte — Paris
-        forwarding is a pure function of (pair, frozen state), so
-        probes neither observe nor disturb each other
-        (:mod:`repro.par` intra-cycle sharding, DESIGN §8).  Only block
-        0 counts the cycle/snapshot in the registry, keeping merged
-        totals layout-invariant.
-        """
+    def run_cycle(self, cycle: int) -> CycleData:
+        """Execute one monthly cycle with its follow-up snapshots."""
         data = CycleData(cycle=cycle)
-        counts = pair_block is None or pair_block[0] == 0
         with span("sim.cycle", cycle=cycle):
             with span("sim.control"):
                 plan = self._apply_cycle(cycle)
@@ -276,10 +241,6 @@ class ArkSimulator:
                     pairs = self.assignments(
                         cycle, plan.monitor_fraction,
                         plan.dest_fraction, snapshot)
-                    if pair_block is not None:
-                        low, high = block_bounds(len(pairs),
-                                                 *pair_block)
-                        pairs = pairs[low:high]
                     engine = TracerouteEngine(
                         DataPlane(self.internet,
                                   era=flow_hash(cycle, snapshot),
@@ -292,16 +253,12 @@ class ArkSimulator:
                     timestamp = (cycle - 1) * _MONTH + snapshot * _DAY
                     traces = engine.trace_all(pairs, timestamp)
                 data.snapshots.append(traces)
-                if counts:
-                    _SNAPSHOTS_SIMULATED.inc()
+                _SNAPSHOTS_SIMULATED.inc()
                 _SIM_TRACES.inc(len(traces))
-        if counts:
-            _CYCLES_SIMULATED.inc()
+        _CYCLES_SIMULATED.inc()
         _log.info("sim.cycle.done", cycle=cycle,
                   snapshots=len(data.snapshots),
-                  traces=sum(len(s) for s in data.snapshots),
-                  **({"pair_block": pair_block}
-                     if pair_block is not None else {}))
+                  traces=sum(len(s) for s in data.snapshots))
         return data
 
     def run(self, first: int = 1, last: Optional[int] = None

@@ -56,17 +56,19 @@ from .network import AsNetwork, DecisionCache, Internet, SegmentCache
 
 _ROUTE_HITS = get_registry().counter(
     "route_cache_hits_total",
-    "Destination /24 route resolutions served from the study's table")
+    "Destination /24 route resolutions served from the study's table",
+    execution=True)
 _ROUTE_MISSES = get_registry().counter(
     "route_cache_misses_total",
     "Route resolutions computed and memoized (first trace per source "
-    "AS and /24)")
+    "AS and /24)", execution=True)
 _HOP_HITS = get_registry().counter(
     "hop_cache_hits_total",
-    "Per-AS hop materializations served from the era's hop cache")
+    "Per-AS hop materializations served from the era's hop cache",
+    execution=True)
 _HOP_MISSES = get_registry().counter(
     "hop_cache_misses_total",
-    "Per-AS hop sequences materialized and memoized")
+    "Per-AS hop sequences materialized and memoized", execution=True)
 
 # Hop-cache key tags: which forwarding branch materialized the entry.
 _TE, _LDP, _IP = 0, 1, 2

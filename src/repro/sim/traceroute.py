@@ -69,10 +69,12 @@ _TRACES = get_registry().counter(
     "traces_total", "Traceroutes completed, by stop reason")
 _STACK_HITS = get_registry().counter(
     "quoted_stack_cache_hits_total",
-    "ICMP quoted-stack decodes served from the engine's cache")
+    "ICMP quoted-stack decodes served from the engine's cache",
+    execution=True)
 _STACK_MISSES = get_registry().counter(
     "quoted_stack_cache_misses_total",
-    "ICMP quoted stacks encoded + decoded (first probe per stack)")
+    "ICMP quoted stacks encoded + decoded (first probe per stack)",
+    execution=True)
 
 
 class _Tally:

@@ -1,9 +1,8 @@
 """Correctness backstop: invariants + differential oracle + shrinker.
 
-After the parallel runner, pair-block sharding, forwarding-path
-memoization, checkpoint resume and warm-start snapshots, the same
-:class:`~repro.par.StudySpec` can execute through half a dozen
-independent fast paths.  The paper's LPR conclusions are only
+After the parallel runner, forwarding-path memoization, checkpoint
+resume and warm-start snapshots, the same :class:`~repro.par.StudySpec`
+can execute through half a dozen independent fast paths.  The paper's LPR conclusions are only
 trustworthy if all of them are *byte-identical* to the plain serial
 reference — an equivalence previously asserted only in scattered
 pairwise tests.  This package makes it a first-class subsystem:
@@ -13,8 +12,7 @@ pairwise tests.  This package makes it a first-class subsystem:
   reconciliation, drop-counter accounting, cache accounting,
   capture/restore idempotence) every figure silently assumes;
 * :mod:`repro.verify.differential` — a matrix runner that executes one
-  spec through every configuration (serial, sharded, pair-block,
-  unmemoized, checkpoint kill+resume, cold/warm state store, strict vs
+  spec through every configuration (serial, sharded, unmemoized, checkpoint kill+resume, cold/warm state store, strict vs
   tolerant archive round-trips) and diffs canonical artifacts
   cycle-by-cycle, reporting the first divergent (config, cycle, stage);
 * :mod:`repro.verify.shrink` — on divergence, auto-shrinks the spec

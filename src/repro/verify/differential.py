@@ -1,9 +1,8 @@
 """The differential oracle: one spec, every execution path, zero diffs.
 
-The study runner grew five independent fast paths (process-pool cycle
-shards, intra-cycle pair blocks, forwarding-path memoization,
-checkpoint resume, warm-start state snapshots) plus two archive read
-modes.  Each claims byte-identity with the serial reference; this
+The study runner grew four independent fast paths (process-pool cycle
+shards, forwarding-path memoization, checkpoint resume, warm-start
+state snapshots) plus two archive read modes.  Each claims byte-identity with the serial reference; this
 module *proves* it per run, the way TNT-style measurement studies
 cross-validate pipelines: execute the same
 :class:`~repro.par.StudySpec` through every configuration, canonicalise
@@ -12,7 +11,7 @@ reference, reporting the first divergent ``(config, cycle, stage)``
 with a structured value diff.
 
 A configuration is a :class:`VerifyConfig`; :func:`default_matrix`
-builds the standard eight.  :func:`run_matrix` executes them all,
+builds the standard seven.  :func:`run_matrix` executes them all,
 audits the reference run against the invariant registry
 (:mod:`repro.verify.invariants`), and — on divergence — hands the
 failing configuration to the shrinker (:mod:`repro.verify.shrink`) for
@@ -30,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.render import format_table
 from ..core.pipeline import CycleResult
-from ..obs import emit, get_logger, get_registry
+from ..obs import MetricsRegistry, emit, get_logger, get_registry
 from ..par import (
     FaultInjected,
     FaultPlan,
@@ -39,7 +38,6 @@ from ..par import (
     StudySpec,
     build_study,
     run_study,
-    strip_layout_dependent,
 )
 from ..warts import read_archive, salvage_archive, write_archive
 from .invariants import Violation, audit_run
@@ -66,12 +64,12 @@ names the failure; the rest are context)."""
 class VerifyConfig:
     """One way of executing a study spec.
 
-    ``workers`` shards cycles; ``oversubscribe`` instead requests
-    ``2 * cycles`` workers so every cycle splits into pair blocks.
+    ``workers`` shards cycles over a process pool.
     ``memoize=False`` runs the uncached forwarding reference.
     ``resume`` stages a mid-study crash (RAISE fault against a
     checkpointed serial run) and re-runs to completion from the
-    checkpoints on ``workers`` processes — a cross-layout resume.  ``state`` names a shared warm-start store key:
+    checkpoints on ``workers`` processes — a cross-layout resume.
+    ``state`` names a shared warm-start store key:
     configs with the same key use the same ``--state-dir``, so a
     ``cold`` run seeds the snapshots a later ``warm`` run restores.
     ``archive`` round-trips cycle 1 through the warts codec and back
@@ -82,7 +80,6 @@ class VerifyConfig:
     name: str
     description: str = ""
     workers: int = 1
-    oversubscribe: bool = False
     memoize: bool = True
     resume: bool = False
     state: Optional[str] = None
@@ -104,9 +101,6 @@ def default_matrix(workers: int = 2) -> List[VerifyConfig]:
         VerifyConfig(name="workers", workers=workers,
                      description=f"cycle shards over {workers} "
                                  f"worker processes"),
-        VerifyConfig(name="pair-block", oversubscribe=True,
-                     description="2x workers per cycle: intra-cycle "
-                                 "pair blocks, reassembled"),
         VerifyConfig(name="no-memo", memoize=False,
                      description="forwarding-path memoization "
                                  "disabled (uncached reference)"),
@@ -262,9 +256,9 @@ def state_fingerprint(internet) -> tuple:
 def canonical_cycle(result: CycleResult) -> Dict[str, Any]:
     """One cycle's artifacts in diffable form.
 
-    Layout-dependent cache counters are stripped from the metrics
-    delta exactly as the checkpoint layer does — how warm a cache
-    happened to be is an execution detail, not a result.
+    Execution metrics are dropped from the metrics delta exactly as
+    the checkpoint layer drops them — how warm a cache happened to be
+    is an execution detail, not a result.
     """
     return {
         "stats": asdict(result.stats),
@@ -278,7 +272,7 @@ def canonical_cycle(result: CycleResult) -> Dict[str, Any]:
             for key, verdict in sorted(
                 result.classification.verdicts.items())
         },
-        "metrics": strip_layout_dependent(result.metrics),
+        "metrics": MetricsRegistry.results_only(result.metrics),
     }
 
 
@@ -371,8 +365,6 @@ def execute_config(spec: StudySpec, config: VerifyConfig,
     if config.archive is not None:
         return _archive_roundtrip(spec, config, workdir), None
     spec = replace(spec, memoize=config.memoize)
-    workers = (2 * spec.cycles if config.oversubscribe
-               else config.workers)
     options: Dict[str, Any] = {}
     if config.state is not None:
         options["state_dir"] = workdir / f"state-{config.state}"
@@ -390,7 +382,7 @@ def execute_config(spec: StudySpec, config: VerifyConfig,
         run = run_study(spec, workers=config.workers,
                         checkpoint_dir=checkpoint_dir, **options)
     else:
-        run = run_study(spec, workers=workers, **options)
+        run = run_study(spec, workers=config.workers, **options)
     return run.results, state_fingerprint(run.simulator.internet)
 
 

@@ -40,7 +40,7 @@ from repro.analysis.flightreport import flight_report, \
     flight_report_data
 from repro.par import CheckpointStore, StudySpec
 from repro.par.checkpoint import CHECKPOINT_VERSION
-from repro.par.runner import ShardResult, _delta_total
+from repro.par.runner import _delta_total
 
 SPEC = StudySpec(scale=0.25, seed=7, cycles=4, snapshots_per_cycle=2)
 SPEC2 = StudySpec(scale=0.25, seed=7, cycles=2, snapshots_per_cycle=2)
@@ -246,8 +246,7 @@ class TestEventsFile:
                           if e.kind == "shard.done")
         from_shards = sum(
             _delta_total(shard.metrics_delta, "sim_traces_total")
-            for shard in telemetry_run["run"].shards
-            if shard.block is None)
+            for shard in telemetry_run["run"].shards)
         assert from_events == from_shards > 0
 
     def test_report_reconstructs_the_run(self, telemetry_run):
@@ -390,30 +389,91 @@ def _label_state(internet):
 
 class TestCheckpointSpans:
     def test_spans_stripped_on_save(self, tmp_path):
-        from repro.obs import Span
-        store = CheckpointStore(tmp_path, SPEC2)
-        run = run_study(SPEC2, workers=1)
-        result = ShardResult(
-            shard_id=0,
-            results=run.results[:1],
-            metrics_delta={},
-            replayed_cycles=0,
-            spans=[Span(name="par.worker", start=0.0, end=1.0)],
-        )
-        store.save(result)
-        loaded = store.load(1)
-        assert loaded is not None
-        assert loaded.spans is None
+        # A profiled run's worker spans never reach checkpoint bytes.
+        saved = get_tracer()
+        set_tracer(Tracer(MonotonicClock()))
+        try:
+            run_study(SPEC2, workers=2,
+                      checkpoint_dir=tmp_path / "profiled")
+        finally:
+            set_tracer(saved)
+        run_study(SPEC2, workers=2, checkpoint_dir=tmp_path / "bare")
+        profiled = CheckpointStore(tmp_path / "profiled", SPEC2)
+        bare = CheckpointStore(tmp_path / "bare", SPEC2)
+        for cycle in range(1, SPEC2.cycles + 1):
+            assert profiled.path_for(cycle).read_bytes() == \
+                bare.path_for(cycle).read_bytes()
 
     def test_older_version_files_rejected(self, tmp_path):
         import pickle
         store = CheckpointStore(tmp_path, SPEC2)
-        run = run_study(SPEC2, workers=1)
-        result = ShardResult(shard_id=0, results=run.results[:1],
-                             metrics_delta={}, replayed_cycles=0)
-        path, = store.save(result)
+        run_study(SPEC2, workers=1, checkpoint_dir=tmp_path)
+        path = store.path_for(1)
         payload = pickle.loads(path.read_bytes())
-        assert payload["version"] == CHECKPOINT_VERSION == 6
-        payload["version"] = 5
+        assert payload["version"] == CHECKPOINT_VERSION == 7
+        payload["version"] = 6
         path.write_bytes(pickle.dumps(payload))
         assert store.load(1) is None
+
+
+class TestStoreSpans:
+    """Checkpoint and state-store I/O runs under ``par.store.*``
+    spans, which observe and never perturb."""
+
+    @staticmethod
+    def _study(workdir, tracer):
+        """A checkpointed, snapshotting serial run under ``tracer``;
+        returns its events."""
+        saved_tracer = get_tracer()
+        saved_bus = get_event_bus()
+        set_tracer(tracer)
+        bus = set_event_bus(EventBus())
+        try:
+            run_study(SPEC2, workers=1, checkpoint_dir=workdir / "ckpt",
+                      state_dir=workdir / "state", snapshot_stride=1)
+        finally:
+            set_event_bus(saved_bus)
+            set_tracer(saved_tracer)
+        return [event.to_dict() for event in bus.events]
+
+    def test_spans_nest_under_the_study_span(self, tmp_path):
+        tracer = Tracer(FakeClock())
+        self._study(tmp_path, tracer)
+        study, = [root for root in tracer.roots
+                  if root.name == "par.study"]
+        found = {(node.name, node.attrs["kind"])
+                 for _, node in study.walk()
+                 if node.name.startswith("par.store.")}
+        assert found == {(name, kind)
+                         for name in ("par.store.read", "par.store.write")
+                         for kind in ("checkpoint", "snapshot")}
+        assert not [node for root in tracer.roots if root is not study
+                    for _, node in root.walk()
+                    if node.name.startswith("par.store.")]
+        table = _profile_table(tracer)
+        assert "par.store.read" in table
+        assert "par.store.write" in table
+
+    def test_null_clock_reads_no_clock_and_changes_no_byte(
+            self, tmp_path, monkeypatch):
+        import time
+
+        timed = self._study(tmp_path / "timed", Tracer(FakeClock()))
+
+        def no_clock():
+            raise AssertionError("clock read under NullClock")
+
+        monkeypatch.setattr(time, "monotonic", no_clock)
+        monkeypatch.setattr(time, "perf_counter", no_clock)
+        bare = self._study(tmp_path / "bare", Tracer(NullClock()))
+        monkeypatch.undo()
+        assert bare == timed
+        for kind in ("ckpt", "state"):
+            timed_files = sorted((tmp_path / "timed" / kind).rglob("*"))
+            bare_files = sorted((tmp_path / "bare" / kind).rglob("*"))
+            assert [path.name for path in timed_files] == \
+                [path.name for path in bare_files]
+            for left, right in zip(timed_files, bare_files):
+                if left.is_file():
+                    assert left.read_bytes() == right.read_bytes()
+

@@ -131,6 +131,31 @@ class TestCounters:
         with pytest.raises(TypeError):
             registry.gauge("hits_total")
 
+    def test_execution_flag_is_declared_once(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("cache_hits_total", execution=True)
+        assert registry.counter("cache_hits_total") is counter
+        assert registry.counter("cache_hits_total",
+                                execution=True) is counter
+        with pytest.raises(TypeError):
+            registry.counter("cache_hits_total", execution=False)
+        registry.gauge("level", execution=False)
+        with pytest.raises(TypeError):
+            registry.gauge("level", execution=True)
+
+    def test_results_only_drops_execution_metrics(self):
+        registry = MetricsRegistry()
+        registry.counter("cache_hits_total", execution=True).inc(3)
+        registry.counter("lsps_total").inc(2)
+        delta = registry.diff({}, registry.snapshot())
+        assert delta["cache_hits_total"]["execution"] is True
+        assert "execution" not in delta["lsps_total"]
+        assert list(MetricsRegistry.results_only(delta)) == ["lsps_total"]
+        other = MetricsRegistry()
+        other.absorb(delta)
+        assert other.get("cache_hits_total").execution
+        assert not other.get("lsps_total").execution
+
     def test_gauge_moves_both_ways(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("depth")

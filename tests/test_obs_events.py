@@ -155,15 +155,6 @@ class TestProgressTracker:
         tracker.shard_done(2)
         assert tracker.work_done == 4.0
 
-    def test_block_heartbeats_weigh_fractionally(self):
-        tracker = ProgressTracker(1)
-        tracker.add_shard(0, 0.5, is_block=True)
-        tracker.add_shard(1, 0.5, is_block=True)
-        tracker.heartbeat(0, blocks_done=1)
-        assert tracker.work_done == 0.5
-        tracker.heartbeat(1, blocks_done=1)
-        assert tracker.work_done == 1.0
-
     def test_unknown_shard_heartbeat_is_ignored(self):
         tracker = ProgressTracker(4)
         tracker.heartbeat(99, cycles_done=3)

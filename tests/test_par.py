@@ -24,6 +24,7 @@ from repro.par import (
     shard_cycles,
 )
 from repro.par.shard import contiguous_runs
+from repro.sim import ArkSimulator
 
 SPEC = StudySpec(scale=0.25, seed=7, cycles=4, snapshots_per_cycle=2)
 SPEC1 = StudySpec(scale=0.25, seed=7, cycles=1, snapshots_per_cycle=2)
@@ -160,21 +161,18 @@ class TestPlanShards:
         assert plan_shards(range(1, 9), 3) == shard_cycles(1, 8, 3)
         assert plan_shards(range(1, 5), 4) == shard_cycles(1, 4, 4)
 
-    def test_surplus_workers_split_cycles_into_blocks(self):
+    def test_surplus_workers_stay_idle(self):
+        # A shard is at least one whole cycle: five workers over two
+        # cycles plan two one-cycle shards.
         shards = plan_shards(range(1, 3), 5)
-        assert [(s.first, s.block) for s in shards] == [
-            (1, (0, 3)), (1, (1, 3)), (1, (2, 3)),
-            (2, (0, 2)), (2, (1, 2)),
-        ]
-        assert [s.shard_id for s in shards] == list(range(5))
-
-    def test_single_cycle_takes_every_worker(self):
-        shards = plan_shards([1], 4)
-        assert [(s.first, s.last, s.block) for s in shards] == \
-            [(1, 1, (index, 4)) for index in range(4)]
+        assert [(s.shard_id, s.first, s.last) for s in shards] == \
+            [(0, 1, 1), (1, 2, 2)]
+        assert plan_shards([1], 4) == [Shard(shard_id=0, first=1,
+                                             last=1)]
 
     def test_exact_fit_gets_no_blocks(self):
-        assert all(s.block is None for s in plan_shards(range(1, 4), 3))
+        assert [(s.first, s.last) for s in plan_shards(range(1, 4), 3)] \
+            == [(1, 1), (2, 2), (3, 3)]
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
@@ -214,43 +212,26 @@ class TestPlanShards:
         assert shards == plan_shards(sorted(missing, reverse=True),
                                      workers)
         assert [s.shard_id for s in shards] == list(range(len(shards)))
-        ranged = [s for s in shards if s.block is None]
-        blocked = [s for s in shards if s.block is not None]
-        covered = [c for s in ranged for c in s.cycles]
-        assert len(covered) == len(set(covered))
-        for shard in ranged:  # contiguous, inside the missing set
+        covered = [c for s in shards for c in s.cycles]
+        assert covered == sorted(missing)  # each cycle once, in order
+        for shard in shards:  # contiguous, inside the missing set
             assert set(shard.cycles) <= missing
-        blocks = {}
-        for shard in blocked:
-            assert shard.first == shard.last
-            blocks.setdefault(shard.first, []).append(shard.block)
-        for cycle, cycle_blocks in blocks.items():
-            count = cycle_blocks[0][1]
-            assert cycle_blocks == [(i, count) for i in range(count)]
-        assert not set(blocks) & set(covered)
-        assert set(covered) | set(blocks) == missing
         runs = len(contiguous_runs(missing))
-        assert len(ranged) <= max(workers, runs)
-        if runs <= workers:
-            assert len(ranged) <= workers
         if not missing:
             assert shards == []
         elif workers >= len(missing):
-            assert len(shards) == workers
+            assert len(shards) == len(missing)
         else:
-            assert not blocked
             assert len(shards) == max(workers, runs)
 
 
 class TestOversubscription:
-    """workers >= cycles: every cycle becomes its own unit, and surplus
-    workers split cycles into pair blocks — output stays byte-identical
-    either way."""
+    """workers >= cycles: every cycle becomes its own shard and surplus
+    workers stay idle — output stays byte-identical either way."""
 
     def test_workers_equal_cycles(self, serial_run):
         run = run_study(SPEC, workers=SPEC.cycles)
         assert len(run.shards) == SPEC.cycles
-        assert all(s.block is None for s in run.shards)
         assert all(len(s.results) == 1 for s in run.shards)
         for serial, parallel in zip(serial_run.results, run.results):
             assert serial.stats == parallel.stats
@@ -258,13 +239,9 @@ class TestOversubscription:
 
     def test_workers_exceed_cycles(self, serial_run):
         run = run_study(SPEC, workers=SPEC.cycles * 2)
-        # plan_shards keeps sharding inside the cycles: 8 workers over
-        # 4 cycles = 2 pair blocks per cycle, reassembled in pair order.
-        assert [s.block for s in run.shards] == [
-            (cycle, index, 2)
-            for cycle in range(1, SPEC.cycles + 1)
-            for index in range(2)
-        ]
+        # 8 workers over 4 cycles: one one-cycle shard per cycle.
+        assert [[r.cycle for r in s.results] for s in run.shards] == \
+            [[cycle] for cycle in range(1, SPEC.cycles + 1)]
         assert [r.cycle for r in run.results] == \
             [r.cycle for r in serial_run.results]
         for serial, parallel in zip(serial_run.results, run.results):
@@ -282,17 +259,13 @@ class TestOversubscription:
 
 
 class TestIntraCycle:
-    """A 1-cycle study sharded over 4 workers: pair blocks reassemble
-    into byte-identical results, metrics, artifacts and checkpoints."""
+    """A 1-cycle study over 4 workers runs as one pool shard (a cycle
+    is never split), with byte-identical results, metrics, artifacts
+    and checkpoints."""
 
     @pytest.fixture(scope="class")
     def blocked_run(self):
         return run_study(SPEC1, workers=4)
-
-    def test_shards_are_pair_blocks(self, blocked_run):
-        assert [s.block for s in blocked_run.shards] == \
-            [(1, index, 4) for index in range(4)]
-        assert all(s.results == [] for s in blocked_run.shards)
 
     def test_results_byte_identical(self, serial_one, blocked_run):
         serial, = serial_one.results
@@ -321,19 +294,16 @@ class TestIntraCycle:
                   checkpoint_dir=tmp_path / "parallel")
         serial_store = CheckpointStore(tmp_path / "serial", SPEC1)
         parallel_store = CheckpointStore(tmp_path / "parallel", SPEC1)
-        # The assembled cycle is checkpointed under the serial key, and
-        # stripping the layout-dependent cache counters makes the two
-        # files byte-for-byte equal.
+        # Dropping the execution metrics makes the two files
+        # byte-for-byte equal.
         assert serial_store.path_for(1).read_bytes() == \
             parallel_store.path_for(1).read_bytes()
-        for index in range(4):
-            assert parallel_store.path_for(1, (index, 4)).exists()
 
     def test_cycle_entries_byte_identical_across_layouts(self,
                                                           tmp_path):
-        # Serial, 2 and 3 cycle-range workers and pair blocks (8
-        # workers over 4 cycles) all write the same bytes per cycle.
-        layouts = {"serial": 1, "two": 2, "three": 3, "blocks": 8}
+        # Serial, 2, 3 and 8 workers (more than the 4 cycles) all
+        # write the same bytes per cycle.
+        layouts = {"serial": 1, "two": 2, "three": 3, "eight": 8}
         stores = {}
         for name, workers in layouts.items():
             run_study(SPEC, workers=workers,
@@ -341,7 +311,7 @@ class TestIntraCycle:
             stores[name] = CheckpointStore(tmp_path / name, SPEC)
         for cycle in range(1, SPEC.cycles + 1):
             expected = stores["serial"].path_for(cycle).read_bytes()
-            for name in ("two", "three", "blocks"):
+            for name in ("two", "three", "eight"):
                 assert stores[name].path_for(cycle).read_bytes() == \
                     expected, (name, cycle)
 
@@ -349,25 +319,98 @@ class TestIntraCycle:
                                                      tmp_path):
         run_study(SPEC1, workers=1, checkpoint_dir=tmp_path)
         resumed = run_study(SPEC1, workers=4, checkpoint_dir=tmp_path)
-        # Every pair block was satisfied by the one cycle-level
-        # checkpoint the serial run wrote.
-        assert [s.block for s in resumed.shards] == [None]
+        # The one checkpoint the serial run wrote satisfies the study:
+        # no shard runs.
+        assert resumed.shards == []
         serial, = serial_one.results
         restored, = resumed.results
         assert serial.stats == restored.stats
         assert serial.metrics == restored.metrics
 
-    def test_partial_block_resume(self, serial_one, tmp_path):
-        run_study(SPEC1, workers=4, checkpoint_dir=tmp_path)
-        store = CheckpointStore(tmp_path, SPEC1)
-        store.path_for(1).unlink()
-        store.path_for(1, (2, 4)).unlink()
-        resumed = run_study(SPEC1, workers=4, checkpoint_dir=tmp_path)
-        serial, = serial_one.results
-        restored, = resumed.results
-        assert serial.stats == restored.stats
-        assert serial.filter_stats == restored.filter_stats
-        assert serial.metrics == restored.metrics
+
+class TestRunStudyArguments:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError):
+            run_study(SPEC, workers=workers)
+
+    def test_storeless_in_process_run_adds_no_overhead(self,
+                                                       monkeypatch):
+        # The in-process executor without a checkpoint store pickles
+        # nothing and takes no registry snapshot beyond the pipeline's
+        # own per-cycle window.
+        import pickle
+
+        def no_pickle(*args, **kwargs):
+            raise AssertionError("the in-process executor pickled")
+
+        snapshots = []
+        original = MetricsRegistry.snapshot
+
+        def counted(self):
+            snapshots.append(None)
+            return original(self)
+
+        monkeypatch.setattr(pickle, "dumps", no_pickle)
+        monkeypatch.setattr(pickle, "dump", no_pickle)
+        monkeypatch.setattr(MetricsRegistry, "snapshot", counted)
+        run = run_study(SPEC1, workers=1)
+        monkeypatch.undo()
+        assert [r.cycle for r in run.results] == [1]
+        assert len(snapshots) == 2 * SPEC1.cycles
+
+
+class TestExecutionMetrics:
+    """A metric declared ``execution=True`` never reaches checkpoint
+    bytes, whatever the layout; a result metric does."""
+
+    SPEC2 = StudySpec(scale=0.25, seed=7, cycles=2, snapshots_per_cycle=2)
+
+    @classmethod
+    def _entries(cls, path, workers):
+        run_study(cls.SPEC2, workers=workers, checkpoint_dir=path)
+        store = CheckpointStore(path, cls.SPEC2)
+        return [store.path_for(cycle).read_bytes()
+                for cycle in range(1, cls.SPEC2.cycles + 1)]
+
+    @pytest.fixture(scope="class")
+    def bare(self, tmp_path_factory):
+        return self._entries(tmp_path_factory.mktemp("bare"), 1)
+
+    @pytest.fixture
+    def bump(self, monkeypatch):
+        """Register a counter and bump it inside every cycle's window."""
+        registry = get_registry()
+        names = []
+
+        def install(name, execution):
+            counter = registry.counter(name, "test-only",
+                                       execution=execution)
+            names.append(name)
+            original = ArkSimulator.run_cycle
+
+            def run_cycle(self, cycle):
+                counter.inc(cycle)
+                return original(self, cycle)
+
+            monkeypatch.setattr(ArkSimulator, "run_cycle", run_cycle)
+
+        yield install
+        for name in names:
+            registry._metrics.pop(name, None)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_execution_counter_leaves_bytes_identical(
+            self, bare, bump, tmp_path, workers):
+        bump("test_execution_probe_total", execution=True)
+        assert self._entries(tmp_path, workers) == bare
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_result_counter_changes_bytes(self, bare, bump, tmp_path,
+                                          workers):
+        bump("test_result_probe_total", execution=False)
+        entries = self._entries(tmp_path, workers)
+        assert all(mine != theirs for mine, theirs in zip(entries, bare))
 
 
 class TestCacheReconciliation:
@@ -431,7 +474,7 @@ class TestCliWorkers:
                      "hop_cache_hits_total", "hop_cache_misses_total",
                      "quoted_stack_cache_hits_total",
                      "quoted_stack_cache_misses_total",
-                     "par_pair_blocks_total"):
+                     "par_shard_cycles_total"):
             assert name in metrics, name
 
 

@@ -65,9 +65,8 @@ def _run_recorded(*args, **kwargs):
 
 
 def _dispatched(events):
-    """(first, last, block) of every shard dispatch, in order."""
-    return [(e.fields["first"], e.fields["last"],
-             tuple(e.fields["block"]) if "block" in e.fields else None)
+    """(first, last) of every shard dispatch, in order."""
+    return [(e.fields["first"], e.fields["last"])
             for e in events if e.kind == "shard.dispatch"]
 
 
@@ -97,10 +96,10 @@ def _assert_identical(serial, recovered):
 class TestWorkerKill:
     def test_killed_worker_is_retried_to_identical_output(
             self, serial_run):
-        # The worker running cycles 3-4 dies (os._exit) after one
-        # cycle — the pool breaks, the shard retries, output matches.
-        plan = FaultPlan({3: ShardFault(kind=KILL, attempts=(0,),
-                                        after_cycles=1)})
+        # The worker running cycles 3-4 dies (os._exit) before cycle
+        # 4, after one cycle — the pool breaks, the shard retries,
+        # output matches.
+        plan = FaultPlan({4: ShardFault(kind=KILL, attempts=(0,))})
         before = _counter_total("par_shard_retries_total")
         run = run_study(SPEC, workers=2, fault_plan=plan,
                         backoff_base=0.0, subdivide=False)
@@ -179,7 +178,7 @@ class TestCheckpointResume:
                                         checkpoint_dir=tmp_path)
         assert _counter_total("par_checkpoint_hits_total") == \
             before_hits + 2
-        assert _dispatched(events) == [(3, 3, None), (4, 4, None)]
+        assert _dispatched(events) == [(3, 3), (4, 4)]
         _assert_identical(serial_run, resumed)
 
     def test_corrupt_checkpoint_is_rejected_and_rerun(
@@ -253,7 +252,7 @@ class TestAnyLayoutResume:
                                         checkpoint_dir=tmp_path)
         assert _counter_total("par_checkpoint_hits_total") == \
             before_hits + 2
-        assert _dispatched(events) == [(3, 3, None), (4, 4, None)]
+        assert _dispatched(events) == [(3, 3), (4, 4)]
         _assert_identical(serial_run, resumed)
 
     def test_parallel_crash_resumes_serially(self, serial_run,
@@ -280,9 +279,8 @@ class TestAnyLayoutResume:
                                         checkpoint_dir=tmp_path)
         assert _counter_total("par_checkpoint_hits_total") == \
             before_hits + 2
-        # Three workers over two missing cycles: pair blocks.
-        assert _dispatched(events) == [(3, 3, (0, 2)), (3, 3, (1, 2)),
-                                       (4, 4, None)]
+        # Three workers over two missing cycles: the third stays idle.
+        assert _dispatched(events) == [(3, 3), (4, 4)]
         _assert_identical(serial_run, resumed)
 
     def test_non_contiguous_holes_run_exactly_those_cycles(
@@ -295,7 +293,7 @@ class TestAnyLayoutResume:
         store.path_for(4).unlink()
         resumed, events = _run_recorded(SPEC, workers=2,
                                         checkpoint_dir=tmp_path)
-        assert _dispatched(events) == [(2, 2, None), (4, 4, None)]
+        assert _dispatched(events) == [(2, 2), (4, 4)]
         _assert_identical(serial_run, resumed)
         for cycle, data in kept.items():
             assert store.path_for(cycle).read_bytes() == data
@@ -326,43 +324,3 @@ def _sample_traces():
 
     simulator, _ = build_study(SPEC)
     return simulator.run_cycle(1).snapshots[0][:5]
-
-
-class TestPairBlockFaults:
-    """Intra-cycle pair blocks ride the same retry machinery: a failed
-    block subdivides into half-blocks and the reassembled cycle stays
-    byte-identical (DESIGN §8)."""
-
-    SPEC1 = StudySpec(scale=0.25, seed=7, cycles=1,
-                      snapshots_per_cycle=2)
-
-    def test_failed_blocks_subdivide_and_recover(self):
-        serial = run_study(self.SPEC1, workers=1)
-        # The fault keys on the shard's first cycle, so every block of
-        # the single cycle raises on its first attempt; each comes
-        # back as two half-blocks on attempt 1.
-        plan = FaultPlan({1: ShardFault(kind=RAISE, attempts=(0,))})
-        before = _counter_total("par_shard_retries_total")
-        run = run_study(self.SPEC1, workers=4, fault_plan=plan,
-                        backoff_base=0.0, subdivide=True)
-        assert _counter_total("par_shard_retries_total") == before + 4
-        assert sorted(s.block for s in run.shards) == \
-            [(1, index, 8) for index in range(8)]
-        _assert_identical(serial, run)
-
-    def test_block_retry_without_subdivision(self):
-        serial = run_study(self.SPEC1, workers=1)
-        plan = FaultPlan({1: ShardFault(kind=RAISE, attempts=(0,))})
-        run = run_study(self.SPEC1, workers=2, fault_plan=plan,
-                        backoff_base=0.0, subdivide=False)
-        assert sorted(s.block for s in run.shards) == \
-            [(1, index, 2) for index in range(2)]
-        _assert_identical(serial, run)
-
-    def test_block_exhaustion_aborts_the_study(self):
-        plan = FaultPlan({1: ShardFault(kind=RAISE,
-                                        attempts=(0, 1, 2, 3))})
-        with pytest.raises(StudyFailure):
-            run_study(self.SPEC1, workers=2, fault_plan=plan,
-                      max_retries=1, backoff_base=0.0,
-                      subdivide=False)

@@ -7,11 +7,7 @@ import pickle
 from repro.igp.ecmp import flow_hash
 from repro.obs import FakeClock, Tracer, get_tracer, set_tracer
 from repro.sim import ArkSimulator, paper_scenario
-from repro.sim.ark import (
-    block_bounds,
-    daily_campaign,
-    label_dynamics_campaign,
-)
+from repro.sim.ark import daily_campaign, label_dynamics_campaign
 from repro.sim.config import MplsPolicy
 from repro.sim.monitors import split_into_teams
 from repro.sim.scenarios import LEVEL3, LEVEL3_RISE_CYCLE, VODAFONE
@@ -189,54 +185,6 @@ class TestCampaigns:
                         .add(hop.labels[0])
         assert labels_by_addr
         assert any(len(labels) > 1 for labels in labels_by_addr.values())
-
-
-class TestPairBlocks:
-    """block_bounds tiling and run_cycle's pair_block restriction."""
-
-    def test_blocks_tile_any_total(self):
-        for total in (0, 1, 7, 100, 1013):
-            for count in (1, 2, 3, 4, 7):
-                spans = [block_bounds(total, index, count)
-                         for index in range(count)]
-                assert spans[0][0] == 0
-                assert spans[-1][1] == total
-                for (_, high), (low, _) in zip(spans, spans[1:]):
-                    assert high == low
-
-    def test_subdivided_blocks_tile_their_parent(self):
-        # The retry machinery splits block (i, k) into (2i, 2k) and
-        # (2i+1, 2k); together they must cover exactly the parent.
-        for total in (9, 250, 1013):
-            for count in (1, 2, 3):
-                for index in range(count):
-                    low, high = block_bounds(total, index, count)
-                    left = block_bounds(total, 2 * index, 2 * count)
-                    right = block_bounds(total, 2 * index + 1,
-                                         2 * count)
-                    assert (left[0], right[1]) == (low, high)
-                    assert left[1] == right[0]
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            block_bounds(10, 0, 0)
-        with pytest.raises(ValueError):
-            block_bounds(10, 2, 2)
-        with pytest.raises(ValueError):
-            block_bounds(10, -1, 2)
-
-    def test_pair_blocks_reassemble_the_serial_cycle(self):
-        def fresh():
-            return ArkSimulator(paper_scenario(scale=0.25, seed=11),
-                                snapshots_per_cycle=2)
-
-        whole = fresh().run_cycle(1)
-        merged = [[] for _ in whole.snapshots]
-        for index in range(3):
-            data = fresh().run_cycle(1, pair_block=(index, 3))
-            for snapshot, traces in zip(merged, data.snapshots):
-                snapshot.extend(traces)
-        assert merged == whole.snapshots
 
 
 class TestStudyScopedState:

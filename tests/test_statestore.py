@@ -265,7 +265,7 @@ class TestStateStore:
     def test_save_load_round_trip(self, tmp_path):
         store = self._seeded(tmp_path)
         assert store.cycles() == [2, 4]
-        assert store.has(2) and not store.has(3)
+        assert store.load(3) is None
         state = store.load(2)
         simulator, _ = build_study(SPEC)
         simulator.internet.restore_state(state)
@@ -394,6 +394,25 @@ class TestWarmStudies:
         assert _counter_total("state_snapshot_hits_total") > \
             before_hits
         _assert_identical(cold_run, resumed)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejected_snapshot_is_rewritten(self, tmp_path, workers):
+        spec = dataclasses.replace(SPEC, cycles=4)
+
+        def study():
+            run_study(spec, workers=workers, state_dir=tmp_path,
+                      snapshot_stride=2)
+
+        study()
+        store = StateStore(tmp_path, spec)
+        original = store.path_for(2).read_bytes()
+        store.path_for(2).write_bytes(b"not a snapshot at all")
+        study()
+        assert store.load(2) is not None
+        assert store.path_for(2).read_bytes() == original
+        before = _counter_total("state_snapshot_rejected_total")
+        study()
+        assert _counter_total("state_snapshot_rejected_total") == before
 
     def test_invalid_stride_rejected(self):
         with pytest.raises(ValueError):

@@ -38,7 +38,7 @@ SPEC = StudySpec(scale=0.2, seed=7, cycles=2, snapshots_per_cycle=2)
 # The in-process half of the matrix: everything that doesn't spawn a
 # worker pool, so most tests stay fast.
 _SERIAL_CONFIGS = [config for config in default_matrix()
-                   if config.name not in ("workers", "pair-block")]
+                   if config.name != "workers"]
 
 
 def _delta(values):
@@ -265,9 +265,9 @@ class TestMatrixSerialConfigs:
 
 
 class TestMatrixWorkerConfigs:
-    def test_workers_and_pair_blocks_match_reference(self, tmp_path):
+    def test_workers_match_reference(self, tmp_path):
         configs = [config for config in default_matrix(workers=2)
-                   if config.name in ("workers", "pair-block")]
+                   if config.name == "workers"]
         report = run_matrix(SPEC, configs, workdir=tmp_path,
                             shrink=False)
         assert report.clean, report.render()
@@ -358,7 +358,7 @@ class TestEndStateFingerprint:
 class TestConfigNames:
     def test_matrix_names_are_stable(self):
         assert CONFIG_NAMES == (
-            "workers", "pair-block", "no-memo", "resume",
+            "workers", "no-memo", "resume",
             "state-cold", "state-warm", "strict-archive",
             "tolerant-archive")
 
