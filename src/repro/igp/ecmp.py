@@ -12,7 +12,8 @@ branch decisions for the same flow across runs and machines.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from struct import Struct
+from typing import Dict, List, Sequence, Tuple
 
 from .spf import NextHop
 
@@ -44,6 +45,45 @@ def fold(state: int, *fields: int) -> int:
     for field in fields:
         state = _splitmix64(state ^ (field & _MASK64))
     return state
+
+
+_LANES: Dict[int, tuple] = {}
+
+
+def _lane_constants(n: int) -> tuple:
+    """(replicator, TTL ramp, golden add, lane mask, reader) for ``n``
+    lanes 128 bits apart, built once per lane count."""
+    constants = _LANES.get(n)
+    if constants is None:
+        replicator = sum(1 << (128 * lane) for lane in range(n))
+        ramp = sum((lane + 1) << (128 * lane) for lane in range(n))
+        constants = _LANES[n] = (
+            replicator, ramp, 0x9E3779B97F4A7C15 * replicator,
+            _MASK64 * replicator, Struct("<" + "Q8x" * n).unpack)
+    return constants
+
+
+def fold_ramp(state: int, n: int) -> Tuple[int, ...]:
+    """``fold(state, ttl)`` for every ttl in 1..n, in one big-int pass.
+
+    Each ``state ^ ttl`` sits in its own lane, 128 bits apart, so the
+    64x64-bit products never carry into the next lane.  Every
+    xor-shift is masked back to 64 bits per lane before the multiply
+    (the shift drags the next lane's low bits into the gap); the final
+    xor-shift needs no mask because the reader skips each lane's upper
+    eight bytes.  ``state`` must be a 64-bit hash state, ``n`` at most
+    255 (an IP TTL).
+
+    >>> fold_ramp(flow_hash(7), 3) == tuple(
+    ...     fold(flow_hash(7), ttl) for ttl in (1, 2, 3))
+    True
+    """
+    replicator, ramp, golden, mask, read = _lane_constants(n)
+    z = (((state * replicator) ^ ramp) + golden) & mask
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    z ^= z >> 31
+    return read(z.to_bytes(16 * n, "little"))
 
 
 def flow_hash(*fields: int) -> int:

@@ -18,9 +18,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from .vendor import VendorProfile, get_profile
+
+# LabelManager generations: process-unique, never reused (unlike id()).
+_GENERATIONS = count()
 
 # Special binding value meaning "pop the stack before forwarding to me"
 # (implicit null, RFC 3032 label 3): the PHP signal.
@@ -266,7 +270,15 @@ class Lfib:
 
 
 class LabelManager:
-    """Owns the allocator and LFIB of every router in one AS."""
+    """Owns the allocator and LFIB of every router in one AS.
+
+    ``generation`` is unique per manager within a process.  A FEC
+    binding, once made, stays for the manager's lifetime (only RSVP-TE
+    unbinds, and only its own session FECs), so the label a router
+    holds for an established LDP FEC is a function of ``(generation,
+    router, FEC)`` — what lets the data plane share LDP hop tuples
+    across eras.
+    """
 
     def __init__(self, vendor_of: Dict[int, str], desynchronize: bool = True):
         """``vendor_of`` maps router id -> vendor profile name.
@@ -287,6 +299,7 @@ class LabelManager:
         self.lfibs: Dict[int, Lfib] = {
             router_id: Lfib(router_id) for router_id in vendor_of
         }
+        self.generation = next(_GENERATIONS)
 
     def allocator(self, router_id: int) -> LabelAllocator:
         """The label allocator of one router."""
@@ -326,6 +339,8 @@ class LabelManager:
         if set(state) != set(self.allocators):
             raise ValueError("label state router set does not match "
                              "this topology")
+        # New bindings: anything keyed by the old generation is stale.
+        self.generation = next(_GENERATIONS)
         for router_id, (allocator_state, lfib_state) in state.items():
             self.allocators[router_id].restore(allocator_state)
             self.lfibs[router_id].restore(lfib_state)

@@ -15,7 +15,8 @@ DataPlane of a study: rebuilding the DataPlane each snapshot changes the
 era (the flap/churn draw) without throwing the warm path enumerations
 away.
 
-Memoization has three scopes (DESIGN §8), all exact:
+Memoization has three scopes (DESIGN §8), all exact, plus the shared
+segment cache above:
 
 * **study-scoped decisions** — the
   :class:`~repro.sim.network.DecisionCache`, also on the ``Internet``:
@@ -26,13 +27,18 @@ Memoization has three scopes (DESIGN §8), all exact:
   the era, so every snapshot after the first reuses them; only the
   per-era draws (link flaps and egress churn, with their ``(tag,
   era)`` prefixes folded once per DataPlane) are computed per era;
-* **era-scoped** — a hop-materialization cache in
-  :meth:`DataPlane._walk_as` keyed by ``(asn, entry, target, segment
-  index | TE session, internal)``: within one era an LSP's observable
-  hops are flow-invariant, so the frozen :class:`HopObs` tuples are
-  built once and shared as flyweights across every trace that rides
-  the same LSP.  It dies with the DataPlane because labels and flaps
-  change per era.
+* **study-scoped hop tuples** — the frozen :class:`HopObs` tuples
+  :meth:`DataPlane._walk_as` materializes for plain IP forwarding and
+  for LDP LSPs, shared as flyweights by every trace, snapshot and
+  cycle that rides the same segment.  IP tuples are keyed by the
+  segment alone; LDP tuples also by the AS's label generation (a new
+  :class:`~repro.mpls.lfib.LabelManager` per rebuild, append-only LDP
+  bindings within one) and ``ttl_propagate``.  Each entry holds its
+  segment list and is checked by identity on a hit, so a key can
+  never outlive the segment it was built from;
+* **era-scoped** — TE tunnel hop tuples, keyed by ``(asn, entry,
+  target, TE session, internal)``: they die with the DataPlane
+  because RSVP-TE re-optimization re-signals labels per cycle.
 
 A :class:`RouteCache` per DataPlane counts one study-table hit or miss
 per ``forward_path``, so ``hits + misses`` still reconciles with the
@@ -64,14 +70,11 @@ _ROUTE_MISSES = get_registry().counter(
     "AS and /24)", execution=True)
 _HOP_HITS = get_registry().counter(
     "hop_cache_hits_total",
-    "Per-AS hop materializations served from the era's hop cache",
+    "Per-AS hop materializations served from a hop cache",
     execution=True)
 _HOP_MISSES = get_registry().counter(
     "hop_cache_misses_total",
     "Per-AS hop sequences materialized and memoized", execution=True)
-
-# Hop-cache key tags: which forwarding branch materialized the entry.
-_TE, _LDP, _IP = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -153,8 +156,8 @@ class DataPlane:
     links (withdrawn from the IGP for this era only), the routing noise
     that the paper's Persistence filter exists to remove.
 
-    ``memoize`` enables the study-scoped decision table and the per-era
-    hop cache (on by default — they are exact, so results are
+    ``memoize`` enables the study-scoped decision and hop tables and the
+    per-era TE hop cache (on by default — they are exact, so results are
     bit-identical either way; switching them off exists for the
     uncached reference of benchmarks and ``repro verify``).  The
     DataPlane must not outlive control-plane mutations: rebuild it after
@@ -192,8 +195,12 @@ class DataPlane:
             internet.decision_cache if memoize else None
         self.route_cache: Optional[RouteCache] = \
             RouteCache() if memoize else None
-        self._hop_cache: Optional[Dict[tuple, Tuple[HopObs, ...]]] = \
+        # Hop tuples as (steps, hops) entries: TE per era, IP and LDP
+        # in the study's decision table.
+        self._te_hops: Optional[Dict[tuple, tuple]] = \
             {} if memoize else None
+        self._ip_hops = self.decisions.ip_hops if memoize else None
+        self._ldp_hops = self.decisions.ldp_hops if memoize else None
         self.hop_cache_hits = 0
         self.hop_cache_misses = 0
         self._flushed = [0, 0, 0, 0]
@@ -413,9 +420,8 @@ class DataPlane:
         return self._cache.base_segments(network, entry, target)
 
     def _pick_segment(self, network: AsNetwork, entry: int, target: int,
-                      flow_digest: int) -> Tuple[int, list]:
-        """The flow's equal-cost segment, plus its index (the flow-
-        dependent part of a hop-cache key)."""
+                      flow_digest: int) -> list:
+        """The flow's equal-cost segment."""
         segments = self._segments(network, entry, target)
         if len(segments) < 2:
             if not segments:
@@ -423,7 +429,7 @@ class DataPlane:
                     f"AS{network.asn}: router {target} unreachable "
                     f"from {entry}"
                 )
-            return 0, segments[0]
+            return segments[0]
         memo = self.decisions
         key = (flow_digest, network.asn, entry, target)
         draw = memo.picks.get(key) if memo else None
@@ -431,8 +437,7 @@ class DataPlane:
             draw = flow_hash(*key)
             if memo:
                 memo.picks[key] = draw
-        index = draw % len(segments)
-        return index, segments[index]
+        return segments[draw % len(segments)]
 
     def _transit_fec(self, network: AsNetwork,
                      target: int) -> Optional[PrefixFec]:
@@ -446,20 +451,23 @@ class DataPlane:
                 memo.fecs[key] = fec
         return network.transit_fec(fec)
 
-    def _cached_hops(self, key: tuple) -> Optional[Tuple[HopObs, ...]]:
-        cache = self._hop_cache
-        if cache is None:
+    def _cached_hops(self, table: Optional[dict], key,
+                     steps: list) -> Optional[Tuple[HopObs, ...]]:
+        """The hop tuple ``table`` holds for ``key``, if it was built
+        from this very ``steps`` list."""
+        if table is None:
             return None
-        hops = cache.get(key)
-        if hops is not None:
+        entry = table.get(key)
+        if entry is not None and entry[0] is steps:
             self.hop_cache_hits += 1
-        return hops
+            return entry[1]
+        return None
 
-    def _store_hops(self, key: tuple,
+    def _store_hops(self, table: Optional[dict], key, steps: list,
                     hops: Tuple[HopObs, ...]) -> Tuple[HopObs, ...]:
-        if self._hop_cache is not None:
+        if table is not None:
             self.hop_cache_misses += 1
-            self._hop_cache[key] = hops
+            table[key] = (steps, hops)
         return hops
 
     def _walk_as(self, network: AsNetwork, entry: int, target: int,
@@ -470,12 +478,15 @@ class DataPlane:
         Chooses between a TE tunnel, an LDP LSP, and plain IP forwarding
         according to the AS's current policy; emits label observations
         exactly as the probes would collect them.  Materialized hop
-        tuples are cached per (AS pair, chosen LSP/segment): all flow
-        dependence is captured by the segment index (or, for TE, the
-        destination-selected session), so cached entries are exact and
-        the frozen :class:`HopObs` flyweights can be shared across
-        traces.  SR hops are never cached — their shrinking label
-        stacks depend on the flow's ECMP walk itself.
+        tuples are cached per chosen LSP/segment: all flow dependence is
+        captured by the picked segment (or, for TE, the destination-
+        selected session), so cached entries are exact and the frozen
+        :class:`HopObs` flyweights can be shared across traces.  IP and
+        LDP tuples live in the study's :class:`DecisionCache` (keyed by
+        the segment, plus the label generation and ``ttl_propagate``
+        for LDP); TE tuples in this era's cache.  SR hops are never
+        cached — their shrinking label stacks depend on the flow's
+        ECMP walk itself.
         """
         if entry == target:
             return ()
@@ -484,13 +495,16 @@ class DataPlane:
                                or policy.uses_sr):
             session = network.te_tunnel_for(entry, target, dst_prefix)
             if session is not None:
-                key = (network.asn, entry, target, _TE,
+                table = self._te_hops
+                steps = session.route
+                key = (network.asn, entry, target,
                        session.fec.tunnel_id, session.fec.instance,
                        internal)
-                hops = self._cached_hops(key)
+                hops = self._cached_hops(table, key, steps)
                 if hops is None:
-                    hops = self._store_hops(key, tuple(self._mpls_hops(
-                        network, session.route, session.labels.get)))
+                    hops = self._store_hops(table, key, steps, tuple(
+                        self._mpls_hops(network, steps,
+                                        session.labels.get)))
                 return hops
             if not internal:
                 sr_policy = network.sr_policy_for(entry, target,
@@ -505,23 +519,24 @@ class DataPlane:
             if use_ldp:
                 fec = self._transit_fec(network, target)
                 if fec is not None:
-                    index, steps = self._pick_segment(
-                        network, entry, target, flow_digest)
-                    key = (network.asn, entry, target, _LDP, index,
-                           internal)
-                    hops = self._cached_hops(key)
+                    steps = self._pick_segment(network, entry, target,
+                                               flow_digest)
+                    table = self._ldp_hops
+                    key = (id(steps), network.labels.generation,
+                           policy.ttl_propagate)
+                    hops = self._cached_hops(table, key, steps)
                     if hops is None:
-                        hops = self._store_hops(key, tuple(
+                        hops = self._store_hops(table, key, steps, tuple(
                             self._mpls_hops(
                                 network, steps,
                                 _FecLabels(network.labels.lfib, fec))))
                     return hops
-        index, steps = self._pick_segment(network, entry, target,
-                                          flow_digest)
-        key = (network.asn, entry, target, _IP, index, internal)
-        hops = self._cached_hops(key)
+        steps = self._pick_segment(network, entry, target, flow_digest)
+        table = self._ip_hops
+        key = id(steps)
+        hops = self._cached_hops(table, key, steps)
         if hops is None:
-            hops = self._store_hops(key, tuple(
+            hops = self._store_hops(table, key, steps, tuple(
                 self._plain_hop(network, router, link.address_of(router))
                 for router, link in steps))
         return hops

@@ -652,17 +652,35 @@ class DecisionCache:
     IP2AS table and AS graph (foreign quirks are applied in
     ``Internet.__init__``), the inter-AS links, router vendors and
     responsiveness, and the stable hashes.  Nothing here depends on the
-    era, the MPLS policy or the label state, so one cache serves every
-    snapshot, cycle and post-study campaign of a universe (DESIGN §8,
-    *study-scoped decisions*).  Per-era draws — link flaps, egress
-    churn, loss and RTT — are never stored here.
+    era, and MPLS state enters only through the keys of ``ldp_hops``,
+    so one cache serves every snapshot, cycle and post-study campaign
+    of a universe (DESIGN §8, *study-scoped decisions*).  Per-era draws — link flaps, egress churn, loss and
+    RTT — are never stored here.
+
+    Two tables hold materialized per-AS hop tuples, each entry as
+    ``(steps, hops)`` so a hit is checked by identity against the
+    segment it was built from (the entry keeps that list alive, so its
+    ``id`` cannot be reused by another one):
+
+    * ``ip_hops`` — plain IP forwarding along one segment, a function
+      of the steps alone (addresses, responsiveness and vendor are
+      fixed at construction);
+    * ``ldp_hops`` — one LDP LSP along a segment, keyed further by the
+      AS's :attr:`~repro.mpls.lfib.LabelManager.generation` and
+      ``ttl_propagate``.  Within one LabelManager, LDP bindings are
+      append-only (establishing a FEC is idempotent, nothing releases
+      one, RSVP-TE binds only its own session FECs), and every rebuild
+      — re-enabling MPLS, ``restore_state`` — makes a new manager.
+
+    TE and SR hops stay per era (the DataPlane's own cache).
 
     Derived data only: it never enters :meth:`Internet.capture_state`.
     A ``DataPlane(memoize=False)`` bypasses it entirely.
     """
 
     __slots__ = ("routes", "egress", "border_hops", "flow_digests",
-                 "picks", "ldp_draws", "fecs", "stacks")
+                 "picks", "ldp_draws", "fecs", "stacks", "ip_hops",
+                 "ldp_hops")
 
     def __init__(self) -> None:
         # (src_asn, dst_addr >> 8) -> (dst origin | None, AS path tuple
@@ -685,6 +703,11 @@ class DecisionCache:
         self.fecs: Dict[Tuple[int, int], PrefixFec] = {}
         # (quoted labels, LSE-TTL) -> decoded RFC 4950 stack.
         self.stacks: Dict[Tuple[Tuple[int, ...], int], tuple] = {}
+        # id(steps) -> (steps, plain IP HopObs tuple).
+        self.ip_hops: Dict[int, tuple] = {}
+        # (id(steps), label generation, ttl_propagate) -> (steps, LDP
+        # HopObs tuple).
+        self.ldp_hops: Dict[Tuple[int, int, bool], tuple] = {}
 
 
 def _dag_link_ids(dag: SpfResult, entry: int) -> frozenset:

@@ -14,10 +14,12 @@ semantics of ICMP-Paris traceroute against RFC 4950 routers:
 
 Per-probe loss and RTT jitter are ``flow_hash(seed, src, dst, ttl)`` and
 ``flow_hash(seed, 0x277, src, dst, ttl)``.  ``flow_hash`` is a left
-fold (:func:`repro.igp.ecmp.fold`), so :meth:`TracerouteEngine.trace`
-folds each flow prefix into a hash state once per trace and every hop
-costs one more splitmix step per draw — the exact same values as
-hashing every probe from scratch.
+fold (:func:`repro.igp.ecmp.fold`), so each trace folds its two flow
+prefixes into hash states once, and :func:`repro.igp.ecmp.fold_ramp`
+takes the last splitmix step for every TTL the sweep can reach in one
+packed big-int pass per draw; the TTL sweep then only indexes into
+the draws — the exact same values as hashing every probe from
+scratch.
 
 The decoded quoted label stack is memoized per ``(labels, LSE-TTL)``
 pair in the study-scoped :class:`~repro.sim.network.DecisionCache`: the
@@ -27,7 +29,7 @@ the same stack, in any snapshot, decodes to the same tuple — each
 distinct stack still takes the real encode + decode round trip once.
 Like the DataPlane's memos it is bypassed when ``dataplane.memoize`` is
 off; its hit/miss counters are per engine and flushed to
-:mod:`repro.obs` after each ``trace_all``.
+:mod:`repro.obs` after each ``trace_all`` or single ``trace``.
 
 ``trace_all`` tallies probes, unanswered probes and traces per stop
 reason locally and publishes each counter once per call (stop reasons
@@ -45,7 +47,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import List, Optional
 
-from ..igp.ecmp import _splitmix64, flow_hash, fold
+from ..igp.ecmp import flow_hash, fold, fold_ramp
 from ..mpls.lse import LabelStack, LabelStackEntry
 from ..net.icmp import TimeExceeded, build_probe_quote
 from ..obs import NullClock, Span, emit, get_registry, get_tracer
@@ -143,6 +145,7 @@ class TracerouteEngine:
         tally = _Tally()
         trace = self._trace(monitor, dst_addr, timestamp, tally)
         tally.publish()
+        self.flush_cache_metrics()
         return trace
 
     def _trace(self, monitor: Monitor, dst_addr: int, timestamp: float,
@@ -169,29 +172,30 @@ class TracerouteEngine:
 
         # Per-trace hash states: hop ``ttl`` draws
         # flow_hash(seed, src, dst, ttl) for loss and
-        # flow_hash(seed, 0x277, src, dst, ttl) for RTT.
+        # flow_hash(seed, 0x277, src, dst, ttl) for RTT, every TTL the
+        # sweep can reach drawn in one packed pass.
         src = monitor.src_addr
         loss_rate = self.loss_rate
-        loss_state = (fold(self._seeded, src, dst_addr)
+        reach = min(len(path) + 1, self.max_ttl)
+        loss_draws = (fold_ramp(fold(self._seeded, src, dst_addr), reach)
                       if loss_rate > 0.0 else None)
-        rtt_state = fold(self._seeded, _RTT_SALT, src, dst_addr)
+        rtt_draws = fold_ramp(fold(self._seeded, _RTT_SALT, src, dst_addr),
+                              reach)
         first_hop = HopObs(asn=monitor.asn,
                            router_id=monitor.attachment_router,
                            address=monitor.gateway_addr)
-        max_ttl = self.max_ttl
         gap_limit = self.gap_limit
         hops: List[TraceHop] = []
         silent_streak = 0
         unanswered = 0
         stop = StopReason.TTL_EXHAUSTED
-        for ttl, obs in enumerate(chain((first_hop,), path), start=1):
-            if ttl > max_ttl:
-                break
+        for ttl, obs, rtt_draw in zip(range(1, reach + 1),
+                                      chain((first_hop,), path),
+                                      rtt_draws):
             if not obs.responsive or (
-                    loss_state is not None
-                    and _splitmix64(loss_state ^ ttl) / _LOSS_SCALE
-                    < loss_rate):
-                hops.append(TraceHop(probe_ttl=ttl, address=None))
+                    loss_draws is not None
+                    and loss_draws[ttl - 1] / _LOSS_SCALE < loss_rate):
+                hops.append(TraceHop(ttl, None))
                 unanswered += 1
                 silent_streak += 1
                 if silent_streak >= gap_limit:
@@ -199,16 +203,11 @@ class TracerouteEngine:
                     break
                 continue
             hops.append(TraceHop(
-                probe_ttl=ttl,
-                address=obs.address,
-                rtt_ms=(1.0 + 1.8 * ttl
-                        + _splitmix64(rtt_state ^ ttl) % 4000 / 1000.0),
-                quoted_stack=(self._quoted_stack(monitor, dst_addr, ttl,
-                                                 obs)
-                              if obs.labels and obs.quotes_labels
-                              else ()),
-                quoted_ttl=obs.quoted_ttl,
-            ))
+                ttl, obs.address,
+                1.0 + 1.8 * ttl + rtt_draw % 4000 / 1000.0,
+                (self._quoted_stack(monitor, dst_addr, ttl, obs)
+                 if obs.labels and obs.quotes_labels else ()),
+                obs.quoted_ttl))
             silent_streak = 0
             if obs.router_id == -1:
                 stop = StopReason.COMPLETED

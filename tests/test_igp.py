@@ -1,10 +1,10 @@
 """Unit tests for the IGP substrate: topology, SPF/ECMP, flow hashing."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.igp.ecmp import FlowKey, branch_distribution, flow_hash, \
-    fold, select_next_hop
+from repro.igp.ecmp import FlowKey, _splitmix64, branch_distribution, \
+    flow_hash, fold, fold_ramp, select_next_hop
 from repro.igp.spf import SpfTable, spf_to
 from repro.igp.topology import Router, Topology, TopologyError
 
@@ -205,6 +205,17 @@ class TestEcmpHashing:
         # the whole field list per probe.
         assert flow_hash(*prefix, *suffix) \
             == fold(flow_hash(*prefix), *suffix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    @example(0)
+    @example(2**64 - 1)
+    def test_fold_ramp_equals_one_splitmix_per_ttl(self, state):
+        # The packed lanes must not carry into each other for any lane
+        # count a TTL sweep can ask for.
+        scalar = tuple(_splitmix64(state ^ ttl) for ttl in range(1, 256))
+        for n in range(1, 256):
+            assert fold_ramp(state, n) == scalar[:n], n
 
     def test_same_flow_same_branch(self):
         topology = diamond_topology()

@@ -1,5 +1,7 @@
 """Unit tests for the data plane: forwarding, labels, PHP, visibility."""
 
+import gc
+
 import pytest
 
 from repro.mpls.vendor import get_profile
@@ -7,7 +9,7 @@ from repro.net.ip import Prefix
 from repro.obs import get_registry
 from repro.sim.config import AsSpec, MplsPolicy, UniverseSpec
 from repro.sim.dataplane import DataPlane, UnreachableError
-from repro.sim.network import Internet
+from repro.sim.network import Internet, SegmentCache
 from repro.bgp.asgraph import Tier
 
 SRC_AS = 65301
@@ -457,8 +459,10 @@ class TestStudyScopedDecisions:
         for dst, _ in internet.destination_addresses():
             dataplane.forward_path(SRC_AS, 1, 99, dst, 1)
         decisions = internet.decision_cache
+        # The hop tables (``ip_hops``, ``ldp_hops``) included.
         assert not any(getattr(decisions, name)
                        for name in decisions.__slots__)
+        assert dataplane.hop_cache_hits == dataplane.hop_cache_misses == 0
 
     def test_later_eras_hit_the_study_route_table(self):
         internet = build()
@@ -471,3 +475,105 @@ class TestStudyScopedDecisions:
             == (1, 0)
         assert (second.route_cache.misses, second.route_cache.hits) \
             == (0, 1)
+
+
+_LDP = MplsPolicy(enabled=True, ldp=True)
+
+
+def _labels_on(dataplane, dst):
+    return [hop.labels for hop in dataplane.forward_path(SRC_AS, 1, 99,
+                                                        dst)]
+
+
+def _relabelled(internet):
+    """Re-enable LDP on the transit after advancing its allocators,
+    so every LDP FEC binds a different label than on a fresh build."""
+    transit = internet.network(TRANSIT)
+    transit.apply_policy(MplsPolicy(enabled=True, ldp=False))
+    transit.churn_labels(1000)
+    transit.apply_policy(_LDP)
+
+
+class TestStudyScopedHops:
+    """IP and LDP hop tuples are shared across eras, and only where
+    they are exact."""
+
+    @pytest.mark.parametrize("policy", [None, _LDP])
+    def test_later_eras_share_the_same_tuples(self, policy):
+        internet = build(policy)
+        dst = a_destination(internet)
+        first = DataPlane(internet, era=0)
+        second = DataPlane(internet, era=1)
+        before = first.forward_path(SRC_AS, 1, 99, dst)
+        after = second.forward_path(SRC_AS, 1, 99, dst)
+        # Everything but the per-call destination host is the very
+        # same flyweight.
+        assert all(a is b for a, b in zip(before[:-1], after[:-1]))
+        assert first.hop_cache_misses > 0
+        assert (second.hop_cache_hits, second.hop_cache_misses) \
+            == (first.hop_cache_misses, 0)
+        decisions = internet.decision_cache
+        if policy is None:
+            assert decisions.ip_hops and not decisions.ldp_hops
+        else:
+            assert decisions.ldp_hops
+            assert any(hop.labels for hop in before)
+
+    def test_ldp_tuple_not_reused_after_disable_enable(self):
+        internet = build(_LDP)
+        dst = a_destination(internet)
+        old = _labels_on(DataPlane(internet, era=0), dst)
+        transit = internet.network(TRANSIT)
+        transit.apply_policy(MplsPolicy(enabled=False))
+        _relabelled(internet)
+        new = _labels_on(DataPlane(internet, era=1), dst)
+        assert new == _labels_on(DataPlane(internet, memoize=False), dst)
+        assert new != old
+
+    def test_ldp_tuple_not_reused_after_restore_state(self):
+        internet = build(_LDP)
+        dst = a_destination(internet)
+        old = _labels_on(DataPlane(internet, era=0), dst)
+        donor = build()
+        _relabelled(donor)
+        internet.restore_state(donor.capture_state())
+        new = _labels_on(DataPlane(internet, era=1), dst)
+        assert new == _labels_on(DataPlane(donor, memoize=False), dst)
+        assert new != old
+
+    def test_own_segment_cache_never_gets_a_stale_tuple(self):
+        internet = build(_LDP, ecmp=2, transit_routers=12)
+        dsts = [dst for dst, _ in internet.destination_addresses()]
+        fresh = DataPlane(internet, memoize=False)
+        expected = [fresh.forward_path(SRC_AS, 1, 99, dst)
+                    for dst in dsts]
+        # DataPlanes owning their own SegmentCache free their segment
+        # lists with them, so a list's id can come back on a new one.
+        for era in range(6):
+            dataplane = DataPlane(internet, era=era,
+                                  cache=SegmentCache())
+            assert [dataplane.forward_path(SRC_AS, 1, 99, dst)
+                    for dst in dsts] == expected
+            del dataplane
+            gc.collect()
+
+    def test_hit_requires_the_very_segment_it_was_built_from(self):
+        internet = build(_LDP, ecmp=2, transit_routers=12)
+        dsts = [dst for dst, _ in internet.destination_addresses()]
+        cache = SegmentCache()
+        first = DataPlane(internet, cache=cache)
+        expected = [first.forward_path(SRC_AS, 1, 99, dst)
+                    for dst in dsts]
+        # Forge the reused-id hazard: every key now maps to an entry
+        # built from another list with the same content.
+        decisions = internet.decision_cache
+        forged = 0
+        for table in (decisions.ip_hops, decisions.ldp_hops):
+            for key, (steps, hops) in list(table.items()):
+                table[key] = (list(steps), hops[::-1])
+                forged += 1
+        second = DataPlane(internet, era=1, cache=cache)
+        assert [second.forward_path(SRC_AS, 1, 99, dst)
+                for dst in dsts] == expected
+        # Each forged entry is rebuilt once, never served.
+        assert second.hop_cache_misses == forged

@@ -1,22 +1,26 @@
 """Unit tests for the Paris-traceroute engine and monitors."""
 
+import pickle
+
 import pytest
 
 from repro.igp.ecmp import flow_hash
 from repro.mpls.lse import LabelStack, LabelStackEntry
 from repro.net.icmp import TimeExceeded, build_probe_quote
 from repro.obs import (
+    EventBus,
     FakeClock,
     NullClock,
     Tracer,
     get_registry,
     get_tracer,
+    set_event_bus,
     set_tracer,
 )
-from repro.sim.dataplane import DataPlane
+from repro.sim.dataplane import DataPlane, HopObs, UnreachableError
 from repro.sim.monitors import build_monitors, split_into_teams
 from repro.sim.traceroute import TracerouteEngine
-from repro.traces import StopReason
+from repro.traces import StopReason, Trace, TraceHop
 
 from test_sim_dataplane import (
     DST_AS,
@@ -343,6 +347,139 @@ class TestStudyScopedStackMemo:
         assert fresh.trace(monitors[0], dst) \
             == memoized.trace(monitors[0], dst)
         assert fresh.stack_cache_hits == fresh.stack_cache_misses == 0
+
+
+def _per_probe_trace(engine, monitor, dst):
+    """The engine's trace, every probe hashed from scratch.
+
+    Loss is ``flow_hash(seed, src, dst, ttl)`` against the loss rate
+    and RTT jitter ``flow_hash(seed, 0x277, src, dst, ttl)``, one call
+    per probe, and every quoted stack a fresh ICMP encode + decode: the
+    reference the packed per-trace draws must reproduce bit for bit.
+    """
+    src = monitor.src_addr
+    try:
+        path = engine.dataplane.forward_path(
+            monitor.asn, monitor.attachment_router, src, dst)
+    except UnreachableError:
+        return Trace(monitor=monitor.name, src=src, dst=dst,
+                     timestamp=0.0, stop_reason=StopReason.UNREACHABLE,
+                     hops=[])
+    first = HopObs(asn=monitor.asn, router_id=monitor.attachment_router,
+                   address=monitor.gateway_addr)
+    hops = []
+    silent = 0
+    stop = StopReason.TTL_EXHAUSTED
+    for ttl, obs in enumerate([first] + list(path), start=1):
+        if ttl > engine.max_ttl:
+            break
+        lost = engine.loss_rate > 0.0 and (
+            flow_hash(engine.seed, src, dst, ttl) / float(1 << 64)
+            < engine.loss_rate)
+        if not obs.responsive or lost:
+            hops.append(TraceHop(probe_ttl=ttl, address=None))
+            silent += 1
+            if silent >= engine.gap_limit:
+                stop = StopReason.GAP_LIMIT
+                break
+            continue
+        jitter = flow_hash(engine.seed, 0x277, src, dst, ttl)
+        hops.append(TraceHop(
+            probe_ttl=ttl,
+            address=obs.address,
+            rtt_ms=1.0 + 1.8 * ttl + jitter % 4000 / 1000.0,
+            quoted_stack=(_fresh_decode(monitor, dst, ttl, obs.labels,
+                                        obs.lse_ttl)
+                          if obs.labels and obs.quotes_labels else ()),
+            quoted_ttl=obs.quoted_ttl,
+        ))
+        silent = 0
+        if obs.router_id == -1:
+            stop = StopReason.COMPLETED
+            break
+    return Trace(monitor=monitor.name, src=src, dst=dst, timestamp=0.0,
+                 stop_reason=stop, hops=hops)
+
+
+def _pickled(traces):
+    """Each trace header and each hop pickled on its own, so the bytes
+    pin every field (float bits included) but not which objects the
+    engine's memos happen to share."""
+    return [(pickle.dumps((trace.monitor, trace.src, trace.dst,
+                           trace.timestamp, trace.stop_reason)),
+             [pickle.dumps(hop) for hop in trace.hops])
+            for trace in traces]
+
+
+class TestPackedDraws:
+    """Per-trace packed loss/RTT draws equal per-probe hashing."""
+
+    def _pin(self, **engine_kwargs):
+        internet = build(MplsPolicy(enabled=True, ldp=True),
+                         transit_routers=12)
+        monitors = build_monitors(internet, per_as=3)
+        dests = [address for address, _ in
+                 internet.destination_addresses()] + [0xDEADBEEF]
+        pairs = [(monitor, dst) for monitor in monitors
+                 for dst in dests]
+        traces = TracerouteEngine(DataPlane(internet),
+                                  **engine_kwargs).trace_all(pairs)
+        reference = TracerouteEngine(DataPlane(internet, memoize=False),
+                                     **engine_kwargs)
+        expected = [_per_probe_trace(reference, monitor, dst)
+                    for monitor, dst in pairs]
+        assert _pickled(traces) == _pickled(expected)
+        assert any(hop.quoted_stack for trace in traces
+                   for hop in trace.hops)
+        return traces
+
+    def test_max_ttl_shorter_than_the_path_under_loss(self):
+        traces = self._pin(seed=3, loss_rate=0.3, max_ttl=6)
+        assert any(trace.stop_reason is StopReason.TTL_EXHAUSTED
+                   and len(trace.hops) == 6 for trace in traces)
+        assert any(hop.is_anonymous for trace in traces
+                   for hop in trace.hops)
+
+    def test_lossless(self):
+        traces = self._pin(seed=8, loss_rate=0.0)
+        completed = [trace for trace in traces
+                     if trace.stop_reason is StopReason.COMPLETED]
+        assert completed
+        assert not any(hop.is_anonymous for trace in completed
+                       for hop in trace.hops)
+
+    def test_gap_limit_stop(self):
+        traces = self._pin(seed=5, loss_rate=0.6, gap_limit=2)
+        assert any(trace.stop_reason is StopReason.GAP_LIMIT
+                   for trace in traces)
+
+
+class TestSingleTraceFlush:
+    def test_trace_publishes_cache_counters_and_event(self):
+        registry = get_registry()
+        internet = build(MplsPolicy(enabled=True, ldp=True))
+        engine, monitor = engine_and_monitor(internet, loss_rate=0.0)
+        bus = EventBus()
+        saved = set_event_bus(bus)
+        try:
+            before = registry.snapshot()
+            engine.trace(monitor, a_destination(internet))
+            delta = {name: sum(_counter_delta(registry, before,
+                                              name).values())
+                     for name in ("route_cache_misses_total",
+                                  "hop_cache_misses_total",
+                                  "quoted_stack_cache_misses_total")}
+        finally:
+            set_event_bus(saved)
+        assert delta == {
+            "route_cache_misses_total": engine.dataplane.route_cache.misses,
+            "hop_cache_misses_total": engine.dataplane.hop_cache_misses,
+            "quoted_stack_cache_misses_total": engine.stack_cache_misses}
+        assert all(delta.values())
+        events = [event for event in bus.events
+                  if event.kind == "cache.flush"]
+        assert len(events) == 1
+        assert events[0].fields["misses"] == sum(delta.values())
 
 
 class TestBatchedCounters:
