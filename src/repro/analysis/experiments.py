@@ -9,10 +9,10 @@ module, so ``EXPERIMENTS.md`` and the bench output always agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from ..core.pipeline import LprPipeline, persistence_sweep, run_study
-from ..obs import get_logger, span
+from ..obs import span
 from ..par import StudySpec
 from ..sim.ark import ArkSimulator, daily_campaign, \
     label_dynamics_campaign
@@ -41,8 +41,6 @@ from .figures import (
     per_as_figure,
 )
 from .tables import TableResult, table1, table2
-
-_log = get_logger(__name__)
 
 FOCUS_ASES = {
     VODAFONE: "Vodafone",
@@ -78,35 +76,33 @@ def run_longitudinal_study(scale: float = 1.0, seed: int = 2015,
                            snapshot_stride: int = 8,
                            max_retries: int = 2,
                            backoff_base: float = 0.5,
-                           progress: Optional[Callable] = None,
-                           progress_clock=None,
                            resources: bool = False,
                            stall_timeout: Optional[float] = None,
-                           stall_clock=None,
-                           health=None) -> Study:
+                           stall_clock=None) -> Study:
     """Run the paper's measurement campaign end to end.
 
     ``scale`` shrinks router/prefix counts for fast tests; ``cycles``
     truncates the study (``None``: the full 60; below 1 is a
     ``ValueError``).  ``workers > 1`` shards the cycles over a process
-    pool (`repro.par`) with byte-identical results; the returned study's simulator is left in the same
-    end-of-campaign state either way, so the post-study experiments
-    (Figs 6, 16, 17) regenerate identically too.  ``checkpoint_dir``
-    makes the campaign restartable (finished shards are persisted and
-    replayed instead of re-run) and ``max_retries`` bounds how often a
-    crashed shard is re-dispatched before the study aborts
-    (``backoff_base`` seeds the exponential retry delay).
+    pool (`repro.par`) with byte-identical results; the returned
+    study's simulator is left in the same end-of-campaign state either
+    way, so the post-study experiments (Figs 6, 16, 17) regenerate
+    identically too.  ``checkpoint_dir`` makes the campaign
+    restartable (every finished cycle is persisted, and a rerun
+    restores those cycles and runs only the missing ones, whatever the
+    worker count) and ``max_retries`` bounds how often a crashed shard
+    is re-dispatched before the study aborts (``backoff_base`` seeds
+    the exponential retry delay).
     ``state_dir`` adds warm-start control-plane snapshots every
     ``snapshot_stride`` cycles (:mod:`repro.par.statestore`): workers
     and resumed runs restore the nearest snapshot instead of replaying
     every earlier cycle — still byte-identical (DESIGN §10).
-    ``progress``/``progress_clock`` pass straight to
-    :func:`repro.par.run_study` for live telemetry (DESIGN §9), as do
-    the live-plane knobs ``resources`` (per-process RSS/CPU/GC gauges
-    on every heartbeat), ``stall_timeout``/``stall_clock`` (the
-    heartbeat-deadline watchdog) and ``health`` (the monitor a
-    :class:`~repro.obs.live.TelemetryServer` shares) — all DESIGN §12,
-    all observational.
+    The live-plane knobs ``resources`` (per-process RSS/CPU/GC gauges
+    on every heartbeat) and ``stall_timeout``/``stall_clock`` (the
+    heartbeat-deadline watchdog) pass straight to
+    :func:`repro.par.run_study` (DESIGN §12); progress and health
+    consumers subscribe to the event bus instead (DESIGN §9).  All of
+    it is observational.
     """
     if cycles is None:
         cycles = CYCLES
@@ -114,8 +110,6 @@ def run_longitudinal_study(scale: float = 1.0, seed: int = 2015,
         raise ValueError(f"a study needs at least 1 cycle, got {cycles}")
     spec = StudySpec(scale=scale, seed=seed, cycles=cycles,
                      snapshots_per_cycle=snapshots_per_cycle)
-    _log.info("study.start", scale=scale, seed=seed, cycles=spec.cycles,
-              workers=workers)
     with span("study.run", cycles=spec.cycles, workers=workers):
         run = run_study(spec, workers=workers,
                         checkpoint_dir=checkpoint_dir,
@@ -123,13 +117,9 @@ def run_longitudinal_study(scale: float = 1.0, seed: int = 2015,
                         snapshot_stride=snapshot_stride,
                         max_retries=max_retries,
                         backoff_base=backoff_base,
-                        progress=progress,
-                        progress_clock=progress_clock,
                         resources=resources,
                         stall_timeout=stall_timeout,
-                        stall_clock=stall_clock,
-                        health=health)
-    _log.info("study.done", cycles=len(run.results))
+                        stall_clock=stall_clock)
     return Study(simulator=run.simulator, pipeline=run.pipeline,
                  longitudinal=LongitudinalStudy(run.results))
 

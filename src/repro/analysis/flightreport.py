@@ -12,13 +12,15 @@ from the files the flight recorder left behind:
   JSON) adds wall-time: a per-stage table split into parent and worker
   tracks, and the top-N slowest cycles.
 
-Everything here is a pure function of the artifact contents — the
-report renders identically wherever and whenever it is run.  Two
-output forms share the same section builders: :func:`flight_report`
-(the printable text) and :func:`flight_report_data` (one JSON object
-with the same sections, ``repro report --format json``) — the latter
-is what external dashboards compose with the live ``/metrics`` and
-``/progress`` endpoints.
+Pool workers forward their events to the parent's bus, so a serial
+and a sharded run's files hold the same facts and every section reads
+them one way.  Everything here is a pure function of the artifact
+contents — the report renders identically wherever and whenever it is
+run.  Each section is built once, as data, by one builder; the text
+form (:func:`flight_report`) renders that data and the JSON form
+(:func:`flight_report_data`, ``repro report --format json``) returns
+it — the latter is what external dashboards compose with the live
+``/metrics`` and ``/progress`` endpoints.
 """
 
 from __future__ import annotations
@@ -26,10 +28,21 @@ from __future__ import annotations
 import json
 import statistics
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..obs.events import Event, read_events
 from .render import format_table, sparkline
+
+Grouped = Dict[str, List[Event]]
 
 
 def load_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:
@@ -40,8 +53,8 @@ def load_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:
     return payload["traceEvents"]
 
 
-def _by_kind(events: Sequence[Event]) -> Dict[str, List[Event]]:
-    grouped: Dict[str, List[Event]] = {}
+def _by_kind(events: Sequence[Event]) -> Grouped:
+    grouped: Grouped = {}
     for event in events:
         grouped.setdefault(event.kind, []).append(event)
     return grouped
@@ -57,39 +70,9 @@ _SUMMARY_COUNTS = {
 }
 
 
-def _restored_cycles(grouped: Dict[str, List[Event]]) -> int:
-    """Cycles restored from checkpoints, counted alike for serial and
-    parallel runs: one ``checkpoint.hit`` per restored cycle."""
-    return len(grouped.get("checkpoint.hit", []))
-
-
-def _summary_section(grouped: Dict[str, List[Event]]) -> List[str]:
-    lines = ["== study =="]
-    start = grouped.get("study.start")
-    done = grouped.get("study.done")
-    plan = grouped.get("study.plan")
-    if start:
-        fields = start[0].fields
-        lines.append(f"cycles: {fields.get('cycles', '?')}  "
-                     f"workers: {fields.get('workers', '?')}")
-    if plan:
-        lines.append(f"planned shards: {plan[0].fields.get('shards')}")
-    restored = _restored_cycles(grouped)
-    if restored:
-        lines.append(f"restored from checkpoint: {restored}")
-    for label, kind in _SUMMARY_COUNTS.items():
-        if grouped.get(kind):
-            lines.append(f"{label}: {len(grouped[kind])}")
-    if done:
-        lines.append(f"completed: {done[-1].fields.get('cycles')} "
-                     f"cycle results")
-    elif start:
-        lines.append("completed: NO (no study.done event — the run "
-                     "died or the file is truncated)")
-    return lines
-
-
-def _summary_data(grouped: Dict[str, List[Event]]) -> Dict[str, Any]:
+def _summary(grouped: Grouped) -> Dict[str, Any]:
+    """Run shape and outcome.  Restored cycles are counted alike for
+    serial and parallel runs: one ``checkpoint.hit`` per cycle."""
     data: Dict[str, Any] = {}
     start = grouped.get("study.start")
     done = grouped.get("study.done")
@@ -99,7 +82,7 @@ def _summary_data(grouped: Dict[str, List[Event]]) -> Dict[str, Any]:
         data["workers"] = start[0].fields.get("workers")
     if plan:
         data["planned_shards"] = plan[0].fields.get("shards")
-    restored = _restored_cycles(grouped)
+    restored = len(grouped.get("checkpoint.hit", []))
     if restored:
         data["restored_from_checkpoint"] = restored
     for label, kind in _SUMMARY_COUNTS.items():
@@ -111,17 +94,41 @@ def _summary_data(grouped: Dict[str, List[Event]]) -> Dict[str, Any]:
     return data
 
 
+def _summary_lines(data: Dict[str, Any]) -> List[str]:
+    lines = ["== study =="]
+    if "cycles" in data:
+        cycles, workers = data["cycles"], data["workers"]
+        lines.append(f"cycles: {'?' if cycles is None else cycles}  "
+                     f"workers: {'?' if workers is None else workers}")
+    if "planned_shards" in data:
+        lines.append(f"planned shards: {data['planned_shards']}")
+    if "restored_from_checkpoint" in data:
+        lines.append(f"restored from checkpoint: "
+                     f"{data['restored_from_checkpoint']}")
+    for label in _SUMMARY_COUNTS:
+        key = label.replace(" ", "_")
+        if key in data:
+            lines.append(f"{label}: {data[key]}")
+    if data["completed"]:
+        lines.append(f"completed: {data['completed_cycles']} "
+                     f"cycle results")
+    elif "cycles" in data:
+        lines.append("completed: NO (no study.done event — the run "
+                     "died or the file is truncated)")
+    return lines
+
+
 # -- shard timeline ----------------------------------------------------------
 
-def _shard_cells(grouped: Dict[str, List[Event]]
-                 ) -> Dict[int, Dict[str, Any]]:
-    """Fold the shard lifecycle events into one cell per shard id."""
+def _shard_rows(grouped: Grouped) -> List[Dict[str, Any]]:
+    """Fold the shard lifecycle events into one row per shard the
+    runner ever touched, in shard-id order."""
     shards: Dict[int, Dict[str, Any]] = {}
 
     def cell(shard_id: int) -> Dict[str, Any]:
         return shards.setdefault(shard_id, {
-            "work": "", "status": "pending", "attempts": 0,
-            "traces": "", "note": ""})
+            "shard": shard_id, "work": "", "status": "pending",
+            "attempts": 0, "traces": None, "note": ""})
 
     for event in grouped.get("shard.dispatch", []):
         entry = cell(event.fields["shard"])
@@ -145,37 +152,24 @@ def _shard_cells(grouped: Dict[str, List[Event]]
     for event in grouped.get("shard.done", []):
         entry = cell(event.fields["shard"])
         entry["status"] = "done"
-        entry["traces"] = event.fields.get("traces", "")
+        entry["traces"] = event.fields.get("traces")
     for event in grouped.get("shard.failed", []):
         entry = cell(event.fields["shard"])
         entry["status"] = "FAILED"
         entry["note"] = event.fields.get("error", "")[:40]
-    return shards
+    return [shards[shard_id] for shard_id in sorted(shards)]
 
 
-def _shard_timeline(grouped: Dict[str, List[Event]]) -> List[str]:
-    """One row per shard the runner ever touched, in shard-id order."""
-    shards = _shard_cells(grouped)
-    if not shards:
-        return []
-    rows = [
-        [shard_id, entry["work"], entry["status"],
-         entry["attempts"] or "", entry["traces"], entry["note"]]
-        for shard_id, entry in sorted(shards.items())
+def _shard_lines(rows: List[Dict[str, Any]]) -> List[str]:
+    table_rows = [
+        [row["shard"], row["work"], row["status"],
+         row["attempts"] or "",
+         "" if row["traces"] is None else row["traces"], row["note"]]
+        for row in rows
     ]
     return ["== shard timeline ==",
             format_table(["shard", "work", "status", "attempts",
-                          "traces", "note"], rows)]
-
-
-def _shard_rows(grouped: Dict[str, List[Event]]) -> List[Dict[str, Any]]:
-    return [
-        {"shard": shard_id, "work": entry["work"],
-         "status": entry["status"], "attempts": entry["attempts"],
-         "traces": entry["traces"] if entry["traces"] != "" else None,
-         "note": entry["note"]}
-        for shard_id, entry in sorted(_shard_cells(grouped).items())
-    ]
+                          "traces", "note"], table_rows)]
 
 
 def _work_label(fields: Dict[str, Any]) -> str:
@@ -187,74 +181,48 @@ def _work_label(fields: Dict[str, Any]) -> str:
 
 # -- caches ------------------------------------------------------------------
 
-def _hit_rate_line(label: str, hits: float, misses: float) -> str:
-    """One cache family's line; a partial events file may have seen
-    only hits or only misses, so the rate is guarded, never assumed."""
-    total = hits + misses
-    rate = f"  hit rate: {hits / total:.1%}" if total else ""
-    return f"{label}: hits {hits:.0f}  misses {misses:.0f}{rate}"
-
-
-def _cache_totals(grouped: Dict[str, List[Event]]) -> Dict[str, float]:
-    """Raw cache totals the section renderers share."""
-    hits = misses = 0
-    for event in grouped.get("shard.done", []):
-        hits += event.fields.get("cache_hits", 0)
-        misses += event.fields.get("cache_misses", 0)
-    for event in grouped.get("cache.flush", []):
-        hits += event.fields.get("hits", 0)
-        misses += event.fields.get("misses", 0)
-
+def _cache_data(grouped: Grouped) -> Dict[str, Any]:
+    """Per-family cache totals: the forwarding-path caches summed over
+    ``cache.flush`` events (whichever process probed), the IP2AS block
+    memo from ``cycle.metrics`` registry deltas.  Families absent from
+    the events file are omitted, so nothing divides by zero."""
+    flushes = grouped.get("cache.flush", [])
     metric_rows = [event.fields.get("metrics", {})
                    for event in grouped.get("cycle.metrics", [])]
-
-    def metric(name: str, **labels: Any) -> float:
-        return sum(_cycle_metric(metrics, name, **labels)
-                   for metrics in metric_rows)
-
-    return {
-        "hits": hits,
-        "misses": misses,
-        "ip2as_hits": metric("ip2as_lookup_cache_hits_total"),
-        "ip2as_misses": metric("ip2as_lookup_cache_misses_total"),
+    families = {
+        "forwarding": (
+            sum(event.fields.get("hits", 0) for event in flushes),
+            sum(event.fields.get("misses", 0) for event in flushes)),
+        "ip2as_memo": tuple(
+            sum(_cycle_metric(metrics, name) for metrics in metric_rows)
+            for name in ("ip2as_lookup_cache_hits_total",
+                         "ip2as_lookup_cache_misses_total")),
     }
+    return {family: {"hits": hits, "misses": misses}
+            for family, (hits, misses) in families.items()
+            if hits + misses}
 
 
-def _cache_section(grouped: Dict[str, List[Event]]) -> List[str]:
-    """Per-family cache telemetry: the forwarding-path caches (summed
-    over ``shard.done`` / ``cache.flush`` events) and the IP2AS block
-    memo (from ``cycle.metrics`` registry deltas).  Families absent
-    from the events file are simply omitted — a partial or serial-only
-    file must never divide by zero."""
-    totals = _cache_totals(grouped)
-    lines = []
-    if totals["hits"] + totals["misses"]:
-        lines.append(_hit_rate_line("forwarding", totals["hits"],
-                                    totals["misses"]))
-    if totals["ip2as_hits"] + totals["ip2as_misses"]:
-        lines.append(_hit_rate_line("ip2as memo", totals["ip2as_hits"],
-                                    totals["ip2as_misses"]))
-    if not lines:
-        return []
-    return ["== forwarding-path caches =="] + lines
-
-
-def _cache_data(grouped: Dict[str, List[Event]]) -> Dict[str, Any]:
-    totals = _cache_totals(grouped)
-    data: Dict[str, Any] = {}
-    if totals["hits"] + totals["misses"]:
-        data["forwarding"] = {"hits": totals["hits"],
-                              "misses": totals["misses"]}
-    if totals["ip2as_hits"] + totals["ip2as_misses"]:
-        data["ip2as_memo"] = {"hits": totals["ip2as_hits"],
-                              "misses": totals["ip2as_misses"]}
-    return data
+def _cache_lines(data: Dict[str, Any]) -> List[str]:
+    lines = ["== forwarding-path caches =="]
+    for family, totals in data.items():
+        hits, misses = totals["hits"], totals["misses"]
+        rate = f"  hit rate: {hits / (hits + misses):.1%}"
+        lines.append(f"{family.replace('_', ' ')}: hits {hits:.0f}  "
+                     f"misses {misses:.0f}{rate}")
+    return lines
 
 
 # -- warm-start state snapshots ----------------------------------------------
 
-def _snapshot_totals(grouped: Dict[str, List[Event]]
-                     ) -> Optional[Dict[str, Any]]:
+def _snapshot_totals(grouped: Grouped) -> Optional[Dict[str, Any]]:
+    """Warm-start state-store activity (:mod:`repro.par.statestore`).
+
+    ``snapshot.hit`` events carry how many replay cycles each restore
+    saved; misses mean a cold replay followed, rejects mean a file was
+    unusable (corrupt, foreign spec or version) and the search fell
+    back to an older snapshot.
+    """
     hits = grouped.get("snapshot.hit", [])
     misses = grouped.get("snapshot.miss", [])
     writes = grouped.get("snapshot.write", [])
@@ -276,17 +244,7 @@ def _snapshot_totals(grouped: Dict[str, List[Event]]
     }
 
 
-def _snapshot_section(grouped: Dict[str, List[Event]]) -> List[str]:
-    """Warm-start state-store activity (:mod:`repro.par.statestore`).
-
-    ``snapshot.hit`` events carry how many replay cycles each restore
-    saved; misses mean a cold replay followed, rejects mean a file was
-    unusable (corrupt, foreign spec or version) and the search fell
-    back to an older snapshot.
-    """
-    totals = _snapshot_totals(grouped)
-    if totals is None:
-        return []
+def _snapshot_lines(totals: Dict[str, Any]) -> List[str]:
     lines = ["== warm-start state snapshots ==",
              f"restores: {totals['restores']}  "
              f"cold replays: {totals['cold_replays']}  "
@@ -310,8 +268,7 @@ def _shard_sort_key(shard: str) -> Any:
     return (0, int(shard)) if shard.isdigit() else (1, shard)
 
 
-def _resource_rows(grouped: Dict[str, List[Event]]
-                   ) -> List[Dict[str, Any]]:
+def _resource_rows(grouped: Grouped) -> List[Dict[str, Any]]:
     """Per-process aggregation of ``worker.resources`` samples.
 
     RSS aggregates to peak and median; CPU times are cumulative so the
@@ -373,10 +330,7 @@ def _format_bytes(count: float) -> str:
     raise AssertionError("unreachable")
 
 
-def _resource_section(grouped: Dict[str, List[Event]]) -> List[str]:
-    rows = _resource_rows(grouped)
-    if not rows:
-        return []
+def _resource_lines(rows: List[Dict[str, Any]]) -> List[str]:
     table_rows = [
         [row["shard"], row["samples"],
          _format_bytes(row["peak_rss_bytes"]),
@@ -394,24 +348,18 @@ def _resource_section(grouped: Dict[str, List[Event]]) -> List[str]:
 
 # -- stalls ------------------------------------------------------------------
 
-def _stall_rows(grouped: Dict[str, List[Event]]) -> List[Dict[str, Any]]:
-    stalled = grouped.get("shard.stalled", [])
-    if not stalled:
-        return []
+def _stall_rows(grouped: Grouped) -> List[Dict[str, Any]]:
     recovered = {event.fields.get("shard")
                  for event in grouped.get("shard.recovered", [])}
     return [
         {"shard": event.fields.get("shard"),
          "timeout_s": event.fields.get("timeout"),
          "recovered": event.fields.get("shard") in recovered}
-        for event in stalled
+        for event in grouped.get("shard.stalled", [])
     ]
 
 
-def _stall_section(grouped: Dict[str, List[Event]]) -> List[str]:
-    rows = _stall_rows(grouped)
-    if not rows:
-        return []
+def _stall_lines(rows: List[Dict[str, Any]]) -> List[str]:
     lines = ["== stalls =="]
     for row in rows:
         fate = "recovered" if row["recovered"] else "NOT recovered"
@@ -435,8 +383,13 @@ def _cycle_metric(metrics: Dict[str, Any], name: str,
     return total
 
 
-def _filter_series(grouped: Dict[str, List[Event]]
-                   ) -> Optional[Dict[str, Any]]:
+def _filter_series(grouped: Grouped) -> Optional[Dict[str, Any]]:
+    """Per-filter drop counts across cycles.
+
+    ``cycle.metrics`` events carry each cycle's registry delta; the
+    ``lsps_dropped_total{filter=...}`` series inside reconstruct the
+    funnel the paper's Table 1 footnotes describe.
+    """
     cycles = sorted(grouped.get("cycle.metrics", []),
                     key=lambda e: e.fields.get("cycle", 0))
     if not cycles:
@@ -455,16 +408,8 @@ def _filter_series(grouped: Dict[str, List[Event]]
     }
 
 
-def _filter_section(grouped: Dict[str, List[Event]]) -> List[str]:
-    """Per-filter drop counts across cycles, as sparkline trajectories.
-
-    ``cycle.metrics`` events carry each cycle's registry delta; the
-    ``lsps_dropped_total{filter=...}`` series inside reconstruct the
-    funnel the paper's Table 1 footnotes describe.
-    """
-    series = _filter_series(grouped)
-    if series is None:
-        return []
+def _filter_lines(series: Dict[str, Any]) -> List[str]:
+    """The drop counts as sparkline trajectories."""
     extracted = series["extracted"]
     lines = ["== filter drops per cycle =="]
     width = max(len(name) for name in ("extracted",) + _FILTERS)
@@ -480,7 +425,7 @@ def _filter_section(grouped: Dict[str, List[Event]]) -> List[str]:
 
 # -- differential verification -----------------------------------------------
 
-def _verify_section(grouped: Dict[str, List[Event]]) -> List[str]:
+def _verify_data(grouped: Grouped) -> Dict[str, Any]:
     """Differential-oracle activity (:mod:`repro.verify`).
 
     A ``repro verify`` run leaves one ``verify.config`` event per
@@ -488,90 +433,73 @@ def _verify_section(grouped: Dict[str, List[Event]]) -> List[str]:
     ``verify.violation`` per finding, and — when the shrinker ran — a
     ``verify.minimal`` carrying the standalone repro command.
     """
-    configs = grouped.get("verify.config", [])
-    violations = grouped.get("verify.violation", [])
-    divergences = grouped.get("verify.divergence", [])
-    minimal = grouped.get("verify.minimal", [])
-    shrink_steps = grouped.get("verify.shrink.step", [])
-    if not (configs or violations or divergences):
-        return []
+    found = {key: [dict(event.fields)
+                   for event in grouped.get(f"verify.{kind}", [])]
+             for key, kind in (("configs", "config"),
+                               ("violations", "violation"),
+                               ("divergences", "divergence"),
+                               ("minimal", "minimal"))}
+    if not (found["configs"] or found["violations"]
+            or found["divergences"]):
+        return {}
+    found["shrink_steps"] = len(grouped.get("verify.shrink.step", []))
+    return found
+
+
+def _verify_lines(data: Dict[str, Any]) -> List[str]:
     lines = ["== differential verification =="]
-    if configs:
-        rows = [[event.fields.get("config", "?"),
-                 event.fields.get("cycles", ""),
-                 event.fields.get("status", "?")]
-                for event in configs]
+    if data["configs"]:
+        rows = [[config.get("config", "?"), config.get("cycles", ""),
+                 config.get("status", "?")]
+                for config in data["configs"]]
         lines.append(format_table(["config", "cycles", "status"],
                                   rows))
-    for event in violations:
-        where = (f" (cycle {event.fields['cycle']})"
-                 if "cycle" in event.fields else "")
+    for fields in data["violations"]:
+        where = (f" (cycle {fields['cycle']})"
+                 if "cycle" in fields else "")
         lines.append(f"invariant violation{where}: "
-                     f"[{event.fields.get('checker', '?')}] "
-                     f"{event.fields.get('message', '')}")
-    for event in divergences:
-        where = (f"cycle {event.fields['cycle']}, "
-                 if "cycle" in event.fields else "")
-        lines.append(f"divergence: {event.fields.get('config', '?')} "
-                     f"at {where}stage "
-                     f"{event.fields.get('stage', '?')}")
-    for event in minimal:
+                     f"[{fields.get('checker', '?')}] "
+                     f"{fields.get('message', '')}")
+    for fields in data["divergences"]:
+        where = (f"cycle {fields['cycle']}, "
+                 if "cycle" in fields else "")
+        lines.append(f"divergence: {fields.get('config', '?')} "
+                     f"at {where}stage {fields.get('stage', '?')}")
+    for fields in data["minimal"]:
         lines.append(f"minimal repro "
-                     f"({event.fields.get('trials', '?')} shrink "
-                     f"trials, {len(shrink_steps)} steps recorded): "
-                     f"{event.fields.get('command', '?')}")
+                     f"({fields.get('trials', '?')} shrink trials, "
+                     f"{data['shrink_steps']} steps recorded): "
+                     f"{fields.get('command', '?')}")
     return lines
-
-
-def _verify_data(grouped: Dict[str, List[Event]]) -> Dict[str, Any]:
-    configs = grouped.get("verify.config", [])
-    violations = grouped.get("verify.violation", [])
-    divergences = grouped.get("verify.divergence", [])
-    minimal = grouped.get("verify.minimal", [])
-    if not (configs or violations or divergences):
-        return {}
-    return {
-        "configs": [dict(event.fields) for event in configs],
-        "violations": [dict(event.fields) for event in violations],
-        "divergences": [dict(event.fields) for event in divergences],
-        "minimal": [dict(event.fields) for event in minimal],
-    }
 
 
 # -- trace-derived sections --------------------------------------------------
 
 def _stage_rows(trace_events: Sequence[Dict[str, Any]]
                 ) -> List[Dict[str, Any]]:
-    stages: Dict[Any, Dict[str, float]] = {}
-    order: List[Any] = []
-    for event in trace_events:
-        if event.get("ph") != "X":
-            continue
-        side = "parent" if event.get("tid", 0) == 0 else "worker"
-        key = (event["name"], side)
-        if key not in stages:
-            stages[key] = {"calls": 0, "total_us": 0.0}
-            order.append(key)
-        stages[key]["calls"] += 1
-        stages[key]["total_us"] += event.get("dur", 0.0)
-    return [
-        {"span": name, "side": side,
-         "calls": int(stages[(name, side)]["calls"]),
-         "total_s": round(stages[(name, side)]["total_us"] / 1e6, 6)}
-        for name, side in order
-    ]
-
-
-def _stage_section(trace_events: Sequence[Dict[str, Any]]) -> List[str]:
     """Per-stage totals from the Chrome trace, parent vs workers.
 
     Track 0 is the parent process; grafted worker subtrees live on
     ``shard + 1`` (:func:`repro.obs.export.to_chrome_trace`), so the
     split shows where a sharded study really spent its time.
     """
-    rows = _stage_rows(trace_events)
-    if not rows:
-        return []
+    stages: Dict[Any, Dict[str, float]] = {}
+    for event in trace_events:
+        if event.get("ph") != "X":
+            continue
+        side = "parent" if event.get("tid", 0) == 0 else "worker"
+        stage = stages.setdefault((event["name"], side),
+                                  {"calls": 0, "total_us": 0.0})
+        stage["calls"] += 1
+        stage["total_us"] += event.get("dur", 0.0)
+    return [
+        {"span": name, "side": side, "calls": int(stage["calls"]),
+         "total_s": round(stage["total_us"] / 1e6, 6)}
+        for (name, side), stage in stages.items()
+    ]
+
+
+def _stage_lines(rows: List[Dict[str, Any]]) -> List[str]:
     table_rows = [
         [row["span"], row["side"], row["calls"],
          f"{row['total_s']:.3f}"]
@@ -584,6 +512,7 @@ def _stage_section(trace_events: Sequence[Dict[str, Any]]) -> List[str]:
 
 def _slowest_rows(trace_events: Sequence[Dict[str, Any]],
                   top: int = 5) -> List[Dict[str, Any]]:
+    """Top-N ``pipeline.cycle`` spans by duration, wherever they ran."""
     cycles = [
         (event.get("args", {}).get("cycle"), event.get("dur", 0.0),
          "parent" if event.get("tid", 0) == 0 else "worker")
@@ -597,45 +526,52 @@ def _slowest_rows(trace_events: Sequence[Dict[str, Any]],
             for cycle, dur, side in cycles[:top]]
 
 
-def _slowest_cycles(trace_events: Sequence[Dict[str, Any]],
-                    top: int = 5) -> List[str]:
-    """Top-N ``pipeline.cycle`` spans by duration, wherever they ran."""
-    total = sum(1 for event in trace_events
-                if event.get("ph") == "X"
-                and event["name"] == "pipeline.cycle"
-                and event.get("args", {}).get("cycle") is not None)
-    rows = _slowest_rows(trace_events, top=top)
-    if not rows:
-        return []
+def _slowest_lines(rows: List[Dict[str, Any]]) -> List[str]:
     table_rows = [[row["cycle"], f"{row['seconds']:.3f}", row["side"]]
                   for row in rows]
-    return [f"== slowest cycles (top {min(top, total)}) ==",
+    return [f"== slowest cycles (top {len(rows)}) ==",
             format_table(["cycle", "seconds", "side"], table_rows)]
 
 
 # -- entry points ------------------------------------------------------------
 
+Section = Tuple[str, Any, Callable[[Any], List[str]]]
+
+
+def _sections(events_path: Union[str, Path],
+              trace_path: Optional[Union[str, Path]],
+              top: int) -> List[Section]:
+    """``(json key, data, text renderer)`` for every section, in
+    report order; a renderer only ever sees non-empty data."""
+    grouped = _by_kind(read_events(events_path))
+    sections: List[Section] = [
+        ("study", _summary(grouped), _summary_lines),
+        ("shards", _shard_rows(grouped), _shard_lines),
+        ("caches", _cache_data(grouped), _cache_lines),
+        ("state_snapshots", _snapshot_totals(grouped), _snapshot_lines),
+        ("resources", _resource_rows(grouped), _resource_lines),
+        ("stalls", _stall_rows(grouped), _stall_lines),
+        ("filters", _filter_series(grouped), _filter_lines),
+        ("verify", _verify_data(grouped), _verify_lines),
+    ]
+    if trace_path is not None:
+        trace_events = load_trace(trace_path)
+        sections.append(("stages", _stage_rows(trace_events),
+                         _stage_lines))
+        sections.append(("slowest_cycles",
+                         _slowest_rows(trace_events, top=top),
+                         _slowest_lines))
+    return sections
+
+
 def flight_report(events_path: Union[str, Path],
                   trace_path: Optional[Union[str, Path]] = None,
                   top: int = 5) -> str:
     """The full post-hoc report as one printable string."""
-    grouped = _by_kind(read_events(events_path))
-    sections = [
-        _summary_section(grouped),
-        _shard_timeline(grouped),
-        _cache_section(grouped),
-        _snapshot_section(grouped),
-        _resource_section(grouped),
-        _stall_section(grouped),
-        _filter_section(grouped),
-        _verify_section(grouped),
-    ]
-    if trace_path is not None:
-        trace_events = load_trace(trace_path)
-        sections.append(_stage_section(trace_events))
-        sections.append(_slowest_cycles(trace_events, top=top))
-    return "\n\n".join("\n".join(section)
-                       for section in sections if section)
+    return "\n\n".join(
+        "\n".join(render(data))
+        for _key, data, render in _sections(events_path, trace_path, top)
+        if data)
 
 
 def flight_report_data(events_path: Union[str, Path],
@@ -647,23 +583,7 @@ def flight_report_data(events_path: Union[str, Path],
     ``study`` which is always present.  ``repro report --format json``
     prints this, for dashboards and scripts.
     """
-    grouped = _by_kind(read_events(events_path))
-    data: Dict[str, Any] = {"study": _summary_data(grouped)}
-    optional: List[tuple] = [
-        ("shards", _shard_rows(grouped)),
-        ("caches", _cache_data(grouped)),
-        ("state_snapshots", _snapshot_totals(grouped)),
-        ("resources", _resource_rows(grouped)),
-        ("stalls", _stall_rows(grouped)),
-        ("filters", _filter_series(grouped)),
-        ("verify", _verify_data(grouped)),
-    ]
-    if trace_path is not None:
-        trace_events = load_trace(trace_path)
-        optional.append(("stages", _stage_rows(trace_events)))
-        optional.append(("slowest_cycles",
-                         _slowest_rows(trace_events, top=top)))
-    for key, value in optional:
-        if value:
-            data[key] = value
-    return data
+    return {key: data
+            for key, data, _render in _sections(events_path, trace_path,
+                                                top)
+            if data or key == "study"}

@@ -63,10 +63,12 @@ from .obs import (
     HealthMonitor,
     MonotonicClock,
     ProgressPrinter,
+    ProgressTracker,
     TelemetryServer,
     Tracer,
     configure_logging,
-    get_logger,
+    emit,
+    get_event_bus,
     get_registry,
     get_tracer,
     parse_endpoint,
@@ -81,8 +83,6 @@ from .traces import Trace
 from .verify import CONFIG_NAMES, default_matrix, run_matrix
 from .warts import WartsError, read_archive, salvage_archive, \
     write_archive
-
-_log = get_logger(__name__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,31 +502,31 @@ def cmd_study(args) -> int:
         # The events file gets wall timestamps only when the run
         # already opted into timing; a bare --events-out stays on the
         # NullClock and the file is deterministic (DESIGN §6).
-        bus = EventBus(clock=MonotonicClock() if timed else None,
-                       sink=args.events_out)
-        set_event_bus(bus)
-    printer = ProgressPrinter() if args.progress else None
-    health = server = None
+        bus = set_event_bus(EventBus(
+            clock=MonotonicClock() if timed else None,
+            sink=args.events_out))
+    # Every live consumer is a subscriber of the (possibly new) bus.
+    subscriptions = []
+    printer = server = tracker = None
+    if args.progress or endpoint is not None:
+        tracker = ProgressTracker(clock=MonotonicClock())
+        printer = ProgressPrinter() if args.progress else None
+
+        def on_progress(event):
+            if tracker.on_event(event) and printer is not None:
+                printer.update(tracker)
+
+        subscriptions.append(get_event_bus().subscribe(on_progress))
     if endpoint is not None:
         health = HealthMonitor(stall_timeout=args.stall_timeout,
                                clock=MonotonicClock())
+        subscriptions.append(get_event_bus().subscribe(health.on_event))
         server = TelemetryServer(*endpoint, registry=get_registry(),
                                  health=health)
+        server.set_tracker(tracker)
         server.start()
         print(f"telemetry: listening on {server.url}",
               file=sys.stderr, flush=True)
-
-    # /progress needs the live tracker, so the server taps the same
-    # callback stream the printer does.
-    sinks = [sink for sink in
-             (printer.update if printer is not None else None,
-              server.on_progress if server is not None else None)
-             if sink is not None]
-    progress = None
-    if sinks:
-        def progress(tracker):
-            for sink in sinks:
-                sink(tracker)
     try:
         study = run_longitudinal_study(
             scale=args.scale, seed=args.seed,
@@ -537,11 +537,11 @@ def cmd_study(args) -> int:
             snapshot_stride=args.snapshot_stride,
             max_retries=args.max_retries,
             backoff_base=args.backoff_base,
-            progress=progress,
             resources=server is not None,
-            stall_timeout=args.stall_timeout,
-            health=health)
+            stall_timeout=args.stall_timeout)
     finally:
+        for unsubscribe in subscriptions:
+            unsubscribe()
         if printer is not None:
             printer.finish()
         if server is not None:
@@ -621,14 +621,19 @@ def cmd_verify(args) -> int:
 
 
 def _profile_table(tracer: Tracer) -> str:
-    """Per-stage span breakdown of everything the tracer recorded."""
+    """Per-stage span breakdown of everything the tracer recorded.
+
+    Worker time ran concurrently with the parent, so it has its own
+    column and never counts against a parent span's self time.
+    """
     rows = [
-        [totals.name, totals.count, f"{totals.total_s:.3f}",
-         f"{totals.self_s:.3f}", f"{totals.mean_ms:.2f}"]
+        [totals.name, totals.count, f"{totals.parent_s:.3f}",
+         f"{totals.worker_s:.3f}", f"{totals.self_s:.3f}",
+         f"{totals.mean_ms:.2f}"]
         for totals in tracer.totals()
     ]
-    return format_table(
-        ["span", "calls", "total s", "self s", "mean ms"], rows)
+    return format_table(["span", "calls", "parent s", "worker s",
+                         "self s", "mean ms"], rows)
 
 
 _COMMANDS = {
@@ -651,7 +656,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             write_metrics_json(args.metrics_out,
                                registry=get_registry(),
                                trace=get_tracer())
-            _log.info("metrics.written", path=str(args.metrics_out))
+            emit("metrics.written", path=str(args.metrics_out))
         except OSError as error:
             print(f"cannot write metrics: {error}", file=sys.stderr)
             code = code or 1

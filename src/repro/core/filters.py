@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..net.ip2as import Ip2AsMapper, UNKNOWN_AS
-from ..obs import get_logger, get_registry, span
+from ..obs import get_registry, span
 from .model import Iotp, IotpKey, Lsp, LspSignature, group_into_iotps
 
-_log = get_logger(__name__)
 _LSPS_DROPPED = get_registry().counter(
     "lsps_dropped_total",
     "LSPs removed by each LPR filter stage")
@@ -233,7 +232,4 @@ def run_filters(lsps: Sequence[Lsp], ip2as: Ip2AsMapper,
     for iotp in iotps.values():
         if iotp.asn in dynamic_ases:
             iotp.dynamic = True
-    _log.debug("filters.done", extracted=stats.extracted,
-               survivors=stats.after_persistence,
-               reinjected=len(outcome.dynamic_ases))
     return iotps, stats

@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..net.ip2as import Ip2AsMapper
-from ..obs import emit, get_logger, get_registry, span
+from ..obs import emit, get_registry, span
 from ..traces import Trace
 from .classification import ClassificationResult, classify
 from .extraction import complete_signatures, extract_all, is_explicit_hop
 from .filters import FilterStats, run_filters
 from .model import Iotp, IotpKey, LspSignature
 
-_log = get_logger(__name__)
 _CYCLES_PROCESSED = get_registry().counter(
     "pipeline_cycles_total", "Measurement cycles run through LPR")
 
@@ -165,10 +164,6 @@ class LprPipeline:
             with span("pipeline.classify"):
                 classification = classify(iotps, self.php_heuristic)
         _CYCLES_PROCESSED.inc()
-        _log.info("pipeline.cycle.done", cycle=cycle,
-                  traces=stats.trace_count,
-                  extracted=filter_stats.extracted,
-                  iotps=len(iotps))
         emit("cycle.done", cycle=cycle, traces=stats.trace_count,
              extracted=filter_stats.extracted, iotps=len(iotps))
         return CycleResult(

@@ -1,22 +1,22 @@
-"""Observability: structured logging, span tracing, metrics.
+"""Observability: the event bus, span tracing, metrics.
 
 The library instruments its hot path (simulation, extraction, filters,
 classification) against the process-wide singletons exposed here:
 
-* :func:`get_logger` — namespaced structured loggers (silent until
-  :func:`configure_logging` attaches a handler);
+* :func:`emit` / :func:`get_event_bus` — the one channel for a run's
+  facts (:mod:`repro.obs.events`): an append-only event bus with
+  logical sequence numbers always and wall timestamps only under a
+  real :class:`Clock`.  Pool workers forward their events to it, and
+  every consumer subscribes: :func:`configure_logging` (a key=value or
+  JSON-lines formatter on stderr), :class:`ProgressTracker`
+  (:mod:`repro.obs.progress`, live campaign progress with ETA),
+  :class:`HealthMonitor` and the resource gauges;
 * :func:`span` / :func:`get_tracer` — hierarchical wall-time spans.
   The default tracer carries a :class:`NullClock`, so the library never
   reads the wall clock unless a caller opts into profiling
   (DESIGN §6 determinism contract);
 * :data:`REGISTRY` / :func:`get_registry` — counters, gauges and
-  histograms, all derived deterministically from the data;
-* :func:`emit` / :func:`get_event_bus` — the study flight recorder
-  (:mod:`repro.obs.events`): an append-only event bus with logical
-  sequence numbers always and wall timestamps only under a real
-  :class:`Clock`;
-* :class:`ProgressTracker` (:mod:`repro.obs.progress`) — live campaign
-  progress aggregated from worker heartbeats, with ETA.
+  histograms, all derived deterministically from the data.
 
 Exporters (:mod:`repro.obs.export`) render registry snapshots as JSON
 or Prometheus text, and span trees as Chrome trace-event JSON
@@ -26,17 +26,11 @@ The **live telemetry plane** (DESIGN §12) builds on all of the above:
 :class:`TelemetryServer` (:mod:`repro.obs.live`) serves the live
 registry, health, progress and event tail over HTTP while a study
 runs; :mod:`repro.obs.resources` samples per-process RSS/CPU/GC on
-worker heartbeats; :class:`StallWatchdog` (:mod:`repro.obs.watchdog`)
+every heartbeat; :class:`StallWatchdog` (:mod:`repro.obs.watchdog`)
 flags shards whose heartbeats go silent past a deadline.  All of it is
 opt-in and clock-injected, so the determinism contract holds.
 """
 
-from .log import (
-    JsonFormatter,
-    KeyValueFormatter,
-    StructuredLogger,
-    get_logger,
-)
 from .log import configure as configure_logging
 from .metrics import (
     Counter,
@@ -79,8 +73,8 @@ from .events import (
 )
 from .progress import ProgressPrinter, ProgressTracker
 from .resources import (
+    absorb_event,
     absorb_resources,
-    record_resources,
     sample_resources,
 )
 from .watchdog import StallWatchdog
@@ -91,10 +85,6 @@ from .live import (
 )
 
 __all__ = [
-    "JsonFormatter",
-    "KeyValueFormatter",
-    "StructuredLogger",
-    "get_logger",
     "configure_logging",
     "Counter",
     "Gauge",
@@ -129,8 +119,8 @@ __all__ = [
     "ProgressPrinter",
     "ProgressTracker",
     "PROMETHEUS_CONTENT_TYPE",
+    "absorb_event",
     "absorb_resources",
-    "record_resources",
     "sample_resources",
     "StallWatchdog",
     "HealthMonitor",

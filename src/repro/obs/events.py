@@ -27,8 +27,13 @@ Usage mirrors the tracer: a process-wide bus behind
 
     emit("shard.retry", shard=3, attempt=2, error="BrokenProcessPool")
 
-Worker processes install a fresh in-memory bus at shard start, so a
-forked sink file descriptor is never written from two processes.
+The bus is the one channel for a run's facts.  Every consumer —
+progress tracker, health monitor, resource gauges, log formatter —
+is a subscriber (:meth:`EventBus.subscribe`) that sees each event as
+it is emitted.  Pool workers install a bus that forwards each event
+to the parent (:mod:`repro.par.runner`), which re-emits it on its
+own bus, so a forked sink file descriptor is never written from two
+processes and the parent assigns every ``seq`` and ``ts``.
 """
 
 from __future__ import annotations
@@ -39,12 +44,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Deque,
     Dict,
     IO,
     Iterator,
     List,
     Optional,
+    Tuple,
     Union,
 )
 
@@ -86,6 +93,9 @@ def event_from_dict(data: Dict[str, Any]) -> Event:
     return Event(seq=seq, kind=kind, fields=payload, ts=ts)
 
 
+Subscriber = Callable[[Event], None]
+
+
 class EventBus:
     """Append-only event collector with an optional JSONL sink.
 
@@ -93,7 +103,8 @@ class EventBus:
     of wall-clock reads; ``sink`` is a path or text stream that
     receives one flushed JSON line per event.  The last
     :data:`DEFAULT_KEEP` events stay readable in memory via
-    :attr:`events` whether or not a sink is attached.
+    :attr:`events` whether or not a sink is attached, and every
+    subscriber is called with each event, in subscription order.
     """
 
     def __init__(self, clock: Optional[Clock] = None,
@@ -104,6 +115,7 @@ class EventBus:
         self._events: Deque[Event] = deque(maxlen=keep)
         self._stream: Optional[IO[str]] = None
         self._owns_stream = False
+        self._subscribers: List[Tuple[Subscriber, bool]] = []
         self.sink_path: Optional[Path] = None
         if sink is not None:
             if isinstance(sink, (str, Path)):
@@ -123,6 +135,27 @@ class EventBus:
     def timed(self) -> bool:
         """Whether emitted events carry wall timestamps."""
         return not isinstance(self.clock, NullClock)
+
+    def subscribe(self, callback: Subscriber, *,
+                  carry: bool = False) -> Callable[[], None]:
+        """Call ``callback(event)`` for every later event; returns the
+        matching unsubscribe function.
+
+        ``carry=True`` marks a process-wide consumer (the log sink):
+        :func:`set_event_bus` moves it onto the replacement bus, so it
+        survives ``--events-out`` swapping the bus, and its unsubscribe
+        function detaches it from whichever bus is global by then.
+        """
+        # Copy-on-write, so emit() iterates a list nobody mutates.
+        self._subscribers = self._subscribers + [(callback, carry)]
+        if carry:
+            return lambda: get_event_bus().unsubscribe(callback)
+        return lambda: self.unsubscribe(callback)
+
+    def unsubscribe(self, callback: Subscriber) -> None:
+        """Detach ``callback`` (a no-op when it is not subscribed)."""
+        self._subscribers = [entry for entry in self._subscribers
+                             if entry[0] is not callback]
 
     def emit(self, kind: str, /, **fields: Any) -> Event:
         """Record one event; returns it (mostly for tests).
@@ -146,6 +179,8 @@ class EventBus:
             self._stream.write(json.dumps(event.to_dict(),
                                           default=str) + "\n")
             self._stream.flush()
+        for callback, _carry in self._subscribers:
+            callback(event)
         return event
 
     def reset(self) -> None:
@@ -205,9 +240,20 @@ def get_event_bus() -> EventBus:
     return _bus
 
 
-def set_event_bus(bus: EventBus) -> EventBus:
-    """Replace the global bus (e.g. to attach a sink); returns it."""
+def set_event_bus(bus: EventBus, carry: bool = True) -> EventBus:
+    """Replace the global bus (e.g. to attach a sink); returns it.
+
+    Carried subscribers move from the old bus to ``bus``; a pool
+    worker passes ``carry=False`` so a log sink inherited over
+    ``fork`` never prints from the worker (the parent logs the
+    forwarded events instead).
+    """
     global _bus
+    if carry and bus is not _bus:
+        carried = [entry for entry in _bus._subscribers if entry[1]]
+        _bus._subscribers = [entry for entry in _bus._subscribers
+                             if not entry[1]]
+        bus._subscribers = bus._subscribers + carried
     _bus = bus
     return bus
 

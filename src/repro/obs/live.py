@@ -26,10 +26,12 @@ can never perturb results; byte-identity of a telemetry-served run
 against a bare serial one is asserted end-to-end in the flight-recorder
 tests (DESIGN §6).
 
-:class:`HealthMonitor` is the tiny shared truth behind ``/healthz``:
-the runner beats it on every heartbeat/cycle, the stall watchdog flips
-it per-shard, and ``finish()`` freezes it healthy once the study
-returns (a completed study is not "stale", however long ago it beat).
+:class:`HealthMonitor` is the tiny shared truth behind ``/healthz``,
+and an event-bus subscriber (:meth:`HealthMonitor.on_event`): any
+event is a beat, ``shard.stalled``/``shard.recovered`` (judged by the
+runner's stall watchdog) flip it per shard, and ``study.done`` freezes
+it healthy (a completed study is not "stale", however long ago it
+beat).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from .events import EventBus, get_event_bus
+from .events import Event, EventBus, get_event_bus
 from .export import PROMETHEUS_CONTENT_TYPE, to_prometheus
 from .metrics import MetricsRegistry, get_registry
 from .progress import ProgressTracker
@@ -94,8 +96,18 @@ class HealthMonitor:
         self._stalled: Dict[Any, float] = {}
         self._finished = False
 
+    def on_event(self, event: Event) -> None:
+        """Bus subscriber: every event is a sign of life."""
+        self.beat()
+        if event.kind == "shard.stalled":
+            self.stall(event.fields["shard"])
+        elif event.kind == "shard.recovered":
+            self.clear(event.fields["shard"])
+        elif event.kind == "study.done":
+            self.finish()
+
     def beat(self) -> None:
-        """Any sign of life: a heartbeat drained, a cycle finished."""
+        """Any sign of life: an event emitted or forwarded."""
         with self._lock:
             self._beats += 1
             self._last_beat = self.clock.now()
@@ -175,11 +187,11 @@ class TelemetryServer:
     """Serves /metrics, /healthz, /progress and /events for one study.
 
     Build it, :meth:`start` it (port 0 picks a free port — read
-    :attr:`url` after), pass :meth:`on_progress` as (part of) the
-    study's progress callback so the tracker and liveness reach the
-    server, and :meth:`stop` it when the run is over.  :meth:`respond`
-    is the transport-free core — tests drive it directly, the HTTP
-    handler delegates to it.
+    :attr:`url` after), hand it the run's bus-fed tracker with
+    :meth:`set_tracker` (its :attr:`health` monitor subscribes to the
+    bus the same way), and :meth:`stop` it when the run is over.
+    :meth:`respond` is the transport-free core — tests drive it
+    directly, the HTTP handler delegates to it.
     """
 
     def __init__(self, host: str = DEFAULT_HOST, port: int = 0, *,
@@ -195,15 +207,9 @@ class TelemetryServer:
         self._httpd: Optional[_TelemetryHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
-    # -- study-side hooks ----------------------------------------------------
-
     def set_tracker(self, tracker: Optional[ProgressTracker]) -> None:
+        """The tracker ``/progress`` serves (None: no active study)."""
         self._tracker = tracker
-
-    def on_progress(self, tracker: ProgressTracker) -> None:
-        """Progress-callback form: latch the tracker, count a beat."""
-        self._tracker = tracker
-        self.health.beat()
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -1,54 +1,66 @@
-"""Structured logging on top of stdlib :mod:`logging`.
+"""Log lines: a formatting sink of the event bus.
 
-Every module of the library obtains a namespaced logger via
-:func:`get_logger` (``repro.sim.ark``, ``repro.core.filters``, ...) and
-emits *events* rather than prose: a short dotted event name plus
-key=value fields::
+The library does not log by itself; it emits events
+(:mod:`repro.obs.events`).  :func:`configure` subscribes one formatter
+to the bus that prints every event at or above a level on a stream,
+as a human-readable line or a JSON object::
 
-    log = get_logger(__name__)
-    log.info("cycle.done", cycle=12, traces=2381)
+    12:04:31 INFO    cycle.done cycle=12 traces=2381 iotps=41
+    {"ts": 1760000671.2, "level": "info", "event": "cycle.done",
+     "seq": 7, "cycle": 12, "traces": 2381, "iotps": 41}
 
-Nothing is printed until :func:`configure` attaches a handler — the
-library itself stays silent (a :class:`logging.NullHandler` sits on the
-``repro`` root), so importing it never touches stderr or the wall clock.
-The CLI calls :func:`configure` from its global ``--log-level`` /
-``--log-json`` flags; embedders may instead attach their own handlers to
-the ``repro`` logger tree and still receive the structured fields via
-``record.fields``.
+One table (:data:`KIND_LEVELS`, read by :func:`level_of`) gives each
+event kind its level: warnings for rejected store files, retries,
+failures, stalls, verify findings and skipped archive records; debug
+for the high-rate kinds; info for the rest.
 
-Two formatters ship with the library:
-
-* :class:`KeyValueFormatter` — one human-readable line,
-  ``HH:MM:SS LEVEL logger event key=value ...``;
-* :class:`JsonFormatter` — one JSON object per line, safe to feed into
-  ``jq`` or a log pipeline.
+Nothing is printed until :func:`configure` runs; the CLI calls it
+from its global ``--log-level`` / ``--log-json`` flags.  The sink is a
+*carried* subscriber, so it follows the process-wide bus when
+``--events-out`` swaps in a new one, and because pool workers forward
+their events to the parent bus, worker facts are logged by the parent
+under ``fork`` and ``spawn`` alike.  Embedders that want another
+format subscribe their own callback to the bus instead.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import sys
-from typing import Any, Dict, IO, Mapping, Optional
+import time
+from typing import Any, Callable, Dict, IO, Optional
 
-ROOT = "repro"
+from .events import Event, get_event_bus
 
-_LEVELS = {
-    "debug": logging.DEBUG,
-    "info": logging.INFO,
-    "warning": logging.WARNING,
-    "error": logging.ERROR,
+_LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
+
+KIND_LEVELS: Dict[str, str] = {
+    "shard.retry": "warning",
+    "shard.failed": "warning",
+    "shard.stalled": "warning",
+    "verify.divergence": "warning",
+    "verify.violation": "warning",
+    "warts.record.skipped": "warning",
+    "shard.heartbeat": "debug",
+    "worker.resources": "debug",
+    "cache.flush": "debug",
+    "cycle.metrics": "debug",
 }
+"""Every event kind whose level is not ``info``.  Any ``*.rejected``
+kind (an unusable checkpoint or state snapshot) is a warning too."""
 
-logging.getLogger(ROOT).addHandler(logging.NullHandler())
+_unsubscribe: Optional[Callable[[], None]] = None
 
 
-def _fields_of(record: logging.LogRecord) -> Mapping[str, Any]:
-    return getattr(record, "fields", None) or {}
+def level_of(kind: str) -> str:
+    """The log level of one event kind."""
+    if kind.endswith(".rejected"):
+        return "warning"
+    return KIND_LEVELS.get(kind, "info")
 
 
 def _format_value(value: Any) -> str:
-    """Render one field value for the key=value formatter."""
+    """Render one field value for the key=value format."""
     if isinstance(value, float):
         return f"{value:.6g}"
     text = str(value)
@@ -57,105 +69,45 @@ def _format_value(value: Any) -> str:
     return text
 
 
-class KeyValueFormatter(logging.Formatter):
-    """``HH:MM:SS LEVEL logger event key=value ...`` lines."""
-
-    default_time_format = "%H:%M:%S"
-
-    def format(self, record: logging.LogRecord) -> str:
-        head = (f"{self.formatTime(record)} {record.levelname:<7} "
-                f"{record.name} {record.getMessage()}")
-        pairs = " ".join(
-            f"{key}={_format_value(value)}"
-            for key, value in _fields_of(record).items()
-        )
-        return f"{head} {pairs}" if pairs else head
+def format_key_value(event: Event, level: str) -> str:
+    """``HH:MM:SS LEVEL kind key=value ...``"""
+    head = f"{time.strftime('%H:%M:%S')} {level.upper():<7} {event.kind}"
+    pairs = " ".join(f"{key}={_format_value(value)}"
+                     for key, value in event.fields.items())
+    return f"{head} {pairs}" if pairs else head
 
 
-class JsonFormatter(logging.Formatter):
-    """One JSON object per line: ts, level, logger, event, fields."""
-
-    def format(self, record: logging.LogRecord) -> str:
-        payload: Dict[str, Any] = {
-            "ts": round(record.created, 6),
-            "level": record.levelname.lower(),
-            "logger": record.name,
-            "event": record.getMessage(),
-        }
-        payload.update(_fields_of(record))
-        return json.dumps(payload, default=str)
-
-
-class StructuredLogger:
-    """Thin wrapper turning keyword arguments into structured fields.
-
-    The wrapper is deliberately lazy: when the level is disabled the
-    call returns before any field formatting happens, so instrumented
-    hot paths cost one integer comparison.
-    """
-
-    __slots__ = ("_logger",)
-
-    def __init__(self, logger: logging.Logger):
-        self._logger = logger
-
-    @property
-    def name(self) -> str:
-        return self._logger.name
-
-    def is_enabled_for(self, level: int) -> bool:
-        return self._logger.isEnabledFor(level)
-
-    def _log(self, level: int, event: str,
-             fields: Dict[str, Any]) -> None:
-        if self._logger.isEnabledFor(level):
-            self._logger.log(level, event, extra={"fields": fields})
-
-    def debug(self, event: str, **fields: Any) -> None:
-        self._log(logging.DEBUG, event, fields)
-
-    def info(self, event: str, **fields: Any) -> None:
-        self._log(logging.INFO, event, fields)
-
-    def warning(self, event: str, **fields: Any) -> None:
-        self._log(logging.WARNING, event, fields)
-
-    def error(self, event: str, **fields: Any) -> None:
-        self._log(logging.ERROR, event, fields)
-
-
-def get_logger(name: str) -> StructuredLogger:
-    """A structured logger namespaced under ``repro``.
-
-    ``name`` is typically ``__name__``; names outside the ``repro``
-    tree are re-rooted under it so :func:`configure` always governs
-    them.
-    """
-    if name != ROOT and not name.startswith(ROOT + "."):
-        name = f"{ROOT}.{name}"
-    return StructuredLogger(logging.getLogger(name))
+def format_json(event: Event, level: str) -> str:
+    """One JSON object: ts, level, event, seq, then the fields."""
+    payload: Dict[str, Any] = {"ts": round(time.time(), 6),
+                               "level": level, "event": event.kind,
+                               "seq": event.seq}
+    payload.update(event.fields)
+    return json.dumps(payload, default=str)
 
 
 def configure(level: str = "info", json_output: bool = False,
-              stream: Optional[IO[str]] = None) -> logging.Handler:
-    """Attach one stream handler to the ``repro`` logger tree.
+              stream: Optional[IO[str]] = None) -> Callable[[], None]:
+    """Subscribe the log formatter to the process-wide bus.
 
-    Replaces any handler a previous :func:`configure` call installed,
-    so the CLI (and tests) can call it repeatedly.  Returns the handler
-    for callers that want to detach it again.
+    Replaces the sink a previous call installed, so the CLI (and
+    tests) can call it repeatedly.  ``stream`` defaults to whatever
+    ``sys.stderr`` is at write time.  Returns the unsubscribe function.
     """
     if level not in _LEVELS:
         raise ValueError(f"unknown log level {level!r}; "
                          f"expected one of {sorted(_LEVELS)}")
-    root = logging.getLogger(ROOT)
-    for handler in list(root.handlers):
-        if getattr(handler, "_repro_configured", False):
-            root.removeHandler(handler)
-    handler = logging.StreamHandler(stream or sys.stderr)
-    handler.setFormatter(JsonFormatter() if json_output
-                         else KeyValueFormatter())
-    handler._repro_configured = True  # type: ignore[attr-defined]
-    root.addHandler(handler)
-    root.setLevel(_LEVELS[level])
-    root.propagate = False
-    return handler
+    global _unsubscribe
+    if _unsubscribe is not None:
+        _unsubscribe()
+    threshold = _LEVELS[level]
+    render = format_json if json_output else format_key_value
+
+    def sink(event: Event) -> None:
+        event_level = level_of(event.kind)
+        if _LEVELS[event_level] >= threshold:
+            (stream or sys.stderr).write(render(event, event_level)
+                                         + "\n")
+
+    _unsubscribe = get_event_bus().subscribe(sink, carry=True)
+    return _unsubscribe

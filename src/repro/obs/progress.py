@@ -1,10 +1,12 @@
 """Live study progress: heartbeat aggregation, ETA, one-line rendering.
 
 A sharded study is a black box without this: workers probe for minutes
-before their shard returns.  :class:`ProgressTracker` aggregates the
-per-shard heartbeats the workers push over the runner's progress queue
-(cycles done, traces simulated) into campaign-level
-totals, and derives an ETA from the completed-work rate.
+before their shard returns.  :class:`ProgressTracker` is an event-bus
+subscriber (:meth:`ProgressTracker.on_event`): it learns the plan from
+``study.start``/``study.plan``, folds the per-shard ``shard.heartbeat``
+events (cycles done, traces simulated — forwarded from pool workers
+like every other worker event) into campaign-level totals, and derives
+an ETA from the completed-work rate.
 
 The displayed work counter is **monotonically non-decreasing**: stale
 or duplicate heartbeats are folded with ``max``, and when a failed
@@ -26,6 +28,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, IO, Optional
 
+from .events import Event
 from .trace import Clock, NullClock
 
 
@@ -45,7 +48,8 @@ class ShardProgress:
 class ProgressTracker:
     """Campaign-level progress derived from per-shard heartbeats."""
 
-    def __init__(self, total_cycles: int, clock: Optional[Clock] = None):
+    def __init__(self, total_cycles: int = 0,
+                 clock: Optional[Clock] = None):
         self.total_cycles = total_cycles
         self.clock = clock or NullClock()
         self.shards: Dict[int, ShardProgress] = {}
@@ -54,23 +58,51 @@ class ProgressTracker:
         self._restored = 0.0
         # Mutations come from the runner's thread, reads also from the
         # telemetry server's handler threads; reentrant because
-        # add_shard(done=True) folds through shard_done.
+        # on_event folds through the locked methods below.
         self._lock = threading.RLock()
+
+    # -- bus subscriber ------------------------------------------------------
+
+    def on_event(self, event: Event) -> bool:
+        """Fold one bus event in; True when it moved the work done
+        (a heartbeat or a finished shard), i.e. worth re-rendering.
+
+        ``study.plan`` carries the restored cycle count and each
+        planned shard's ``[first, last]`` (shard ids are plan
+        positions); subdivided children register when dispatched.
+        """
+        fields, kind = event.fields, event.kind
+        with self._lock:
+            if kind == "shard.heartbeat":
+                self.heartbeat(fields["shard"], fields["cycles_done"],
+                               fields["traces"])
+                return True
+            if kind == "shard.done":
+                self.shard_done(fields["shard"])
+                return True
+            if kind == "shard.dispatch":
+                if fields["shard"] not in self.shards:
+                    self.add_shard(fields["shard"], _work(
+                        fields["first"], fields["last"]))
+            elif kind == "shard.subdivided":
+                self.abandon_shard(fields["parent"])
+            elif kind == "study.plan":
+                self.add_restored(fields["restored"])
+                for shard_id, (first, last) in enumerate(
+                        fields["ranges"]):
+                    self.add_shard(shard_id, _work(first, last))
+            elif kind == "study.start":
+                self.total_cycles = fields["cycles"]
+                self._start = self.clock.now()
+            return False
 
     # -- shard registry ------------------------------------------------------
 
-    def add_shard(self, shard_id: int, work: float,
-                  done: bool = False) -> None:
-        """Register one shard's share of the campaign.
-
-        ``work`` is in cycle units; ``done=True`` registers an
-        already-finished shard (e.g. restored from a checkpoint).
-        """
+    def add_shard(self, shard_id: int, work: float) -> None:
+        """Register one shard's share of the campaign (cycle units)."""
         with self._lock:
-            progress = ShardProgress(shard_id=shard_id, work=work)
-            self.shards[shard_id] = progress
-            if done:
-                self.shard_done(shard_id)
+            self.shards[shard_id] = ShardProgress(shard_id=shard_id,
+                                                  work=work)
 
     def add_restored(self, cycles: float) -> None:
         """Count cycles restored from a checkpoint before planning:
@@ -197,6 +229,11 @@ class ProgressTracker:
                 f"({self.fraction:.0%}) | "
                 f"shards {self.shards_done}/{self.shards_total} | "
                 f"traces {self.traces} | eta {eta_text}")
+
+
+def _work(first: int, last: int) -> float:
+    """Cycle-units of the inclusive cycle range ``first..last``."""
+    return float(last - first + 1)
 
 
 def _format_seconds(seconds: float) -> str:

@@ -4,23 +4,25 @@ A long campaign's operational questions — is a worker leaking memory,
 is the parent CPU-bound on reassembly, is GC churning — need per-process
 resource telemetry, not just logical progress.  :func:`sample_resources`
 reads the *current* process's peak RSS, cumulative user/system CPU time
-and per-generation GC collection counts; workers attach the sample to
-their heartbeats and the parent folds it into labelled gauges via
-:func:`record_resources`.
+and per-generation GC collection counts.  The process that took a
+sample emits it as a ``worker.resources`` event (pool workers' events
+reach the parent bus over the runner's queue), and the parent's
+:func:`absorb_event` subscriber folds it into labelled gauges.
 
 Every sampled quantity is **cumulative/peak, hence monotone**: peak RSS
 (``ru_maxrss``) never shrinks, CPU seconds and GC collection counts only
 grow.  :func:`absorb_resources` therefore folds with ``max``, which
 makes absorption **order-independent and idempotent** — duplicate or
-out-of-order heartbeats (a retried shard, a laggy manager queue) can
-never double-count or regress a gauge.  The heartbeat-robustness
-property tests pin exactly this.
+out-of-order samples (a retried shard, events from two workers
+interleaved on the queue) can never double-count or regress a gauge.
+The heartbeat-robustness property tests pin exactly this.
 
 Sampling reads OS counters, not the wall clock, but the values are
 still per-run execution detail: the gauges live only in the parent's
-registry (worker metric deltas never contain them) and carry the
-``worker_`` prefix the checkpoint layer strips, so byte-identity of
-results, checkpoints and per-cycle deltas is untouched (DESIGN §6).
+registry (worker metric deltas never contain them) and are declared
+``execution=True``, so checkpoints and ``repro verify`` ignore them and
+results, checkpoints and per-cycle deltas stay byte-identical
+(DESIGN §6).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ try:  # POSIX-only; absent e.g. on Windows
 except ImportError:  # pragma: no cover - platform fallback
     _resource = None
 
-from .events import emit
+from .events import Event
 from .metrics import Gauge, MetricsRegistry, get_registry
 
 RSS_GAUGE = "worker_rss_bytes"
@@ -99,12 +101,8 @@ def absorb_resources(shard: Any, sample: Dict[str, Any],
         _fold(gc_gauge, count, shard=shard, gen=str(gen))
 
 
-def record_resources(shard: Any, sample: Dict[str, Any],
-                     registry: Optional[MetricsRegistry] = None) -> None:
-    """Absorb a sample *and* emit it as a ``worker.resources`` event.
-
-    The event stream is what ``repro report`` rebuilds the resource
-    usage section from; the gauges are what ``/metrics`` scrapes live.
-    """
-    absorb_resources(shard, sample, registry)
-    emit("worker.resources", shard=shard, **sample)
+def absorb_event(event: Event) -> None:
+    """Bus subscriber: fold each ``worker.resources`` event into the
+    gauges of the current registry."""
+    if event.kind == "worker.resources":
+        absorb_resources(event.fields["shard"], event.fields)

@@ -86,6 +86,9 @@ class Span:
     start: float = 0.0
     end: Optional[float] = None
     children: List["Span"] = field(default_factory=list)
+    grafted: bool = False
+    """Set on a root :meth:`Tracer.graft` attached: it ran in another
+    process, concurrently with its new parent."""
 
     @property
     def duration(self) -> float:
@@ -96,8 +99,13 @@ class Span:
 
     @property
     def self_time(self) -> float:
-        """Duration minus the time spent in child spans."""
-        return self.duration - sum(c.duration for c in self.children)
+        """Duration minus the time spent in in-process child spans.
+
+        Grafted children ran concurrently in workers, so subtracting
+        them could drive a parallel study's self time negative.
+        """
+        return self.duration - sum(c.duration for c in self.children
+                                   if not c.grafted)
 
     def walk(self, depth: int = 0) -> Iterator[Tuple[int, "Span"]]:
         """Depth-first (depth, span) pairs, self first."""
@@ -129,6 +137,12 @@ class SpanTotals:
     count: int = 0
     total_s: float = 0.0
     self_s: float = 0.0
+    worker_s: float = 0.0
+    """The part of ``total_s`` spent inside grafted worker subtrees."""
+
+    @property
+    def parent_s(self) -> float:
+        return self.total_s - self.worker_s
 
     @property
     def mean_ms(self) -> float:
@@ -192,30 +206,35 @@ class Tracer:
         This is how a parallel study accounts for time spent *inside*
         workers: each shard returns its tracer roots, and the parent
         grafts them — tagged with ``attrs`` (e.g. ``shard=3``) merged
-        into each root's attributes — as children of the innermost open
-        span (new roots when none is open).
+        into each root's attributes and marked :attr:`Span.grafted` —
+        as children of the innermost open span (new roots when none is
+        open).
         """
         target = (self._stack[-1].children if self._stack
                   else self.roots)
         for root in roots:
             if attrs:
                 root.attrs.update(attrs)
+            root.grafted = True
             target.append(root)
 
     def totals(self) -> List[SpanTotals]:
-        """Per-name aggregates in first-seen (tree) order."""
-        order: List[str] = []
+        """Per-name aggregates in first-seen (tree) order; spans at or
+        under a grafted root count as worker time."""
         by_name: Dict[str, SpanTotals] = {}
-        for root in self.roots:
-            for _depth, node in root.walk():
-                if node.name not in by_name:
-                    by_name[node.name] = SpanTotals(name=node.name)
-                    order.append(node.name)
-                aggregate = by_name[node.name]
-                aggregate.count += 1
-                aggregate.total_s += node.duration
-                aggregate.self_s += node.self_time
-        return [by_name[name] for name in order]
+        stack = [(root, root.grafted) for root in reversed(self.roots)]
+        while stack:
+            node, remote = stack.pop()
+            aggregate = by_name.setdefault(node.name,
+                                           SpanTotals(name=node.name))
+            aggregate.count += 1
+            aggregate.total_s += node.duration
+            aggregate.self_s += node.self_time
+            if remote:
+                aggregate.worker_s += node.duration
+            stack.extend((child, remote or child.grafted)
+                         for child in reversed(node.children))
+        return list(by_name.values())
 
     def to_dict(self) -> List[Dict[str, Any]]:
         return [root.to_dict() for root in self.roots]

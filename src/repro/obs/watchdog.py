@@ -14,9 +14,10 @@ and the whole mechanism is **off by default** — the runner only builds
 a watchdog when a ``stall_timeout`` is passed, so the DESIGN §6 rule
 stands: the library never reads the wall clock unless the caller opts
 in.  Flagging is observational: the shard keeps running, the runner
-emits ``shard.stalled``, bumps ``par_shards_stalled_total`` and flips
-``/healthz``; if the worker later beats or completes, the shard is
-*recovered* (``shard.recovered``) and health clears.  A shard that
+emits ``shard.stalled`` and bumps ``par_shards_stalled_total`` (the
+``/healthz`` monitor subscribes to the event); if the worker later
+beats or completes, the shard is *recovered* (``shard.recovered``)
+and health clears.  A shard that
 never recovers still ends in the existing retry/subdivide machinery
 once its worker dies or the pool breaks — the watchdog makes the wait
 visible, it does not kill workers.

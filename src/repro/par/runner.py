@@ -22,12 +22,15 @@ state, so post-study experiments (Figs 6, 16, 17 re-run cycles on top
 of it) see exactly what an uninterrupted serial run leaves behind.
 
 The runner is also the **flight recorder's** main instrument
-(DESIGN §9): it emits study/shard/cycle lifecycle events, feeds
-heartbeats (cycles done, traces simulated) into a live
-:class:`~repro.obs.progress.ProgressTracker` — over a queue from pool
-workers, by direct call in-process — and, when the caller profiles,
-grafts every worker's span tree under the study span so ``--profile``
-and ``--trace-out`` account for time spent *inside* workers.
+(DESIGN §9): it emits study/shard/cycle lifecycle events and a
+``shard.heartbeat`` (cycles done, traces simulated) after every cycle.
+Pool workers forward every event they emit — heartbeats, cycle, cache
+and store facts alike — to the parent over one queue per pool round,
+and the parent re-emits them on its own bus, where the progress
+tracker, health monitor, resource gauges and log sink subscribe.  When
+the caller profiles, every worker's span tree is grafted under the
+study span so ``--profile`` and ``--trace-out`` account for time spent
+*inside* workers.
 """
 
 from __future__ import annotations
@@ -46,18 +49,16 @@ from ..core.pipeline import CycleResult, LprPipeline
 from ..obs import (
     Clock,
     EventBus,
-    HealthMonitor,
     MonotonicClock,
     NullClock,
-    ProgressTracker,
     Span,
     StallWatchdog,
     Tracer,
+    absorb_event,
     emit,
-    get_logger,
+    get_event_bus,
     get_registry,
     get_tracer,
-    record_resources,
     sample_resources,
     set_event_bus,
     set_tracer,
@@ -70,7 +71,6 @@ from .faults import FaultPlan
 from .shard import Shard, plan_shards, shard_cycles
 from .statestore import DEFAULT_SNAPSHOT_STRIDE, StateStore
 
-_log = get_logger(__name__)
 _SHARDS_RUN = get_registry().counter(
     "par_shards_total", "Shards executed by study runs", execution=True)
 _SHARD_CYCLES = get_registry().counter(
@@ -191,75 +191,80 @@ def _advance(simulator: ArkSimulator, cursor: int, target: int,
     return target - cursor
 
 
+def _heartbeat(shard_id: int, resources: bool, cycles_done: int = 0,
+               traces: float = 0) -> None:
+    """One liveness and progress beat of a running shard; with
+    ``resources`` set, also a resource sample of *this* process."""
+    emit("shard.heartbeat", shard=shard_id, cycles_done=cycles_done,
+         traces=traces)
+    if resources:
+        emit("worker.resources", shard=shard_id, **sample_resources())
+
+
 def _run_cycles(shard: Shard, simulator: ArkSimulator,
                 pipeline: LprPipeline, store: Optional[CheckpointStore],
-                fault_plan: Optional[FaultPlan], attempt: int
+                fault_plan: Optional[FaultPlan], attempt: int,
+                resources: bool
                 ) -> Iterator[Tuple[CycleResult, Optional[bytes]]]:
     """Run a shard's cycles on a simulator holding the state after
     ``shard.first - 1``, yielding each result with its encoded
-    checkpoint entry (None without a store).
+    checkpoint entry (None without a store) after its heartbeat.
 
     With a store each cycle gets its own metrics window around its
     simulation and pipeline only — warm-start restore and prefix
     replay stay outside; without one no registry snapshot is taken.
     """
     registry = get_registry()
-    for cycle in shard.cycles:
+    sim_traces = registry.counter("sim_traces_total")
+    traces_start = sim_traces.value()
+    for done, cycle in enumerate(shard.cycles, 1):
         if fault_plan is not None:
             fault_plan.maybe_fire(cycle, attempt)
         window = registry.snapshot() if store is not None else None
         result = pipeline.process_cycle(simulator.run_cycle(cycle))
         entry = (None if store is None else store.encode(
             result, registry.diff(window, registry.snapshot())))
+        _heartbeat(shard.shard_id, resources, done,
+                   sim_traces.value() - traces_start)
         yield result, entry
 
 
-def _sample(resources: bool) -> Dict[str, Any]:
-    return {"resources": sample_resources()} if resources else {}
+def _forward_events(queue) -> None:
+    """Pool worker initializer: every event this process emits goes to
+    the parent over ``queue``, which re-emits it on its own bus.
+
+    The worker's bus keeps nothing and writes no sink, so a sink file
+    descriptor or log sink inherited over ``fork`` is never used here.
+    """
+    bus = EventBus(keep=0)
+    bus.subscribe(lambda event: queue.put((event.kind, event.fields)))
+    set_event_bus(bus, carry=False)
 
 
 def _run_shard(
     args: Tuple[StudySpec, Shard, int, Optional[FaultPlan], bool, Any,
-                Any, bool, Any]
+                bool, Any]
 ) -> ShardResult:
     """Pool worker entry: reconstruct state, run the shard locally.
 
-    The worker installs a *fresh* event bus (a forked sink file
-    descriptor must never be written from two processes) and a fresh
-    tracer — monotonic when the parent profiles, so the returned
-    ``par.worker`` span tree carries real durations the parent grafts
-    into its own trace.  ``beats`` (a manager queue or None) receives
-    a liveness heartbeat on entry and after the prefix replay — what
-    arms the stall watchdog's deadline — then one per finished cycle.
-    With ``resources`` set each heartbeat also carries a
-    :func:`~repro.obs.resources.sample_resources` sample of *this*
-    worker process; the parent folds it into its own registry.
+    The worker installs a fresh tracer — monotonic when the parent
+    profiles, so the returned ``par.worker`` span tree carries real
+    durations the parent grafts into its own trace.  It beats on
+    entry and after the prefix replay — what arms the stall
+    watchdog's deadline — then once per finished cycle.
 
     With ``state_dir`` set the worker warm-starts from the newest
     usable snapshot at or before ``first - 1`` (:func:`_advance`);
     ``replayed_cycles`` records what was actually replayed.
     """
-    (spec, shard, attempt, fault_plan, profile, beats, state_dir,
-     resources, checkpoint_dir) = args
-    set_event_bus(EventBus())
+    (spec, shard, attempt, fault_plan, profile, state_dir, resources,
+     checkpoint_dir) = args
     tracer = set_tracer(Tracer(MonotonicClock() if profile
                                else NullClock()))
-
-    def beat(**fields: Any) -> None:
-        if beats is None:
-            return
-        try:
-            beats.put({"shard": shard.shard_id, **fields,
-                       **_sample(resources)})
-        except Exception:
-            pass  # a dying progress channel never fails work
-
-    beat()
+    _heartbeat(shard.shard_id, resources)
     simulator, pipeline = build_study(spec)
     registry = get_registry()
     before = registry.snapshot()
-    sim_traces = registry.counter("sim_traces_total")
-    traces_start = sim_traces.value()
     store = (CheckpointStore(checkpoint_dir, spec)
              if checkpoint_dir is not None else None)
     state_store = (StateStore(state_dir, spec)
@@ -269,13 +274,12 @@ def _run_shard(
     with tracer.span("par.worker", first=shard.first, last=shard.last):
         replayed = _advance(simulator, 0, shard.first - 1, state_store)
         if shard.first > 1:
-            beat()  # prefix replayed, alive
+            _heartbeat(shard.shard_id, resources)  # prefix replayed
         for result, entry in _run_cycles(shard, simulator, pipeline,
-                                         store, fault_plan, attempt):
+                                         store, fault_plan, attempt,
+                                         resources):
             results.append(result)
             entries.append(entry)
-            beat(cycles_done=len(results),
-                 traces=sim_traces.value() - traces_start)
     return ShardResult(
         shard_id=shard.shard_id,
         results=results,
@@ -305,13 +309,9 @@ def run_study(spec: StudySpec, workers: int = 1, *,
               snapshot_stride: int = DEFAULT_SNAPSHOT_STRIDE,
               fault_plan: Optional[FaultPlan] = None,
               sleep: Callable[[float], None] = time.sleep,
-              progress: Optional[Callable[[ProgressTracker],
-                                          None]] = None,
-              progress_clock: Optional[Clock] = None,
               resources: bool = False,
               stall_timeout: Optional[float] = None,
-              stall_clock: Optional[Clock] = None,
-              health: Optional[HealthMonitor] = None) -> StudyRun:
+              stall_clock: Optional[Clock] = None) -> StudyRun:
     """Execute a campaign over ``workers`` (>= 1) executors.
 
     Results come back ordered by cycle whatever the pool's scheduling,
@@ -349,29 +349,24 @@ def run_study(spec: StudySpec, workers: int = 1, *,
     so output stays byte-identical with or without them.
 
     Telemetry (DESIGN §9): lifecycle events (``study.start``,
-    ``study.plan``, ``shard.dispatch``/``done``/``retry``,
+    ``study.plan`` with the restored count and each shard's range,
+    ``shard.dispatch``/``heartbeat``/``done``/``retry``,
     ``cycle.metrics`` with each cycle's registry delta, ``study.done``)
-    go to the current :mod:`repro.obs.events` bus.  ``progress`` is
-    invoked with a live :class:`~repro.obs.progress.ProgressTracker` on
-    every heartbeat and shard completion; it reads the wall clock for
-    ETA unless ``progress_clock`` injects a fake.
+    go to the current :mod:`repro.obs.events` bus, pool workers' events
+    included; progress, health and log consumers subscribe to it.
 
-    The live telemetry plane (DESIGN §12) adds three more opt-ins, all
+    The live telemetry plane (DESIGN §12) adds two opt-ins, both
     default-off so the determinism contract stands.  ``resources=True``
-    attaches an RSS/CPU/GC sample to every heartbeat (workers, the
-    in-process executor and the parent alike), folded into
-    ``worker_*`` gauges in *this* process's registry and emitted as
-    ``worker.resources`` events — never into results or checkpoints.
+    makes every process that beats (workers, the in-process executor
+    and, once at the end, the parent) emit a ``worker.resources``
+    RSS/CPU/GC sample, folded into ``worker_*`` gauges of *this*
+    process's registry — never into results or checkpoints.
     ``stall_timeout`` arms a heartbeat-deadline
     :class:`~repro.obs.watchdog.StallWatchdog` over pool shards
     (``stall_clock`` injectable for tests): a shard silent past the
-    deadline gets a ``shard.stalled`` event, a
-    ``par_shards_stalled_total`` bump and — via ``health`` — flips
-    ``/healthz``; a later beat or completion emits ``shard.recovered``.
-    ``health`` is the :class:`~repro.obs.live.HealthMonitor` a
-    :class:`~repro.obs.live.TelemetryServer` shares with this run; the
-    runner beats it on every sign of life and freezes it healthy on
-    return.
+    deadline gets a ``shard.stalled`` event and a
+    ``par_shards_stalled_total`` bump; a later beat or completion
+    emits ``shard.recovered``.
     """
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
@@ -388,42 +383,8 @@ def run_study(spec: StudySpec, workers: int = 1, *,
              if checkpoint_dir is not None else None)
     state_store = (StateStore(state_dir, spec)
                    if state_dir is not None else None)
-    in_process = workers == 1
-    # Heartbeats carry progress, resource samples and liveness alike:
-    # they flow when any consumer exists — over a queue from a pool.
-    telemetry = (progress is not None or resources
-                 or stall_timeout is not None or health is not None)
-    tracker = (ProgressTracker(spec.cycles,
-                               clock=progress_clock or MonotonicClock())
-               if progress is not None else None)
     watchdog = (StallWatchdog(stall_timeout, clock=stall_clock)
                 if stall_timeout is not None else None)
-    manager = beats = None
-
-    def _notify() -> None:
-        if tracker is not None:
-            progress(tracker)
-
-    def _on_beat(beat: Dict[str, Any]) -> None:
-        sample = beat.pop("resources", None)
-        shard_id = beat.get("shard", -1)
-        if tracker is not None:
-            tracker.heartbeat(shard_id,
-                              cycles_done=beat.get("cycles_done", 0),
-                              traces=beat.get("traces", 0))
-        emit("shard.heartbeat", **beat)
-        if sample is not None:
-            record_resources(shard_id, sample)
-        if watchdog is not None and watchdog.beat(shard_id):
-            _recovered(shard_id)
-        if health is not None:
-            health.beat()
-        _notify()
-
-    def _recovered(shard_id: int) -> None:
-        emit("shard.recovered", shard=shard_id)
-        if health is not None:
-            health.clear(shard_id)
 
     def _pool_round(pending: List[Shard]
                     ) -> Tuple[List[ShardResult],
@@ -432,20 +393,37 @@ def run_study(spec: StudySpec, workers: int = 1, *,
         survivors from casualties; a broken pool (worker killed) fails
         every shard that had not finished.
 
-        With heartbeats the completion wait runs on a short timeout, so
-        beats drain — and stall deadlines are judged on the same pulse
-        — while shards are still in flight.  A shard flagged stalled is
-        unflagged once its future resolves, result or error.
+        The completion wait runs on a short pulse that re-emits the
+        workers' queued events and judges stall deadlines while shards
+        are still in flight.  A shard flagged stalled is unflagged once
+        its future resolves, result or error.
         """
         profile = not isinstance(get_tracer().clock, NullClock)
         executed: List[ShardResult] = []
         failed: List[Tuple[Shard, BaseException]] = []
+        context = _pool_context()
+        # A fresh queue each round: a worker killed mid-put can leave a
+        # queue's shared write lock held.  A SimpleQueue has no feeder
+        # thread, so a finished shard's events are already in the pipe
+        # and no worker exit waits on unsent data.
+        queue = context.SimpleQueue()
+
+        def forward() -> None:
+            while not queue.empty():
+                kind, fields = queue.get()
+                emit(kind, **fields)
+                if (watchdog is not None and kind == "shard.heartbeat"
+                        and watchdog.beat(fields["shard"])):
+                    emit("shard.recovered", shard=fields["shard"])
+
         with ProcessPoolExecutor(max_workers=min(workers, len(pending)),
-                                 mp_context=_pool_context()) as pool:
+                                 mp_context=context,
+                                 initializer=_forward_events,
+                                 initargs=(queue,)) as pool:
             futures = {
                 pool.submit(_run_shard, (
                     spec, shard, attempts[shard], fault_plan, profile,
-                    beats, state_dir, resources, checkpoint_dir)): shard
+                    state_dir, resources, checkpoint_dir)): shard
                 for shard in pending}
             for shard in pending:
                 if watchdog is not None:
@@ -455,19 +433,14 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                      attempt=attempts[shard] + 1)
             waiting = set(futures)
             while waiting:
-                done, waiting = wait(
-                    waiting, timeout=0.2 if beats is not None else None,
-                    return_when=FIRST_COMPLETED)
-                _drain(beats, _on_beat)
+                done, waiting = wait(waiting, timeout=0.2,
+                                     return_when=FIRST_COMPLETED)
+                forward()
                 for shard_id in (watchdog.check() if watchdog is not None
                                  else ()):
                     _SHARDS_STALLED.inc(shard=shard_id)
-                    _log.warning("par.shard.stalled", shard=shard_id,
-                                 timeout=stall_timeout)
                     emit("shard.stalled", shard=shard_id,
                          timeout=stall_timeout)
-                    if health is not None:
-                        health.stall(shard_id)
                 for future in done:
                     shard = futures[future]
                     try:
@@ -476,22 +449,22 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                         failed.append((shard, error))
                     if (watchdog is not None
                             and watchdog.clear(shard.shard_id)):
-                        _recovered(shard.shard_id)
-            _drain(beats, _on_beat)
+                        emit("shard.recovered", shard=shard.shard_id)
+        forward()
+        queue.close()
         return executed, failed
 
     def _finish(shard_id: int, cycles: int, replayed: int,
-                **fields: Any) -> None:
+                traces: float) -> None:
         """Account for one executed shard, whichever executor ran it."""
         _SHARDS_RUN.inc()
         _SHARD_CYCLES.inc(cycles, shard=shard_id)
         _CYCLES_REPLAYED.inc(replayed)
-        if tracker is not None:
-            tracker.shard_done(shard_id)
-            _notify()
         emit("shard.done", shard=shard_id, cycles=cycles,
-             replayed=replayed, **fields)
+             replayed=replayed, traces=traces)
 
+    unsubscribe = (get_event_bus().subscribe(absorb_event)
+                   if resources else None)
     emit("study.start", cycles=spec.cycles, workers=workers)
     try:
         with span("par.study", cycles=spec.cycles, workers=workers):
@@ -506,17 +479,13 @@ def run_study(spec: StudySpec, workers: int = 1, *,
             shards = plan_shards((cycle for cycle in
                                   range(1, spec.cycles + 1)
                                   if cycle not in restored), workers)
-            emit("study.plan", shards=len(shards), workers=workers)
-            _log.info("par.study.start", cycles=spec.cycles,
-                      workers=workers, shards=len(shards))
-            if tracker is not None:
-                tracker.add_restored(len(restored))
-                for shard in shards:
-                    tracker.add_shard(shard.shard_id, float(len(shard)))
+            emit("study.plan", shards=len(shards), workers=workers,
+                 restored=len(restored),
+                 ranges=[[shard.first, shard.last] for shard in shards])
             simulator, pipeline = build_study(spec)
             executed: Dict[int, CycleResult] = {}
             completed: List[ShardResult] = []
-            if in_process:
+            if workers == 1:
                 # The shards run on the parent's own simulator; its
                 # control plane only moves forward, jumping restored
                 # gaps in one hop (snapshot plus tail replay).
@@ -528,9 +497,9 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                     replayed = _advance(simulator, cursor,
                                         shard.first - 1, state_store)
                     traces_start = sim_traces.value()
-                    for done, (result, entry) in enumerate(_run_cycles(
+                    for result, entry in _run_cycles(
                             shard, simulator, pipeline, store,
-                            fault_plan, 0), 1):
+                            fault_plan, 0, resources):
                         cycle = cursor = result.cycle
                         executed[cycle] = result
                         if store is not None:
@@ -540,18 +509,9 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                                 and state_store.load(cycle) is None):
                             state_store.save(
                                 cycle, simulator.internet.capture_state())
-                        if telemetry:
-                            _on_beat({"shard": shard.shard_id,
-                                      "cycles_done": done,
-                                      "traces": (sim_traces.value()
-                                                 - traces_start),
-                                      **_sample(resources)})
                     _finish(shard.shard_id, len(shard), replayed,
-                            traces=sim_traces.value() - traces_start)
+                            sim_traces.value() - traces_start)
             else:
-                if telemetry:
-                    manager = _pool_context().Manager()
-                    beats = manager.Queue()
                 # The parent simulator never probes, but its end state
                 # backs post-study experiments — and, with a state
                 # store, its one replay pass seeds the snapshots every
@@ -581,14 +541,10 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                         for cycle_result in result.results:
                             executed[cycle_result.cycle] = cycle_result
                         completed.append(result)
-                        delta = result.metrics_delta
                         _finish(result.shard_id, len(result.results),
                                 result.replayed_cycles,
-                                traces=_delta_total(delta,
-                                                    "sim_traces_total"),
-                                cache_hits=_cache_total(delta, "hits"),
-                                cache_misses=_cache_total(delta,
-                                                          "misses"))
+                                _delta_total(result.metrics_delta,
+                                             "sim_traces_total"))
                     pending = []
                     for shard, error in failed:
                         attempt = attempts.pop(shard)
@@ -603,11 +559,6 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                                 f"{attempt + 1} attempts: {error}"
                             ) from error
                         _SHARD_RETRIES.inc(shard=shard.shard_id)
-                        _log.warning("par.shard.retry",
-                                     shard=shard.shard_id,
-                                     first=shard.first, last=shard.last,
-                                     attempt=attempt + 1,
-                                     error=str(error))
                         emit("shard.retry", shard=shard.shard_id,
                              first=shard.first, last=shard.last,
                              attempt=attempt + 1, error=str(error))
@@ -623,11 +574,6 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                             emit("shard.subdivided",
                                  parent=shard.shard_id,
                                  children=[c.shard_id for c in children])
-                            if tracker is not None:
-                                tracker.abandon_shard(shard.shard_id)
-                                for child in children:
-                                    tracker.add_shard(child.shard_id,
-                                                      float(len(child)))
                         for child in children:
                             attempts[child] = attempt + 1
                             pending.append(child)
@@ -665,16 +611,14 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                           cycles=spec.cycles - cursor):
                     _advance(simulator, cursor, spec.cycles,
                              state_store)
+        if resources:
+            # The parent's own footprint, after every delta window
+            # closed.
+            emit("worker.resources", shard="parent",
+                 **sample_resources())
     finally:
-        if manager is not None:
-            manager.shutdown()
-    if resources:
-        # The parent's own footprint, after every delta window closed.
-        record_resources("parent", sample_resources())
-    if health is not None:
-        health.finish()
-    _log.info("par.study.done", cycles=len(results),
-              shards=len(completed))
+        if unsubscribe is not None:
+            unsubscribe()
     emit("study.done", cycles=len(results), shards=len(completed))
     return StudyRun(simulator=simulator, pipeline=pipeline,
                     results=results, shards=completed)
@@ -706,26 +650,3 @@ def _delta_total(delta: Dict[str, Any], name: str) -> float:
     if not data:
         return 0
     return sum(entry["value"] for entry in data["values"])
-
-
-_CACHE_METRICS = ("route_cache", "hop_cache", "quoted_stack_cache")
-
-
-def _cache_total(delta: Dict[str, Any], side: str) -> float:
-    """Combined cache ``hits``/``misses`` across the memoization
-    layers (in-process runs report them as ``cache.flush`` events)."""
-    return sum(_delta_total(delta, f"{prefix}_{side}_total")
-               for prefix in _CACHE_METRICS)
-
-
-def _drain(beats, on_beat: Callable[[Dict[str, Any]], None]) -> None:
-    """Deliver every queued heartbeat to the parent-side callback."""
-    while beats is not None:
-        try:
-            beat = beats.get_nowait()
-        except Exception:
-            # Queue empty — or the manager connection torn down mid-run:
-            # heartbeats are best-effort telemetry, never worth failing
-            # the study.
-            return
-        on_beat(beat)

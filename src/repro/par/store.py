@@ -34,9 +34,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from ..obs import emit, get_logger, get_registry, span
+from ..obs import emit, get_registry, span
 
-_log = get_logger(__name__)
 
 
 class ContentStore:
@@ -162,10 +161,8 @@ class ContentStore:
         return None
 
     def _record(self, fact: str, error=None, **fields: Any) -> None:
-        """Counter, event and log line of one store fact."""
+        """Counter and event of one store fact."""
         self._counters[fact].inc(**({"reason": fields["reason"]}
                                     if fact == "rejected" else {}))
-        emit(f"{self.KIND}.{fact}", **fields)
-        log = _log.warning if fact == "rejected" else _log.info
-        log(f"{self.KIND}.{fact}", **fields,
-            **({"error": str(error)} if error else {}))
+        emit(f"{self.KIND}.{fact}", **fields,
+             **({"error": str(error)} if error else {}))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..igp.ecmp import flow_hash, fold
-from ..obs import get_logger, get_registry, span
+from ..obs import get_registry, span
 from ..traces import Trace
 from .config import MplsPolicy
 from .dataplane import DataPlane
@@ -33,7 +33,6 @@ from .traceroute import TracerouteEngine
 _DAY = 86_400.0
 _MONTH = 30 * _DAY
 
-_log = get_logger(__name__)
 _CYCLES_SIMULATED = get_registry().counter(
     "sim_cycles_total", "Measurement cycles simulated")
 _SNAPSHOTS_SIMULATED = get_registry().counter(
@@ -256,9 +255,6 @@ class ArkSimulator:
                 _SNAPSHOTS_SIMULATED.inc()
                 _SIM_TRACES.inc(len(traces))
         _CYCLES_SIMULATED.inc()
-        _log.info("sim.cycle.done", cycle=cycle,
-                  snapshots=len(data.snapshots),
-                  traces=sum(len(s) for s in data.snapshots))
         return data
 
     def run(self, first: int = 1, last: Optional[int] = None

@@ -279,9 +279,10 @@ class DataPlane:
         Deltas since the last flush, so repeated flushes (one per
         ``trace_all``) never double-count.  These counters describe
         per-process cache behaviour: serial and sharded runs split the
-        same probe stream over differently warmed caches, so the
-        checkpoint layer strips them from persisted metrics deltas
-        (DESIGN §8) — total probe/trace counters stay layout-invariant.
+        same probe stream over differently warmed caches, so they are
+        declared ``execution=True`` and checkpoints and ``repro verify``
+        ignore them (DESIGN §8) — total probe/trace counters stay
+        layout-invariant.
 
         Returns this flush's deltas keyed by layer/side (e.g.
         ``route_hits``) so the traceroute engine can fold them into one

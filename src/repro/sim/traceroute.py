@@ -254,10 +254,9 @@ class TracerouteEngine:
         are per-process observability and are stripped from persisted
         checkpoint deltas (DESIGN §8).  One combined ``cache.flush``
         event per non-empty flush goes to the flight recorder, with the
-        per-layer deltas plus ``hits``/``misses`` totals — serial runs
-        get their cache trajectory in the events file this way (sharded
-        runs report cache totals in ``shard.done`` instead, since
-        worker buses are process-local).
+        per-layer deltas plus ``hits``/``misses`` totals — pool workers
+        forward theirs to the parent bus, so serial and sharded runs
+        report cache totals from these events alike.
         """
         deltas = dict(self.dataplane.flush_cache_metrics())
         if self._stack_cache is not None:

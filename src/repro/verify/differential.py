@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.render import format_table
 from ..core.pipeline import CycleResult
-from ..obs import MetricsRegistry, emit, get_logger, get_registry
+from ..obs import MetricsRegistry, emit, get_registry
 from ..par import (
     FaultInjected,
     FaultPlan,
@@ -42,7 +42,6 @@ from ..par import (
 from ..warts import read_archive, salvage_archive, write_archive
 from .invariants import Violation, audit_run
 
-_log = get_logger(__name__)
 _CONFIGS = get_registry().counter(
     "verify_configs_total",
     "Differential configurations executed, by config")
@@ -450,8 +449,6 @@ def run_matrix(spec: StudySpec,
     workdir.mkdir(parents=True, exist_ok=True)
     emit("verify.start", configs=[config.name for config in configs],
          cycles=spec.cycles, scale=spec.scale, seed=spec.seed)
-    _log.info("verify.start", configs=len(configs),
-              cycles=spec.cycles, scale=spec.scale)
 
     registry = get_registry()
     before = registry.snapshot()
@@ -493,8 +490,6 @@ def run_matrix(spec: StudySpec,
                      if divergence.entries else ""),
              **({"cycle": divergence.cycle}
                 if divergence.cycle is not None else {}))
-        _log.warning("verify.divergence", config=config.name,
-                     stage=divergence.stage, cycle=divergence.cycle)
         if shrink:
             shrunk = shrink_divergence(spec, config, divergence,
                                        workdir / "shrink")
@@ -504,6 +499,4 @@ def run_matrix(spec: StudySpec,
     emit("verify.done", configs=len(report.outcomes),
          divergences=len(report.divergences),
          violations=len(report.violations))
-    _log.info("verify.done", configs=len(report.outcomes),
-              divergences=len(report.divergences))
     return report

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from ..obs import emit, get_logger, get_registry
+from ..obs import emit, get_registry
 from ..par import StudySpec, run_study
 from .differential import (
     Divergence,
@@ -38,7 +38,6 @@ from .differential import (
     state_fingerprint,
 )
 
-_log = get_logger(__name__)
 _TRIALS = get_registry().counter(
     "verify_shrink_trials_total",
     "Shrink trials executed while minimising a divergence")
@@ -158,8 +157,5 @@ def shrink_divergence(spec: StudySpec, config: VerifyConfig,
          cycles=best_spec.cycles, scale=best_spec.scale,
          snapshots=best_spec.snapshots_per_cycle,
          stage=best_divergence.stage, command=command)
-    _log.info("verify.minimal", config=config.name,
-              trials=shrinker.trials, cycles=best_spec.cycles,
-              scale=best_spec.scale)
     return ShrinkResult(spec=best_spec, divergence=best_divergence,
                         trials=shrinker.trials)

@@ -38,7 +38,7 @@ import struct
 from typing import BinaryIO, Dict, Iterator, List, Tuple
 
 from ..mpls.lse import LabelStackEntry
-from ..obs import get_logger, get_registry
+from ..obs import emit, get_registry
 from ..traces import StopReason, Trace, TraceHop
 
 MAGIC = b"RWTS"
@@ -51,7 +51,6 @@ so anything above this cap is treated as framing corruption."""
 
 _RESYNC_CHUNK = 1 << 16
 
-_log = get_logger(__name__)
 _RECORDS_SKIPPED = get_registry().counter(
     "warts_records_skipped_total",
     "Corrupt archive records skipped by tolerant readers, by reason")
@@ -247,7 +246,7 @@ class WartsReader:
     def _skip(self, reason: str) -> None:
         self.skipped[reason] = self.skipped.get(reason, 0) + 1
         _RECORDS_SKIPPED.inc(reason=reason)
-        _log.warning("warts.record.skipped", reason=reason)
+        emit("warts.record.skipped", reason=reason)
 
     def _resync(self) -> bool:
         """Scan forward for an embedded file header; position after it.

@@ -27,6 +27,7 @@ from repro.obs import (
     HealthMonitor,
     MonotonicClock,
     NullClock,
+    ProgressTracker,
     TelemetryServer,
     Tracer,
     get_event_bus,
@@ -69,9 +70,12 @@ def telemetry_run(tmp_path_factory):
                                  sink=events_path))
     health = HealthMonitor()
     server = TelemetryServer(bus=bus, health=health)
+    tracker = ProgressTracker(clock=MonotonicClock())
+    server.set_tracker(tracker)
 
-    def on_progress(tracker):
-        server.on_progress(tracker)
+    def on_progress(event):
+        if not tracker.on_event(event):
+            return
         ticks.append((tracker.work_done, tracker.shards_done,
                       tracker.traces, tracker.render()))
         # Scrape every endpoint once mid-run, as soon as the ETA is
@@ -82,10 +86,11 @@ def telemetry_run(tmp_path_factory):
                          "/events?n=10"):
                 scrapes[path] = server.respond(path)
 
+    bus.subscribe(health.on_event)
+    bus.subscribe(on_progress)
     try:
-        run = run_study(SPEC, workers=4, progress=on_progress,
-                        resources=True, stall_timeout=300.0,
-                        health=health)
+        run = run_study(SPEC, workers=4, resources=True,
+                        stall_timeout=300.0)
         write_chrome_trace(trace_path, tracer)
     finally:
         bus.close()
@@ -119,15 +124,21 @@ class TestProgress:
 
     def test_fake_progress_clock_reads_no_wall_clock(self):
         clock = FakeClock()
+        tracker = ProgressTracker(clock=clock)
         etas = []
 
-        def on_progress(tracker):
-            assert tracker.clock is clock
-            clock.advance(1.0)
-            etas.append(tracker.eta_seconds())
+        def on_progress(event):
+            if tracker.on_event(event):
+                clock.advance(1.0)
+                etas.append(tracker.eta_seconds())
 
-        run = run_study(SPEC2, workers=1, progress=on_progress,
-                        progress_clock=clock)
+        saved = get_event_bus()
+        bus = set_event_bus(EventBus())
+        bus.subscribe(on_progress)
+        try:
+            run = run_study(SPEC2, workers=1)
+        finally:
+            set_event_bus(saved)
         assert len(run.results) == SPEC2.cycles
         assert len(etas) == SPEC2.cycles + 1  # per cycle + final
         assert etas[-1] == 0.0

@@ -300,8 +300,11 @@ class TestTelemetryServerRouting:
         tracker = ProgressTracker(4, clock=clock)
         tracker.add_shard(0, 4.0)
         clock.advance(10.0)
-        tracker.heartbeat(0, cycles_done=2, traces=42)
-        server.on_progress(tracker)
+        bus = EventBus()
+        bus.subscribe(tracker.on_event)
+        bus.subscribe(server.health.on_event)
+        bus.emit("shard.heartbeat", shard=0, cycles_done=2, traces=42)
+        server.set_tracker(tracker)
         status, _, body = server.respond("/progress")
         payload = json.loads(body)
         assert status == 200
@@ -358,6 +361,7 @@ def drill():
     bus = EventBus()
     set_event_bus(bus)
     health = HealthMonitor()
+    bus.subscribe(health.on_event)
     server = TelemetryServer(health=health)
     codes = []
     done = threading.Event()
@@ -375,8 +379,7 @@ def drill():
             fault_plan=FaultPlan({1: ShardFault(
                 kind=HANG, hang_seconds=1.5)}),
             stall_timeout=0.4,
-            resources=True,
-            health=health)
+            resources=True)
     finally:
         done.set()
         poller.join(timeout=5)
@@ -431,8 +434,12 @@ class TestSerialTelemetryIdentity:
         live_dir = tmp_path / "live"
         bare = run_study(SPEC, checkpoint_dir=bare_dir)
         health = HealthMonitor()
-        live = run_study(SPEC, checkpoint_dir=live_dir,
-                         resources=True, health=health)
+        unsubscribe = get_event_bus().subscribe(health.on_event)
+        try:
+            live = run_study(SPEC, checkpoint_dir=live_dir,
+                             resources=True)
+        finally:
+            unsubscribe()
         for mine, ref in zip(live.results, bare.results):
             assert pickle.dumps(mine) == pickle.dumps(ref)
         bare_files = sorted(p.relative_to(bare_dir)

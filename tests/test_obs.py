@@ -1,24 +1,24 @@
 """Tests for the observability layer (repro.obs)."""
 
 import json
-import logging
 
 import pytest
 
 from repro.core import LprPipeline
 from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
+    EventBus,
     FakeClock,
-    JsonFormatter,
-    KeyValueFormatter,
     MetricsRegistry,
     MonotonicClock,
     NullClock,
     Tracer,
     configure_logging,
-    get_logger,
+    emit,
+    get_event_bus,
     get_registry,
     get_tracer,
+    set_event_bus,
     set_tracer,
     snapshot_to_json,
     span,
@@ -377,43 +377,70 @@ class TestFormatNumber:
 
 
 class TestStructuredLogging:
+    """The log formatter is a carried subscriber of the event bus."""
+
     def test_key_value_line(self, capsys):
-        handler = configure_logging(level="info")
+        unsubscribe = configure_logging(level="info")
         try:
-            get_logger("repro.test").info("cycle.done", cycle=3,
-                                          note="two words")
+            emit("cycle.done", cycle=3, note="two words")
         finally:
-            logging.getLogger("repro").removeHandler(handler)
+            unsubscribe()
         err = capsys.readouterr().err
-        assert "repro.test cycle.done" in err
+        assert "INFO    cycle.done" in err
         assert "cycle=3" in err
         assert 'note="two words"' in err
 
     def test_json_lines(self, capsys):
-        handler = configure_logging(level="debug", json_output=True)
+        unsubscribe = configure_logging(level="debug", json_output=True)
         try:
-            get_logger("repro.test").debug("probe.sent", ttl=7)
+            emit("shard.heartbeat", shard=1, cycles_done=2, traces=7)
         finally:
-            logging.getLogger("repro").removeHandler(handler)
+            unsubscribe()
         record = json.loads(capsys.readouterr().err.strip())
-        assert record["event"] == "probe.sent"
-        assert record["ttl"] == 7
+        assert record["event"] == "shard.heartbeat"
+        assert record["traces"] == 7
         assert record["level"] == "debug"
 
     def test_level_gating(self, capsys):
-        handler = configure_logging(level="warning")
+        unsubscribe = configure_logging(level="warning")
         try:
-            get_logger("repro.test").info("hidden")
-            get_logger("repro.test").warning("shown")
+            emit("cycle.done", cycle=1)
+            emit("shard.retry", shard=0, attempt=1, error="boom")
+            emit("checkpoint.rejected", path="x", reason="corrupt")
         finally:
-            logging.getLogger("repro").removeHandler(handler)
+            unsubscribe()
         err = capsys.readouterr().err
-        assert "hidden" not in err
-        assert "shown" in err
+        assert "cycle.done" not in err
+        assert "WARNING shard.retry" in err
+        assert "WARNING checkpoint.rejected" in err
 
-    def test_loggers_are_rerooted_under_repro(self):
-        assert get_logger("outsider").name == "repro.outsider"
-        assert get_logger("repro.sim.ark").name == "repro.sim.ark"
+    def test_sink_follows_a_bus_swap(self, capsys):
+        saved = get_event_bus()
+        unsubscribe = configure_logging(level="info", json_output=True)
+        try:
+            emit("study.start", cycles=1, workers=1)
+            swapped = set_event_bus(EventBus())
+            emit("study.done", cycles=1, shards=1)
+            set_event_bus(saved)
+            swapped.emit("study.plan", shards=1)  # detached again
+        finally:
+            unsubscribe()
+            set_event_bus(saved)
+        records = [json.loads(line)
+                   for line in capsys.readouterr().err.splitlines()]
+        assert [record["event"] for record in records] == \
+            ["study.start", "study.done"]
+
+    def test_reconfigure_replaces_the_sink(self, capsys):
+        configure_logging(level="info")
+        unsubscribe = configure_logging(level="info", json_output=True)
+        try:
+            emit("cycle.done", cycle=2)
+        finally:
+            unsubscribe()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["cycle"] == 2
 
     def test_rejects_unknown_level(self):
         with pytest.raises(ValueError):

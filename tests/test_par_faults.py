@@ -106,6 +106,30 @@ class TestWorkerKill:
         assert _counter_total("par_shard_retries_total") > before
         _assert_identical(serial_run, run)
 
+    def test_kill_round_then_retry_round_keeps_worker_events(
+            self, serial_run):
+        # The killed round's queue is abandoned with its pool; the
+        # retry round gets a fresh one, so the retried shard's
+        # forwarded events all reach the parent bus.
+        plan = FaultPlan({2: ShardFault(kind=KILL, attempts=(0,))})
+        run, events = _run_recorded(SPEC, workers=2, fault_plan=plan,
+                                    backoff_base=0.0, subdivide=True)
+        _assert_identical(serial_run, run)
+        retried = [e.fields["shard"] for e in events
+                   if e.kind == "shard.retry"]
+        assert 0 in retried
+        children = [e.fields["children"] for e in events
+                    if e.kind == "shard.subdivided"
+                    and e.fields["parent"] == 0][0]
+        for child in children:
+            beats = [e.fields["cycles_done"] for e in events
+                     if e.kind == "shard.heartbeat"
+                     and e.fields["shard"] == child]
+            assert beats[0] == 0 and beats[-1] == 1
+        done = {e.fields["cycle"] for e in events
+                if e.kind == "cycle.done"}
+        assert done == {1, 2, 3, 4}
+
     def test_shard_exception_is_retried(self, serial_run):
         plan = FaultPlan({3: ShardFault(kind=RAISE, attempts=(0,))})
         run = run_study(SPEC, workers=2, fault_plan=plan,
