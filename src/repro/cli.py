@@ -498,6 +498,7 @@ def cmd_study(args) -> int:
             print(f"--serve-telemetry: {error}", file=sys.stderr)
             return 2
     bus = None
+    previous_bus = get_event_bus()
     if args.events_out is not None:
         # The events file gets wall timestamps only when the run
         # already opted into timing; a bare --events-out stays on the
@@ -548,6 +549,7 @@ def cmd_study(args) -> int:
             server.stop()
         if bus is not None:
             bus.close()
+            set_event_bus(previous_bus)
     for artifact in args.artifacts:
         print(f"\n{regenerate(study, artifact)}")
     if args.profile:
@@ -590,9 +592,9 @@ def cmd_verify(args) -> int:
               f"got {args.snapshots_per_cycle}", file=sys.stderr)
         return 2
     bus = None
+    previous_bus = get_event_bus()
     if args.events_out is not None:
-        bus = EventBus(sink=args.events_out)
-        set_event_bus(bus)
+        bus = set_event_bus(EventBus(sink=args.events_out))
     spec = StudySpec(scale=args.scale, seed=args.seed,
                      cycles=args.cycles,
                      snapshots_per_cycle=args.snapshots_per_cycle)
@@ -616,6 +618,7 @@ def cmd_verify(args) -> int:
     finally:
         if bus is not None:
             bus.close()
+            set_event_bus(previous_bus)
     print(report.render())
     return 0 if report.clean else 1
 

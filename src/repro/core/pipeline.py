@@ -19,7 +19,7 @@ from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..net.ip2as import Ip2AsMapper
 from ..obs import emit, get_registry, span
-from ..traces import Trace
+from ..traces import Trace, gc_paused
 from .classification import ClassificationResult, classify
 from .extraction import complete_signatures, extract_all, is_explicit_hop
 from .filters import FilterStats, run_filters
@@ -148,7 +148,7 @@ class LprPipeline:
         registry = get_registry()
         before = registry.snapshot()
         primary = snapshots[0]
-        with span("pipeline.cycle", cycle=cycle):
+        with gc_paused(), span("pipeline.cycle", cycle=cycle):
             with span("pipeline.extract"):
                 lsps = extract_all(primary)
             with span("pipeline.follow_ups"):

@@ -66,6 +66,7 @@ from ..obs import (
 )
 from ..sim import ArkSimulator
 from ..sim.scenarios import CYCLES, paper_scenario
+from ..traces import gc_paused
 from .checkpoint import CheckpointStore
 from .faults import FaultPlan
 from .shard import Shard, plan_shards, shard_cycles
@@ -218,12 +219,15 @@ def _run_cycles(shard: Shard, simulator: ArkSimulator,
     sim_traces = registry.counter("sim_traces_total")
     traces_start = sim_traces.value()
     for done, cycle in enumerate(shard.cycles, 1):
-        if fault_plan is not None:
-            fault_plan.maybe_fire(cycle, attempt)
-        window = registry.snapshot() if store is not None else None
-        result = pipeline.process_cycle(simulator.run_cycle(cycle))
-        entry = (None if store is None else store.encode(
-            result, registry.diff(window, registry.snapshot())))
+        # The cycle's traces are built and die inside one GC-quiet
+        # scope; the yield (the caller's work) runs outside it.
+        with gc_paused():
+            if fault_plan is not None:
+                fault_plan.maybe_fire(cycle, attempt)
+            window = registry.snapshot() if store is not None else None
+            result = pipeline.process_cycle(simulator.run_cycle(cycle))
+            entry = (None if store is None else store.encode(
+                result, registry.diff(window, registry.snapshot())))
         _heartbeat(shard.shard_id, resources, done,
                    sim_traces.value() - traces_start)
         yield result, entry

@@ -51,7 +51,7 @@ from ..igp.ecmp import flow_hash, fold, fold_ramp
 from ..mpls.lse import LabelStack, LabelStackEntry
 from ..net.icmp import TimeExceeded, build_probe_quote
 from ..obs import NullClock, Span, emit, get_registry, get_tracer
-from ..traces import StopReason, Trace, TraceHop
+from ..traces import StopReason, Trace, TraceHop, make_hop
 from .dataplane import DataPlane, HopObs, UnreachableError
 from .monitors import Monitor
 
@@ -186,6 +186,7 @@ class TracerouteEngine:
                            address=monitor.gateway_addr)
         gap_limit = self.gap_limit
         hops: List[TraceHop] = []
+        append = hops.append
         silent_streak = 0
         unanswered = 0
         stop = StopReason.TTL_EXHAUSTED
@@ -195,19 +196,19 @@ class TracerouteEngine:
             if not obs.responsive or (
                     loss_draws is not None
                     and loss_draws[ttl - 1] / _LOSS_SCALE < loss_rate):
-                hops.append(TraceHop(ttl, None))
+                append(make_hop((ttl, None, 0.0, (), 1)))
                 unanswered += 1
                 silent_streak += 1
                 if silent_streak >= gap_limit:
                     stop = StopReason.GAP_LIMIT
                     break
                 continue
-            hops.append(TraceHop(
+            append(make_hop((
                 ttl, obs.address,
                 1.0 + 1.8 * ttl + rtt_draw % 4000 / 1000.0,
                 (self._quoted_stack(monitor, dst_addr, ttl, obs)
                  if obs.labels and obs.quotes_labels else ()),
-                obs.quoted_ttl))
+                obs.quoted_ttl)))
             silent_streak = 0
             if obs.router_id == -1:
                 stop = StopReason.COMPLETED

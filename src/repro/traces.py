@@ -5,13 +5,22 @@ traceroute engine *produces* :class:`Trace` objects, the warts-like codec
 *serializes* them, and LPR *consumes* them.  A trace is a TTL-ordered list
 of :class:`TraceHop` replies; a hop may be anonymous (no reply) and may
 quote an MPLS label stack per RFC 4950.
+
+Traces are bulk data — a cycle holds hundreds of thousands of hops —
+so the module also owns the two tools that keep them cheap for
+CPython (DESIGN §8): :func:`make_hop`, the C-level hop constructor the
+decoder and the simulator build with, and :func:`gc_paused`, the scope
+bulk trace work runs in with the cyclic collector paused.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .mpls.lse import LabelStackEntry
 from .net.ip import int_to_ip
@@ -27,9 +36,14 @@ class StopReason(Enum):
     TTL_EXHAUSTED = "ttl-exhausted"
 
 
-@dataclass(frozen=True)
-class TraceHop:
+class TraceHop(NamedTuple):
     """One reply (or silence) at a given probe TTL.
+
+    A named tuple: hops are built by the hundred thousand (decoder,
+    simulator) and live as long as their trace, so each is one
+    immutable object with no instance ``__dict__`` (DESIGN §8).
+    Equality, hashing and ``repr`` are those of the field tuple;
+    :func:`make_hop` is the fast positional constructor.
 
     Attributes:
         probe_ttl: the IP TTL of the probe that triggered this reply.
@@ -50,23 +64,6 @@ class TraceHop:
     rtt_ms: float = 0.0
     quoted_stack: Tuple[LabelStackEntry, ...] = ()
     quoted_ttl: int = 1
-
-    def __init__(self, probe_ttl: int, address: Optional[int],
-                 rtt_ms: float = 0.0,
-                 quoted_stack: Tuple[LabelStackEntry, ...] = (),
-                 quoted_ttl: int = 1):
-        # Hand-written because hops are built by the hundred thousand
-        # (decoder, simulator): the generated frozen __init__ pays one
-        # object.__setattr__ per field, filling __dict__ directly is
-        # ~2x cheaper (at ~64 B per hop: touching __dict__ materialises
-        # it).  Keys go in field order, so pickles are byte-identical
-        # to the generated init's (tests/test_warts.py pins both).
-        state = self.__dict__
-        state["probe_ttl"] = probe_ttl
-        state["address"] = address
-        state["rtt_ms"] = rtt_ms
-        state["quoted_stack"] = quoted_stack
-        state["quoted_ttl"] = quoted_ttl
 
     @property
     def is_anonymous(self) -> bool:
@@ -95,6 +92,13 @@ class TraceHop:
             )
             text += f"  [MPLS: {stack}]"
         return text
+
+
+make_hop = partial(tuple.__new__, TraceHop)
+"""``make_hop((probe_ttl, address, rtt_ms, quoted_stack, quoted_ttl))``
+builds a :class:`TraceHop` from all five fields in one tuple, in C:
+no Python frame and no defaults.  The one constructor of the bulk
+producers (the warts decoder, the simulator's traceroute engine)."""
 
 
 @dataclass
@@ -139,3 +143,24 @@ class Trace:
             f"to {int_to_ip(self.dst)} [{self.stop_reason.value}]"
         )
         return "\n".join([header] + [str(hop) for hop in self.hops])
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause CPython's cyclic collector for a scope of bulk trace work.
+
+    Traces, hop lists and hops hold no reference cycles, yet building
+    them by the hundred thousand triggers generational collections
+    that traverse every live trace and free nothing (DESIGN §8).  The
+    collector is re-enabled on exit, also when the scope raises, and
+    a scope entered with the collector already off (nested, or a
+    caller that disabled it) leaves it off.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()

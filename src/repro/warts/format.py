@@ -23,7 +23,12 @@ Layout (all integers big-endian):
           u8  LSE count, then u32 wire LSEs (present iff has labels)
 
 The format is self-framing: a reader can skip unknown records by length,
-and truncated files fail loudly with :class:`WartsError`.  Real measurement
+and truncated files fail loudly with :class:`WartsError`.
+:class:`WartsReader` frames records off one buffer it refills by
+64 KiB chunk, reading each length prefix at a running offset; a
+record body is decoded field by field at an offset too, and its hops
+are built with :func:`repro.traces.make_hop`.  :func:`read_archive`
+reads inside :func:`repro.traces.gc_paused` (DESIGN §8).  Real measurement
 archives are messier — CAIDA ships partial ``.warts.gz`` files, transfers
 truncate, disks corrupt — so :class:`WartsReader` also offers an opt-in
 ``tolerant=True`` *salvage* mode that skips corrupt records (bounded
@@ -39,7 +44,7 @@ from typing import BinaryIO, Dict, Iterator, List, Tuple
 
 from ..mpls.lse import LabelStackEntry
 from ..obs import emit, get_registry
-from ..traces import StopReason, Trace, TraceHop
+from ..traces import StopReason, Trace, TraceHop, gc_paused, make_hop
 
 MAGIC = b"RWTS"
 VERSION = 2
@@ -49,7 +54,9 @@ MAX_RECORD_LENGTH = 16 * 1024 * 1024
 must never turn into a multi-GB allocation: real traces are a few KiB,
 so anything above this cap is treated as framing corruption."""
 
-_RESYNC_CHUNK = 1 << 16
+_CHUNK = 1 << 16
+"""Bytes per read of the underlying stream (framing refills and the
+resync scan alike)."""
 
 _RECORDS_SKIPPED = get_registry().counter(
     "warts_records_skipped_total",
@@ -165,7 +172,7 @@ def _decode_record(body: bytes, stacks: Dict[bytes, Stack]) -> Trace:
                     stack = stacks[raw] = tuple(
                         LabelStackEntry.decode(word)
                         for (word,) in _U32.iter_unpack(raw))
-            append(TraceHop(probe_ttl, address, rtt, stack, quoted_ttl))
+            append(make_hop((probe_ttl, address, rtt, stack, quoted_ttl)))
     except (struct.error, IndexError):
         raise WartsError("truncated record") from None
     except UnicodeDecodeError as exc:
@@ -218,30 +225,39 @@ class WartsReader:
 
     def __init__(self, stream: BinaryIO, tolerant: bool = False):
         self._stream = stream
+        # Records are framed off one buffer at a running offset; the
+        # buffer is refilled by chunk only when a frame runs past it.
         self._buffer = b""
+        self._offset = 0
         self.tolerant = tolerant
         self.skipped: Dict[str, int] = {}
         # Decoded label stacks by their raw LSE bytes, shared by every
         # hop that quotes the same stack: an archive holds far fewer
         # distinct stacks than labeled hops (DESIGN §8).
         self._stacks: Dict[bytes, Stack] = {}
-        header = self._read(6)
-        if len(header) != 6 or header[:4] != MAGIC:
+        if self._fill(6) < 6 or self._buffer[:4] != MAGIC:
             raise WartsError("not a warts-like archive (bad magic)")
-        (version,) = _U16.unpack(header[4:])
+        (version,) = _U16.unpack_from(self._buffer, 4)
         if version != VERSION:
             raise WartsError(f"unsupported version {version}")
+        self._offset = 6
 
-    def _read(self, count: int) -> bytes:
-        """Up to ``count`` bytes, short only at end of stream."""
-        while len(self._buffer) < count:
-            chunk = self._stream.read(count - len(self._buffer))
+    def _fill(self, count: int) -> int:
+        """Make ``count`` bytes available at the offset, reading whole
+        chunks; returns how many are (fewer only at end of stream)."""
+        available = len(self._buffer) - self._offset
+        if available >= count:
+            return available
+        parts = [self._buffer[self._offset:]]
+        while available < count:
+            chunk = self._stream.read(max(_CHUNK, count - available))
             if not chunk:
                 break
-            self._buffer += chunk
-        out = self._buffer[:count]
-        self._buffer = self._buffer[count:]
-        return out
+            parts.append(chunk)
+            available += len(chunk)
+        self._buffer = b"".join(parts)
+        self._offset = 0
+        return available
 
     def _skip(self, reason: str) -> None:
         self.skipped[reason] = self.skipped.get(reason, 0) + 1
@@ -249,7 +265,8 @@ class WartsReader:
         emit("warts.record.skipped", reason=reason)
 
     def _resync(self) -> bool:
-        """Scan forward for an embedded file header; position after it.
+        """Scan forward from the offset for an embedded file header;
+        position after it.
 
         The record stream is length-prefixed with no per-record marker,
         so once a length prefix is corrupt the only trustworthy anchor
@@ -257,64 +274,70 @@ class WartsReader:
         produced by concatenating files).  Returns False at end of
         stream with no anchor found.
         """
-        window = self._buffer
+        window = self._buffer[self._offset:]
         self._buffer = b""
+        self._offset = 0
         while True:
             index = window.find(MAGIC)
             if index >= 0:
                 rest = window[index + len(MAGIC):]
                 while len(rest) < 2:
-                    chunk = self._stream.read(_RESYNC_CHUNK)
+                    chunk = self._stream.read(_CHUNK)
                     if not chunk:
                         return False
                     rest += chunk
-                (version,) = _U16.unpack(rest[:2])
+                (version,) = _U16.unpack_from(rest)
                 if version == VERSION:
-                    self._buffer = rest[2:]
+                    self._buffer = rest
+                    self._offset = 2
                     return True
                 window = rest  # false positive; keep scanning after it
                 continue
             # Keep a possible magic prefix straddling the chunk border.
             window = window[-(len(MAGIC) - 1):]
-            chunk = self._stream.read(_RESYNC_CHUNK)
+            chunk = self._stream.read(_CHUNK)
             if not chunk:
                 return False
             window += chunk
 
     def __iter__(self) -> Iterator[Trace]:
+        tolerant = self.tolerant
+        stacks = self._stacks
+        fill = self._fill
+        unpack_length = _U32.unpack_from
         while True:
-            length_bytes = self._read(4)
-            if not length_bytes:
-                return
-            if len(length_bytes) != 4:
-                if self.tolerant:
+            available = fill(4)
+            if available < 4:
+                if not available:
+                    return
+                if tolerant:
                     self._skip("truncated_length")
                     return
                 raise WartsError("truncated record length")
-            (length,) = _U32.unpack(length_bytes)
+            (length,) = unpack_length(self._buffer, self._offset)
             if length > MAX_RECORD_LENGTH:
-                if self.tolerant:
+                if tolerant:
                     self._skip("oversized_length")
-                    # The four length bytes may themselves start an
-                    # embedded file header (concatenated archives) —
-                    # let the resync scan see them again.
-                    self._buffer = length_bytes + self._buffer
+                    # The four length bytes stay at the offset: they
+                    # may themselves start an embedded file header
+                    # (concatenated archives), so the scan sees them.
                     if not self._resync():
                         return
                     continue
                 raise WartsError(
                     f"record length {length} exceeds the "
                     f"{MAX_RECORD_LENGTH}-byte cap (corrupt archive?)")
-            body = self._read(length)
-            if len(body) != length:
-                if self.tolerant:
+            if available < 4 + length and fill(4 + length) < 4 + length:
+                if tolerant:
                     self._skip("truncated_body")
                     return
                 raise WartsError("truncated record body")
+            start = self._offset + 4
+            self._offset = end = start + length
             try:
-                trace = _decode_record(body, self._stacks)
+                trace = _decode_record(self._buffer[start:end], stacks)
             except WartsError:
-                if self.tolerant:
+                if tolerant:
                     self._skip("decode_error")
                     continue
                 raise
@@ -344,7 +367,7 @@ def read_archive(path, tolerant: bool = False) -> List[Trace]:
     instead of raising (see :class:`WartsReader`); use
     :func:`salvage_archive` when the skip tally is needed too.
     """
-    with _opener(path, "rb") as stream:
+    with gc_paused(), _opener(path, "rb") as stream:
         return list(WartsReader(stream, tolerant=tolerant))
 
 

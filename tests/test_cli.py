@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import get_event_bus
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +318,13 @@ class TestFlightRecorderFlags:
                  for line in events.read_text().splitlines()]
         assert lines
         assert all("ts" not in line for line in lines)
+
+    def test_events_out_restores_the_previous_bus(self, tmp_path):
+        before = get_event_bus()
+        assert main(["study", "--cycles", "1", "--scale", "0.25",
+                     "--seed", "7", "--artifacts", "table1",
+                     "--events-out", str(tmp_path / "e.jsonl")]) == 0
+        assert get_event_bus() is before
 
     def test_report_roundtrip(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"

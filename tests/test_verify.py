@@ -83,7 +83,8 @@ class TestInvariantsOnRealRun:
                 after_persistence=1),
             metrics={})
         fake = mock.Mock(results=[bad], simulator=run.simulator)
-        saved = set_event_bus(EventBus())
+        saved = get_event_bus()
+        set_event_bus(EventBus())
         try:
             violations = audit_run(fake, delta)
             events = [event for event in get_event_bus().events
@@ -225,7 +226,8 @@ class TestCanonicalDiff:
 class TestMatrixSerialConfigs:
     @pytest.fixture(scope="class")
     def report(self, tmp_path_factory):
-        saved = set_event_bus(EventBus())
+        saved = get_event_bus()
+        set_event_bus(EventBus())
         try:
             report = run_matrix(
                 SPEC, _SERIAL_CONFIGS,
@@ -281,7 +283,8 @@ class TestBrokenMemoDetection:
         configs = [config for config in default_matrix()
                    if config.name == "no-memo"]
         patched = _broken_resolve(DataPlane._resolve_route)
-        saved = set_event_bus(EventBus())
+        saved = get_event_bus()
+        set_event_bus(EventBus())
         try:
             with mock.patch.object(DataPlane, "_resolve_route",
                                    patched):
@@ -391,6 +394,15 @@ class TestVerifyCli:
         assert code == 0
         assert "byte-identical" in output
         assert (tmp_path / "archive-strict").is_dir()
+
+    def test_events_out_restores_the_previous_bus(self, capsys,
+                                                  tmp_path):
+        before = get_event_bus()
+        assert main(["verify", "--cycles", "1", "--scale", "0.2",
+                     "--seed", "7", "--snapshots-per-cycle", "2",
+                     "--configs", "no-memo",
+                     "--events-out", str(tmp_path / "e.jsonl")]) == 0
+        assert get_event_bus() is before
 
     def test_divergence_exits_one_and_reports(self, capsys, tmp_path):
         events_path = tmp_path / "events.jsonl"

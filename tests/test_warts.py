@@ -1,6 +1,6 @@
 """Unit tests for the warts-like binary and JSONL trace codecs."""
 
-import dataclasses
+import gzip
 import io
 import pickle
 import struct
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.mpls.lse import LabelStackEntry
 from repro.net.ip import ip_to_int
 from repro.obs import get_registry
-from repro.traces import StopReason, Trace, TraceHop
+from repro.traces import StopReason, Trace, TraceHop, make_hop
 from repro.warts.format import (
     MAGIC,
     MAX_RECORD_LENGTH,
@@ -465,50 +465,131 @@ class TestCorruptionFuzz:
         _read_or_warts_error(bytes(data), tolerant=True)
 
 
-@dataclasses.dataclass(frozen=True)
-class _GeneratedHop:
-    """TraceHop's fields with the dataclass-generated ``__init__``."""
-
-    probe_ttl: int
-    address: object
-    rtt_ms: float = 0.0
-    quoted_stack: tuple = ()
-    quoted_ttl: int = 1
-
-
 class TestTraceHopInit:
     def hop(self):
         return TraceHop(3, 1234, 1.5,
                         (LabelStackEntry(100, bottom=True, ttl=1),), 2)
 
-    def test_dict_keys_follow_the_fields(self):
-        names = [field.name for field in dataclasses.fields(TraceHop)]
-        assert list(self.hop().__dict__) == names
-        assert list(TraceHop(1, None).__dict__) == names
-        assert names == [field.name for field in
-                         dataclasses.fields(_GeneratedHop)]
+    def test_fields_order(self):
+        assert TraceHop._fields == ("probe_ttl", "address", "rtt_ms",
+                                    "quoted_stack", "quoted_ttl")
+        assert TraceHop._field_defaults == {
+            "rtt_ms": 0.0, "quoted_stack": (), "quoted_ttl": 1}
 
-    def test_pickle_bytes_match_the_generated_init(self):
-        for args in [(3, 1234, 1.5, (LabelStackEntry(100),), 2),
-                     (7, None), (1, 5, 0.5)]:
-            # A TraceHop filled in by the generated __init__.
-            reference = object.__new__(TraceHop)
-            _GeneratedHop.__init__(reference, *args)
-            ours = pickle.dumps(TraceHop(*args))
-            assert ours == pickle.dumps(reference)
-            assert pickle.loads(ours) == TraceHop(*args)
+    def test_pickle_round_trip(self):
+        for hop in [self.hop(), TraceHop(7, None), TraceHop(1, 5, 0.5)]:
+            back = pickle.loads(pickle.dumps(hop))
+            assert back == hop
+            assert type(back) is TraceHop
 
-    def test_keywords_defaults_and_dataclass_protocol(self):
+    def test_keywords_defaults_and_tuple_protocol(self):
         hop = TraceHop(probe_ttl=1, address=None)
         assert (hop.rtt_ms, hop.quoted_stack, hop.quoted_ttl) == \
             (0.0, (), 1)
         assert self.hop() == self.hop()
-        assert hash(self.hop()) == hash(self.hop())
+        # The hash of the field tuple, as the frozen dataclass had.
+        assert hash(self.hop()) == hash(
+            (3, 1234, 1.5, self.hop().quoted_stack, 2))
         assert repr(hop) == ("TraceHop(probe_ttl=1, address=None, "
                              "rtt_ms=0.0, quoted_stack=(), quoted_ttl=1)")
-        moved = dataclasses.replace(self.hop(), address=9)
+        moved = self.hop()._replace(address=9)
         assert moved.address == 9 and moved.quoted_ttl == 2
+        assert not hasattr(hop, "__dict__")
+
+    def test_make_hop_builds_the_same_hop(self):
+        made = make_hop((3, 1234, 1.5, self.hop().quoted_stack, 2))
+        assert type(made) is TraceHop
+        assert made == self.hop()
+        assert (made.labels, made.has_labels, made.is_anonymous) == \
+            ((100,), True, False)
+        assert str(made) == str(self.hop())
 
     def test_still_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             self.hop().address = 5
+
+
+class Trickle:
+    """A stream whose ``read`` returns at most 7 bytes, so records
+    straddle every refill of the reader's buffer."""
+
+    def __init__(self, data):
+        self._inner = io.BytesIO(data)
+        self.reads = 0
+
+    def read(self, count=-1):
+        self.reads += 1
+        return self._inner.read(7 if count < 0 else min(count, 7))
+
+
+def _many_traces(count):
+    return [labeled_trace(f"mon-{index % 5}",
+                          [None, 100 + index % 3, None, 200])
+            if index % 2 else sample_trace(f"mon-{index}",
+                                           hop_count=1 + index % 9)
+            for index in range(count)]
+
+
+class TestFraming:
+    """Records frame off one buffer refilled by chunk: where the
+    chunk borders fall never changes what is decoded or skipped."""
+
+    def test_strict_read_through_trickle(self):
+        traces = _many_traces(40)
+        stream = Trickle(archive_bytes(traces))
+        decoded = list(WartsReader(stream))
+        assert len(decoded) == len(traces)
+        assert all(traces_equal(a, b) for a, b in zip(decoded, traces))
+        assert stream.reads > len(traces)  # records did straddle reads
+
+    def test_strict_errors_through_trickle(self):
+        data = archive_bytes(_many_traces(5))
+        with pytest.raises(WartsError, match="truncated record body"):
+            list(WartsReader(Trickle(data[:-3])))
+        header = MAGIC + struct.pack("!H", VERSION)
+        with pytest.raises(WartsError, match="truncated record length"):
+            list(WartsReader(Trickle(header + b"\x00\x00")))
+        with pytest.raises(WartsError, match="cap"):
+            list(WartsReader(Trickle(
+                header + struct.pack("!I", MAX_RECORD_LENGTH + 1))))
+
+    def test_tolerant_read_through_trickle(self):
+        good = _many_traces(6)
+        header = MAGIC + struct.pack("!H", VERSION)
+        bad_body = encode_trace(sample_trace())[:-1]
+        data = (archive_bytes(good[:3])
+                + struct.pack("!I", len(bad_body)) + bad_body
+                + struct.pack("!I", 0xFFFFFFF0) + b"junk"
+                + archive_bytes(good[3:])
+                + struct.pack("!I", 50) + b"short")
+        assert data.count(header) == 2
+        for stream in (io.BytesIO(data), Trickle(data)):
+            reader = WartsReader(stream, tolerant=True)
+            decoded = list(reader)
+            assert all(traces_equal(a, b) for a, b in zip(decoded, good))
+            assert len(decoded) == len(good)
+            assert reader.skipped == {"decode_error": 1,
+                                      "oversized_length": 1,
+                                      "truncated_body": 1}
+
+    def test_records_straddle_chunk_borders(self):
+        # Well over one 64 KiB chunk: plain and trickled reads agree.
+        traces = _many_traces(3000)
+        data = archive_bytes(traces)
+        assert len(data) > 3 * (1 << 16)
+        plain = list(WartsReader(io.BytesIO(data)))
+        assert len(plain) == len(traces)
+        assert all(traces_equal(a, b) for a, b in zip(plain, traces))
+        assert all(traces_equal(a, b) for a, b in
+                   zip(WartsReader(Trickle(data)), plain))
+
+    def test_gz_archive_across_chunks(self, tmp_path):
+        traces = _many_traces(3000)
+        path = tmp_path / "big.rwts.gz"
+        write_archive(path, traces)
+        loaded = read_archive(path)
+        assert len(loaded) == len(traces)
+        assert all(traces_equal(a, b) for a, b in zip(loaded, traces))
+        with gzip.GzipFile(fileobj=Trickle(path.read_bytes())) as stream:
+            assert all(traces_equal(a, b) for a, b in
+                       zip(WartsReader(stream), traces))
