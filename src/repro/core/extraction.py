@@ -99,9 +99,10 @@ def _run_context(hops: Sequence[TraceHop], run_start: int,
 def _run_hops(hops: Sequence[TraceHop], run_start: int,
               run_end: int) -> Tuple[LspHop, ...]:
     """``(address, top label)`` of a run's explicit hops."""
-    return tuple((hop.address, hop.quoted_stack[0].label)
-                 for hop in hops[run_start:run_end + 1]
-                 if is_explicit_hop(hop))
+    return tuple([(hop.address, hop.quoted_stack[0].label)
+                  for hop in hops[run_start:run_end + 1]
+                  if hop.quoted_stack
+                  and hop.quoted_stack[0].ttl <= MAX_EXPLICIT_LSE_TTL])
 
 
 def extract_lsps(trace: Trace) -> List[Lsp]:
@@ -136,16 +137,21 @@ def _canonicalize(lsp: Lsp, table: dict) -> Lsp:
     pickle boundaries; interning the extracted values makes every
     downstream object graph — and hence checkpoint pickles — a pure
     function of the trace *values*, whatever worker layout produced
-    them (DESIGN §8).
+    them (DESIGN §8).  A run seen before is answered by one probe for
+    its whole ``hops`` tuple, whose elements were interned when it was
+    stored.
     """
     def intern(value):
         return table.setdefault(value, value)
 
+    hops = table.get(lsp.hops)
+    if hops is None:
+        hops = intern(tuple(intern((intern(address), intern(label)))
+                            for address, label in lsp.hops))
     return Lsp(
         entry=intern(lsp.entry),
         exit=intern(lsp.exit),
-        hops=intern(tuple(intern((intern(address), intern(label)))
-                          for address, label in lsp.hops)),
+        hops=hops,
         complete=lsp.complete,
         monitor=intern(lsp.monitor),
         dst=intern(lsp.dst),

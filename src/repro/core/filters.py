@@ -74,8 +74,8 @@ def intra_as(lsps: Iterable[Lsp], ip2as: Ip2AsMapper) -> List[Lsp]:
 
     Survivors come back annotated with their AS (``lsp.asn``).  All
     hop addresses go through one :meth:`~Ip2AsMapper.lookup_many`
-    batch, so repeated interfaces cost one radix walk per /24 instead
-    of one per hop observation.
+    batch, so repeated interfaces cost one longest-prefix match per /24
+    instead of one per hop observation.
     """
     lsps = list(lsps)
     flat = [address for lsp in lsps for address in lsp.addresses]

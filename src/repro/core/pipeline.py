@@ -21,7 +21,8 @@ from ..net.ip2as import Ip2AsMapper
 from ..obs import emit, get_registry, span
 from ..traces import Trace, gc_paused
 from .classification import ClassificationResult, classify
-from .extraction import complete_signatures, extract_all, is_explicit_hop
+from .extraction import MAX_EXPLICIT_LSE_TTL, complete_signatures, \
+    extract_all
 from .filters import FilterStats, run_filters
 from .model import Iotp, IotpKey, LspSignature
 
@@ -54,25 +55,24 @@ def dataset_stats(traces: Sequence[Trace],
 
     An address counts as "used in MPLS" when it ever appears as a
     label-quoting hop; every other responding address is non-MPLS.
-    The same hop loop counts the traces crossing an explicit tunnel
-    (:func:`repro.core.extraction.traces_with_tunnels`).
+    The same per-trace pass counts the traces crossing an explicit
+    tunnel (:func:`repro.core.extraction.traces_with_tunnels`), testing
+    explicitness on the labeled hops alone.
     """
     mpls: Set[int] = set()
     every: Set[int] = set()
     with_tunnels = 0
     for trace in traces:
-        explicit = False
-        for hop in trace.hops:
-            labeled = bool(hop.quoted_stack)
-            if labeled and not explicit:
-                explicit = is_explicit_hop(hop)
-            address = hop.address
-            if address is None:
-                continue
-            every.add(address)
-            if labeled:
-                mpls.add(address)
-        with_tunnels += explicit
+        hops = trace.hops
+        every.update([hop.address for hop in hops
+                      if hop.address is not None])
+        labeled = [hop for hop in hops if hop.quoted_stack]
+        if labeled:
+            mpls.update([hop.address for hop in labeled
+                         if hop.address is not None])
+            with_tunnels += any(
+                hop.quoted_stack[0].ttl <= MAX_EXPLICIT_LSE_TTL
+                for hop in labeled)
 
     # One origin lookup per distinct address, feeding both histograms.
     mpls_by_as: Dict[int, int] = {}
@@ -202,9 +202,8 @@ def run_study(spec, workers: int = 1, **options):
     ``max_retries``, ``checkpoint_dir`` and ``subdivide`` (DESIGN §8),
     the warm-start state-store knobs ``state_dir`` /
     ``snapshot_stride`` (DESIGN §10), and the live telemetry knobs
-    ``progress``, ``resources``, ``stall_timeout`` and ``health``
-    (DESIGN §9/§12) — all observational, never changing a byte of
-    output.
+    ``resources``, ``stall_timeout`` and ``stall_clock`` (DESIGN
+    §9/§12) — all observational, never changing a byte of output.
     """
     # Imported lazily: repro.par builds on this module and on repro.sim.
     from ..par.runner import run_study as run_sharded

@@ -1,4 +1,4 @@
-"""Addressing substrate: IPv4 arithmetic, radix trie, IP-to-AS mapping."""
+"""Addressing substrate: IPv4 arithmetic and IP-to-AS mapping."""
 
 from .ip import (
     AddressError,
@@ -9,7 +9,6 @@ from .ip import (
     netmask,
     summarize_range,
 )
-from .radix import RadixTrie, trie_from_pairs
 from .ip2as import Ip2AsMapper, UNKNOWN_AS
 
 __all__ = [
@@ -20,8 +19,6 @@ __all__ = [
     "ip_to_int",
     "netmask",
     "summarize_range",
-    "RadixTrie",
-    "trie_from_pairs",
     "Ip2AsMapper",
     "UNKNOWN_AS",
 ]

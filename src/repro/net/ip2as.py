@@ -6,6 +6,11 @@ same interface: a table of ``(prefix, origin AS)`` entries answering
 longest-prefix-match queries, plus a tiny text codec compatible with the
 classic ``pfx2as`` three-column format (dotted prefix, length, ASN).
 
+Longest-prefix match is answered from one hash table per prefix length,
+probed longest first: a pfx2as table holds few distinct lengths (the
+simulated ones two, /16 and /24), so a query costs at most one dict
+probe per length (DESIGN §8).
+
 Multi-origin prefixes (MOAS) are preserved: a lookup may return a tuple of
 ASNs, and :meth:`Ip2AsMapper.lookup_single` applies the common convention of
 keeping the first (lowest) origin.
@@ -13,12 +18,11 @@ keeping the first (lowest) origin.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, \
-    Union
+from typing import Dict, Iterable, Iterator, List, Optional, TextIO, \
+    Tuple, Union
 
 from ..obs import get_registry
-from .ip import Prefix, ip_to_int
-from .radix import RadixTrie
+from .ip import Prefix, int_to_ip, ip_to_int
 
 Origin = Union[int, Tuple[int, ...]]
 
@@ -28,26 +32,31 @@ _LOOKUP_HITS = get_registry().counter(
     "ip2as_lookup_cache_hits_total",
     "Batched IP2AS lookups answered by the per-call prefix memo",
     execution=True)
+# The help text rides in every CycleResult.metrics delta, so checkpoint
+# bytes pin its wording (it predates the per-length tables).
 _LOOKUP_MISSES = get_registry().counter(
     "ip2as_lookup_cache_misses_total",
     "Batched IP2AS lookups that walked the radix trie", execution=True)
 
 _MEMO_PREFIX_LENGTH = 24
-"""Granularity of the :meth:`Ip2AsMapper.lookup_many` memo: one trie
-walk answers a whole /24, the granularity of pfx2as destination
-blocks.  Exact only while no table prefix is longer than /24, so the
-memo degrades to per-address keys on finer tables."""
+"""Granularity of the :meth:`Ip2AsMapper.lookup_many` memo: one
+longest-prefix match answers a whole /24, the granularity of pfx2as
+destination blocks.  Exact only while no table prefix is longer than
+/24, so the memo degrades to per-address keys on finer tables."""
 
 
 class Ip2AsMapper:
     """Longest-prefix-match mapping from IPv4 address to origin AS."""
 
     def __init__(self):
-        self._trie = RadixTrie()
+        # {length: {network >> (32 - length): origin}}
+        self._tables: Dict[int, Dict[int, Origin]] = {}
+        # ``(32 - length, table)`` longest first: the lookup probe order.
+        self._probes: Tuple[Tuple[int, Dict[int, Origin]], ...] = ()
         self._max_length = 0
 
     def __len__(self) -> int:
-        return len(self._trie)
+        return sum(len(table) for table in self._tables.values())
 
     def add(self, prefix: Prefix, origin: Origin) -> None:
         """Register an origin (ASN or tuple of ASNs) for a prefix.
@@ -55,18 +64,27 @@ class Ip2AsMapper:
         Adding a second distinct origin for the same prefix turns the entry
         into a MOAS tuple.
         """
-        if prefix.length > self._max_length:
-            self._max_length = prefix.length
-        existing = self._trie.lookup_exact(prefix)
-        if existing is None:
-            self._trie.insert(prefix, origin)
-            return
-        merged = _merge_origins(existing, origin)
-        self._trie.insert(prefix, merged)
+        length = prefix.length
+        if length > self._max_length:
+            self._max_length = length
+        table = self._tables.get(length)
+        if table is None:
+            table = self._tables[length] = {}
+            self._probes = tuple(
+                (32 - key, self._tables[key])
+                for key in sorted(self._tables, reverse=True))
+        key = prefix.network >> (32 - length)
+        existing = table.get(key)
+        table[key] = (origin if existing is None
+                      else _merge_origins(existing, origin))
 
     def lookup(self, address: int) -> Optional[Origin]:
         """Return the origin for an address, or None if unrouted."""
-        return self._trie.lookup(address)
+        for shift, table in self._probes:
+            origin = table.get(address >> shift)
+            if origin is not None:
+                return origin
+        return None
 
     def lookup_single(self, address: int) -> int:
         """Return a single ASN for an address.
@@ -75,7 +93,7 @@ class Ip2AsMapper:
         :data:`UNKNOWN_AS` so that callers can use the result as a dict key
         without None checks.
         """
-        origin = self._trie.lookup(address)
+        origin = self.lookup(address)
         if origin is None:
             return UNKNOWN_AS
         if isinstance(origin, tuple):
@@ -86,11 +104,12 @@ class Ip2AsMapper:
         """Batched :meth:`lookup_single`, memoised within the call.
 
         Traceroute hops and destinations repeat heavily inside one
-        cycle and cluster in /24s, so one radix walk usually answers a
-        whole block of queries.  The memo is keyed per /24 while the
-        table holds no longer prefix (:data:`_MEMO_PREFIX_LENGTH` —
-        always true for pfx2as-style tables); a finer table drops the
-        memo to exact-address keys instead of risking wrong answers.
+        cycle and cluster in /24s, so one longest-prefix match usually
+        answers a whole block of queries.  The memo is keyed per /24
+        while the table holds no longer prefix
+        (:data:`_MEMO_PREFIX_LENGTH` — always true for pfx2as-style
+        tables); a finer table drops the memo to exact-address keys
+        instead of risking wrong answers.
         Hit/miss totals surface as
         ``ip2as_lookup_cache_{hits,misses}_total``.
         """
@@ -123,21 +142,22 @@ class Ip2AsMapper:
         return self.lookup(ip_to_int(address))
 
     def items(self) -> Iterator[Tuple[Prefix, Origin]]:
-        """Iterate over all (prefix, origin) entries."""
-        return self._trie.items()
+        """Iterate over all (prefix, origin) entries, ordered by prefix."""
+        return iter(sorted(
+            (Prefix(key << (32 - length), length), origin)
+            for length, table in self._tables.items()
+            for key, origin in table.items()))
 
     # -- pfx2as text codec ------------------------------------------------
 
     def dump(self, stream: TextIO) -> None:
         """Write the table in pfx2as format (prefix, length, origin)."""
-        for prefix, origin in sorted(self.items()):
+        for prefix, origin in self.items():
             origins = (
                 "_".join(str(a) for a in origin)
                 if isinstance(origin, tuple)
                 else str(origin)
             )
-            from .ip import int_to_ip
-
             stream.write(
                 f"{int_to_ip(prefix.network)}\t{prefix.length}\t{origins}\n"
             )

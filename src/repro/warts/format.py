@@ -28,7 +28,8 @@ and truncated files fail loudly with :class:`WartsError`.
 64 KiB chunk, reading each length prefix at a running offset; a
 record body is decoded field by field at an offset too, and its hops
 are built with :func:`repro.traces.make_hop`.  :func:`read_archive`
-reads inside :func:`repro.traces.gc_paused` (DESIGN §8).  Real measurement
+and :func:`salvage_archive` share one read inside
+:func:`repro.traces.gc_paused` (DESIGN §8).  Real measurement
 archives are messier — CAIDA ships partial ``.warts.gz`` files, transfers
 truncate, disks corrupt — so :class:`WartsReader` also offers an opt-in
 ``tolerant=True`` *salvage* mode that skips corrupt records (bounded
@@ -360,6 +361,15 @@ def write_archive(path, traces) -> int:
         return writer.written
 
 
+def _read(path, tolerant: bool) -> Tuple[List[Trace], Dict[str, int]]:
+    """The one archive read: every trace of a (possibly gzipped) file
+    and the per-reason tally of corrupt records skipped, decoded with
+    the cyclic collector paused."""
+    with gc_paused(), _opener(path, "rb") as stream:
+        reader = WartsReader(stream, tolerant=tolerant)
+        return list(reader), dict(reader.skipped)
+
+
 def read_archive(path, tolerant: bool = False) -> List[Trace]:
     """Read every trace from a (possibly gzipped) file.
 
@@ -367,14 +377,10 @@ def read_archive(path, tolerant: bool = False) -> List[Trace]:
     instead of raising (see :class:`WartsReader`); use
     :func:`salvage_archive` when the skip tally is needed too.
     """
-    with gc_paused(), _opener(path, "rb") as stream:
-        return list(WartsReader(stream, tolerant=tolerant))
+    return _read(path, tolerant)[0]
 
 
 def salvage_archive(path) -> Tuple[List[Trace], Dict[str, int]]:
     """Tolerantly read a (possibly gzipped) file; also return the
     per-reason tally of corrupt records skipped."""
-    with _opener(path, "rb") as stream:
-        reader = WartsReader(stream, tolerant=True)
-        traces = list(reader)
-        return traces, dict(reader.skipped)
+    return _read(path, tolerant=True)

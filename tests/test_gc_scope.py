@@ -1,10 +1,11 @@
 """The GC-quiet bulk scope (``repro.traces.gc_paused``).
 
-Bulk trace work — a study's cycles, ``read_archive`` and
-``LprPipeline.process_snapshots`` — runs with CPython's cyclic
-collector paused.  That is only safe because those paths build no
-reference cycles, and only correct if the collector comes back on
-however the scope ends and stays off for a caller that turned it off.
+Bulk trace work — a study's cycles, ``read_archive`` /
+``salvage_archive`` and ``LprPipeline.process_snapshots`` — runs with
+CPython's cyclic collector paused.  That is only safe because those
+paths build no reference cycles, and only correct if the collector
+comes back on however the scope ends and stays off for a caller that
+turned it off.
 """
 
 import gc
@@ -20,8 +21,9 @@ from repro.par import (
     StudySpec,
     run_study,
 )
-from repro.traces import gc_paused
-from repro.warts.format import read_archive, write_archive
+from repro.traces import StopReason, Trace, gc_paused, make_hop
+from repro.warts.format import read_archive, salvage_archive, \
+    write_archive
 
 SPEC = StudySpec(scale=0.4, seed=2015, cycles=2, snapshots_per_cycle=2)
 
@@ -110,3 +112,31 @@ class TestBulkPaths:
         gc.disable()
         _bulk_work(tmp_path)
         assert not gc.isenabled()
+
+    def test_salvage_reads_with_the_collector_paused(self, collector_on,
+                                                     tmp_path):
+        path = tmp_path / "bulk.rwts"
+        write_archive(path, (
+            Trace(monitor="mon-a", src=1, dst=index, timestamp=0.0,
+                  stop_reason=StopReason.COMPLETED,
+                  hops=[make_hop((ttl, index * 16 + ttl, 1.0, (), 1))
+                        for ttl in range(1, 9)])
+            for index in range(3000)))
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            traces, skipped = salvage_archive(path)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(traces) == 3000 and skipped == {}
+        # 3,000 traces and 24,000 hops allocated, dozens of gen0
+        # thresholds' worth; none fires while decoding.  At most the
+        # one deferred gen0 pass runs, at the first allocation after
+        # the collector comes back on.
+        assert len(starts) <= 1

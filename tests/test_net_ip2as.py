@@ -3,8 +3,9 @@
 import io
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.net.ip import Prefix, ip_to_int
+from repro.net.ip import MAX_IPV4, Prefix, ip_to_int
 from repro.net.ip2as import Ip2AsMapper, UNKNOWN_AS
 
 
@@ -14,6 +15,110 @@ def build_mapper():
     mapper.add(Prefix.parse("10.1.0.0/16"), 65002)
     mapper.add(Prefix.parse("192.0.2.0/24"), 65003)
     return mapper
+
+
+def make_mapper(entries):
+    return Ip2AsMapper.from_pairs(
+        (Prefix.parse(text), origin) for text, origin in entries
+    )
+
+
+class TestLongestPrefixMatch:
+    def test_empty_lookup(self):
+        mapper = Ip2AsMapper()
+        assert mapper.lookup(ip_to_int("10.0.0.1")) is None
+        assert mapper.lookup_single(ip_to_int("10.0.0.1")) == UNKNOWN_AS
+        assert len(mapper) == 0
+
+    def test_exact_match(self):
+        mapper = make_mapper([("192.0.2.0/24", 65001)])
+        assert mapper.lookup_str("192.0.2.7") == 65001
+        assert mapper.lookup_str("192.0.3.7") is None
+
+    def test_longest_prefix_wins(self):
+        mapper = make_mapper([
+            ("10.0.0.0/8", 65001),
+            ("10.1.0.0/16", 65002),
+            ("10.1.2.0/24", 65003),
+        ])
+        assert mapper.lookup_str("10.1.2.3") == 65003
+        assert mapper.lookup_str("10.1.9.9") == 65002
+        assert mapper.lookup_str("10.9.9.9") == 65001
+
+    def test_default_route(self):
+        mapper = make_mapper([("0.0.0.0/0", 65000), ("10.0.0.0/8", 65010)])
+        assert mapper.lookup_str("11.0.0.1") == 65000
+        assert mapper.lookup_str("255.255.255.255") == 65000
+        assert mapper.lookup_str("10.0.0.1") == 65010
+
+    def test_host_route(self):
+        mapper = make_mapper([("10.0.0.0/8", 65001),
+                              ("10.0.0.1/32", 65002)])
+        assert mapper.lookup_str("10.0.0.1") == 65002
+        assert mapper.lookup_str("10.0.0.2") == 65001
+
+    def test_items_yields_all(self):
+        entries = [("10.0.0.0/8", 1), ("10.1.0.0/16", 2),
+                   ("192.0.2.0/24", 3), ("0.0.0.0/0", 4),
+                   ("10.0.0.1/32", (5, 6))]
+        got = list(make_mapper(entries).items())
+        assert {(str(p), v) for p, v in got} == set(entries)
+        # Ordered by (network, length), as the pfx2as dump writes them.
+        assert [p for p, _ in got] == sorted(p for p, _ in got)
+
+    def test_readd_merges_into_one_entry(self):
+        mapper = make_mapper([("10.0.0.0/8", 65001)])
+        mapper.add(Prefix.parse("10.0.0.0/8"), 65002)
+        assert mapper.lookup_str("10.0.0.1") == (65001, 65002)
+        assert len(mapper) == 1
+
+    def test_len_counts_unique_prefixes(self):
+        mapper = make_mapper([("10.0.0.0/8", 1), ("10.0.0.0/16", 2),
+                              ("10.0.0.0/8", 3)])
+        assert len(mapper) == 2
+
+    @given(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=MAX_IPV4),
+                  st.integers(min_value=0, max_value=32),
+                  st.integers(min_value=1, max_value=4)),
+        min_size=1, max_size=40,
+    ))
+    def test_matches_linear_scan(self, raw_entries):
+        """Every lookup agrees with a brute-force longest-match scan
+        over merged MOAS origins, on tables with and without prefixes
+        longer than the /24 memo block."""
+        for max_length in (24, 32):
+            pairs = [(Prefix.from_host(address, length), asn)
+                     for address, length, asn in raw_entries
+                     if length <= max_length]
+            origins = {}
+            for prefix, asn in pairs:
+                origins.setdefault(prefix, set()).add(asn)
+            mapper = Ip2AsMapper.from_pairs(pairs)
+            assert len(mapper) == len(origins)
+            probes = [0, MAX_IPV4]
+            for address, _, _ in raw_entries:
+                probes += [address, address ^ 1, address ^ 0x80,
+                           address ^ 0x8000]
+            expected = []
+            for probe in probes:
+                best = None
+                for prefix, asns in origins.items():
+                    if probe in prefix and (
+                            best is None or prefix.length > best.length):
+                        best = prefix
+                if best is None:
+                    expected.append(None)
+                else:
+                    merged = tuple(sorted(origins[best]))
+                    expected.append(merged[0] if len(merged) == 1
+                                    else merged)
+            singles = [UNKNOWN_AS if origin is None
+                       else min(origin) if isinstance(origin, tuple)
+                       else origin for origin in expected]
+            assert [mapper.lookup(p) for p in probes] == expected
+            assert [mapper.lookup_single(p) for p in probes] == singles
+            assert mapper.lookup_many(probes) == singles
 
 
 class TestLookup:
@@ -96,7 +201,7 @@ class TestLookupMany:
         hits = _LOOKUP_HITS.value()
         misses = _LOOKUP_MISSES.value()
         mapper.lookup_many(block)
-        # Ten addresses in one /24: one radix walk, nine memo hits.
+        # Ten addresses in one /24: one prefix match, nine memo hits.
         assert _LOOKUP_MISSES.value() - misses == 1
         assert _LOOKUP_HITS.value() - hits == 9
 
