@@ -40,6 +40,7 @@ from typing import (
 )
 
 from ..obs.events import Event, read_events
+from ..obs.metrics import delta_total
 from .render import format_table, sparkline
 
 Grouped = Dict[str, List[Event]]
@@ -183,20 +184,21 @@ def _work_label(fields: Dict[str, Any]) -> str:
 
 def _cache_data(grouped: Grouped) -> Dict[str, Any]:
     """Per-family cache totals: the forwarding-path caches summed over
-    ``cache.flush`` events (whichever process probed), the IP2AS block
-    memo from ``cycle.metrics`` registry deltas.  Families absent from
-    the events file are omitted, so nothing divides by zero."""
+    ``cache.flush`` events, the IP2AS block memo over ``cycle.done``
+    events — each emitted by whichever process did the work, so a
+    cycle restored from a checkpoint adds nothing.  Families absent
+    from the events file are omitted, so nothing divides by zero."""
     flushes = grouped.get("cache.flush", [])
-    metric_rows = [event.fields.get("metrics", {})
-                   for event in grouped.get("cycle.metrics", [])]
+    cycles = grouped.get("cycle.done", [])
     families = {
         "forwarding": (
             sum(event.fields.get("hits", 0) for event in flushes),
             sum(event.fields.get("misses", 0) for event in flushes)),
-        "ip2as_memo": tuple(
-            sum(_cycle_metric(metrics, name) for metrics in metric_rows)
-            for name in ("ip2as_lookup_cache_hits_total",
-                         "ip2as_lookup_cache_misses_total")),
+        "ip2as_memo": (
+            sum(event.fields.get("ip2as_memo_hits", 0)
+                for event in cycles),
+            sum(event.fields.get("ip2as_memo_misses", 0)
+                for event in cycles)),
     }
     return {family: {"hits": hits, "misses": misses}
             for family, (hits, misses) in families.items()
@@ -374,19 +376,10 @@ _FILTERS = ("incomplete", "intra_as", "target_as",
             "transit_diversity", "persistence")
 
 
-def _cycle_metric(metrics: Dict[str, Any], name: str,
-                  **labels: Any) -> float:
-    total = 0.0
-    for entry in metrics.get(name, {}).get("values", []):
-        if all(entry["labels"].get(k) == v for k, v in labels.items()):
-            total += entry["value"]
-    return total
-
-
 def _filter_series(grouped: Grouped) -> Optional[Dict[str, Any]]:
     """Per-filter drop counts across cycles.
 
-    ``cycle.metrics`` events carry each cycle's registry delta; the
+    ``cycle.metrics`` events carry each cycle's result metrics; the
     ``lsps_dropped_total{filter=...}`` series inside reconstruct the
     funnel the paper's Table 1 footnotes describe.
     """
@@ -396,12 +389,12 @@ def _filter_series(grouped: Grouped) -> Optional[Dict[str, Any]]:
         return None
     return {
         "cycles": [e.fields.get("cycle") for e in cycles],
-        "extracted": [_cycle_metric(e.fields.get("metrics", {}),
-                                    "lsps_extracted_total")
+        "extracted": [delta_total(e.fields.get("metrics", {}),
+                                  "lsps_extracted_total")
                       for e in cycles],
         "dropped": {
-            name: [_cycle_metric(e.fields.get("metrics", {}),
-                                 "lsps_dropped_total", filter=name)
+            name: [delta_total(e.fields.get("metrics", {}),
+                               "lsps_dropped_total", filter=name)
                    for e in cycles]
             for name in _FILTERS
         },

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..net.ip2as import Ip2AsMapper
-from ..obs import emit, get_registry, span
+from ..obs import MetricsRegistry, delta_total, emit, get_registry, \
+    span
 from ..traces import Trace, gc_paused
 from .classification import ClassificationResult, classify
 from .extraction import MAX_EXPLICIT_LSE_TTL, complete_signatures, \
@@ -102,8 +103,13 @@ class CycleResult:
     iotps: Dict[IotpKey, Iotp]
     classification: ClassificationResult
     metrics: Dict[str, Any] = field(default_factory=dict)
-    """Registry delta recorded while processing this cycle (a
-    :meth:`repro.obs.MetricsRegistry.diff` snapshot; deterministic)."""
+    """The result metrics recorded while LPR processed this cycle:
+    the registry delta of :meth:`LprPipeline.process_snapshots`'
+    window through :meth:`repro.obs.MetricsRegistry.results_only`
+    (labels and values only, no execution metric).  Deterministic and
+    layout-free, it is the cycle's one metrics payload: the
+    ``cycle.metrics`` event carries it, a checkpoint persists it, and
+    a restored cycle contributes exactly it to the registry."""
 
     def for_as(self, asn: int) -> ClassificationResult:
         """Classification restricted to one AS."""
@@ -164,15 +170,22 @@ class LprPipeline:
             with span("pipeline.classify"):
                 classification = classify(iotps, self.php_heuristic)
         _CYCLES_PROCESSED.inc()
+        window = registry.diff(before, registry.snapshot())
+        # The IP2AS memo counters are execution telemetry: they travel
+        # on this process's event, never in the result.
         emit("cycle.done", cycle=cycle, traces=stats.trace_count,
-             extracted=filter_stats.extracted, iotps=len(iotps))
+             extracted=filter_stats.extracted, iotps=len(iotps),
+             ip2as_memo_hits=delta_total(
+                 window, "ip2as_lookup_cache_hits_total"),
+             ip2as_memo_misses=delta_total(
+                 window, "ip2as_lookup_cache_misses_total"))
         return CycleResult(
             cycle=cycle,
             stats=stats,
             filter_stats=filter_stats,
             iotps=iotps,
             classification=classification,
-            metrics=registry.diff(before, registry.snapshot()),
+            metrics=MetricsRegistry.results_only(window),
         )
 
     def process_cycle(self, cycle_data) -> CycleResult:

@@ -32,11 +32,10 @@ _LOOKUP_HITS = get_registry().counter(
     "ip2as_lookup_cache_hits_total",
     "Batched IP2AS lookups answered by the per-call prefix memo",
     execution=True)
-# The help text rides in every CycleResult.metrics delta, so checkpoint
-# bytes pin its wording (it predates the per-length tables).
 _LOOKUP_MISSES = get_registry().counter(
     "ip2as_lookup_cache_misses_total",
-    "Batched IP2AS lookups that walked the radix trie", execution=True)
+    "Batched IP2AS lookups answered by a longest-prefix match",
+    execution=True)
 
 _MEMO_PREFIX_LENGTH = 24
 """Granularity of the :meth:`Ip2AsMapper.lookup_many` memo: one

@@ -38,6 +38,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     REGISTRY,
+    delta_total,
     get_registry,
 )
 from .trace import (
@@ -91,6 +92,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
+    "delta_total",
     "get_registry",
     "Clock",
     "FakeClock",

@@ -15,20 +15,20 @@ the identical snapshot (DESIGN §6).
 
 Snapshots are plain dicts (JSON-ready).  :meth:`MetricsRegistry.diff`
 subtracts two snapshots (per-cycle accounting),
-:meth:`MetricsRegistry.merge` adds any number of them, and
 :meth:`MetricsRegistry.absorb` re-applies a delta to the live metrics —
 how `repro.par` workers' registries merge back into the parent process
-on sharded runs.  The process-wide default registry lives in
-:data:`REGISTRY`; tests and the CLI reset it via
-:meth:`MetricsRegistry.reset`.
+on sharded runs — and :func:`delta_total` sums one metric of a delta.
+The process-wide default registry lives in :data:`REGISTRY`; tests and
+the CLI reset it via :meth:`MetricsRegistry.reset`.
 
 Every metric is either a **result** or **execution telemetry**, declared
 once at registration (``execution=True``).  Execution metrics — cache
 hit/miss splits, store lookups, runner accounting, resource gauges —
-depend on how a run was laid out over processes, not on the campaign,
-so :meth:`MetricsRegistry.results_only` drops them wherever a delta is
-persisted or compared (checkpoints, ``repro verify``).  Snapshots mark
-them with ``"execution": True`` so the flag travels with a delta.
+depend on how a run was laid out over processes, not on the campaign.
+Snapshots mark them with ``"execution": True``, and
+:meth:`MetricsRegistry.results_only` drops them, together with every
+type and help text, from the one per-cycle payload
+(``CycleResult.metrics``), so neither reaches checkpoint bytes.
 """
 
 from __future__ import annotations
@@ -249,36 +249,38 @@ class MetricsRegistry:
     def absorb(self, delta: Mapping[str, Any]) -> None:
         """Re-apply a snapshot delta to this registry's live metrics.
 
-        ``delta`` is :meth:`diff`/:meth:`merge` output (e.g. the
-        registry delta a sharded-run worker sends home).  Counters and
-        histogram cells add onto the current values; gauges take the
-        delta's value.  Metrics absent from this registry are created
-        with the delta's type, help text and execution flag.
+        ``delta`` is :meth:`diff` or :meth:`results_only` output (the
+        registry delta a sharded-run worker sends home, or a restored
+        cycle's metrics).  Counters and histogram cells add onto the
+        current values; gauges take the delta's value.  A metric's
+        kind is the one registered here; a metric absent from this
+        registry is created with the delta's type, help text, buckets
+        and execution flag.
         """
         for name in sorted(delta):
             data = delta[name]
-            kind = data.get("type", "counter")
-            execution = data.get("execution")
-            if kind == "counter":
-                counter = self.counter(name, data.get("help", ""),
-                                       execution)
-                for entry in data["values"]:
-                    counter.inc(entry["value"], **entry["labels"])
-            elif kind == "gauge":
-                gauge = self.gauge(name, data.get("help", ""), execution)
-                for entry in data["values"]:
-                    gauge.set(entry["value"], **entry["labels"])
-            elif kind == "histogram":
-                histogram = self.histogram(
-                    name, data.get("help", ""),
-                    buckets=data.get("buckets", DEFAULT_BUCKETS),
-                    execution=execution)
-                for entry in data["values"]:
-                    histogram.absorb_cell(entry["value"],
-                                          **entry["labels"])
-            else:
-                raise ValueError(
-                    f"cannot absorb metric {name!r} of kind {kind!r}")
+            metric = self._metrics.get(name) or self._create(name, data)
+            for entry in data["values"]:
+                if isinstance(metric, Histogram):
+                    metric.absorb_cell(entry["value"], **entry["labels"])
+                elif isinstance(metric, Gauge):
+                    metric.set(entry["value"], **entry["labels"])
+                else:
+                    metric.inc(entry["value"], **entry["labels"])
+
+    def _create(self, name: str, data: Mapping[str, Any]) -> Metric:
+        """Register a metric described by a snapshot entry."""
+        kind = data.get("type", "counter")
+        help, execution = data.get("help", ""), data.get("execution")
+        if kind == "counter":
+            return self.counter(name, help, execution)
+        if kind == "gauge":
+            return self.gauge(name, help, execution)
+        if kind == "histogram":
+            return self.histogram(
+                name, help, buckets=data.get("buckets", DEFAULT_BUCKETS),
+                execution=execution)
+        raise ValueError(f"cannot absorb metric {name!r} of kind {kind!r}")
 
     # -- snapshots -----------------------------------------------------------
 
@@ -302,13 +304,18 @@ class MetricsRegistry:
 
     @staticmethod
     def results_only(delta: Mapping[str, Any]) -> Dict[str, Any]:
-        """A snapshot or delta without its execution metrics.
+        """A snapshot or delta as result values alone.
 
-        Keeps the (sorted) key order of the input, so equal deltas
-        pickle to equal bytes whatever execution telemetry ran beside
-        them.
+        Execution metrics go, and every kept metric keeps only its
+        ``values`` (labels and values): type, help text and buckets
+        belong to the registered metric (:meth:`absorb` takes them
+        from there), so rewording a help string changes no persisted
+        byte.  Keeps the (sorted) key order of the input, so equal
+        deltas pickle to equal bytes whatever execution telemetry ran
+        beside them.
         """
-        return {name: data for name, data in delta.items()
+        return {name: {"values": data["values"]}
+                for name, data in delta.items()
                 if not data.get("execution")}
 
     @staticmethod
@@ -344,32 +351,6 @@ class MetricsRegistry:
                                 if k != "values"}, "values": values}
         return out
 
-    @staticmethod
-    def merge(snapshots: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
-        """Sum counters/histograms across snapshots (gauges: last wins)."""
-        out: Dict[str, Any] = {}
-        for snapshot in snapshots:
-            for name, data in snapshot.items():
-                if name not in out:
-                    out[name] = {**{k: v for k, v in data.items()
-                                    if k != "values"}, "values": []}
-                merged = {
-                    _label_key(entry["labels"]): entry["value"]
-                    for entry in out[name]["values"]
-                }
-                for entry in data["values"]:
-                    key = _label_key(entry["labels"])
-                    if key in merged and data["type"] != "gauge":
-                        merged[key] = _add(data["type"], merged[key],
-                                           entry["value"])
-                    else:
-                        merged[key] = entry["value"]
-                out[name]["values"] = [
-                    {"labels": dict(key), "value": value}
-                    for key, value in sorted(merged.items())
-                ]
-        return out
-
 
 def _subtract(kind: str, after: Any, before: Any) -> Any:
     if before is None:
@@ -386,21 +367,20 @@ def _subtract(kind: str, after: Any, before: Any) -> Any:
     return after - before
 
 
-def _add(kind: str, left: Any, right: Any) -> Any:
-    if kind == "histogram":
-        return {
-            "buckets": [a + b for a, b in zip(left["buckets"],
-                                              right["buckets"])],
-            "sum": left["sum"] + right["sum"],
-            "count": left["count"] + right["count"],
-        }
-    return left + right
-
-
 def _is_zero(value: Any) -> bool:
     if isinstance(value, dict):
         return value.get("count", 0) == 0 and not any(value["buckets"])
     return value == 0
+
+
+def delta_total(delta: Mapping[str, Any], name: str,
+                **labels: Any) -> float:
+    """Sum of one metric's values in a snapshot or delta, over the
+    label sets that match ``labels`` (all of them by default)."""
+    return sum(entry["value"]
+               for entry in delta.get(name, {}).get("values", ())
+               if all(entry["labels"].get(key) == value
+                      for key, value in labels.items()))
 
 
 REGISTRY = MetricsRegistry()

@@ -31,7 +31,8 @@ What a study leaves on disk lives in one content-addressed store
   restore the nearest snapshot and replay only the tail (DESIGN §10).
 
 Persisted metrics keep result metrics only: every metric declares at
-registration whether it is execution telemetry
+registration whether it is execution telemetry, and a checkpoint holds
+a cycle's result with its results-only metrics
 (:meth:`~repro.obs.MetricsRegistry.results_only`).  Pool shards retry
 with exponential backoff (and optional subdivision), and
 :mod:`repro.par.faults` provides the test-only hooks that stage worker

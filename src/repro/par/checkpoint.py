@@ -2,11 +2,11 @@
 
 A multi-hour campaign must not lose everything to one crash near the
 end.  Each finished cycle's :class:`~repro.core.pipeline.CycleResult`
-and its metrics delta are persisted as soon as they exist; a restarted
-study looks every cycle up once, restores the hits and runs only the
-cycles still missing.  Because every cycle is a pure function of
-``(StudySpec, cycle)`` (DESIGN §6/§8), a resumed run is byte-identical
-to an uninterrupted one.
+is persisted as soon as it exists; a restarted study looks every cycle
+up once, restores the hits and runs only the cycles still missing.
+Because every cycle is a pure function of ``(StudySpec, cycle)``
+(DESIGN §6/§8), a resumed run's results are byte-identical to an
+uninterrupted one's.
 
 Layout: ``<checkpoint-dir>/<spec-hash>/cycle-<NNNN>.ckpt`` holds one
 cycle, whoever computed it — the in-process executor or a pool worker.
@@ -18,27 +18,32 @@ embedded re-verified hash, atomic writes, rejection reasons, counters
 ``par_checkpoint_*`` and events ``checkpoint.*`` — is the shared
 :class:`~repro.par.store.ContentStore`.
 
-The persisted metrics delta keeps **result metrics only**
+An entry holds the result alone, and the result's metrics are its
+**result metrics only**, as labels and values
 (:meth:`~repro.obs.MetricsRegistry.results_only`): cache hit/miss
-splits, store lookups and the rest of the execution telemetry depend on
-how a run was laid out over processes, so they never reach the bytes.
+splits and the rest of the execution telemetry depend on how a run was
+laid out over processes, and help text depends on wording, so neither
+reaches the bytes.  A restored cycle contributes exactly those LPR
+result families to the resumed run's registry; the simulation it
+skipped (``sim_*``, ``probes_*``, the caches) is not counted.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..core.pipeline import CycleResult
-from ..obs import MetricsRegistry
 from .store import ContentStore
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 """Bumped whenever the on-disk payload shape changes; old files are
 then rejected (reason ``version``) instead of mis-read.  Version 6
-keyed one entry per cycle; version 7 stores each entry as the cycle's
+keyed one entry per cycle; version 7 stored each entry as the cycle's
 ``result`` plus its results-only ``delta`` instead of a runner
-``ShardResult``, and pair-block entries are gone."""
+``ShardResult``, and pair-block entries went; version 8 stores the
+``result`` alone, its metrics as result values without type or help
+text."""
 
 
 class CheckpointStore(ContentStore):
@@ -51,7 +56,7 @@ class CheckpointStore(ContentStore):
     PATTERN = "cycle-{:04d}.ckpt"
     NOUN = "Cycle checkpoint"
 
-    def encode(self, result: CycleResult, delta: Dict[str, Any]) -> bytes:
+    def encode(self, result: CycleResult) -> bytes:
         """The stored bytes of one cycle.
 
         Pickle records which objects a graph shares, and a result that
@@ -59,16 +64,14 @@ class CheckpointStore(ContentStore):
         in the process that computed it — that is what makes its bytes
         the same whatever layout computed it.
         """
-        return self._encode(result.cycle, result=result,
-                            delta=MetricsRegistry.results_only(delta))
+        return self._encode(result.cycle, result=result)
 
     def save(self, cycle: int, entry: bytes) -> Path:
         """Atomically persist one :meth:`encode`-d entry."""
         return self._write(cycle, entry)
 
-    def load(self, cycle: int
-             ) -> Optional[Tuple[CycleResult, Dict[str, Any]]]:
-        """One cycle's verified ``(result, delta)``, or None.
+    def load(self, cycle: int) -> Optional[CycleResult]:
+        """One cycle's verified result, or None.
 
         Every lookup counts a hit or a miss; a rejected file is a miss
         too, and the runner re-runs its cycle.
@@ -78,13 +81,12 @@ class CheckpointStore(ContentStore):
         self._record(fact, path=self.path_for(cycle).name, cycle=cycle)
         if payload is None:
             return None
-        return payload["result"], payload["delta"]
+        return payload["result"]
 
     def _usable(self, payload: Dict[str, Any]) -> bool:
         result = payload.get("result")
         return (isinstance(result, CycleResult)
-                and result.cycle == payload["cycle"]
-                and isinstance(payload.get("delta"), dict))
+                and result.cycle == payload["cycle"])
 
 
 spec_hash = CheckpointStore.hash_spec

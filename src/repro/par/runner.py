@@ -55,6 +55,7 @@ from ..obs import (
     StallWatchdog,
     Tracer,
     absorb_event,
+    delta_total,
     emit,
     get_event_bus,
     get_registry,
@@ -211,12 +212,10 @@ def _run_cycles(shard: Shard, simulator: ArkSimulator,
     ``shard.first - 1``, yielding each result with its encoded
     checkpoint entry (None without a store) after its heartbeat.
 
-    With a store each cycle gets its own metrics window around its
-    simulation and pipeline only — warm-start restore and prefix
-    replay stay outside; without one no registry snapshot is taken.
+    The loop takes no registry snapshot: a cycle's metrics are the
+    pipeline's own window, already on its result.
     """
-    registry = get_registry()
-    sim_traces = registry.counter("sim_traces_total")
+    sim_traces = get_registry().counter("sim_traces_total")
     traces_start = sim_traces.value()
     for done, cycle in enumerate(shard.cycles, 1):
         # The cycle's traces are built and die inside one GC-quiet
@@ -224,10 +223,8 @@ def _run_cycles(shard: Shard, simulator: ArkSimulator,
         with gc_paused():
             if fault_plan is not None:
                 fault_plan.maybe_fire(cycle, attempt)
-            window = registry.snapshot() if store is not None else None
             result = pipeline.process_cycle(simulator.run_cycle(cycle))
-            entry = (None if store is None else store.encode(
-                result, registry.diff(window, registry.snapshot())))
+            entry = None if store is None else store.encode(result)
         _heartbeat(shard.shard_id, resources, done,
                    sim_traces.value() - traces_start)
         yield result, entry
@@ -320,10 +317,14 @@ def run_study(spec: StudySpec, workers: int = 1, *,
 
     Results come back ordered by cycle whatever the pool's scheduling,
     and each pool shard's metrics delta is absorbed into this process's
-    registry, so counters reconcile exactly with a serial run.  With
-    one worker the shards run in this process on the parent's own
-    simulator: no queue, no pickling, and — without a checkpoint
-    store — no per-cycle registry snapshot.
+    registry, so the counters of the cycles this run executed
+    reconcile exactly with a serial run.  A cycle restored from a
+    checkpoint contributes its ``result.metrics`` only — the LPR
+    result families — so ``sim_*``, ``probes_*`` and the cache
+    counters count only the probing this run did.  With one worker
+    the shards run in this process on the parent's own simulator: no
+    queue, no pickling and no registry snapshot beyond the pipeline's
+    own per-cycle window.
 
     Failure handling (pool only): a shard whose worker dies or raises
     is re-dispatched up to ``max_retries`` times, sleeping
@@ -355,7 +356,7 @@ def run_study(spec: StudySpec, workers: int = 1, *,
     Telemetry (DESIGN §9): lifecycle events (``study.start``,
     ``study.plan`` with the restored count and each shard's range,
     ``shard.dispatch``/``heartbeat``/``done``/``retry``,
-    ``cycle.metrics`` with each cycle's registry delta, ``study.done``)
+    ``cycle.metrics`` with each cycle's result metrics, ``study.done``)
     go to the current :mod:`repro.obs.events` bus, pool workers' events
     included; progress, health and log consumers subscribe to it.
 
@@ -474,12 +475,12 @@ def run_study(spec: StudySpec, workers: int = 1, *,
         with span("par.study", cycles=spec.cycles, workers=workers):
             # Look every cycle up once: whatever layout wrote a cycle's
             # entry, it is reused, and only the missing cycles run.
-            restored: Dict[int, Tuple[CycleResult, Dict[str, Any]]] = {}
+            restored: Dict[int, CycleResult] = {}
             if store is not None:
                 for cycle in range(1, spec.cycles + 1):
-                    entry = store.load(cycle)
-                    if entry is not None:
-                        restored[cycle] = entry
+                    result = store.load(cycle)
+                    if result is not None:
+                        restored[cycle] = result
             shards = plan_shards((cycle for cycle in
                                   range(1, spec.cycles + 1)
                                   if cycle not in restored), workers)
@@ -547,8 +548,8 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                         completed.append(result)
                         _finish(result.shard_id, len(result.results),
                                 result.replayed_cycles,
-                                _delta_total(result.metrics_delta,
-                                             "sim_traces_total"))
+                                delta_total(result.metrics_delta,
+                                            "sim_traces_total"))
                     pending = []
                     for shard, error in failed:
                         attempt = attempts.pop(shard)
@@ -584,8 +585,9 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                     round_index += 1
 
             # Assemble in cycle order: graft and absorb what the pool
-            # sent home, absorb restored deltas, and emit every
-            # cycle's metrics exactly where a serial run's would sit.
+            # sent home, absorb restored cycles' result metrics, and
+            # emit every cycle's metrics exactly where a serial run's
+            # would sit.
             registry = get_registry()
             completed.sort(key=lambda result: result.results[0].cycle)
             for result in completed:
@@ -596,8 +598,8 @@ def run_study(spec: StudySpec, workers: int = 1, *,
             results: List[CycleResult] = []
             for cycle in range(1, spec.cycles + 1):
                 if cycle in restored:
-                    result, delta = restored[cycle]
-                    registry.absorb(delta)
+                    result = restored[cycle]
+                    registry.absorb(result.metrics)
                     emit("cycle.metrics", cycle=cycle,
                          metrics=result.metrics, restored=True)
                 else:
@@ -646,11 +648,3 @@ def _seed_state_store(simulator: ArkSimulator, state_store: StateStore,
         cursor = cycle
         state_store.save(cycle, simulator.internet.capture_state())
     _advance(simulator, cursor, cycles, None)
-
-
-def _delta_total(delta: Dict[str, Any], name: str) -> float:
-    """Sum of one metric's values across label sets in a delta."""
-    data = delta.get(name)
-    if not data:
-        return 0
-    return sum(entry["value"] for entry in data["values"])

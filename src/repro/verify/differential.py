@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.render import format_table
 from ..core.pipeline import CycleResult
-from ..obs import MetricsRegistry, emit, get_registry
+from ..obs import emit, get_registry
 from ..par import (
     FaultInjected,
     FaultPlan,
@@ -255,9 +255,9 @@ def state_fingerprint(internet) -> tuple:
 def canonical_cycle(result: CycleResult) -> Dict[str, Any]:
     """One cycle's artifacts in diffable form.
 
-    Execution metrics are dropped from the metrics delta exactly as
-    the checkpoint layer drops them — how warm a cache happened to be
-    is an execution detail, not a result.
+    ``metrics`` is the cycle's results-only metrics, as the pipeline
+    stored them — how warm a cache happened to be is an execution
+    detail, not a result.
     """
     return {
         "stats": asdict(result.stats),
@@ -271,7 +271,7 @@ def canonical_cycle(result: CycleResult) -> Dict[str, Any]:
             for key, verdict in sorted(
                 result.classification.verdicts.items())
         },
-        "metrics": MetricsRegistry.results_only(result.metrics),
+        "metrics": result.metrics,
     }
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..core.pipeline import CycleResult
-from ..obs import emit, get_registry
+from ..obs import delta_total, emit, get_registry
 
 SHARE_EPSILON = 1e-9
 """Tolerance for float share sums (counts are exact integers)."""
@@ -168,14 +168,9 @@ def filter_drop_counters(result: CycleResult) -> List[str]:
     funnel = [getattr(stats, stage) for stage in _FUNNEL_STAGES]
     expected = {name: funnel[index] - funnel[index + 1]
                 for index, name in enumerate(_DROP_FILTERS)}
-    recorded = {name: 0.0 for name in _DROP_FILTERS}
-    payload = result.metrics.get("lsps_dropped_total")
-    if not payload and not any(expected.values()):
-        return []
-    for entry in (payload or {}).get("values", []):
-        name = entry.get("labels", {}).get("filter")
-        if name in recorded:
-            recorded[name] += entry["value"]
+    recorded = {name: delta_total(result.metrics, "lsps_dropped_total",
+                                  filter=name)
+                for name in _DROP_FILTERS}
     return [
         f"drop counter mismatch for {name}: counter says "
         f"{recorded[name]:g}, funnel says {expected[name]}"
@@ -193,18 +188,18 @@ def cache_accounting(run: Any, delta: Mapping[str, Any]) -> List[str]:
     both counters at zero.  Negative counter deltas are impossible by
     construction and flagged unconditionally.
     """
-    traces = _delta_total(delta, "sim_traces_total")
-    hits = _delta_total(delta, "route_cache_hits_total")
-    misses = _delta_total(delta, "route_cache_misses_total")
+    traces = delta_total(delta, "sim_traces_total")
+    hits = delta_total(delta, "route_cache_hits_total")
+    misses = delta_total(delta, "route_cache_misses_total")
     problems = []
     for name in ("route_cache_hits_total", "route_cache_misses_total",
                  "hop_cache_hits_total", "hop_cache_misses_total",
                  "quoted_stack_cache_hits_total",
                  "quoted_stack_cache_misses_total"):
-        if _delta_total(delta, name) < 0:
+        if delta_total(delta, name) < 0:
             problems.append(
                 f"cache counter went backwards: {name}="
-                f"{_delta_total(delta, name):g}")
+                f"{delta_total(delta, name):g}")
     if hits + misses and hits + misses != traces:
         problems.append(
             f"route cache accounted for {hits + misses:g} probes, "
@@ -225,14 +220,6 @@ def state_roundtrip(run: Any, delta: Mapping[str, Any]) -> List[str]:
         return ["capture -> restore -> capture is not idempotent: "
                 "re-captured snapshot differs from the original"]
     return []
-
-
-def _delta_total(delta: Mapping[str, Any], name: str) -> float:
-    """Summed value of one metric across a registry delta's labels."""
-    payload = delta.get(name)
-    if not payload:
-        return 0.0
-    return sum(entry["value"] for entry in payload["values"])
 
 
 def check_cycle(result: CycleResult) -> List[Violation]:

@@ -30,6 +30,7 @@ from repro.obs import (
     ProgressTracker,
     TelemetryServer,
     Tracer,
+    delta_total,
     get_event_bus,
     get_tracer,
     read_events,
@@ -41,7 +42,6 @@ from repro.analysis.flightreport import flight_report, \
     flight_report_data
 from repro.par import CheckpointStore, StudySpec
 from repro.par.checkpoint import CHECKPOINT_VERSION
-from repro.par.runner import _delta_total
 
 SPEC = StudySpec(scale=0.25, seed=7, cycles=4, snapshots_per_cycle=2)
 SPEC2 = StudySpec(scale=0.25, seed=7, cycles=2, snapshots_per_cycle=2)
@@ -256,7 +256,7 @@ class TestEventsFile:
         from_events = sum(e.fields["traces"] for e in events
                           if e.kind == "shard.done")
         from_shards = sum(
-            _delta_total(shard.metrics_delta, "sim_traces_total")
+            delta_total(shard.metrics_delta, "sim_traces_total")
             for shard in telemetry_run["run"].shards)
         assert from_events == from_shards > 0
 
@@ -316,6 +316,18 @@ class TestEventsFile:
         assert all("ts" not in row for row in first)
 
 
+def _recorded(events_path, workers, **options):
+    """Run SPEC with its events streamed to ``events_path``."""
+    saved = get_event_bus()
+    bus = set_event_bus(EventBus(sink=events_path))
+    try:
+        run_study(SPEC, workers=workers, **options)
+    finally:
+        bus.close()
+        set_event_bus(saved)
+    return events_path
+
+
 class TestRestoreCount:
     """``repro report`` counts restored *cycles*, the same way for a
     serial and a parallel resume (from ``checkpoint.hit`` events)."""
@@ -325,19 +337,12 @@ class TestRestoreCount:
         """A full checkpointed run, minus cycles 3-4, resumed on
         ``workers``; returns the resume's events file."""
         checkpoints = tmp_path / "checkpoints"
-        run_study(SPEC, workers=1, checkpoint_dir=checkpoints)
+        _recorded(tmp_path / "full.jsonl", 1, checkpoint_dir=checkpoints)
         store = CheckpointStore(checkpoints, SPEC)
         store.path_for(3).unlink()
         store.path_for(4).unlink()
-        events_path = tmp_path / "events.jsonl"
-        saved = get_event_bus()
-        bus = set_event_bus(EventBus(sink=events_path))
-        try:
-            run_study(SPEC, workers=workers, checkpoint_dir=checkpoints)
-        finally:
-            bus.close()
-            set_event_bus(saved)
-        return events_path
+        return _recorded(tmp_path / "events.jsonl", workers,
+                         checkpoint_dir=checkpoints)
 
     def test_serial_resume_reports_restored_cycles(self, tmp_path):
         events_path = self._resume(tmp_path, workers=1)
@@ -421,8 +426,8 @@ class TestCheckpointSpans:
         run_study(SPEC2, workers=1, checkpoint_dir=tmp_path)
         path = store.path_for(1)
         payload = pickle.loads(path.read_bytes())
-        assert payload["version"] == CHECKPOINT_VERSION == 7
-        payload["version"] = 6
+        assert payload["version"] == CHECKPOINT_VERSION == 8
+        payload["version"] = 7
         path.write_bytes(pickle.dumps(payload))
         assert store.load(1) is None
 
@@ -488,3 +493,41 @@ class TestStoreSpans:
                 if left.is_file():
                     assert left.read_bytes() == right.read_bytes()
 
+
+class TestIp2asMemoRow:
+    """The report's ``ip2as memo`` row sums the memo counts that
+    ``cycle.done`` events carry; only the process that ran a cycle
+    emits one, so restored cycles add nothing."""
+
+    @staticmethod
+    def _memo(events_path):
+        """{cycle: (hits, misses)} from the ``cycle.done`` events."""
+        return {event.fields["cycle"]: (event.fields["ip2as_memo_hits"],
+                                        event.fields["ip2as_memo_misses"])
+                for event in read_events(events_path)
+                if event.kind == "cycle.done"}
+
+    @staticmethod
+    def _row(hits, misses):
+        return f"ip2as memo: hits {hits:.0f}  misses {misses:.0f}"
+
+    def test_pool_run_reports_its_cycles(self, tmp_path):
+        events_path = _recorded(tmp_path / "events.jsonl", 2)
+        memo = self._memo(events_path)
+        assert sorted(memo) == [1, 2, 3, 4]
+        hits = sum(pair[0] for pair in memo.values())
+        misses = sum(pair[1] for pair in memo.values())
+        assert hits > 0 and misses > 0
+        assert self._row(hits, misses) in flight_report(events_path)
+        assert flight_report_data(events_path)["caches"]["ip2as_memo"] \
+            == {"hits": hits, "misses": misses}
+
+    def test_resumed_run_counts_only_rerun_cycles(self, tmp_path):
+        events_path = TestRestoreCount._resume(tmp_path, workers=2)
+        full = self._memo(tmp_path / "full.jsonl")
+        memo = self._memo(events_path)
+        assert sorted(memo) == [3, 4]
+        assert memo == {cycle: full[cycle] for cycle in (3, 4)}
+        hits = sum(pair[0] for pair in memo.values())
+        misses = sum(pair[1] for pair in memo.values())
+        assert self._row(hits, misses) in flight_report(events_path)

@@ -150,7 +150,8 @@ class TestCounters:
         delta = registry.diff({}, registry.snapshot())
         assert delta["cache_hits_total"]["execution"] is True
         assert "execution" not in delta["lsps_total"]
-        assert list(MetricsRegistry.results_only(delta)) == ["lsps_total"]
+        assert MetricsRegistry.results_only(delta) == {"lsps_total": {
+            "values": [{"labels": {}, "value": 2}]}}
         other = MetricsRegistry()
         other.absorb(delta)
         assert other.get("cache_hits_total").execution
@@ -217,13 +218,6 @@ class TestSnapshots:
         assert "level" not in delta
         assert delta["lsps_total"]["values"][0]["value"] == 1
 
-    def test_merge_sums_counters_and_histograms(self):
-        one = self.build().snapshot()
-        two = self.build().snapshot()
-        merged = MetricsRegistry.merge([one, two])
-        assert merged["lsps_total"]["values"][0]["value"] == 14
-        assert merged["sizes"]["values"][0]["value"]["count"] == 2
-
     def test_reset_zeroes_but_keeps_registrations(self):
         registry = self.build()
         registry.reset()
@@ -273,6 +267,20 @@ class TestSnapshots:
                 serial.counter("cycles_total").inc()
             parent.absorb(MetricsRegistry.diff(before, shard.snapshot()))
         assert parent.snapshot() == serial.snapshot()
+
+    def test_absorb_takes_kinds_from_the_registry(self):
+        # A results-only payload names no type: the registered
+        # histogram absorbs cells and the registered gauge is set.
+        registry = self.build()
+        before = registry.snapshot()
+        registry.histogram("sizes").observe(2)
+        registry.gauge("level").set(8.0)
+        payload = MetricsRegistry.results_only(
+            MetricsRegistry.diff(before, registry.snapshot()))
+        other = self.build()
+        other.absorb(payload)
+        assert other.histogram("sizes").snapshot_cell()["count"] == 2
+        assert other.gauge("level").value() == 8.0
 
     def test_absorb_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

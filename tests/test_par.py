@@ -6,15 +6,17 @@ metrics, same end-of-campaign simulator state — and the per-shard
 metrics deltas reconcile exactly with serial totals.
 """
 
+import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import LongitudinalStudy, Study, regenerate
 from repro.cli import main
-from repro.core.pipeline import run_study
-from repro.obs import MetricsRegistry, get_registry
+from repro.core.pipeline import LprPipeline, run_study
+from repro.obs import MetricsRegistry, delta_total, get_registry
 from repro.par import (
     CheckpointStore,
     Shard,
@@ -23,8 +25,8 @@ from repro.par import (
     plan_shards,
     shard_cycles,
 )
+from repro.par.checkpoint import CHECKPOINT_VERSION
 from repro.par.shard import contiguous_runs
-from repro.sim import ArkSimulator
 
 SPEC = StudySpec(scale=0.25, seed=7, cycles=4, snapshots_per_cycle=2)
 SPEC1 = StudySpec(scale=0.25, seed=7, cycles=1, snapshots_per_cycle=2)
@@ -101,13 +103,6 @@ class TestByteIdentity:
         for serial, parallel in zip(serial_run.results,
                                     parallel_run.results):
             assert serial.metrics == parallel.metrics
-
-    def test_merged_metrics_identical(self, serial_run, parallel_run):
-        merged_serial = MetricsRegistry.merge(
-            r.metrics for r in serial_run.results)
-        merged_parallel = MetricsRegistry.merge(
-            r.metrics for r in parallel_run.results)
-        assert merged_serial == merged_parallel
 
     @pytest.mark.parametrize("artifact", [
         "table1", "table2", "fig5a", "fig5b", "fig7", "fig13",
@@ -334,16 +329,9 @@ class TestRunStudyArguments:
         with pytest.raises(ValueError):
             run_study(SPEC, workers=workers)
 
-    def test_storeless_in_process_run_adds_no_overhead(self,
-                                                       monkeypatch):
-        # The in-process executor without a checkpoint store pickles
-        # nothing and takes no registry snapshot beyond the pipeline's
-        # own per-cycle window.
-        import pickle
-
-        def no_pickle(*args, **kwargs):
-            raise AssertionError("the in-process executor pickled")
-
+    @staticmethod
+    def _count_snapshots(monkeypatch, **options):
+        """(run, registry snapshots taken) of an in-process run."""
         snapshots = []
         original = MetricsRegistry.snapshot
 
@@ -351,18 +339,40 @@ class TestRunStudyArguments:
             snapshots.append(None)
             return original(self)
 
+        monkeypatch.setattr(MetricsRegistry, "snapshot", counted)
+        run = run_study(SPEC1, workers=1, **options)
+        monkeypatch.undo()
+        return run, len(snapshots)
+
+    def test_storeless_in_process_run_adds_no_overhead(self,
+                                                       monkeypatch):
+        # The in-process executor without a checkpoint store pickles
+        # nothing and takes no registry snapshot beyond the pipeline's
+        # own per-cycle window.
+        def no_pickle(*args, **kwargs):
+            raise AssertionError("the in-process executor pickled")
+
         monkeypatch.setattr(pickle, "dumps", no_pickle)
         monkeypatch.setattr(pickle, "dump", no_pickle)
-        monkeypatch.setattr(MetricsRegistry, "snapshot", counted)
-        run = run_study(SPEC1, workers=1)
-        monkeypatch.undo()
+        run, snapshots = self._count_snapshots(monkeypatch)
         assert [r.cycle for r in run.results] == [1]
-        assert len(snapshots) == 2 * SPEC1.cycles
+        assert snapshots == 2 * SPEC1.cycles
+
+    def test_checkpointed_in_process_run_takes_one_window(
+            self, monkeypatch, tmp_path):
+        # A checkpoint entry is the pipeline's window, already on the
+        # result: checkpointing adds no registry snapshot.
+        run, snapshots = self._count_snapshots(
+            monkeypatch, checkpoint_dir=tmp_path)
+        assert [r.cycle for r in run.results] == [1]
+        assert CheckpointStore(tmp_path, SPEC1).path_for(1).exists()
+        assert snapshots == 2 * SPEC1.cycles
 
 
 class TestExecutionMetrics:
     """A metric declared ``execution=True`` never reaches checkpoint
-    bytes, whatever the layout; a result metric does."""
+    bytes, whatever the layout; a result metric does, as labels and
+    values without its help text."""
 
     SPEC2 = StudySpec(scale=0.25, seed=7, cycles=2, snapshots_per_cycle=2)
 
@@ -379,7 +389,9 @@ class TestExecutionMetrics:
 
     @pytest.fixture
     def bump(self, monkeypatch):
-        """Register a counter and bump it inside every cycle's window."""
+        """Register a counter and bump it inside every cycle's pipeline
+        window (:meth:`LprPipeline.process_snapshots` runs its
+        follow-up step there)."""
         registry = get_registry()
         names = []
 
@@ -387,13 +399,14 @@ class TestExecutionMetrics:
             counter = registry.counter(name, "test-only",
                                        execution=execution)
             names.append(name)
-            original = ArkSimulator.run_cycle
+            original = LprPipeline.follow_up_signatures
 
-            def run_cycle(self, cycle):
-                counter.inc(cycle)
-                return original(self, cycle)
+            def follow_up_signatures(self, snapshots):
+                counter.inc(len(snapshots))
+                return original(self, snapshots)
 
-            monkeypatch.setattr(ArkSimulator, "run_cycle", run_cycle)
+            monkeypatch.setattr(LprPipeline, "follow_up_signatures",
+                                follow_up_signatures)
 
         yield install
         for name in names:
@@ -412,6 +425,29 @@ class TestExecutionMetrics:
         entries = self._entries(tmp_path, workers)
         assert all(mine != theirs for mine, theirs in zip(entries, bare))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_help_text_leaves_bytes_identical(self, bare, tmp_path,
+                                              monkeypatch, workers):
+        for metric in get_registry().metrics():
+            monkeypatch.setattr(metric, "help",
+                                f"reworded: {metric.help}")
+        digests = [hashlib.sha256(entry).hexdigest()
+                   for entry in self._entries(tmp_path, workers)]
+        assert digests == [hashlib.sha256(entry).hexdigest()
+                           for entry in bare]
+
+    def test_entry_holds_the_result_alone(self, bare):
+        assert CHECKPOINT_VERSION == 8
+        metrics = get_registry().metrics()
+        for entry in bare:
+            assert sorted(pickle.loads(entry)) == [
+                "cycle", "result", "spec_hash", "version"]
+            for metric in metrics:
+                if metric.help:
+                    assert metric.help.encode() not in entry, metric.name
+                if metric.execution:
+                    assert metric.name.encode() not in entry, metric.name
+
 
 class TestCacheReconciliation:
     """The memoization counters reconcile with the probe stream."""
@@ -421,14 +457,14 @@ class TestCacheReconciliation:
         before = registry.snapshot()
         run_study(SPEC1, workers=1)
         delta = registry.diff(before, registry.snapshot())
-        traces = _total(delta, "sim_traces_total")
+        traces = delta_total(delta, "sim_traces_total")
         assert traces > 0
         # Every trace resolves its route exactly once — a hit or a miss.
-        assert _total(delta, "route_cache_hits_total") + \
-            _total(delta, "route_cache_misses_total") == traces
-        assert _total(delta, "hop_cache_hits_total") > 0
-        assert _total(delta, "hop_cache_misses_total") > 0
-        assert _total(delta, "quoted_stack_cache_hits_total") > 0
+        assert delta_total(delta, "route_cache_hits_total") + \
+            delta_total(delta, "route_cache_misses_total") == traces
+        assert delta_total(delta, "hop_cache_hits_total") > 0
+        assert delta_total(delta, "hop_cache_misses_total") > 0
+        assert delta_total(delta, "quoted_stack_cache_hits_total") > 0
 
 
 class TestFastForward:
@@ -502,12 +538,6 @@ def _state_fingerprint(internet):
         )) if network.rsvp else ()
         state.append((asn, allocators, sessions))
     return state
-
-
-def _total(delta, name):
-    """Summed value of one metric across a registry delta's labels."""
-    return sum(entry["value"]
-               for entry in delta.get(name, {}).get("values", []))
 
 
 def _summed_drops(deltas):

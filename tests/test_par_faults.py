@@ -22,7 +22,13 @@ import shutil
 import pytest
 
 from repro.core.pipeline import run_study
-from repro.obs import EventBus, get_event_bus, get_registry, set_event_bus
+from repro.obs import (
+    EventBus,
+    delta_total,
+    get_event_bus,
+    get_registry,
+    set_event_bus,
+)
 from repro.par import (
     KILL,
     RAISE,
@@ -34,6 +40,7 @@ from repro.par import (
     StudySpec,
     spec_hash,
 )
+from repro.verify.invariants import check_run
 from repro.warts.format import WartsError, WartsReader, write_archive
 
 SPEC = StudySpec(scale=0.25, seed=7, cycles=4, snapshots_per_cycle=2)
@@ -247,6 +254,22 @@ class TestCheckpointResume:
             before_hits + 2
         _assert_identical(serial_run, resumed)
 
+    def test_resume_counts_only_the_probing_it_did(self, tmp_path):
+        # Restored cycles contribute their LPR result metrics, not the
+        # simulation they skipped, so the cache accounting of a
+        # partially resumed run still reconciles.
+        spec = StudySpec(scale=0.4, cycles=4)
+        plan = FaultPlan({3: ShardFault(kind=RAISE, attempts=(0,))})
+        with pytest.raises(FaultInjected):
+            run_study(spec, workers=1, checkpoint_dir=tmp_path,
+                      fault_plan=plan)
+        registry = get_registry()
+        before = registry.snapshot()
+        resumed = run_study(spec, workers=1, checkpoint_dir=tmp_path)
+        delta = registry.diff(before, registry.snapshot())
+        assert check_run(resumed, delta) == []
+        assert delta_total(delta, "sim_cycles_total") == 2
+        assert delta_total(delta, "pipeline_cycles_total") == 4
 
     def test_misfiled_entry_is_rejected(self, tmp_path):
         # An entry copied under another cycle's key is caught by the
