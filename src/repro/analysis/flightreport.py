@@ -448,8 +448,9 @@ def _verify_lines(data: Dict[str, Any]) -> List[str]:
         lines.append(format_table(["config", "cycles", "status"],
                                   rows))
     for fields in data["violations"]:
-        where = (f" (cycle {fields['cycle']})"
-                 if "cycle" in fields else "")
+        where = ", ".join(f"{key} {fields[key]}"
+                          for key in ("config", "cycle") if key in fields)
+        where = f" ({where})" if where else ""
         lines.append(f"invariant violation{where}: "
                      f"[{fields.get('checker', '?')}] "
                      f"{fields.get('message', '')}")

@@ -155,6 +155,16 @@ def gc_paused() -> Iterator[None]:
     collector is re-enabled on exit, also when the scope raises, and
     a scope entered with the collector already off (nested, or a
     caller that disabled it) leaves it off.
+
+    On exit the scope hands what it allocated to the oldest
+    generation (``gc.freeze()`` then ``gc.unfreeze()``: two O(1) list
+    splices that also zero the young counts), so the first young
+    collection after it does not walk and promote the data the scope
+    returns.  Nothing stays frozen, so full collections still see
+    every object.  A caller with its own frozen set
+    (``gc.get_freeze_count() > 0``) keeps it: the scope then only
+    re-enables the collector, since ``unfreeze`` would release that
+    set too.
     """
     if not gc.isenabled():
         yield
@@ -163,4 +173,7 @@ def gc_paused() -> Iterator[None]:
     try:
         yield
     finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
         gc.enable()

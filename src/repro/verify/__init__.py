@@ -28,6 +28,7 @@ from .invariants import (
     CYCLE_CHECKERS,
     RUN_CHECKERS,
     Violation,
+    audit,
     audit_run,
     check_cycle,
     check_run,
@@ -53,6 +54,7 @@ __all__ = [
     "CYCLE_CHECKERS",
     "RUN_CHECKERS",
     "Violation",
+    "audit",
     "audit_run",
     "check_cycle",
     "check_run",

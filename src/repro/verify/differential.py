@@ -12,13 +12,14 @@ with a structured value diff.
 
 A configuration is a :class:`VerifyConfig`; :func:`default_matrix`
 builds the standard seven.  :func:`run_matrix` executes them all,
-audits the reference run against the invariant registry
-(:mod:`repro.verify.invariants`), and — on divergence — hands the
-failing configuration to the shrinker (:mod:`repro.verify.shrink`) for
-a minimal reproducing spec.  Everything emits ``verify.*`` events on
-the flight-recorder bus and ``verify_configs_total`` /
-``verify_divergences_total`` metrics, so ``repro report`` can
-reconstruct a verification run post-hoc (DESIGN §11).
+audits the reference run and every configuration's run against the
+invariant registry (:mod:`repro.verify.invariants`), and — on
+divergence — hands the failing configuration to the shrinker
+(:mod:`repro.verify.shrink`) for a minimal reproducing spec.
+Everything emits ``verify.*`` events on the flight-recorder bus and
+``verify_configs_total`` / ``verify_divergences_total`` metrics, so
+``repro report`` can reconstruct a verification run post-hoc (DESIGN
+§11).
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ from ..par import (
     FaultPlan,
     RAISE,
     ShardFault,
+    StudyRun,
     StudySpec,
     build_study,
     run_study,
 )
 from ..warts import read_archive, salvage_archive, write_archive
-from .invariants import Violation, audit_run
+from .invariants import Violation, audit, audit_run
 
 _CONFIGS = get_registry().counter(
     "verify_configs_total",
@@ -352,17 +354,21 @@ def _mid_cycle(spec: StudySpec) -> int:
 
 def execute_config(spec: StudySpec, config: VerifyConfig,
                    workdir: Path
-                   ) -> Tuple[List[CycleResult], Optional[tuple]]:
-    """Run one configuration; returns (results, end fingerprint).
+                   ) -> Tuple[List[CycleResult], Optional[StudyRun],
+                              Dict[str, Any]]:
+    """Run one configuration; returns (results, run, registry delta).
 
-    ``workdir`` holds this matrix run's scratch state; per-config
-    directories are derived from the config name, except the shared
-    warm-start store which is keyed by ``config.state`` so cold and
-    warm runs see the same snapshots.
+    ``run`` and ``delta`` are those of the configuration's final
+    :func:`run_study` (for ``resume``, the resumed run, not the
+    staged crash); an archive round trip runs no study and returns
+    ``(results, None, {})``.  ``workdir`` holds this matrix run's
+    scratch state; per-config directories are derived from the config
+    name, except the shared warm-start store which is keyed by
+    ``config.state`` so cold and warm runs see the same snapshots.
     """
     workdir = Path(workdir)
     if config.archive is not None:
-        return _archive_roundtrip(spec, config, workdir), None
+        return _archive_roundtrip(spec, config, workdir), None, {}
     spec = replace(spec, memoize=config.memoize)
     options: Dict[str, Any] = {}
     if config.state is not None:
@@ -378,11 +384,11 @@ def execute_config(spec: StudySpec, config: VerifyConfig,
             pass
         else:  # pragma: no cover - the staged fault always fires
             raise RuntimeError("staged mid-study fault did not fire")
-        run = run_study(spec, workers=config.workers,
-                        checkpoint_dir=checkpoint_dir, **options)
-    else:
-        run = run_study(spec, workers=config.workers, **options)
-    return run.results, state_fingerprint(run.simulator.internet)
+        options["checkpoint_dir"] = checkpoint_dir
+    registry = get_registry()
+    before = registry.snapshot()
+    run = run_study(spec, workers=config.workers, **options)
+    return run.results, run, registry.diff(before, registry.snapshot())
 
 
 def _archive_roundtrip(spec: StudySpec, config: VerifyConfig,
@@ -436,8 +442,10 @@ def run_matrix(spec: StudySpec,
 
     The serial run is the reference: it is executed first, audited
     against the invariant registry, then every configuration is
-    executed and diffed against it.  With ``shrink`` set, each
-    divergent configuration is handed to
+    executed, audited the same way (its cycle results, and its final
+    run when it ran a study) and diffed against the reference;
+    violations carry their configuration's name.  With ``shrink``
+    set, each divergent configuration is handed to
     :func:`repro.verify.shrink.shrink_divergence` for a minimal
     reproducing spec and a standalone repro command.
     """
@@ -454,14 +462,15 @@ def run_matrix(spec: StudySpec,
     before = registry.snapshot()
     reference = run_study(spec, workers=1)
     delta = registry.diff(before, registry.snapshot())
-    violations = audit_run(reference, delta)
     reference_end = state_fingerprint(reference.simulator.internet)
+    violations = audit_run(reference, delta)
 
     report = MatrixReport(spec=spec, violations=violations)
     for config in configs:
         _CONFIGS.inc(config=config.name)
         try:
-            results, end = execute_config(spec, config, workdir)
+            results, run, run_delta = execute_config(spec, config,
+                                                     workdir)
         except Exception as error:
             report.outcomes.append(ConfigOutcome(
                 config=config, error=f"{type(error).__name__}: "
@@ -469,6 +478,10 @@ def run_matrix(spec: StudySpec,
             emit("verify.config", config=config.name, status="error",
                  error=str(error))
             continue
+        end = (state_fingerprint(run.simulator.internet)
+               if run is not None else None)
+        report.violations.extend(
+            audit(results, run, run_delta, config=config.name))
         divergence = diff_cycles(reference.results, results, config)
         if divergence is None and end is not None \
                 and end != reference_end:

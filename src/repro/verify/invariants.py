@@ -20,7 +20,7 @@ Checkers come in two granularities:
   validate cross-cycle accounting and end-state round-trips.
 
 Each returns a list of human-readable violation messages (empty =
-clean).  :func:`audit_run` sweeps everything, emitting one
+clean).  :func:`audit` sweeps everything, emitting one
 ``verify.violation`` event and one ``verify_violations_total{checker=}``
 increment per finding.
 """
@@ -28,7 +28,7 @@ increment per finding.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..core.pipeline import CycleResult
@@ -56,10 +56,16 @@ class Violation:
     checker: str
     message: str
     cycle: Optional[int] = None
+    config: Optional[str] = None
+    """The verify configuration whose run broke it (None: the serial
+    reference, or a run audited on its own)."""
 
     def __str__(self) -> str:
-        where = f"cycle {self.cycle}: " if self.cycle is not None else ""
-        return f"[{self.checker}] {where}{self.message}"
+        where = [f"config {self.config}"] if self.config else []
+        if self.cycle is not None:
+            where.append(f"cycle {self.cycle}")
+        prefix = f"{', '.join(where)}: " if where else ""
+        return f"[{self.checker}] {prefix}{self.message}"
 
 
 CycleChecker = Callable[[CycleResult], List[str]]
@@ -240,22 +246,36 @@ def check_run(run: Any, delta: Mapping[str, Any]) -> List[Violation]:
     ]
 
 
-def audit_run(run: Any, delta: Mapping[str, Any]) -> List[Violation]:
+def audit(results: List[CycleResult], run: Any,
+          delta: Mapping[str, Any], *,
+          config: Optional[str] = None) -> List[Violation]:
     """The full invariant sweep: every cycle, then the run itself.
 
-    Emits one ``verify.violation`` event and bumps
+    ``run`` is None for results no study produced (an archive round
+    trip): only the cycle checkers apply then.  ``config`` names the
+    verify configuration on each violation.  Emits one
+    ``verify.violation`` event and bumps
     ``verify_violations_total{checker=}`` per finding, so a broken
     invariant shows up in the flight recorder and ``repro report``
     even when the caller ignores the return value.
     """
     violations: List[Violation] = []
-    for result in run.results:
+    for result in results:
         violations.extend(check_cycle(result))
-    violations.extend(check_run(run, delta))
+    if run is not None:
+        violations.extend(check_run(run, delta))
+    violations = [replace(violation, config=config)
+                  for violation in violations]
     for violation in violations:
         _VIOLATIONS.inc(checker=violation.checker)
+        fields = {"cycle": violation.cycle, "config": config}
         emit("verify.violation", checker=violation.checker,
              message=violation.message,
-             **({"cycle": violation.cycle}
-                if violation.cycle is not None else {}))
+             **{key: value for key, value in fields.items()
+                if value is not None})
     return violations
+
+
+def audit_run(run: Any, delta: Mapping[str, Any]) -> List[Violation]:
+    """:func:`audit` over a finished study's results and run."""
+    return audit(run.results, run, delta)

@@ -67,12 +67,13 @@ def _still_diverges(spec: StudySpec, config: VerifyConfig,
     """
     try:
         reference = run_study(spec, workers=1)
-        results, end = execute_config(spec, config, workdir)
+        results, run, _ = execute_config(spec, config, workdir)
     except Exception:
         return None
     divergence = diff_cycles(reference.results, results, config)
-    if divergence is None and end is not None \
-            and end != state_fingerprint(reference.simulator.internet):
+    if divergence is None and run is not None \
+            and state_fingerprint(run.simulator.internet) \
+            != state_fingerprint(reference.simulator.internet):
         divergence = Divergence(config=config.name, stage="end-state",
                                 cycle=None)
     return divergence

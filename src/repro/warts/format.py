@@ -26,8 +26,9 @@ The format is self-framing: a reader can skip unknown records by length,
 and truncated files fail loudly with :class:`WartsError`.
 :class:`WartsReader` frames records off one buffer it refills by
 64 KiB chunk, reading each length prefix at a running offset; a
-record body is decoded field by field at an offset too, and its hops
-are built with :func:`repro.traces.make_hop`.  :func:`read_archive`
+record body is decoded at an offset too, a plain hop (a reply quoting
+no labels) in one unpack and any other hop field by field, and its
+hops are built with :func:`repro.traces.make_hop`.  :func:`read_archive`
 and :func:`salvage_archive` share one read inside
 :func:`repro.traces.gc_paused` (DESIGN §8).  Real measurement
 archives are messier — CAIDA ships partial ``.warts.gz`` files, transfers
@@ -77,6 +78,10 @@ _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
 _HOP_HEAD = struct.Struct("!BB")
 _HOP_RESPONSE = struct.Struct("!IfB")
+_PLAIN_HOP = struct.Struct("!BxIfB")
+"""A whole plain hop (flags exactly ``_FLAG_RESPONDED``: a reply
+quoting no labels), read in one unpack: probe ttl, the flag byte
+skipped, address, rtt, quoted ttl."""
 _TRACE_HEAD = struct.Struct("!IIdBH")
 
 Stack = Tuple[LabelStackEntry, ...]
@@ -135,9 +140,12 @@ def _decode_record(body: bytes, stacks: Dict[bytes, Stack]) -> Trace:
     """Parse one record body; ``stacks`` memoises decoded label stacks.
 
     Every field is read with ``Struct.unpack_from`` (a bare byte by
-    index) at a running offset instead of slicing the body per field.
-    A read past the end raises ``struct.error`` or ``IndexError``,
-    mapped to :class:`WartsError` here, in one place.
+    index) at a running offset instead of slicing the body per field;
+    a plain hop (flags exactly ``_FLAG_RESPONDED``, most hops of an
+    archive) is read whole with one :data:`_PLAIN_HOP` unpack, and
+    every other flag value field by field.  A read past the end
+    raises ``struct.error`` or ``IndexError``, mapped to
+    :class:`WartsError` here, in one place.
     """
     try:
         name_end = 1 + body[0]
@@ -147,10 +155,20 @@ def _decode_record(body: bytes, stacks: Dict[bytes, Stack]) -> Trace:
         if stop_code not in _STOP_REASONS:
             raise WartsError(f"unknown stop reason code {stop_code}")
         offset = name_end + _TRACE_HEAD.size
+        plain_hop = _PLAIN_HOP.unpack_from
+        plain_size = _PLAIN_HOP.size
+        responded = _FLAG_RESPONDED
         hop_response = _HOP_RESPONSE.unpack_from
         hops: List[TraceHop] = []
         append = hops.append
         for _ in range(hop_count):
+            if body[offset + 1] == responded:
+                probe_ttl, address, rtt, quoted_ttl = plain_hop(body,
+                                                                offset)
+                offset += plain_size
+                append(make_hop((probe_ttl, address, rtt, (),
+                                 quoted_ttl)))
+                continue
             probe_ttl = body[offset]
             flags = body[offset + 1]
             offset += 2

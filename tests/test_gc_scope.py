@@ -5,10 +5,13 @@ Bulk trace work — a study's cycles, ``read_archive`` /
 CPython's cyclic collector paused.  That is only safe because those
 paths build no reference cycles, and only correct if the collector
 comes back on however the scope ends and stays off for a caller that
-turned it off.
+turned it off.  On exit the scope hands its survivors to the oldest
+generation, so no young pass walks them afterwards, without leaving
+anything frozen or touching a caller's own frozen set.
 """
 
 import gc
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.par import (
     FaultPlan,
     ShardFault,
     StudySpec,
+    build_study,
     run_study,
 )
 from repro.traces import StopReason, Trace, gc_paused, make_hop
@@ -38,6 +42,33 @@ def collector_on():
         gc.enable()
     else:
         gc.disable()
+
+
+@pytest.fixture
+def default_thresholds():
+    """Run the test at CPython's default collection thresholds."""
+    saved = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    yield
+    gc.set_threshold(*saved)
+
+
+@pytest.fixture(scope="module")
+def staged_cycle(tmp_path_factory):
+    """One simulated cycle's three snapshots written as archives, and
+    the mapper that classifies them."""
+    simulator, _ = build_study(replace(SPEC, snapshots_per_cycle=3))
+    data = simulator.run_cycle(1)
+    directory = tmp_path_factory.mktemp("staged")
+    paths = []
+    for index, snapshot in enumerate(data.snapshots):
+        paths.append(directory / f"snapshot-{index}.rwts")
+        write_archive(paths[-1], snapshot)
+    return data.cycle, paths, simulator.internet.ip2as
+
+
+class _Counted:
+    """A GC-tracked object whose every allocation counts toward gen0."""
 
 
 def _bulk_work(tmp_path):
@@ -132,11 +163,64 @@ class TestBulkPaths:
         gc.callbacks.append(count)
         try:
             traces, skipped = salvage_archive(path)
+            # Two gen0 thresholds' worth of allocations after the read,
+            # each dropped at once: a pass deferred by the scope would
+            # fire at the first of them.  (Instances of a Python class,
+            # which no free list recycles, so each one counts.)
+            for _ in range(2 * gc.get_threshold()[0]):
+                _Counted()
         finally:
             gc.callbacks.remove(count)
         assert len(traces) == 3000 and skipped == {}
         # 3,000 traces and 24,000 hops allocated, dozens of gen0
-        # thresholds' worth; none fires while decoding.  At most the
-        # one deferred gen0 pass runs, at the first allocation after
-        # the collector comes back on.
-        assert len(starts) <= 1
+        # thresholds' worth; no pass fires while decoding, and none
+        # after: the scope handed them to the oldest generation.
+        assert starts == []
+
+
+class TestPromotionOnExit:
+    def test_archive_units_run_no_older_generation_pass(
+            self, collector_on, default_thresholds, staged_cycle):
+        cycle, paths, ip2as = staged_cycle
+        generations = []
+
+        def count(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            # The e2e ``archive`` unit (three reads, then LPR), over
+            # enough units that a gen0 pass after each read would add
+            # up to gen1 passes.
+            for _ in range(6):
+                snapshots = [read_archive(path) for path in paths]
+                LprPipeline(ip2as).process_snapshots(cycle, snapshots)
+        finally:
+            gc.callbacks.remove(count)
+        assert [generation for generation in generations
+                if generation > 0] == []
+
+    def test_a_frozen_set_survives_the_scope(self, collector_on):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            with gc_paused():
+                kept = [[index] for index in range(1000)]
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled() and len(kept) == 1000
+        finally:
+            gc.unfreeze()
+
+    def test_nothing_left_in_the_permanent_generation(self,
+                                                      collector_on):
+        assert gc.get_freeze_count() == 0
+        with gc_paused():
+            kept = [[index] for index in range(1000)]
+        assert gc.get_freeze_count() == 0
+        # The survivors sit in the oldest generation, where a full
+        # collection still reaches them.
+        assert any(survivor is kept
+                   for survivor in gc.get_objects(generation=2))

@@ -7,9 +7,10 @@ import pytest
 
 from repro.cli import main
 from repro.core.filters import FilterStats
+from repro.core.pipeline import LprPipeline
 from repro.obs import (EventBus, get_event_bus, get_registry,
                        set_event_bus)
-from repro.par import StudySpec, run_study
+from repro.par import CheckpointStore, StudySpec, run_study
 from repro.sim.dataplane import DataPlane
 from repro.verify import (
     CONFIG_NAMES,
@@ -273,6 +274,56 @@ class TestMatrixWorkerConfigs:
         report = run_matrix(SPEC, configs, workdir=tmp_path,
                             shrink=False)
         assert report.clean, report.render()
+
+
+class TestEveryConfigAudited:
+    def test_resume_only_fault_names_resume(self, tmp_path):
+        """A resumed run that counts simulation it skipped (the fault
+        version-7 checkpoints had) breaks cache accounting under
+        ``resume`` alone, with byte-identical results."""
+        traces = get_registry().counter("sim_traces_total")
+        original = CheckpointStore.load
+
+        def load(self, cycle):
+            result = original(self, cycle)
+            if result is not None:
+                traces.inc(result.stats.trace_count)
+            return result
+
+        spec = replace(SPEC, cycles=3)  # the crash leaves cycle 1
+        configs = [config for config in default_matrix(workers=1)
+                   if config.name in ("no-memo", "resume",
+                                      "strict-archive")]
+        with mock.patch.object(CheckpointStore, "load", load):
+            report = run_matrix(spec, configs, workdir=tmp_path,
+                                shrink=False)
+        assert not report.divergences
+        assert [(violation.config, violation.checker)
+                for violation in report.violations] == \
+            [("resume", "cache-accounting")]
+        assert "[cache-accounting] config resume: route cache" in \
+            report.render()
+
+    def test_archive_config_cycles_are_checked(self, tmp_path):
+        configs = [config for config in default_matrix()
+                   if config.name == "strict-archive"]
+        broken = FilterStats(extracted=1, after_incomplete=2,
+                             after_intra_as=0, after_target_as=0,
+                             after_transit_diversity=0,
+                             after_persistence=0)
+        original = LprPipeline.process_snapshots
+
+        def process(self, cycle, snapshots):
+            return replace(original(self, cycle, snapshots),
+                           filter_stats=broken)
+
+        with mock.patch.object(LprPipeline, "process_snapshots",
+                               process):
+            report = run_matrix(replace(SPEC, cycles=1), configs,
+                                workdir=tmp_path, shrink=False)
+        named = {(violation.config, violation.checker)
+                 for violation in report.violations}
+        assert ("strict-archive", "filter-funnel") in named
 
 
 class TestBrokenMemoDetection:

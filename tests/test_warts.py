@@ -354,24 +354,29 @@ class TestJsonlCodec:
                                      max_value=0xFFFFFFFF)),  # address
     st.lists(st.integers(min_value=16, max_value=(1 << 20) - 1),
              max_size=3),                               # labels
+    st.floats(width=32, allow_nan=False),               # rtt (f32-exact)
+    st.integers(min_value=0, max_value=255),            # quoted ttl
 ), max_size=12))
 def test_binary_round_trip_property(hop_specs):
     hops = []
-    for ttl, address, labels in hop_specs:
+    for ttl, address, labels, rtt_ms, quoted_ttl in hop_specs:
         stack = tuple(
             LabelStackEntry(label, bottom=(i == len(labels) - 1), ttl=200)
             for i, label in enumerate(labels)
         )
         if address is None:
-            stack = ()  # an anonymous hop quotes nothing and has no RTT
+            # An anonymous hop quotes nothing and has no RTT or qTTL.
+            stack, rtt_ms, quoted_ttl = (), 0.0, 1
         hops.append(TraceHop(
-            probe_ttl=ttl, address=address,
-            rtt_ms=0.0 if address is None else 0.5,
-            quoted_stack=stack,
+            probe_ttl=ttl, address=address, rtt_ms=rtt_ms,
+            quoted_stack=stack, quoted_ttl=quoted_ttl,
         ))
     trace = Trace(monitor="prop", src=1, dst=2, timestamp=9.25,
                   stop_reason=StopReason.LOOP, hops=hops)
-    assert traces_equal(decode_trace(encode_trace(trace)), trace)
+    decoded = decode_trace(encode_trace(trace))
+    assert traces_equal(decoded, trace)
+    # Every field, rtt and qTTL included, survives exactly.
+    assert decoded.hops == trace.hops
 
 
 class TestGzipArchives:
@@ -593,3 +598,130 @@ class TestFraming:
         with gzip.GzipFile(fileobj=Trickle(path.read_bytes())) as stream:
             assert all(traces_equal(a, b) for a, b in
                        zip(WartsReader(stream), traces))
+
+
+def reference_decode(body):
+    """Field-by-field decode of one record body, written from the
+    layout in :mod:`repro.warts.format` alone: the oracle the decoder's
+    plain-hop fast path is held to, errors and their text included."""
+    try:
+        name_end = 1 + body[0]
+        src, dst, timestamp, stop_code, hop_count = struct.unpack_from(
+            "!IIdBH", body, name_end)
+        monitor = body[1:name_end].decode("utf-8")
+        if stop_code >= len(StopReason):
+            raise WartsError(f"unknown stop reason code {stop_code}")
+        offset = name_end + 19
+        hops = []
+        for _ in range(hop_count):
+            probe_ttl, flags = struct.unpack_from("!BB", body, offset)
+            offset += 2
+            address, rtt_ms, quoted_ttl, stack = None, 0.0, 1, ()
+            if flags & 0x01:
+                address, rtt_ms, quoted_ttl = struct.unpack_from(
+                    "!IfB", body, offset)
+                offset += 9
+            if flags & 0x02:
+                (count,) = struct.unpack_from("!B", body, offset)
+                words = struct.unpack_from(f"!{count}I", body,
+                                           offset + 1)
+                offset += 1 + 4 * count
+                stack = tuple(LabelStackEntry.decode(word)
+                              for word in words)
+            hops.append(TraceHop(probe_ttl, address, rtt_ms, stack,
+                                 quoted_ttl))
+    except struct.error:
+        raise WartsError("truncated record") from None
+    except UnicodeDecodeError as exc:
+        raise WartsError(f"monitor name is not utf-8: {exc}") from None
+    if offset != len(body):
+        raise WartsError(f"{len(body) - offset} trailing bytes in record")
+    return Trace(monitor=monitor, src=src, dst=dst, timestamp=timestamp,
+                 stop_reason=list(StopReason)[stop_code], hops=hops)
+
+
+def decode_outcome(decode, body):
+    """What a decoder makes of a body, comparable bit for bit (NaN
+    rtts included): the trace's fields, or the WartsError text."""
+    try:
+        trace = decode(body)
+    except WartsError as exc:
+        return ("error", str(exc))
+    return ("trace", trace.monitor, trace.src, trace.dst,
+            struct.pack("!d", trace.timestamp), trace.stop_reason,
+            [(hop.probe_ttl, hop.address, struct.pack("!f", hop.rtt_ms),
+              tuple(entry.encode() for entry in hop.quoted_stack),
+              hop.quoted_ttl) for hop in trace.hops])
+
+
+def plain_last_trace():
+    """A trace whose last hop is plain: responded, quoting no labels."""
+    return labeled_trace("mon-p", [None, 100, None, None])
+
+
+_EQUIVALENCE_BODIES = [
+    encode_trace(trace) for trace in (
+        sample_trace(), anonymous_trace(), plain_last_trace(),
+        labeled_trace("mon-q", [100, None, 200]),
+        sample_trace("mon-r", hop_count=6, with_labels=False))]
+
+
+def with_flags(body, hop_index, flags):
+    """``body`` with one hop's flag byte replaced (every hop before
+    ``hop_index`` must be plain, 11 bytes)."""
+    offset = 1 + body[0] + 19 + 11 * hop_index + 1
+    return body[:offset] + bytes([flags]) + body[offset + 1:]
+
+
+class TestPlainHopDecode:
+    """Plain hops (flags exactly 0x01) decode in one unpack; every
+    record decodes, or fails, exactly as field by field."""
+
+    def test_plain_hop_last_in_record(self):
+        trace = plain_last_trace()
+        body = encode_trace(trace)
+        decoded = decode_trace(body)
+        assert decoded == trace
+        assert decoded.hops[-1].quoted_stack == ()
+        assert decode_outcome(decode_trace, body) == \
+            decode_outcome(reference_decode, body)
+
+    @pytest.mark.parametrize("cut", range(1, 12))
+    def test_record_cut_inside_a_plain_hop(self, cut):
+        body = encode_trace(plain_last_trace())[:-cut]
+        with pytest.raises(WartsError, match="^truncated record$"):
+            decode_trace(body)
+        assert decode_outcome(decode_trace, body) == \
+            decode_outcome(reference_decode, body)
+        data = (MAGIC + struct.pack("!H", VERSION)
+                + struct.pack("!I", len(body)) + body)
+        reader = WartsReader(io.BytesIO(data), tolerant=True)
+        assert list(reader) == []
+        assert reader.skipped == {"decode_error": 1}
+
+    @pytest.mark.parametrize("flags", [0x05, 0x81, 0x04, 0x80])
+    def test_unknown_flag_bits_decode_field_by_field(self, flags):
+        body = with_flags(encode_trace(
+            sample_trace(hop_count=2, with_labels=False)), 1, flags)
+        outcome = decode_outcome(decode_trace, body)
+        assert outcome == decode_outcome(reference_decode, body)
+        if flags & 0x01:
+            # Unknown bits beside the responded bit change nothing.
+            assert decode_trace(body) == sample_trace(
+                hop_count=2, with_labels=False)
+        else:
+            # Read as anonymous, the hop leaves its reply unread.
+            assert outcome == ("error", "9 trailing bytes in record")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_flipped_bytes_match_the_reference(self, data):
+        body = bytearray(data.draw(st.sampled_from(_EQUIVALENCE_BODIES)))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            index = data.draw(st.integers(min_value=0,
+                                          max_value=len(body) - 1))
+            body[index] ^= data.draw(st.integers(min_value=1,
+                                                 max_value=255))
+        body = bytes(body)
+        assert decode_outcome(decode_trace, body) == \
+            decode_outcome(reference_decode, body)
