@@ -97,6 +97,17 @@ def flow_hash(*fields: int) -> int:
     return fold(_SEED, *fields)
 
 
+def destination_draw(selector: int, ingress: int, egress: int) -> int:
+    """The draw by which a head-end spreads destinations over one
+    (ingress, egress) pair's parallel TE tunnels or SR policies.
+
+    Steering is destination-based: ``selector`` is the destination
+    /24's network address, so every flow to one /24 rides the option
+    ``options[draw % len(options)]`` whatever its transport fields.
+    """
+    return flow_hash(selector, ingress, egress)
+
+
 class FlowKey:
     """The header fields a hash-based load balancer inspects.
 

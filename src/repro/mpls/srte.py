@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..igp.ecmp import flow_hash
+from ..igp.ecmp import destination_draw, flow_hash
 from ..igp.spf import SpfTable
 from ..igp.topology import Link, Topology
 
@@ -130,7 +130,7 @@ class SegmentRoutingEngine:
         policies = self._policies.get((ingress, egress))
         if not policies:
             return None
-        return policies[flow_hash(selector, ingress, egress)
+        return policies[destination_draw(selector, ingress, egress)
                         % len(policies)]
 
     # -- data plane -----------------------------------------------------------

@@ -22,9 +22,11 @@ segment cache above:
   :class:`~repro.sim.network.DecisionCache`, also on the ``Internet``:
   IP2AS origin, BGP AS-path and /24 per (source AS, destination /24),
   the base egress link per (AS, neighbor, /24), each inter-AS link's
-  neighbor-border :class:`HopObs`, flow digests, full 64-bit ECMP pick
-  hashes, LDP pair draws and loopback FECs.  None of them depends on
-  the era, so every snapshot after the first reuses them; only the
+  neighbor-border :class:`HopObs`, the monitor-gateway and
+  destination-host :class:`HopObs`, flow digests, full 64-bit ECMP
+  pick hashes, destination draws over a pair's TE tunnels or SR
+  policies, LDP pair draws and loopback FECs.  None of them depends
+  on the era, so every snapshot after the first reuses them; only the
   per-era draws (link flaps and egress churn, with their ``(tag,
   era)`` prefixes folded once per DataPlane) are computed per era;
 * **study-scoped hop tuples** — the frozen :class:`HopObs` tuples
@@ -36,16 +38,25 @@ segment cache above:
   bindings within one) and ``ttl_propagate``.  Each entry holds its
   segment list and is checked by identity on a hit, so a key can
   never outlive the segment it was built from;
-* **era-scoped** — TE tunnel hop tuples, keyed by ``(asn, entry,
-  target, TE session, internal)``: they die with the DataPlane
+* **era-scoped** — walk plans and TE tunnel hop tuples, both dying
+  with the DataPlane.  A plan, keyed by ``(asn, entry, target,
+  internal)``, holds what the snapshot's control plane decides for
+  that AS walk once: the pair's TE sessions, its SR policies (transit
+  walks only), the established LDP FEC if the walk rides LDP, and —
+  filled on the first IP or LDP walk — the era's equal-cost segments.
+  A walk then only makes its flow- or destination-dependent pick.
+  Every input is fixed while the DataPlane lives (the rebuild
+  contract of :class:`DataPlane`).  TE hop
+  tuples are keyed by ``(asn, entry, target, TE session, internal)``
   because RSVP-TE re-optimization re-signals labels per cycle.
 
 A :class:`RouteCache` per DataPlane counts one study-table hit or miss
 per ``forward_path``, so ``hits + misses`` still reconciles with the
 traces issued.  ``memoize=False`` bypasses every memo above (the
-shared segment cache stays) and recomputes each decision fresh.
-Single-link egress, single-segment ECMP and single-tunnel TE choices
-skip their hash altogether: the modulus would select index 0 anyway.
+shared segment cache stays) and recomputes each decision fresh, plans
+included.  Single-link egress, single-segment ECMP and single-tunnel TE
+or single-policy SR choices skip their hash altogether: the modulus
+would select index 0 anyway.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..igp.ecmp import flow_hash, fold
+from ..igp.ecmp import destination_draw, flow_hash, fold
 from ..mpls.fec import PrefixFec
 from ..mpls.vendor import get_profile
 from ..net.ip import Prefix
@@ -148,6 +159,27 @@ class _FecLabels:
         return self._lfib(router).label_for(self._fec)
 
 
+class _WalkPlan:
+    """What one snapshot decides for an AS walk ``(asn, entry, target,
+    internal)``, before any flow- or destination-dependent pick.
+
+    ``te_sessions`` are the pair's TE tunnels by tunnel id (None where
+    a session is missing), ``sr_policies`` its SR policies (transit
+    walks only), ``fec`` the established LDP FEC when the walk rides
+    LDP (else None), and ``segments`` the era's equal-cost step lists,
+    computed on the first IP or LDP walk (None until then).
+    """
+
+    __slots__ = ("te_sessions", "sr_policies", "fec", "segments")
+
+    def __init__(self, te_sessions: tuple, sr_policies: Sequence,
+                 fec: Optional[PrefixFec]):
+        self.te_sessions = te_sessions
+        self.sr_policies = sr_policies
+        self.fec = fec
+        self.segments: Optional[List[list]] = None
+
+
 class DataPlane:
     """Flow-level forwarding over one frozen network state.
 
@@ -157,11 +189,13 @@ class DataPlane:
     that the paper's Persistence filter exists to remove.
 
     ``memoize`` enables the study-scoped decision and hop tables and the
-    per-era TE hop cache (on by default — they are exact, so results are
-    bit-identical either way; switching them off exists for the
-    uncached reference of benchmarks and ``repro verify``).  The
-    DataPlane must not outlive control-plane mutations: rebuild it after
-    any ``apply_policies``/``tick``/label churn, as the simulators do.
+    per-era walk plans and TE hop cache (on by default — they are
+    exact, so results are bit-identical either way; switching them off
+    exists for the uncached reference of benchmarks and ``repro
+    verify``).  The DataPlane must not outlive control-plane mutations:
+    rebuild it after any ``apply_policies``/``tick``/label churn or
+    ``restore_state``, as the simulators do — its walk plans hold that
+    state's decisions.
     """
 
     def __init__(self, internet: Internet, era: int = 0,
@@ -195,6 +229,9 @@ class DataPlane:
             internet.decision_cache if memoize else None
         self.route_cache: Optional[RouteCache] = \
             RouteCache() if memoize else None
+        # (asn, entry, target, internal) -> this era's _WalkPlan.
+        self._plans: Optional[Dict[tuple, _WalkPlan]] = \
+            {} if memoize else None
         # Hop tuples as (steps, hops) entries: TE per era, IP and LDP
         # in the study's decision table.
         self._te_hops: Optional[Dict[tuple, tuple]] = \
@@ -248,23 +285,22 @@ class DataPlane:
         flow_digest = self._flow_digest(src_addr, dst_addr, flow_id)
 
         hops: List[HopObs] = []
+        networks = self.internet.networks
         entry_router = src_router
+        last = len(as_path) - 1
         for position, asn in enumerate(as_path):
-            network = self.internet.network(asn)
-            last_as = position == len(as_path) - 1
-            if last_as:
-                target = self._attachment_router(network, dst_addr)
-                hops.extend(self._walk_as(network, entry_router, target,
-                                          dst_prefix, flow_digest,
+            network = networks[asn]
+            if position == last:
+                target = network.attachment_of((dst_addr >> 8) & 0xFF)
+                hops.extend(self._walk_as(network, asn, entry_router,
+                                          target, dst_prefix, flow_digest,
                                           internal=True))
-                hops.append(HopObs(asn=asn, router_id=-1, address=dst_addr,
-                                   labels=(), responsive=True,
-                                   quotes_labels=False))
+                hops.append(self._host_hop(asn, dst_addr))
                 break
             next_asn = as_path[position + 1]
             egress, remote_router, remote_hop = \
-                self._transit_step(network, next_asn, dst_prefix)
-            hops.extend(self._walk_as(network, entry_router, egress,
+                self._transit_step(network, asn, next_asn, dst_prefix)
+            hops.extend(self._walk_as(network, asn, entry_router, egress,
                                       dst_prefix, flow_digest,
                                       internal=False))
             # The inter-AS step: the neighbor's border replies with its
@@ -348,15 +384,15 @@ class DataPlane:
                 memo.flow_digests[key] = digest
         return digest
 
-    def _transit_step(self, network: AsNetwork, next_asn: int,
+    def _transit_step(self, network: AsNetwork, asn: int, next_asn: int,
                       dst_prefix: Prefix) -> tuple:
-        """(egress router, remote router, remote HopObs) leaving an AS.
+        """(egress router, remote router, remote HopObs) leaving AS
+        ``asn`` (``network``) towards ``next_asn``.
 
         Hot-potato egress selection is deterministic per destination
         /24 (the study-scoped base link); per era, an ``egress_noise``
         share of multi-link decisions churns to the next peering link.
         """
-        asn = network.asn
         links = network.interas.get(next_asn)
         if not links:
             raise UnreachableError(
@@ -386,9 +422,17 @@ class DataPlane:
                 memo.border_hops[key] = remote_hop
         return egress, remote_router, remote_hop
 
-    def _attachment_router(self, network: AsNetwork, dst_addr: int) -> int:
-        prefix_index = (dst_addr >> 8) & 0xFF
-        return network.attachment_of(prefix_index)
+    def _host_hop(self, asn: int, dst_addr: int) -> HopObs:
+        """The destination host's hop; ``asn`` is the address's IP2AS
+        origin, so the address alone keys the study's flyweight."""
+        memo = self.decisions
+        hop = memo.host_hops.get(dst_addr) if memo else None
+        if hop is None:
+            hop = HopObs(asn=asn, router_id=-1, address=dst_addr,
+                         labels=(), responsive=True, quotes_labels=False)
+            if memo:
+                memo.host_hops[dst_addr] = hop
+        return hop
 
     def _plain_hop(self, network: AsNetwork, router_id: int,
                    address: int, labels: Tuple[int, ...] = (),
@@ -405,52 +449,49 @@ class DataPlane:
             lse_ttl=lse_ttl,
         )
 
-    def _segments(self, network: AsNetwork, entry: int, target: int
-                  ) -> List[list]:
-        """Equal-cost (router, link) step sequences from entry to target.
-
-        When the AS has flapped links this era, the DAG is recomputed on
-        the reduced topology (falling back to the intact one if the flap
-        would disconnect the pair — a flap on the only path reconverges
-        before traffic is affected at our observation timescale).
-        """
-        flapped = self.flapped_links(network.asn)
-        if flapped:
-            return self._cache.degraded_segments(network, entry,
-                                                 target, flapped)
-        return self._cache.base_segments(network, entry, target)
-
-    def _pick_segment(self, network: AsNetwork, entry: int, target: int,
-                      flow_digest: int) -> list:
-        """The flow's equal-cost segment."""
-        segments = self._segments(network, entry, target)
-        if len(segments) < 2:
-            if not segments:
-                raise UnreachableError(
-                    f"AS{network.asn}: router {target} unreachable "
-                    f"from {entry}"
-                )
-            return segments[0]
+    def _plan(self, network: AsNetwork, entry: int, target: int,
+              internal: bool) -> _WalkPlan:
+        """This snapshot's decisions for one AS walk (see
+        :class:`_WalkPlan`).  Every input — the AS's policy, active TE
+        pairs, SR policies and established FECs — is fixed while the
+        DataPlane lives, so the plan is exact for its whole era."""
+        policy = network.policy
+        if not (policy.enabled and (policy.ldp or policy.uses_te
+                                    or policy.uses_sr)):
+            return _WalkPlan((), (), None)
+        sr_policies = (network.sr.policies_between(entry, target)
+                       if not internal and policy.uses_sr
+                       and network.sr is not None else ())
+        fec = None
         memo = self.decisions
-        key = (flow_digest, network.asn, entry, target)
-        draw = memo.picks.get(key) if memo else None
+        if policy.ldp and (policy.ldp_internal if internal
+                           else network.ldp_pair_active(entry, target,
+                                                        memo)):
+            key = (network.asn, target)
+            loopback = memo.fecs.get(key) if memo else None
+            if loopback is None:
+                loopback = network.loopback_fec(target)
+                if memo:
+                    memo.fecs[key] = loopback
+            fec = network.transit_fec(loopback)
+        return _WalkPlan(network.te_sessions(entry, target), sr_policies,
+                         fec)
+
+    def _option(self, asn: int, entry: int, target: int,
+                dst_prefix: Prefix, count: int) -> int:
+        """Index of the TE tunnel or SR policy a destination /24 rides
+        among a pair's ``count`` options."""
+        if count < 2:
+            return 0
+        memo = self.decisions
+        selector = dst_prefix.network
+        key = (selector, asn, entry, target)
+        draw = memo.selectors.get(key) if memo else None
         if draw is None:
-            draw = flow_hash(*key)
+            draw = destination_draw(selector, entry, target)
             if memo:
-                memo.picks[key] = draw
-        return segments[draw % len(segments)]
-
-    def _transit_fec(self, network: AsNetwork,
-                     target: int) -> Optional[PrefixFec]:
-        """The established LDP FEC towards ``target``, if any."""
-        memo = self.decisions
-        key = (network.asn, target)
-        fec = memo.fecs.get(key) if memo else None
-        if fec is None:
-            fec = network.loopback_fec(target)
-            if memo:
-                memo.fecs[key] = fec
-        return network.transit_fec(fec)
+                memo.selectors[key] = draw
+        return draw % count
 
     def _cached_hops(self, table: Optional[dict], key,
                      steps: list) -> Optional[Tuple[HopObs, ...]]:
@@ -471,68 +512,93 @@ class DataPlane:
             table[key] = (steps, hops)
         return hops
 
-    def _walk_as(self, network: AsNetwork, entry: int, target: int,
-                 dst_prefix: Prefix, flow_digest: int,
+    def _walk_as(self, network: AsNetwork, asn: int, entry: int,
+                 target: int, dst_prefix: Prefix, flow_digest: int,
                  internal: bool) -> Sequence[HopObs]:
-        """Hops after the entry router, up to and including the target.
+        """Hops after the entry router, up to and including the target,
+        inside AS ``asn`` (``network``).
 
-        Chooses between a TE tunnel, an LDP LSP, and plain IP forwarding
-        according to the AS's current policy; emits label observations
-        exactly as the probes would collect them.  Materialized hop
-        tuples are cached per chosen LSP/segment: all flow dependence is
-        captured by the picked segment (or, for TE, the destination-
-        selected session), so cached entries are exact and the frozen
-        :class:`HopObs` flyweights can be shared across traces.  IP and
-        LDP tuples live in the study's :class:`DecisionCache` (keyed by
-        the segment, plus the label generation and ``ttl_propagate``
-        for LDP); TE tuples in this era's cache.  SR hops are never
-        cached — their shrinking label stacks depend on the flow's
-        ECMP walk itself.
+        Chooses between a TE tunnel, an SR policy, an LDP LSP and plain
+        IP forwarding, in that order, from the walk's era plan; emits
+        label observations exactly as the probes would collect them.
+        Only the last pick depends on the probe: the tunnel or policy
+        by destination /24, the equal-cost segment by flow digest.
+        Materialized hop tuples are cached per chosen LSP/segment: all
+        flow dependence is captured by the picked segment (or, for TE,
+        the destination-selected session), so cached entries are exact
+        and the frozen :class:`HopObs` flyweights can be shared across
+        traces.  IP and LDP tuples live in the study's
+        :class:`DecisionCache` (keyed by the segment, plus the label
+        generation and ``ttl_propagate`` for LDP); TE tuples in this
+        era's cache.  SR hops are never cached — their shrinking label
+        stacks depend on the flow's ECMP walk itself.
         """
         if entry == target:
             return ()
-        policy = network.policy
-        if policy.enabled and (policy.ldp or policy.uses_te
-                               or policy.uses_sr):
-            session = network.te_tunnel_for(entry, target, dst_prefix)
+        plans = self._plans
+        key = (asn, entry, target, internal)
+        plan = plans.get(key) if plans is not None else None
+        if plan is None:
+            plan = self._plan(network, entry, target, internal)
+            if plans is not None:
+                plans[key] = plan
+        sessions = plan.te_sessions
+        if sessions:
+            session = sessions[self._option(asn, entry, target,
+                                            dst_prefix, len(sessions))]
             if session is not None:
                 table = self._te_hops
                 steps = session.route
-                key = (network.asn, entry, target,
-                       session.fec.tunnel_id, session.fec.instance,
-                       internal)
+                key = (asn, entry, target, session.fec.tunnel_id,
+                       session.fec.instance, internal)
                 hops = self._cached_hops(table, key, steps)
                 if hops is None:
                     hops = self._store_hops(table, key, steps, tuple(
                         self._mpls_hops(network, steps,
                                         session.labels.get)))
                 return hops
-            if not internal:
-                sr_policy = network.sr_policy_for(entry, target,
-                                                  dst_prefix)
-                if sr_policy is not None:
-                    return self._sr_hops(network, sr_policy, flow_digest)
-            use_ldp = policy.ldp and (
-                policy.ldp_internal if internal
-                else network.ldp_pair_active(entry, target,
-                                             self.decisions)
-            )
-            if use_ldp:
-                fec = self._transit_fec(network, target)
-                if fec is not None:
-                    steps = self._pick_segment(network, entry, target,
-                                               flow_digest)
-                    table = self._ldp_hops
-                    key = (id(steps), network.labels.generation,
-                           policy.ttl_propagate)
-                    hops = self._cached_hops(table, key, steps)
-                    if hops is None:
-                        hops = self._store_hops(table, key, steps, tuple(
-                            self._mpls_hops(
-                                network, steps,
-                                _FecLabels(network.labels.lfib, fec))))
-                    return hops
-        steps = self._pick_segment(network, entry, target, flow_digest)
+        sr_policies = plan.sr_policies
+        if sr_policies:
+            return self._sr_hops(network, sr_policies[self._option(
+                asn, entry, target, dst_prefix, len(sr_policies))],
+                flow_digest)
+        segments = plan.segments
+        if segments is None:
+            # Links flapped this era: the DAG of the reduced topology
+            # (the intact one if the flap would disconnect the pair —
+            # a flap on the only path reconverges before traffic is
+            # affected at our observation timescale).
+            flapped = self.flapped_links(asn)
+            segments = plan.segments = (
+                self._cache.degraded_segments(network, entry, target,
+                                              flapped)
+                if flapped else
+                self._cache.base_segments(network, entry, target))
+        if len(segments) < 2:
+            if not segments:
+                raise UnreachableError(
+                    f"AS{asn}: router {target} unreachable from {entry}")
+            steps = segments[0]
+        else:
+            memo = self.decisions
+            key = (flow_digest, asn, entry, target)
+            draw = memo.picks.get(key) if memo else None
+            if draw is None:
+                draw = flow_hash(*key)
+                if memo:
+                    memo.picks[key] = draw
+            steps = segments[draw % len(segments)]
+        fec = plan.fec
+        if fec is not None:
+            table = self._ldp_hops
+            key = (id(steps), network.labels.generation,
+                   network.policy.ttl_propagate)
+            hops = self._cached_hops(table, key, steps)
+            if hops is None:
+                hops = self._store_hops(table, key, steps, tuple(
+                    self._mpls_hops(network, steps,
+                                    _FecLabels(network.labels.lfib, fec))))
+            return hops
         table = self._ip_hops
         key = id(steps)
         hops = self._cached_hops(table, key, steps)

@@ -33,7 +33,7 @@ from ..mpls.fec import PrefixFec
 from ..mpls.ldp import LdpEngine
 from ..mpls.lfib import LabelManager
 from ..mpls.rsvpte import RsvpTeEngine, TeSession
-from ..mpls.srte import SegmentRoutingEngine, SrPolicy
+from ..mpls.srte import SegmentRoutingEngine
 from ..net.ip import Prefix, ip_to_int
 from ..net.ip2as import Ip2AsMapper
 from .config import AsSpec, MplsPolicy, UniverseSpec
@@ -386,13 +386,6 @@ class AsNetwork:
                     self.sr.install_policy(ingress, egress, waypoints)
         self._sr_signature = signature
 
-    def sr_policy_for(self, ingress: int, egress: int,
-                      dst_prefix: Prefix) -> Optional[SrPolicy]:
-        """The SR policy steering traffic to a prefix, if any."""
-        if self.sr is None or not self.policy.uses_sr:
-            return None
-        return self.sr.policy_for(ingress, egress, dst_prefix.network)
-
     def tick(self) -> None:
         """Per-cycle timer actions (TE head-end re-optimization)."""
         if self.policy.te_reoptimize_per_cycle and self.rsvp is not None:
@@ -513,16 +506,15 @@ class AsNetwork:
         self._te_signature = state["te_signature"]
         self._sr_signature = state["sr_signature"]
 
-    def te_tunnel_for(self, ingress: int, egress: int,
-                      dst_prefix: Prefix) -> Optional[TeSession]:
-        """The TE tunnel carrying traffic to a prefix, if any."""
+    def te_sessions(self, ingress: int, egress: int
+                    ) -> Tuple[Optional[TeSession], ...]:
+        """The pair's active TE tunnels, indexed by tunnel id (None
+        where a tunnel has no signalled session); empty when the pair
+        has none.  Destinations spread over them by
+        :func:`~repro.igp.ecmp.destination_draw`."""
         count = self._te_active.get((ingress, egress), 0)
-        if count == 0:
-            return None
-        # One tunnel: the destination hash would pick 0 anyway.
-        tunnel_id = (flow_hash(dst_prefix.network, ingress, egress) % count
-                     if count > 1 else 0)
-        return self.rsvp.session(ingress, egress, tunnel_id)
+        return tuple(self.rsvp.session(ingress, egress, tunnel_id)
+                     for tunnel_id in range(count))
 
     def loopback_fec(self, router: int) -> PrefixFec:
         """The LDP FEC of one router's loopback /32."""
@@ -654,10 +646,21 @@ class DecisionCache:
     responsiveness, and the stable hashes.  Nothing here depends on the
     era, and MPLS state enters only through the keys of ``ldp_hops``,
     so one cache serves every snapshot, cycle and post-study campaign
-    of a universe (DESIGN §8, *study-scoped decisions*).  Per-era draws — link flaps, egress churn, loss and
-    RTT — are never stored here.
+    of a universe (DESIGN §8, *study-scoped decisions*).  Per-era
+    draws — link flaps, egress churn, loss and RTT — are never stored
+    here, and neither are a snapshot's walk plans (which tunnel,
+    policy, FEC or segment list a pair uses): those live on the
+    DataPlane of that snapshot.  ``selectors`` keeps only the
+    era-invariant destination draw that splits a pair's tunnels or
+    policies; the era's option count takes its modulus.
 
-    Two tables hold materialized per-AS hop tuples, each entry as
+    Two tables hold the endpoint hops every trace shows, as flyweights:
+    ``gateway_hops`` the monitor's first-hop gateway, keyed by the
+    ``(gateway address, asn, router)`` it is built from, and
+    ``host_hops`` the destination host, keyed by its address (whose
+    origin AS is fixed by the IP2AS table).
+
+    Two more hold materialized per-AS hop tuples, each entry as
     ``(steps, hops)`` so a hit is checked by identity against the
     segment it was built from (the entry keeps that list alive, so its
     ``id`` cannot be reused by another one):
@@ -672,15 +675,16 @@ class DecisionCache:
       one, RSVP-TE binds only its own session FECs), and every rebuild
       — re-enabling MPLS, ``restore_state`` — makes a new manager.
 
-    TE and SR hops stay per era (the DataPlane's own cache).
+    TE hops stay per era (the DataPlane's own cache); SR hops are
+    never cached.
 
     Derived data only: it never enters :meth:`Internet.capture_state`.
     A ``DataPlane(memoize=False)`` bypasses it entirely.
     """
 
     __slots__ = ("routes", "egress", "border_hops", "flow_digests",
-                 "picks", "ldp_draws", "fecs", "stacks", "ip_hops",
-                 "ldp_hops")
+                 "picks", "selectors", "ldp_draws", "fecs", "stacks",
+                 "gateway_hops", "host_hops", "ip_hops", "ldp_hops")
 
     def __init__(self) -> None:
         # (src_asn, dst_addr >> 8) -> (dst origin | None, AS path tuple
@@ -697,12 +701,20 @@ class DecisionCache:
         # (flow digest, asn, entry, target) -> 64-bit ECMP pick hash;
         # the era's segment count only takes its modulus.
         self.picks: Dict[Tuple[int, int, int, int], int] = {}
+        # (dst /24 network, asn, ingress, egress) -> 64-bit destination
+        # draw over the pair's TE tunnels or SR policies; the era's
+        # option count only takes its modulus.
+        self.selectors: Dict[Tuple[int, int, int, int], int] = {}
         # (asn, entry, egress) -> LDP pair draw in [0, 10000).
         self.ldp_draws: Dict[Tuple[int, int, int], int] = {}
         # (asn, router) -> the router's loopback PrefixFec.
         self.fecs: Dict[Tuple[int, int], PrefixFec] = {}
         # (quoted labels, LSE-TTL) -> decoded RFC 4950 stack.
         self.stacks: Dict[Tuple[Tuple[int, ...], int], tuple] = {}
+        # (gateway address, asn, router) -> the monitor gateway's
+        # HopObs; destination address -> the destination host's.
+        self.gateway_hops: Dict[Tuple[int, int, int], object] = {}
+        self.host_hops: Dict[int, object] = {}
         # id(steps) -> (steps, plain IP HopObs tuple).
         self.ip_hops: Dict[int, tuple] = {}
         # (id(steps), label generation, ttl_propagate) -> (steps, LDP

@@ -21,6 +21,11 @@ packed big-int pass per draw; the TTL sweep then only indexes into
 the draws — the exact same values as hashing every probe from
 scratch.
 
+Each trace's first hop, the monitor's gateway, is a study-scoped
+flyweight :class:`~repro.sim.dataplane.HopObs` in the
+:class:`~repro.sim.network.DecisionCache`, like the destination host's
+last hop.
+
 The decoded quoted label stack is memoized per ``(labels, LSE-TTL)``
 pair in the study-scoped :class:`~repro.sim.network.DecisionCache`: the
 RFC 4884/4950 reply bytes depend only on the MPLS object (the quoted
@@ -130,6 +135,8 @@ class TracerouteEngine:
         decisions = dataplane.decisions
         self._stack_cache: Optional[dict] = \
             decisions.stacks if decisions is not None else None
+        self._gateway_hops: Optional[dict] = \
+            decisions.gateway_hops if decisions is not None else None
         self.stack_cache_hits = 0
         self.stack_cache_misses = 0
         self._flushed = [0, 0]
@@ -181,9 +188,7 @@ class TracerouteEngine:
                       if loss_rate > 0.0 else None)
         rtt_draws = fold_ramp(fold(self._seeded, _RTT_SALT, src, dst_addr),
                               reach)
-        first_hop = HopObs(asn=monitor.asn,
-                           router_id=monitor.attachment_router,
-                           address=monitor.gateway_addr)
+        first_hop = self._gateway_hop(monitor)
         gap_limit = self.gap_limit
         hops: List[TraceHop] = []
         append = hops.append
@@ -279,6 +284,22 @@ class TracerouteEngine:
             emit("cache.flush", hits=hits, misses=misses, **deltas)
 
     # -- internals -----------------------------------------------------------
+
+    def _gateway_hop(self, monitor: Monitor) -> HopObs:
+        """Traceroute's first hop, the monitor's gateway, as the
+        study's flyweight (keyed by the ints it is built from, not by
+        the monitor, whose dataclass hash runs in Python)."""
+        cache = self._gateway_hops
+        key = (monitor.gateway_addr, monitor.asn,
+               monitor.attachment_router)
+        hop = cache.get(key) if cache is not None else None
+        if hop is None:
+            hop = HopObs(asn=monitor.asn,
+                         router_id=monitor.attachment_router,
+                         address=monitor.gateway_addr)
+            if cache is not None:
+                cache[key] = hop
+        return hop
 
     def _quoted_stack(self, monitor: Monitor, dst_addr: int, ttl: int,
                       obs: HopObs) -> tuple:

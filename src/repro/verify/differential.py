@@ -168,12 +168,16 @@ class ConfigOutcome:
     minimal_spec: Optional[StudySpec] = None
     command: Optional[str] = None
     shrink_trials: int = 0
+    violations: List[Violation] = field(default_factory=list)
+    """The invariants this configuration's own run broke."""
 
     @property
     def status(self) -> str:
         if self.error is not None:
             return "error"
-        return "ok" if self.divergence is None else "DIVERGED"
+        if self.divergence is not None:
+            return "DIVERGED"
+        return "VIOLATED" if self.violations else "ok"
 
 
 @dataclass
@@ -480,8 +484,8 @@ def run_matrix(spec: StudySpec,
             continue
         end = (state_fingerprint(run.simulator.internet)
                if run is not None else None)
-        report.violations.extend(
-            audit(results, run, run_delta, config=config.name))
+        violated = audit(results, run, run_delta, config=config.name)
+        report.violations.extend(violated)
         divergence = diff_cycles(reference.results, results, config)
         if divergence is None and end is not None \
                 and end != reference_end:
@@ -490,7 +494,7 @@ def run_matrix(spec: StudySpec,
                 entries=(DiffEntry("state_fingerprint",
                                    "<reference>", "<differs>"),))
         outcome = ConfigOutcome(config=config, divergence=divergence,
-                                cycles=len(results))
+                                cycles=len(results), violations=violated)
         report.outcomes.append(outcome)
         emit("verify.config", config=config.name,
              status=outcome.status, cycles=len(results))

@@ -1,6 +1,7 @@
 """Unit tests for the data plane: forwarding, labels, PHP, visibility."""
 
 import gc
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,9 @@ from repro.net.ip import Prefix
 from repro.obs import get_registry
 from repro.sim.config import AsSpec, MplsPolicy, UniverseSpec
 from repro.sim.dataplane import DataPlane, UnreachableError
+from repro.sim.monitors import Monitor
 from repro.sim.network import Internet, SegmentCache
+from repro.sim.traceroute import TracerouteEngine
 from repro.bgp.asgraph import Tier
 
 SRC_AS = 65301
@@ -19,7 +22,7 @@ OTHER_DST_AS = 65202
 
 
 def linear_universe(transit_vendor="cisco", transit_routers=8,
-                    ecmp=1, multi_link=False):
+                    ecmp=1, multi_link=False, prefix_count=2):
     """monitor network -> transit -> two destination stubs.
 
     With ``multi_link`` the destination stubs connect to the transit at
@@ -35,9 +38,9 @@ def linear_universe(transit_vendor="cisco", transit_routers=8,
         AsSpec(SRC_AS, "SRC", Tier.TRANSIT, router_count=3,
                border_count=1, prefix_count=1),
         AsSpec(DST_AS, "D1", Tier.STUB, router_count=3, border_count=2,
-               prefix_count=2),
+               prefix_count=prefix_count),
         AsSpec(OTHER_DST_AS, "D2", Tier.STUB, router_count=3,
-               border_count=2, prefix_count=2),
+               border_count=2, prefix_count=prefix_count),
     ]
     repeat = 2 if multi_link else 1
     return UniverseSpec(
@@ -174,14 +177,26 @@ class TestTeForwarding:
     def test_destinations_spread_over_tunnels(self):
         policy = MplsPolicy(enabled=True, ldp=False,
                             te_pair_fraction=1.0, te_tunnels_per_pair=4)
-        internet = build(policy)
+        internet = build(policy, prefix_count=8)
         network = internet.network(TRANSIT)
+        tunnel_of = {
+            label: session.fec.tunnel_id
+            for session in network.rsvp.sessions
+            for label in session.labels.values()
+        }
+        dataplane = DataPlane(internet)
         picked = set()
-        for prefix_index in range(64):
-            prefix = Prefix(0x32000000 + (prefix_index << 8), 24)
-            session = network.te_tunnel_for(0, 1, prefix)
-            if session is not None:
-                picked.add(session.fec.tunnel_id)
+        for dst, owner in internet.destination_addresses():
+            if owner not in (DST_AS, OTHER_DST_AS):
+                continue
+            for flow_id in range(3):
+                tunnels = {tunnel_of[hop.labels[0]] for hop in
+                           dataplane.forward_path(SRC_AS, 1, 99, dst,
+                                                  flow_id)
+                           if hop.labels}
+                # One tunnel per destination, whatever the flow.
+                assert len(tunnels) == 1
+                picked |= tunnels
         assert len(picked) >= 2
 
 
@@ -385,7 +400,8 @@ def rich_universe():
 # The control-plane configurations the cross-era test cycles through:
 # LDP on a growing share of border pairs; LDP plus two-tunnel TE and
 # SR policies with per-cycle re-optimization; single-tunnel TE over
-# opaque tunnels.
+# opaque tunnels; SR policies with no TE and no LDP; three TE tunnels
+# per pair.
 _ERA_POLICIES = (
     MplsPolicy(enabled=True, ldp=True, mpls_pair_fraction=0.4),
     MplsPolicy(enabled=True, ldp=True, mpls_pair_fraction=0.75),
@@ -396,6 +412,10 @@ _ERA_POLICIES = (
     MplsPolicy(enabled=True, ldp=True, ldp_internal=False,
                ttl_propagate=False, mpls_pair_fraction=0.55,
                te_pair_fraction=0.5, te_tunnels_per_pair=1),
+    MplsPolicy(enabled=True, ldp=False, sr_pair_fraction=0.8,
+               sr_policies_per_pair=3),
+    MplsPolicy(enabled=True, ldp=True, mpls_pair_fraction=0.5,
+               te_pair_fraction=0.6, te_tunnels_per_pair=3),
 )
 
 
@@ -421,7 +441,7 @@ class TestStudyScopedDecisions:
         dsts = [address for address, _ in
                 internet.destination_addresses()]
         dsts.append(Prefix.parse("203.0.113.0/24").first)
-        uses = {"te": 0, "sr": 0, "ecmp": 0}
+        uses = {"te": 0, "sr": 0, "ecmp": 0, "split": 0}
         for era in range(24):
             policy = _ERA_POLICIES[era % len(_ERA_POLICIES)]
             transit.apply_policy(policy)
@@ -440,13 +460,22 @@ class TestStudyScopedDecisions:
                             flow_id), (era, src_asn, router, dst, flow_id)
             uses["te"] += bool(transit.rsvp and transit.rsvp.sessions)
             uses["sr"] += policy.uses_sr
+            # The era's plans carry the policy's TE and SR decisions.
+            plans = memoized._plans.values()
+            assert any(plan.te_sessions for plan in plans) \
+                == policy.uses_te
+            assert any(plan.sr_policies for plan in plans) \
+                == policy.uses_sr
+            uses["split"] += any(len(plan.te_sessions) > 1
+                                 or len(plan.sr_policies) > 1
+                                 for plan in plans)
         decisions = internet.decision_cache
         uses["ecmp"] = len(decisions.picks)
         # Every branch the table feeds was exercised.
         assert all(uses.values()), uses
         assert decisions.routes and decisions.egress \
             and decisions.border_hops and decisions.ldp_draws \
-            and decisions.fecs
+            and decisions.fecs and decisions.selectors
         assert any(entry[0] is None for entry in decisions.routes.values())
 
     def test_unmemoized_dataplane_leaves_the_table_untouched(self):
@@ -478,6 +507,61 @@ class TestStudyScopedDecisions:
 
 
 _LDP = MplsPolicy(enabled=True, ldp=True)
+_REOPTIMIZING_TE = MplsPolicy(enabled=True, ldp=True, te_pair_fraction=1.0,
+                              te_tunnels_per_pair=2,
+                              te_reoptimize_per_cycle=True)
+
+
+def _all_paths(dataplane, internet):
+    """Every source router to every destination, over two flows."""
+    return [
+        _forward_or_error(dataplane, SRC_AS, router, 0x0A630000 + router,
+                          dst, flow_id)
+        for flow_id in range(2)
+        for router in internet.network(SRC_AS).topology.routers
+        for dst, _ in internet.destination_addresses()
+    ]
+
+
+def _restore_te_and_sr(internet):
+    donor = build(replace(_REOPTIMIZING_TE, sr_pair_fraction=1.0,
+                          sr_policies_per_pair=2), ecmp=2)
+    internet.restore_state(donor.capture_state())
+
+
+class TestWalkPlans:
+    """Era walk plans decide each AS walk once, and exactly."""
+
+    def test_te_only_pairs_enumerate_no_segments(self):
+        internet = build(MplsPolicy(enabled=True, ldp=False,
+                                    te_pair_fraction=1.0,
+                                    te_tunnels_per_pair=2))
+        dataplane = DataPlane(internet)
+        dataplane.forward_path(SRC_AS, 1, 99, a_destination(internet))
+        transit = [plan for (asn, *_), plan in dataplane._plans.items()
+                   if asn == TRANSIT]
+        assert transit and all(plan.te_sessions for plan in transit)
+        assert all(plan.segments is None for plan in transit)
+
+    @pytest.mark.parametrize("start,mutate,changes", [
+        (_LDP, lambda internet: internet.network(TRANSIT)
+         .apply_policy(_REOPTIMIZING_TE), True),
+        (_REOPTIMIZING_TE, lambda internet: internet.tick(), True),
+        (_REOPTIMIZING_TE, lambda internet: internet.network(TRANSIT)
+         .churn_labels(1000), False),
+        (_LDP, _restore_te_and_sr, True),
+    ], ids=["apply_policy", "tick", "churn_labels", "restore_state"])
+    def test_fresh_dataplane_sees_the_new_decisions(self, start, mutate,
+                                                    changes):
+        """A DataPlane built after a control-plane change plans
+        afresh."""
+        internet = build(start, ecmp=2)
+        old = _all_paths(DataPlane(internet, era=0), internet)
+        mutate(internet)
+        new = _all_paths(DataPlane(internet, era=0), internet)
+        assert new == _all_paths(DataPlane(internet, memoize=False),
+                                 internet)
+        assert (new != old) is changes
 
 
 def _labels_on(dataplane, dst):
@@ -506,9 +590,11 @@ class TestStudyScopedHops:
         second = DataPlane(internet, era=1)
         before = first.forward_path(SRC_AS, 1, 99, dst)
         after = second.forward_path(SRC_AS, 1, 99, dst)
-        # Everything but the per-call destination host is the very
-        # same flyweight.
-        assert all(a is b for a, b in zip(before[:-1], after[:-1]))
+        # Every hop, the destination host included, is the very same
+        # flyweight.
+        assert len(before) == len(after)
+        assert all(a is b for a, b in zip(before, after))
+        assert before[-1].router_id == -1
         assert first.hop_cache_misses > 0
         assert (second.hop_cache_hits, second.hop_cache_misses) \
             == (first.hop_cache_misses, 0)
@@ -518,6 +604,16 @@ class TestStudyScopedHops:
         else:
             assert decisions.ldp_hops
             assert any(hop.labels for hop in before)
+        # So is traceroute's first hop, the monitor's gateway.
+        monitor = Monitor(name="mon", asn=SRC_AS, attachment_router=1,
+                          gateway_addr=0x0A000201, src_addr=99)
+        TracerouteEngine(first).trace(monitor, dst)
+        (gateway,) = decisions.gateway_hops.values()
+        TracerouteEngine(second).trace(monitor, dst)
+        (again,) = decisions.gateway_hops.values()
+        assert again is gateway
+        assert (gateway.asn, gateway.router_id, gateway.address) == \
+            (SRC_AS, 1, 0x0A000201)
 
     def test_ldp_tuple_not_reused_after_disable_enable(self):
         internet = build(_LDP)

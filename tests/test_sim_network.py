@@ -313,11 +313,15 @@ class TestSegmentCacheCounters:
         second_era = DataPlane(internet, era=2)
         assert first_era._cache is cache
         assert second_era._cache is cache
-        network = internet.network(100)
-        first_era._segments(network, 0, 7)
-        hits_before = cache.base_hits
-        second_era._segments(network, 0, 7)
-        assert cache.base_hits == hits_before + 1
+        dst = next(address for address, owner
+                   in internet.destination_addresses() if owner == 502)
+        first_era.forward_path(501, 0, 99, dst)
+        misses, hits = cache.base_misses, cache.base_hits
+        assert misses > 0
+        # The later era enumerates no segment list of its own.
+        second_era.forward_path(501, 0, 99, dst)
+        assert (cache.base_misses, cache.base_hits) == \
+            (misses, hits + misses)
 
 
 def _dag_links(network, entry, target):

@@ -8,8 +8,9 @@ import pytest
 from repro.cli import main
 from repro.core.filters import FilterStats
 from repro.core.pipeline import LprPipeline
+from repro.analysis.flightreport import flight_report
 from repro.obs import (EventBus, get_event_bus, get_registry,
-                       set_event_bus)
+                       read_events, set_event_bus)
 from repro.par import CheckpointStore, StudySpec, run_study
 from repro.sim.dataplane import DataPlane
 from repro.verify import (
@@ -294,15 +295,41 @@ class TestEveryConfigAudited:
         configs = [config for config in default_matrix(workers=1)
                    if config.name in ("no-memo", "resume",
                                       "strict-archive")]
-        with mock.patch.object(CheckpointStore, "load", load):
-            report = run_matrix(spec, configs, workdir=tmp_path,
-                                shrink=False)
+        events_path = tmp_path / "events.jsonl"
+        saved = get_event_bus()
+        set_event_bus(EventBus(sink=events_path))
+        try:
+            with mock.patch.object(CheckpointStore, "load", load):
+                report = run_matrix(spec, configs, workdir=tmp_path,
+                                    shrink=False)
+        finally:
+            get_event_bus().close()
+            set_event_bus(saved)
         assert not report.divergences
         assert [(violation.config, violation.checker)
                 for violation in report.violations] == \
             [("resume", "cache-accounting")]
         assert "[cache-accounting] config resume: route cache" in \
             report.render()
+        # The resume row itself is not ok: in the outcome, the table,
+        # the ``verify.config`` event and ``repro report``.
+        statuses = {outcome.config.name: outcome.status
+                    for outcome in report.outcomes}
+        assert statuses == {"no-memo": "ok", "resume": "VIOLATED",
+                            "strict-archive": "ok"}
+        assert [violation.checker for violation in
+                report.outcomes[1].violations] == ["cache-accounting"]
+        rows = {(outcome.config.name, str(outcome.cycles),
+                 outcome.status) for outcome in report.outcomes}
+        table = {tuple(line.split()[:3])
+                 for line in report.render().splitlines()}
+        assert rows <= table
+        configs_seen = {event.fields["config"]: event.fields["status"]
+                        for event in read_events(events_path)
+                        if event.kind == "verify.config"}
+        assert configs_seen == statuses
+        assert rows <= {tuple(line.split()) for line in
+                        flight_report(events_path).splitlines()}
 
     def test_archive_config_cycles_are_checked(self, tmp_path):
         configs = [config for config in default_matrix()
@@ -374,6 +401,31 @@ class TestBrokenMemoDetection:
         text = matrix.render()
         assert "DIVERGED" in text
         assert "repro verify" in text
+
+
+class TestBrokenPlanDetection:
+    def test_no_memo_reference_bypasses_walk_plans(self, tmp_path):
+        """A wrong cached walk plan (its TE tunnels dropped) diverges
+        from ``no-memo``, which plans every walk afresh."""
+        original = DataPlane._plan
+        dropped = []
+
+        def plan(self, network, entry, target, internal):
+            built = original(self, network, entry, target, internal)
+            if self._plans is not None and built.te_sessions:
+                dropped.append(built)
+                built.te_sessions = ()
+            return built
+
+        configs = [config for config in default_matrix()
+                   if config.name == "no-memo"]
+        with mock.patch.object(DataPlane, "_plan", plan):
+            report = run_matrix(SPEC, configs, workdir=tmp_path,
+                                shrink=False)
+        assert dropped
+        assert [divergence.config for divergence in
+                report.divergences] == ["no-memo"]
+        assert report.outcomes[0].status == "DIVERGED"
 
 
 class TestShrinkOnCleanSpec:
