@@ -30,9 +30,9 @@ import pytest
 from repro.core.classification import classify
 from repro.core.extraction import extract_all
 from repro.core.filters import run_filters
-from repro.core.pipeline import LprPipeline, run_study
+from repro.core.pipeline import LprPipeline
 from repro.igp.ecmp import flow_hash
-from repro.par import StateStore, StudySpec
+from repro.par import StateStore, StudySpec, run_study
 from repro.sim import ArkSimulator, paper_scenario
 from repro.sim.dataplane import DataPlane
 from repro.sim.scenarios import Scenario, build_universe, paper_policies

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from ..core.pipeline import LprPipeline, persistence_sweep, run_study
+from ..core.pipeline import LprPipeline, persistence_sweep
 from ..obs import span
-from ..par import StudySpec
+from ..par import StudySpec, run_study
 from ..sim.ark import ArkSimulator, daily_campaign, \
     label_dynamics_campaign
 from ..sim.config import MplsPolicy
@@ -70,39 +70,15 @@ class Study:
 def run_longitudinal_study(scale: float = 1.0, seed: int = 2015,
                            cycles: Optional[int] = None,
                            snapshots_per_cycle: int = 3,
-                           workers: int = 1,
-                           checkpoint_dir=None,
-                           state_dir=None,
-                           snapshot_stride: int = 8,
-                           max_retries: int = 2,
-                           backoff_base: float = 0.5,
-                           resources: bool = False,
-                           stall_timeout: Optional[float] = None,
-                           stall_clock=None) -> Study:
+                           workers: int = 1, **options) -> Study:
     """Run the paper's measurement campaign end to end.
 
     ``scale`` shrinks router/prefix counts for fast tests; ``cycles``
     truncates the study (``None``: the full 60; below 1 is a
-    ``ValueError``).  ``workers > 1`` shards the cycles over a process
-    pool (`repro.par`) with byte-identical results; the returned
-    study's simulator is left in the same end-of-campaign state either
-    way, so the post-study experiments (Figs 6, 16, 17) regenerate
-    identically too.  ``checkpoint_dir`` makes the campaign
-    restartable (every finished cycle is persisted, and a rerun
-    restores those cycles and runs only the missing ones, whatever the
-    worker count) and ``max_retries`` bounds how often a crashed shard
-    is re-dispatched before the study aborts (``backoff_base`` seeds
-    the exponential retry delay).
-    ``state_dir`` adds warm-start control-plane snapshots every
-    ``snapshot_stride`` cycles (:mod:`repro.par.statestore`): workers
-    and resumed runs restore the nearest snapshot instead of replaying
-    every earlier cycle — still byte-identical (DESIGN §10).
-    The live-plane knobs ``resources`` (per-process RSS/CPU/GC gauges
-    on every heartbeat) and ``stall_timeout``/``stall_clock`` (the
-    heartbeat-deadline watchdog) pass straight to
-    :func:`repro.par.run_study` (DESIGN §12); progress and health
-    consumers subscribe to the event bus instead (DESIGN §9).  All of
-    it is observational.
+    ``ValueError``).  The campaign runs under a ``study.run`` span
+    through :func:`repro.par.run_study`, which takes ``workers`` and
+    every execution option in ``options`` (checkpoints, retries,
+    warm-start state, live telemetry) and documents them.
     """
     if cycles is None:
         cycles = CYCLES
@@ -111,15 +87,7 @@ def run_longitudinal_study(scale: float = 1.0, seed: int = 2015,
     spec = StudySpec(scale=scale, seed=seed, cycles=cycles,
                      snapshots_per_cycle=snapshots_per_cycle)
     with span("study.run", cycles=spec.cycles, workers=workers):
-        run = run_study(spec, workers=workers,
-                        checkpoint_dir=checkpoint_dir,
-                        state_dir=state_dir,
-                        snapshot_stride=snapshot_stride,
-                        max_retries=max_retries,
-                        backoff_base=backoff_base,
-                        resources=resources,
-                        stall_timeout=stall_timeout,
-                        stall_clock=stall_clock)
+        run = run_study(spec, workers=workers, **options)
     return Study(simulator=run.simulator, pipeline=run.pipeline,
                  longitudinal=LongitudinalStudy(run.results))
 

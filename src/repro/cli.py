@@ -57,7 +57,7 @@ from .core import LprPipeline
 from .core.report import render_report
 from .core.revelation import TunnelVisibility, visibility_census
 from .net.ip2as import Ip2AsMapper
-from .par import StudySpec
+from .par import DEFAULT_SNAPSHOT_STRIDE, StudySpec
 from .obs import (
     EventBus,
     HealthMonitor,
@@ -168,10 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "tail instead of every earlier cycle "
                             "(byte-identical output; keyed by the "
                             "study spec's hash)")
-    study.add_argument("--snapshot-stride", type=int, default=8,
-                       metavar="N",
+    study.add_argument("--snapshot-stride", type=int,
+                       default=DEFAULT_SNAPSHOT_STRIDE, metavar="N",
                        help="cycles between state snapshots when "
-                            "--state-dir is set (default 8; smaller = "
+                            "--state-dir is set (default "
+                            f"{DEFAULT_SNAPSHOT_STRIDE}; smaller = "
                             "shorter tail replay, more disk)")
     study.add_argument("--max-retries", type=int, default=2,
                        metavar="N",

@@ -198,32 +198,6 @@ class LprPipeline:
         return [self.process_cycle(cycle_data) for cycle_data in run]
 
 
-def run_study(spec, workers: int = 1, **options):
-    """Execute a full longitudinal campaign, optionally sharded.
-
-    ``spec`` is a :class:`repro.par.StudySpec`; the return value is a
-    :class:`repro.par.StudyRun` whose ``results`` list is ordered by
-    cycle regardless of how the work was scheduled.  ``workers=1``
-    runs every cycle in this process; ``workers > 1`` shards the cycle
-    range over a process pool — each worker reconstructs its block's
-    network state deterministically and the per-shard metrics deltas
-    merge back into this process's registry — with byte-identical
-    output either way (asserted in ``tests/test_par.py``).
-
-    Keyword ``options`` pass straight to
-    :func:`repro.par.runner.run_study` — fault tolerance knobs such as
-    ``max_retries``, ``checkpoint_dir`` and ``subdivide`` (DESIGN §8),
-    the warm-start state-store knobs ``state_dir`` /
-    ``snapshot_stride`` (DESIGN §10), and the live telemetry knobs
-    ``resources``, ``stall_timeout`` and ``stall_clock`` (DESIGN
-    §9/§12) — all observational, never changing a byte of output.
-    """
-    # Imported lazily: repro.par builds on this module and on repro.sim.
-    from ..par.runner import run_study as run_sharded
-
-    return run_sharded(spec, workers=workers, **options)
-
-
 @dataclass
 class PersistencePoint:
     """One point of the Fig 6 sweep: the effect of window size j."""

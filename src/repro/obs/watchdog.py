@@ -18,7 +18,7 @@ emits ``shard.stalled`` and bumps ``par_shards_stalled_total`` (the
 ``/healthz`` monitor subscribes to the event); if the worker later
 beats or completes, the shard is *recovered* (``shard.recovered``)
 and health clears.  A shard that
-never recovers still ends in the existing retry/subdivide machinery
+never recovers still ends in the existing retry-and-split machinery
 once its worker dies or the pool breaks — the watchdog makes the wait
 visible, it does not kill workers.
 

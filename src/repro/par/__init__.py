@@ -14,7 +14,8 @@ have at its cycles.  This package provides that:
   (control-plane replay: policies applied and timers ticked, no
   probes); results come back in cycle order and each worker's metrics
   delta merges into the parent registry via
-  :meth:`repro.obs.MetricsRegistry.absorb`.
+  :meth:`repro.obs.MetricsRegistry.absorb`.  It is the one entry to
+  a study run, and alone declares and documents its options.
 
 The contract — asserted in ``tests/test_par.py`` — is that a run with
 ``workers=N`` produces **byte-identical** tables, figures,
@@ -34,9 +35,9 @@ Persisted metrics keep result metrics only: every metric declares at
 registration whether it is execution telemetry, and a checkpoint holds
 a cycle's result with its results-only metrics
 (:meth:`~repro.obs.MetricsRegistry.results_only`).  Pool shards retry
-with exponential backoff (and optional subdivision), and
-:mod:`repro.par.faults` provides the test-only hooks that stage worker
-deaths so the recovery paths stay covered
+with exponential backoff, a failed multi-cycle shard splitting in two,
+and :mod:`repro.par.faults` provides the test-only hooks that stage
+worker deaths so the recovery paths stay covered
 (``tests/test_par_faults.py``).
 """
 

@@ -304,7 +304,6 @@ def _pool_context():
 def run_study(spec: StudySpec, workers: int = 1, *,
               max_retries: int = 2,
               backoff_base: float = 0.5,
-              subdivide: bool = True,
               checkpoint_dir=None,
               state_dir=None,
               snapshot_stride: int = DEFAULT_SNAPSHOT_STRIDE,
@@ -314,6 +313,10 @@ def run_study(spec: StudySpec, workers: int = 1, *,
               stall_timeout: Optional[float] = None,
               stall_clock: Optional[Clock] = None) -> StudyRun:
     """Execute a campaign over ``workers`` (>= 1) executors.
+
+    The one place that declares, defaults and documents how a campaign
+    executes; the CLI and :func:`repro.analysis.run_longitudinal_study`
+    forward their options here unchanged.
 
     Results come back ordered by cycle whatever the pool's scheduling,
     and each pool shard's metrics delta is absorbed into this process's
@@ -329,10 +332,10 @@ def run_study(spec: StudySpec, workers: int = 1, *,
     Failure handling (pool only): a shard whose worker dies or raises
     is re-dispatched up to ``max_retries`` times, sleeping
     ``backoff_base * 2^round`` seconds between rounds (``sleep`` is
-    injectable for tests); on retry, when ``subdivide`` is set,
-    multi-cycle shards split into halves, so a single bad allocation or
-    kill costs only part of the work.  When every retry is exhausted
-    the study aborts with :class:`StudyFailure`.
+    injectable for tests); on retry a multi-cycle shard splits into
+    halves, so a single bad allocation or kill costs only part of the
+    work.  When every retry is exhausted the study aborts with
+    :class:`StudyFailure`.
 
     With ``checkpoint_dir`` set every finished cycle is persisted
     through a :class:`CheckpointStore` under its cycle, with identical
@@ -568,7 +571,7 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                              first=shard.first, last=shard.last,
                              attempt=attempt + 1, error=str(error))
                         children = [shard]
-                        if subdivide and len(shard) > 1:
+                        if len(shard) > 1:
                             children = [
                                 Shard(shard_id=next_id + index,
                                       first=half.first, last=half.last)

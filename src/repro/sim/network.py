@@ -328,7 +328,8 @@ class AsNetwork:
             pair: policy.te_tunnels_per_pair
             for pair in self._te_pair_order[:wanted_pairs]
         }
-        # Tear down pairs (or surplus tunnels) no longer wanted.
+        # Tear down pairs (or surplus tunnels) no longer wanted; a
+        # pair that keeps or gains tunnels is left to the signal loop.
         for pair in sorted(self._te_active):
             current = self._te_active[pair]
             target = wanted.get(pair, 0)
@@ -336,7 +337,7 @@ class AsNetwork:
                 self.rsvp.teardown(pair[0], pair[1], tunnel_id)
             if target == 0:
                 del self._te_active[pair]
-            else:
+            elif target < current:
                 self._te_active[pair] = target
         # Signal new tunnels.
         for pair in sorted(wanted):

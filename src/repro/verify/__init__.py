@@ -29,7 +29,6 @@ from .invariants import (
     RUN_CHECKERS,
     Violation,
     audit,
-    audit_run,
     check_cycle,
     check_run,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "RUN_CHECKERS",
     "Violation",
     "audit",
-    "audit_run",
     "check_cycle",
     "check_run",
     "CONFIG_NAMES",

@@ -42,7 +42,7 @@ from ..par import (
     run_study,
 )
 from ..warts import read_archive, salvage_archive, write_archive
-from .invariants import Violation, audit, audit_run
+from .invariants import Violation, audit
 
 _CONFIGS = get_registry().counter(
     "verify_configs_total",
@@ -444,8 +444,9 @@ def run_matrix(spec: StudySpec,
                workers: int = 2) -> MatrixReport:
     """Execute the full differential + invariant sweep for one spec.
 
-    The serial run is the reference: it is executed first, audited
-    against the invariant registry, then every configuration is
+    The serial run is the reference: it is executed first through
+    :func:`execute_config` (keeping the spec's own ``memoize``),
+    audited against the invariant registry, then every configuration is
     executed, audited the same way (its cycle results, and its final
     run when it ran a study) and diffed against the reference;
     violations carry their configuration's name.  With ``shrink``
@@ -462,12 +463,11 @@ def run_matrix(spec: StudySpec,
     emit("verify.start", configs=[config.name for config in configs],
          cycles=spec.cycles, scale=spec.scale, seed=spec.seed)
 
-    registry = get_registry()
-    before = registry.snapshot()
-    reference = run_study(spec, workers=1)
-    delta = registry.diff(before, registry.snapshot())
+    results, reference, delta = execute_config(
+        spec, VerifyConfig(name="reference", memoize=spec.memoize),
+        workdir)
     reference_end = state_fingerprint(reference.simulator.internet)
-    violations = audit_run(reference, delta)
+    violations = audit(results, reference, delta)
 
     report = MatrixReport(spec=spec, violations=violations)
     for config in configs:

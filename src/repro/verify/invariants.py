@@ -274,8 +274,3 @@ def audit(results: List[CycleResult], run: Any,
              **{key: value for key, value in fields.items()
                 if value is not None})
     return violations
-
-
-def audit_run(run: Any, delta: Mapping[str, Any]) -> List[Violation]:
-    """:func:`audit` over a finished study's results and run."""
-    return audit(run.results, run, delta)

@@ -1,8 +1,5 @@
 """Tests for the end-to-end LPR pipeline and dataset statistics."""
 
-import inspect
-import re
-
 import pytest
 
 from repro.core.extraction import extract_all, extract_lsps
@@ -11,7 +8,6 @@ from repro.core.pipeline import (
     dataset_stats,
     follow_up_signatures,
     persistence_sweep,
-    run_study,
 )
 from repro.mpls.lse import LabelStackEntry
 from repro.net.ip import Prefix, ip_to_int
@@ -158,19 +154,6 @@ class TestPipeline:
 
         results = pipeline.process_run(FakeCycleData(c) for c in (1, 2))
         assert [r.cycle for r in results] == [1, 2]
-
-
-class TestRunStudyDocstring:
-    def test_named_options_are_runner_parameters(self):
-        from repro.par import runner
-
-        doc = run_study.__doc__
-        named = set(re.findall(r"``([a-z_]+)``",
-                               doc[doc.index("Keyword ``options``"):]))
-        named.discard("options")
-        assert "max_retries" in named and "stall_timeout" in named
-        parameters = inspect.signature(runner.run_study).parameters
-        assert named <= set(parameters), named - set(parameters)
 
 
 class TestPersistenceSweep:

@@ -22,7 +22,6 @@ import pytest
 from repro.analysis.flightreport import flight_report, \
     flight_report_data
 from repro.cli import _profile_table, main
-from repro.core.pipeline import run_study
 from repro.obs import (
     EventBus,
     FakeClock,
@@ -36,7 +35,7 @@ from repro.obs import (
     set_event_bus,
 )
 from repro.obs.log import level_of
-from repro.par import StudySpec
+from repro.par import StudySpec, run_study
 
 SPEC = StudySpec(scale=0.25, seed=7, cycles=2, snapshots_per_cycle=2)
 

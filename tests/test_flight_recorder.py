@@ -19,7 +19,6 @@ import json
 import pytest
 
 from repro.cli import _profile_table
-from repro.core.pipeline import run_study
 from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
     EventBus,
@@ -40,7 +39,7 @@ from repro.obs import (
 )
 from repro.analysis.flightreport import flight_report, \
     flight_report_data
-from repro.par import CheckpointStore, StudySpec
+from repro.par import CheckpointStore, StudySpec, run_study
 from repro.par.checkpoint import CHECKPOINT_VERSION
 
 SPEC = StudySpec(scale=0.25, seed=7, cycles=4, snapshots_per_cycle=2)

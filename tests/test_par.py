@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import LongitudinalStudy, Study, regenerate
 from repro.cli import main
-from repro.core.pipeline import LprPipeline, run_study
+from repro.core.pipeline import LprPipeline
 from repro.obs import MetricsRegistry, delta_total, get_registry
 from repro.par import (
     CheckpointStore,
@@ -23,6 +23,7 @@ from repro.par import (
     StudySpec,
     build_study,
     plan_shards,
+    run_study,
     shard_cycles,
 )
 from repro.par.checkpoint import CHECKPOINT_VERSION

@@ -21,7 +21,6 @@ import shutil
 
 import pytest
 
-from repro.core.pipeline import run_study
 from repro.obs import (
     EventBus,
     delta_total,
@@ -38,6 +37,7 @@ from repro.par import (
     ShardFault,
     StudyFailure,
     StudySpec,
+    run_study,
     spec_hash,
 )
 from repro.verify.invariants import check_run
@@ -83,8 +83,7 @@ def _crash_parallel_at_cycle_3(checkpoint_dir):
     plan = FaultPlan({3: ShardFault(kind=RAISE, attempts=(0, 1, 2, 3))})
     with pytest.raises(StudyFailure):
         run_study(SPEC, workers=2, checkpoint_dir=checkpoint_dir,
-                  fault_plan=plan, max_retries=0, backoff_base=0.0,
-                  subdivide=False)
+                  fault_plan=plan, max_retries=0, backoff_base=0.0)
 
 
 def _assert_identical(serial, recovered):
@@ -108,8 +107,7 @@ class TestWorkerKill:
         # output matches.
         plan = FaultPlan({4: ShardFault(kind=KILL, attempts=(0,))})
         before = _counter_total("par_shard_retries_total")
-        run = run_study(SPEC, workers=2, fault_plan=plan,
-                        backoff_base=0.0, subdivide=False)
+        run = run_study(SPEC, workers=2, fault_plan=plan, backoff_base=0.0)
         assert _counter_total("par_shard_retries_total") > before
         _assert_identical(serial_run, run)
 
@@ -120,7 +118,7 @@ class TestWorkerKill:
         # forwarded events all reach the parent bus.
         plan = FaultPlan({2: ShardFault(kind=KILL, attempts=(0,))})
         run, events = _run_recorded(SPEC, workers=2, fault_plan=plan,
-                                    backoff_base=0.0, subdivide=True)
+                                    backoff_base=0.0)
         _assert_identical(serial_run, run)
         retried = [e.fields["shard"] for e in events
                    if e.kind == "shard.retry"]
@@ -139,14 +137,12 @@ class TestWorkerKill:
 
     def test_shard_exception_is_retried(self, serial_run):
         plan = FaultPlan({3: ShardFault(kind=RAISE, attempts=(0,))})
-        run = run_study(SPEC, workers=2, fault_plan=plan,
-                        backoff_base=0.0, subdivide=False)
+        run = run_study(SPEC, workers=2, fault_plan=plan, backoff_base=0.0)
         _assert_identical(serial_run, run)
 
     def test_subdivision_splits_failed_shard(self, serial_run):
         plan = FaultPlan({1: ShardFault(kind=RAISE, attempts=(0,))})
-        run = run_study(SPEC, workers=2, fault_plan=plan,
-                        backoff_base=0.0, subdivide=True)
+        run = run_study(SPEC, workers=2, fault_plan=plan, backoff_base=0.0)
         # Shard 1-2 failed once and came back as two one-cycle halves.
         assert len(run.shards) == 3
         ranges = sorted((s.results[0].cycle, s.results[-1].cycle)
@@ -160,7 +156,7 @@ class TestWorkerKill:
         before = _counter_total("par_shards_failed_total")
         with pytest.raises(StudyFailure):
             run_study(SPEC, workers=2, fault_plan=plan, max_retries=1,
-                      backoff_base=0.0, subdivide=False)
+                      backoff_base=0.0)
         assert _counter_total("par_shards_failed_total") == before + 1
 
     def test_backoff_grows_exponentially(self, serial_run):
@@ -168,7 +164,7 @@ class TestWorkerKill:
         plan = FaultPlan({3: ShardFault(kind=RAISE, attempts=(0, 1))})
         run = run_study(SPEC, workers=2, fault_plan=plan,
                         max_retries=2, backoff_base=0.25,
-                        subdivide=False, sleep=delays.append)
+                        sleep=delays.append)
         assert delays == [0.25, 0.5]
         _assert_identical(serial_run, run)
 

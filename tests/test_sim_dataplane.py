@@ -274,11 +274,14 @@ class TestRoutingNoise:
         calm = DataPlane(internet, era=0, flap_rate=0.0)
         base = [calm.forward_path(SRC_AS, 1, 99, dst)
                 for dst in dst_addrs]
+        rerouted = 0
         for era in range(1, 8):
             stormy = DataPlane(internet, era=era, flap_rate=0.15)
-            for dst in dst_addrs:
+            for dst, reference in zip(dst_addrs, base):
                 hops = stormy.forward_path(SRC_AS, 1, 99, dst)
                 assert hops[-1].address == dst  # still delivered
+                rerouted += hops != reference
+        assert rerouted > 0
 
     def test_flap_rate_zero_is_stable(self):
         internet = build(ecmp=2)
@@ -400,8 +403,9 @@ def rich_universe():
 # The control-plane configurations the cross-era test cycles through:
 # LDP on a growing share of border pairs; LDP plus two-tunnel TE and
 # SR policies with per-cycle re-optimization; single-tunnel TE over
-# opaque tunnels; SR policies with no TE and no LDP; three TE tunnels
-# per pair.
+# opaque tunnels; three TE tunnels per pair (raising the count of the
+# pairs the single-tunnel era left active); SR policies with no TE and
+# no LDP (tearing all three down).
 _ERA_POLICIES = (
     MplsPolicy(enabled=True, ldp=True, mpls_pair_fraction=0.4),
     MplsPolicy(enabled=True, ldp=True, mpls_pair_fraction=0.75),
@@ -412,10 +416,10 @@ _ERA_POLICIES = (
     MplsPolicy(enabled=True, ldp=True, ldp_internal=False,
                ttl_propagate=False, mpls_pair_fraction=0.55,
                te_pair_fraction=0.5, te_tunnels_per_pair=1),
-    MplsPolicy(enabled=True, ldp=False, sr_pair_fraction=0.8,
-               sr_policies_per_pair=3),
     MplsPolicy(enabled=True, ldp=True, mpls_pair_fraction=0.5,
                te_pair_fraction=0.6, te_tunnels_per_pair=3),
+    MplsPolicy(enabled=True, ldp=False, sr_pair_fraction=0.8,
+               sr_policies_per_pair=3),
 )
 
 
@@ -504,6 +508,32 @@ class TestStudyScopedDecisions:
             == (1, 0)
         assert (second.route_cache.misses, second.route_cache.hits) \
             == (0, 1)
+
+
+class TestTeTunnelCount:
+    """Changing an active pair's tunnel count keeps RSVP-TE exact."""
+
+    def test_raised_count_signals_the_added_tunnels(self):
+        internet = Internet(rich_universe())
+        transit = internet.network(TRANSIT)
+        single = MplsPolicy(enabled=True, ldp=True, te_pair_fraction=0.5,
+                            te_tunnels_per_pair=1)
+        transit.apply_policy(single)
+        pairs = sorted(transit._te_active)
+        assert pairs
+        transit.apply_policy(replace(single, te_tunnels_per_pair=3))
+        for ingress, egress in pairs:
+            sessions = transit.te_sessions(ingress, egress)
+            assert len(sessions) == 3 and all(sessions), \
+                (ingress, egress, sessions)
+        internet.tick()
+        memoized = DataPlane(internet, era=1)
+        fresh = DataPlane(internet, era=1, memoize=False)
+        assert _all_paths(memoized, internet) \
+            == _all_paths(fresh, internet)
+        # TE off tears every tunnel down, the added ones included.
+        transit.apply_policy(MplsPolicy(enabled=True, ldp=True))
+        assert not transit.rsvp.sessions and not transit._te_active
 
 
 _LDP = MplsPolicy(enabled=True, ldp=True)

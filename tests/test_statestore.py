@@ -25,7 +25,6 @@ import shutil
 
 import pytest
 
-from repro.core.pipeline import run_study
 from repro.mpls.lfib import LabelAllocator, LabelAllocatorError
 from repro.mpls.vendor import PROFILES, get_profile
 from repro.obs import get_registry
@@ -34,6 +33,7 @@ from repro.par import (
     StateStore,
     StudySpec,
     build_study,
+    run_study,
     spec_hash,
     state_spec_hash,
 )

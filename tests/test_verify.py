@@ -17,7 +17,7 @@ from repro.verify import (
     CONFIG_NAMES,
     Divergence,
     VerifyConfig,
-    audit_run,
+    audit,
     canonical_cycle,
     check_cycle,
     check_run,
@@ -73,7 +73,7 @@ def reference_run():
 class TestInvariantsOnRealRun:
     def test_clean_run_has_no_violations(self, reference_run):
         run, delta = reference_run
-        assert audit_run(run, delta) == []
+        assert audit(run.results, run, delta) == []
 
     def test_violations_bump_counter_and_emit(self, reference_run):
         run, delta = reference_run
@@ -88,7 +88,7 @@ class TestInvariantsOnRealRun:
         saved = get_event_bus()
         set_event_bus(EventBus())
         try:
-            violations = audit_run(fake, delta)
+            violations = audit(fake.results, fake, delta)
             events = [event for event in get_event_bus().events
                       if event.kind == "verify.violation"]
         finally:
@@ -426,6 +426,24 @@ class TestBrokenPlanDetection:
         assert [divergence.config for divergence in
                 report.divergences] == ["no-memo"]
         assert report.outcomes[0].status == "DIVERGED"
+
+
+class TestReferenceRun:
+    def test_reference_keeps_the_spec_memoize(self, tmp_path):
+        """The reference runs the spec as given: a ``memoize=False``
+        spec's reference builds no cached walk plan."""
+        original = DataPlane._plan
+        cached = []
+
+        def plan(self, network, entry, target, internal):
+            cached.append(self._plans is not None)
+            return original(self, network, entry, target, internal)
+
+        with mock.patch.object(DataPlane, "_plan", plan):
+            report = run_matrix(replace(SPEC, memoize=False), [],
+                                workdir=tmp_path, shrink=False)
+        assert cached and not any(cached)
+        assert report.violations == []
 
 
 class TestShrinkOnCleanSpec:
