@@ -58,6 +58,7 @@ from .core.report import render_report
 from .core.revelation import TunnelVisibility, visibility_census
 from .net.ip2as import Ip2AsMapper
 from .par import DEFAULT_SNAPSHOT_STRIDE, StudySpec
+from .par.runner import DEFAULT_BACKOFF_BASE, DEFAULT_MAX_RETRIES
 from .obs import (
     EventBus,
     HealthMonitor,
@@ -174,15 +175,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "--state-dir is set (default "
                             f"{DEFAULT_SNAPSHOT_STRIDE}; smaller = "
                             "shorter tail replay, more disk)")
-    study.add_argument("--max-retries", type=int, default=2,
-                       metavar="N",
+    study.add_argument("--max-retries", type=int,
+                       default=DEFAULT_MAX_RETRIES, metavar="N",
                        help="re-dispatch a crashed shard up to N times "
                             "(exponential backoff) before aborting")
-    study.add_argument("--backoff-base", type=float, default=0.5,
-                       metavar="SECONDS",
+    study.add_argument("--backoff-base", type=float,
+                       default=DEFAULT_BACKOFF_BASE, metavar="SECONDS",
                        help="base delay of the exponential retry "
                             "backoff (attempt k sleeps base * 2^k; "
-                            "default 0.5, must be >= 0)")
+                            f"default {DEFAULT_BACKOFF_BASE}, must be "
+                            ">= 0)")
     study.add_argument("--progress", action="store_true",
                        help="live one-line progress on stderr (cycles "
                             "done, shards, traces, ETA), fed by worker "

@@ -95,6 +95,12 @@ _SHARDS_STALLED = get_registry().counter(
     "Shards flagged silent past the --stall-timeout deadline",
     execution=True)
 
+DEFAULT_MAX_RETRIES = 2
+"""Re-dispatches a crashed shard gets before the study aborts."""
+
+DEFAULT_BACKOFF_BASE = 0.5
+"""Seconds before the first retry round; each later round doubles it."""
+
 
 class StudyFailure(RuntimeError):
     """A shard kept failing after every retry; the study aborted."""
@@ -302,8 +308,8 @@ def _pool_context():
 
 
 def run_study(spec: StudySpec, workers: int = 1, *,
-              max_retries: int = 2,
-              backoff_base: float = 0.5,
+              max_retries: int = DEFAULT_MAX_RETRIES,
+              backoff_base: float = DEFAULT_BACKOFF_BASE,
               checkpoint_dir=None,
               state_dir=None,
               snapshot_stride: int = DEFAULT_SNAPSHOT_STRIDE,

@@ -368,6 +368,7 @@ def _flow_through(simulator: ArkSimulator, target_asn: int, cycle: int
     routing = simulator.internet.routing
     ip2as = simulator.internet.ip2as
     network = simulator.internet.network(target_asn)
+    dataplane = DataPlane(simulator.internet, memoize=simulator.memoize)
     for minimum_lsrs in (2, 1):
         for monitor in simulator.monitors:
             for dst in simulator.destinations:
@@ -377,7 +378,7 @@ def _flow_through(simulator: ArkSimulator, target_asn: int, cycle: int
                 path = routing.as_path(monitor.asn, dst_asn)
                 if path is None or target_asn not in path[:-1]:
                     continue
-                if _rides_te_tunnel(simulator, network, monitor, dst,
+                if _rides_te_tunnel(dataplane, network, monitor, dst,
                                     minimum_lsrs):
                     return monitor, dst
     raise LookupError(
@@ -385,18 +386,18 @@ def _flow_through(simulator: ArkSimulator, target_asn: int, cycle: int
     )
 
 
-def _rides_te_tunnel(simulator: ArkSimulator, network, monitor: Monitor,
+def _rides_te_tunnel(dataplane: DataPlane, network, monitor: Monitor,
                      dst: int, minimum_lsrs: int = 2) -> bool:
-    dataplane = DataPlane(simulator.internet)
     hops = dataplane.forward_path(monitor.asn, monitor.attachment_router,
                                   monitor.src_addr, dst)
     labelled = [h for h in hops if h.asn == network.asn and h.labels]
     if len(labelled) < minimum_lsrs:
         return False
-    # TE labels live in per-session LFIBs; detect by checking a session
-    # binding exists for the first labelled hop's label.
+    # TE labels live in per-session LFIBs, and allocators are per
+    # router: the first labelled hop rides a tunnel when some session
+    # bound that very label at that very router.
     if network.rsvp is None:
         return False
-    label = labelled[0].labels[0]
-    return any(label in session.labels.values()
+    hop = labelled[0]
+    return any(session.labels.get(hop.router_id) == hop.labels[0]
                for session in network.rsvp.sessions)

@@ -51,12 +51,13 @@ segment cache above:
   because RSVP-TE re-optimization re-signals labels per cycle.
 
 A :class:`RouteCache` per DataPlane counts one study-table hit or miss
-per ``forward_path``, so ``hits + misses`` still reconciles with the
-traces issued.  ``memoize=False`` bypasses every memo above (the
-shared segment cache stays) and recomputes each decision fresh, plans
-included.  Single-link egress, single-segment ECMP and single-tunnel TE
-or single-policy SR choices skip their hash altogether: the modulus
-would select index 0 anyway.
+per ``forward_path``, so ``hits + misses`` reconciles with the traces
+issued.  ``memoize=False`` runs the very same code over tables that
+forget (:class:`~repro.sim.network.Forgetful`; the shared segment
+cache stays): every lookup misses and every decision, plan and hop
+tuple is recomputed fresh and counted as a miss.  Single-link egress,
+single-segment ECMP and single-tunnel TE or single-policy SR choices
+skip their hash altogether: the modulus would select index 0 anyway.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from ..mpls.fec import PrefixFec
 from ..mpls.vendor import get_profile
 from ..net.ip import Prefix
 from ..obs import get_registry
-from .network import AsNetwork, DecisionCache, Internet, SegmentCache
+from .network import AsNetwork, DecisionCache, Forgetful, Internet
 
 _ROUTE_HITS = get_registry().counter(
     "route_cache_hits_total",
@@ -120,6 +121,20 @@ class HopObs:
     lse_ttl: int = 1
 
 
+def publish_cache_deltas(flushed: List[int], rows,
+                         deltas: Dict[str, int]) -> Dict[str, int]:
+    """Add each ``(name, counter, value)`` row's growth since the last
+    flush (``flushed``, updated in place) to its registry counter and
+    to ``deltas`` under ``name``; returns ``deltas``."""
+    for index, (name, counter, value) in enumerate(rows):
+        delta = value - flushed[index]
+        if delta:
+            counter.inc(delta)
+        deltas[name] = delta
+        flushed[index] = value
+    return deltas
+
+
 class UnreachableError(RuntimeError):
     """Raised when no valley-free route exists towards the destination."""
 
@@ -143,10 +158,10 @@ class RouteCache:
 
 
 class _FecLabels:
-    """``label_of`` for an LDP FEC: router -> label from its LFIB.
+    """An LDP FEC's labels, read like a TE session's ``labels`` dict:
+    ``get(router)`` is the label the router's LFIB binds to the FEC.
 
-    A tiny callable object instead of a per-probe closure: the LFIB
-    accessor and FEC are bound once per LSP materialization.
+    The LFIB accessor and FEC are bound once per walk plan.
     """
 
     __slots__ = ("_lfib", "_fec")
@@ -155,7 +170,7 @@ class _FecLabels:
         self._lfib = lfib
         self._fec = fec
 
-    def __call__(self, router: int) -> Optional[int]:
+    def get(self, router: int) -> Optional[int]:
         return self._lfib(router).label_for(self._fec)
 
 
@@ -165,18 +180,19 @@ class _WalkPlan:
 
     ``te_sessions`` are the pair's TE tunnels by tunnel id (None where
     a session is missing), ``sr_policies`` its SR policies (transit
-    walks only), ``fec`` the established LDP FEC when the walk rides
-    LDP (else None), and ``segments`` the era's equal-cost step lists,
-    computed on the first IP or LDP walk (None until then).
+    walks only), ``ldp_labels`` the labels of the established LDP FEC
+    when the walk rides LDP (else None), and ``segments`` the era's
+    equal-cost step lists, computed on the first IP or LDP walk (None
+    until then).
     """
 
-    __slots__ = ("te_sessions", "sr_policies", "fec", "segments")
+    __slots__ = ("te_sessions", "sr_policies", "ldp_labels", "segments")
 
     def __init__(self, te_sessions: tuple, sr_policies: Sequence,
-                 fec: Optional[PrefixFec]):
+                 ldp_labels: Optional[_FecLabels]):
         self.te_sessions = te_sessions
         self.sr_policies = sr_policies
-        self.fec = fec
+        self.ldp_labels = ldp_labels
         self.segments: Optional[List[list]] = None
 
 
@@ -188,11 +204,12 @@ class DataPlane:
     links (withdrawn from the IGP for this era only), the routing noise
     that the paper's Persistence filter exists to remove.
 
-    ``memoize`` enables the study-scoped decision and hop tables and the
-    per-era walk plans and TE hop cache (on by default — they are
-    exact, so results are bit-identical either way; switching them off
-    exists for the uncached reference of benchmarks and ``repro
-    verify``).  The DataPlane must not outlive control-plane mutations:
+    ``memoize`` picks, once, whether the study-scoped decision and hop
+    tables and the per-era walk plans and TE hop cache keep what is
+    stored in them (on by default — they are exact, so results are
+    bit-identical either way; tables that forget exist for the uncached
+    reference of benchmarks and ``repro verify``, which runs the same
+    code).  The DataPlane must not outlive control-plane mutations:
     rebuild it after any ``apply_policies``/``tick``/label churn or
     ``restore_state``, as the simulators do — its walk plans hold that
     state's decisions.
@@ -200,7 +217,6 @@ class DataPlane:
 
     def __init__(self, internet: Internet, era: int = 0,
                  flap_rate: float = 0.0, egress_noise: float = 0.0,
-                 cache: Optional[SegmentCache] = None,
                  memoize: bool = True):
         if not 0.0 <= flap_rate < 1.0:
             raise ValueError(f"flap_rate out of [0,1): {flap_rate}")
@@ -215,29 +231,25 @@ class DataPlane:
         # rerouting everything downstream of it — the second component
         # of the routing noise the Persistence filter removes.
         self.egress_noise = egress_noise
-        # Equal-cost segments: by default the internet-wide shared
-        # cache (segments are era-independent modulo flapped links).
-        self._cache = cache if cache is not None \
-            else internet.segment_cache
+        # Equal-cost segments: the internet-wide shared cache (segments
+        # are era-independent modulo flapped links).
+        self._cache = internet.segment_cache
         self._flapped: Dict[int, frozenset] = {}
         # The per-era draws' shared hash prefixes, folded once.
         self._flap_state = flow_hash(0xF1A9, era)
         self._churn_state = flow_hash(0xB6, era)
         self._churn_bound = egress_noise * 10_000
         self.memoize = memoize
-        self.decisions: Optional[DecisionCache] = \
-            internet.decision_cache if memoize else None
-        self.route_cache: Optional[RouteCache] = \
-            RouteCache() if memoize else None
+        # Unmemoized: every table forgets, so each lookup misses.
+        table = dict if memoize else Forgetful
+        self.decisions = (internet.decision_cache if memoize
+                          else DecisionCache(table))
+        self.route_cache = RouteCache()
         # (asn, entry, target, internal) -> this era's _WalkPlan.
-        self._plans: Optional[Dict[tuple, _WalkPlan]] = \
-            {} if memoize else None
+        self._plans: Dict[tuple, _WalkPlan] = table()
         # Hop tuples as (steps, hops) entries: TE per era, IP and LDP
         # in the study's decision table.
-        self._te_hops: Optional[Dict[tuple, tuple]] = \
-            {} if memoize else None
-        self._ip_hops = self.decisions.ip_hops if memoize else None
-        self._ldp_hops = self.decisions.ldp_hops if memoize else None
+        self._te_hops: Dict[tuple, tuple] = table()
         self.hop_cache_hits = 0
         self.hop_cache_misses = 0
         self._flushed = [0, 0, 0, 0]
@@ -325,21 +337,11 @@ class DataPlane:
         ``cache.flush`` flight-recorder event.
         """
         route = self.route_cache
-        if route is None:
-            return {}
-        flushed = self._flushed
-        deltas: Dict[str, int] = {}
-        for index, (name, counter, value) in enumerate((
-                ("route_hits", _ROUTE_HITS, route.hits),
-                ("route_misses", _ROUTE_MISSES, route.misses),
-                ("hop_hits", _HOP_HITS, self.hop_cache_hits),
-                ("hop_misses", _HOP_MISSES, self.hop_cache_misses))):
-            delta = value - flushed[index]
-            if delta:
-                counter.inc(delta)
-            deltas[name] = delta
-            flushed[index] = value
-        return deltas
+        return publish_cache_deltas(self._flushed, (
+            ("route_hits", _ROUTE_HITS, route.hits),
+            ("route_misses", _ROUTE_MISSES, route.misses),
+            ("hop_hits", _HOP_HITS, self.hop_cache_hits),
+            ("hop_misses", _HOP_MISSES, self.hop_cache_misses)), {})
 
     # -- helpers -------------------------------------------------------------
 
@@ -352,36 +354,31 @@ class DataPlane:
         text is identical whether or not the negative entry was cached.
         """
         cache = self.route_cache
-        if cache is None:
-            return self._compute_route(src_asn, dst_addr)
         routes = self.decisions.routes
         key = (src_asn, dst_addr >> 8)
         entry = routes.get(key)
-        if entry is None:
-            cache.misses += 1
-            entry = routes[key] = self._compute_route(src_asn, dst_addr)
-        else:
+        if entry is not None:
             cache.hits += 1
-        return entry
-
-    def _compute_route(self, src_asn: int, dst_addr: int) -> tuple:
+            return entry
+        cache.misses += 1
         dst_origin = self.internet.ip2as.lookup_single(dst_addr)
         if dst_origin not in self.internet.networks:
-            return (None, None, None)
-        as_path = self.internet.routing.as_path(src_asn, dst_origin)
-        return (dst_origin,
-                tuple(as_path) if as_path is not None else None,
-                Prefix.from_host(dst_addr, 24))
+            entry = (None, None, None)
+        else:
+            as_path = self.internet.routing.as_path(src_asn, dst_origin)
+            entry = (dst_origin,
+                     tuple(as_path) if as_path is not None else None,
+                     Prefix.from_host(dst_addr, 24))
+        routes[key] = entry
+        return entry
 
     def _flow_digest(self, src_addr: int, dst_addr: int,
                      flow_id: int) -> int:
-        memo = self.decisions
+        digests = self.decisions.flow_digests
         key = (src_addr, dst_addr, flow_id)
-        digest = memo.flow_digests.get(key) if memo else None
+        digest = digests.get(key)
         if digest is None:
-            digest = flow_hash(*key)
-            if memo:
-                memo.flow_digests[key] = digest
+            digest = digests[key] = flow_hash(*key)
         return digest
 
     def _transit_step(self, network: AsNetwork, asn: int, next_asn: int,
@@ -397,16 +394,15 @@ class DataPlane:
         if not links:
             raise UnreachableError(
                 f"AS{asn} has no link to AS{next_asn}")
-        memo = self.decisions
+        decisions = self.decisions
         index = 0
         if len(links) > 1:
             network_addr = dst_prefix.network
             key = (asn, next_asn, network_addr)
-            index = memo.egress.get(key) if memo else None
+            index = decisions.egress.get(key)
             if index is None:
-                index = flow_hash(network_addr, asn, next_asn) % len(links)
-                if memo:
-                    memo.egress[key] = index
+                index = decisions.egress[key] = \
+                    flow_hash(network_addr, asn, next_asn) % len(links)
             if self.egress_noise and fold(
                     self._churn_state, asn, next_asn, network_addr) \
                     % 10_000 < self._churn_bound:
@@ -414,24 +410,22 @@ class DataPlane:
         egress, _egress_addr, _remote_asn, remote_router, remote_addr = \
             links[index]
         key = (asn, next_asn, index)
-        remote_hop = memo.border_hops.get(key) if memo else None
+        remote_hop = decisions.border_hops.get(key)
         if remote_hop is None:
-            remote_hop = self._plain_hop(self.internet.network(next_asn),
-                                         remote_router, remote_addr)
-            if memo:
-                memo.border_hops[key] = remote_hop
+            remote_hop = decisions.border_hops[key] = self._plain_hop(
+                self.internet.network(next_asn), remote_router,
+                remote_addr)
         return egress, remote_router, remote_hop
 
     def _host_hop(self, asn: int, dst_addr: int) -> HopObs:
         """The destination host's hop; ``asn`` is the address's IP2AS
         origin, so the address alone keys the study's flyweight."""
-        memo = self.decisions
-        hop = memo.host_hops.get(dst_addr) if memo else None
+        hops = self.decisions.host_hops
+        hop = hops.get(dst_addr)
         if hop is None:
-            hop = HopObs(asn=asn, router_id=-1, address=dst_addr,
-                         labels=(), responsive=True, quotes_labels=False)
-            if memo:
-                memo.host_hops[dst_addr] = hop
+            hop = hops[dst_addr] = HopObs(
+                asn=asn, router_id=-1, address=dst_addr, labels=(),
+                responsive=True, quotes_labels=False)
         return hop
 
     def _plain_hop(self, network: AsNetwork, router_id: int,
@@ -462,20 +456,21 @@ class DataPlane:
         sr_policies = (network.sr.policies_between(entry, target)
                        if not internal and policy.uses_sr
                        and network.sr is not None else ())
-        fec = None
-        memo = self.decisions
+        ldp_labels = None
+        decisions = self.decisions
         if policy.ldp and (policy.ldp_internal if internal
                            else network.ldp_pair_active(entry, target,
-                                                        memo)):
+                                                        decisions)):
             key = (network.asn, target)
-            loopback = memo.fecs.get(key) if memo else None
+            loopback = decisions.fecs.get(key)
             if loopback is None:
-                loopback = network.loopback_fec(target)
-                if memo:
-                    memo.fecs[key] = loopback
+                loopback = decisions.fecs[key] = \
+                    network.loopback_fec(target)
             fec = network.transit_fec(loopback)
+            if fec is not None:
+                ldp_labels = _FecLabels(network.labels.lfib, fec)
         return _WalkPlan(network.te_sessions(entry, target), sr_policies,
-                         fec)
+                         ldp_labels)
 
     def _option(self, asn: int, entry: int, target: int,
                 dst_prefix: Prefix, count: int) -> int:
@@ -483,33 +478,32 @@ class DataPlane:
         among a pair's ``count`` options."""
         if count < 2:
             return 0
-        memo = self.decisions
+        selectors = self.decisions.selectors
         selector = dst_prefix.network
         key = (selector, asn, entry, target)
-        draw = memo.selectors.get(key) if memo else None
+        draw = selectors.get(key)
         if draw is None:
-            draw = destination_draw(selector, entry, target)
-            if memo:
-                memo.selectors[key] = draw
+            draw = selectors[key] = \
+                destination_draw(selector, entry, target)
         return draw % count
 
-    def _cached_hops(self, table: Optional[dict], key,
-                     steps: list) -> Optional[Tuple[HopObs, ...]]:
-        """The hop tuple ``table`` holds for ``key``, if it was built
-        from this very ``steps`` list."""
-        if table is None:
-            return None
+    def _hops(self, table: dict, key, network: AsNetwork, steps: list,
+              bindings) -> Tuple[HopObs, ...]:
+        """The hop tuple along ``steps``: the one ``table`` holds for
+        ``key`` if it was built from this very ``steps`` list, else
+        built and stored — an LSP labelled by ``bindings.get(router)``,
+        or plain IP hops when ``bindings`` is None."""
         entry = table.get(key)
         if entry is not None and entry[0] is steps:
             self.hop_cache_hits += 1
             return entry[1]
-        return None
-
-    def _store_hops(self, table: Optional[dict], key, steps: list,
-                    hops: Tuple[HopObs, ...]) -> Tuple[HopObs, ...]:
-        if table is not None:
-            self.hop_cache_misses += 1
-            table[key] = (steps, hops)
+        self.hop_cache_misses += 1
+        hops = tuple(
+            self._mpls_hops(network, steps, bindings)
+            if bindings is not None
+            else [self._plain_hop(network, router, link.address_of(router))
+                  for router, link in steps])
+        table[key] = (steps, hops)
         return hops
 
     def _walk_as(self, network: AsNetwork, asn: int, entry: int,
@@ -537,26 +531,20 @@ class DataPlane:
             return ()
         plans = self._plans
         key = (asn, entry, target, internal)
-        plan = plans.get(key) if plans is not None else None
+        plan = plans.get(key)
         if plan is None:
-            plan = self._plan(network, entry, target, internal)
-            if plans is not None:
-                plans[key] = plan
+            plan = plans[key] = self._plan(network, entry, target,
+                                           internal)
         sessions = plan.te_sessions
         if sessions:
             session = sessions[self._option(asn, entry, target,
                                             dst_prefix, len(sessions))]
             if session is not None:
-                table = self._te_hops
-                steps = session.route
-                key = (asn, entry, target, session.fec.tunnel_id,
-                       session.fec.instance, internal)
-                hops = self._cached_hops(table, key, steps)
-                if hops is None:
-                    hops = self._store_hops(table, key, steps, tuple(
-                        self._mpls_hops(network, steps,
-                                        session.labels.get)))
-                return hops
+                return self._hops(
+                    self._te_hops, (asn, entry, target,
+                                    session.fec.tunnel_id,
+                                    session.fec.instance, internal),
+                    network, session.route, session.labels)
         sr_policies = plan.sr_policies
         if sr_policies:
             return self._sr_hops(network, sr_policies[self._option(
@@ -580,33 +568,20 @@ class DataPlane:
                     f"AS{asn}: router {target} unreachable from {entry}")
             steps = segments[0]
         else:
-            memo = self.decisions
+            picks = self.decisions.picks
             key = (flow_digest, asn, entry, target)
-            draw = memo.picks.get(key) if memo else None
+            draw = picks.get(key)
             if draw is None:
-                draw = flow_hash(*key)
-                if memo:
-                    memo.picks[key] = draw
+                draw = picks[key] = flow_hash(*key)
             steps = segments[draw % len(segments)]
-        fec = plan.fec
-        if fec is not None:
-            table = self._ldp_hops
-            key = (id(steps), network.labels.generation,
-                   network.policy.ttl_propagate)
-            hops = self._cached_hops(table, key, steps)
-            if hops is None:
-                hops = self._store_hops(table, key, steps, tuple(
-                    self._mpls_hops(network, steps,
-                                    _FecLabels(network.labels.lfib, fec))))
-            return hops
-        table = self._ip_hops
-        key = id(steps)
-        hops = self._cached_hops(table, key, steps)
-        if hops is None:
-            hops = self._store_hops(table, key, steps, tuple(
-                self._plain_hop(network, router, link.address_of(router))
-                for router, link in steps))
-        return hops
+        bindings = plan.ldp_labels
+        if bindings is not None:
+            return self._hops(self.decisions.ldp_hops,
+                              (id(steps), network.labels.generation,
+                               network.policy.ttl_propagate),
+                              network, steps, bindings)
+        return self._hops(self.decisions.ip_hops, id(steps), network,
+                          steps, None)
 
     def _sr_hops(self, network: AsNetwork, sr_policy,
                  flow_digest: int) -> List[HopObs]:
@@ -628,11 +603,11 @@ class DataPlane:
         ]
 
     def _mpls_hops(self, network: AsNetwork, steps: Sequence[tuple],
-                   label_of) -> List[HopObs]:
+                   bindings) -> List[HopObs]:
         """Observations along one LSP.
 
-        ``label_of(router)`` returns the label that router allocated for
-        the FEC/session (None at a PHP egress).
+        ``bindings.get(router)`` returns the label that router allocated
+        for the FEC/session (None at a PHP egress).
 
         Without ttl-propagate the LSRs never see the probe expire and
         only the hop past the tunnel appears.  If that router implements
@@ -650,7 +625,7 @@ class DataPlane:
             router, link = steps[-1]
             if len(steps) >= 2:
                 previous = steps[-2][0]
-                label = label_of(previous)
+                label = bindings.get(previous)
             else:
                 label = None
             if label is not None:
@@ -663,7 +638,7 @@ class DataPlane:
                                     link.address_of(router))]
         hops = []
         for position, (router, link) in enumerate(steps):
-            label = label_of(router)
+            label = bindings.get(router)
             labels = (label,) if label is not None else ()
             hops.append(self._plain_hop(
                 network, router, link.address_of(router),

@@ -395,28 +395,27 @@ class AsNetwork:
     # -- lookup helpers used by the data plane ------------------------------
 
     def ldp_pair_active(self, entry: int, egress: int,
-                        decisions: Optional["DecisionCache"] = None
-                        ) -> bool:
+                        decisions: "DecisionCache") -> bool:
         """Whether transit between two borders rides LSPs this cycle.
 
         The active pair set is keyed on a stable hash, so raising
         ``mpls_pair_fraction`` over cycles only ever *adds* pairs —
         existing tunnels persist, as in an incremental deployment.
-        The hash draw is era-invariant, so ``decisions`` (a study's
-        :class:`DecisionCache`) memoizes it; the comparison against
-        this cycle's fraction stays per call.
+        The hash draw is era-invariant, so ``decisions`` (the
+        DataPlane's :class:`DecisionCache`) holds it; the comparison
+        against this cycle's fraction stays per call.
         """
         fraction = self.policy.mpls_pair_fraction
         if fraction >= 1.0:
             return True
         if fraction <= 0.0:
             return False
+        draws = decisions.ldp_draws
         key = (self.spec.asn, entry, egress)
-        draw = decisions.ldp_draws.get(key) if decisions else None
+        draw = draws.get(key)
         if draw is None:
-            draw = flow_hash(self.spec.asn, 0x1D9, entry, egress) % 10_000
-            if decisions:
-                decisions.ldp_draws[key] = draw
+            draw = draws[key] = \
+                flow_hash(self.spec.asn, 0x1D9, entry, egress) % 10_000
         return draw < fraction * 10_000
 
     def churn_labels(self, per_router: int) -> None:
@@ -637,6 +636,16 @@ class SegmentCache:
         return segments
 
 
+class Forgetful(dict):
+    """A table that keeps nothing: storing is a no-op, so every
+    ``get`` misses and each decision is computed afresh."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
 class DecisionCache:
     """Era-invariant forwarding decisions, shared by a study's DataPlanes.
 
@@ -680,47 +689,48 @@ class DecisionCache:
     never cached.
 
     Derived data only: it never enters :meth:`Internet.capture_state`.
-    A ``DataPlane(memoize=False)`` bypasses it entirely.
+    ``table`` is the type of every table; a ``DataPlane(memoize=False)``
+    runs the same code over its own cache of :class:`Forgetful` ones.
     """
 
     __slots__ = ("routes", "egress", "border_hops", "flow_digests",
                  "picks", "selectors", "ldp_draws", "fecs", "stacks",
                  "gateway_hops", "host_hops", "ip_hops", "ldp_hops")
 
-    def __init__(self) -> None:
+    def __init__(self, table: type = dict) -> None:
         # (src_asn, dst_addr >> 8) -> (dst origin | None, AS path tuple
         # | None, dst /24 Prefix); origin None = no simulated AS, path
         # None = no route.
-        self.routes: Dict[Tuple[int, int], tuple] = {}
+        self.routes: Dict[Tuple[int, int], tuple] = table()
         # (asn, next_asn, dst /24 network) -> base egress link index
         # (multi-link neighbors only; churn is drawn per era on top).
-        self.egress: Dict[Tuple[int, int, int], int] = {}
+        self.egress: Dict[Tuple[int, int, int], int] = table()
         # (asn, next_asn, link index) -> the neighbor border's HopObs.
-        self.border_hops: Dict[Tuple[int, int, int], object] = {}
+        self.border_hops: Dict[Tuple[int, int, int], object] = table()
         # (src, dst, flow_id) -> flow digest.
-        self.flow_digests: Dict[Tuple[int, int, int], int] = {}
+        self.flow_digests: Dict[Tuple[int, int, int], int] = table()
         # (flow digest, asn, entry, target) -> 64-bit ECMP pick hash;
         # the era's segment count only takes its modulus.
-        self.picks: Dict[Tuple[int, int, int, int], int] = {}
+        self.picks: Dict[Tuple[int, int, int, int], int] = table()
         # (dst /24 network, asn, ingress, egress) -> 64-bit destination
         # draw over the pair's TE tunnels or SR policies; the era's
         # option count only takes its modulus.
-        self.selectors: Dict[Tuple[int, int, int, int], int] = {}
+        self.selectors: Dict[Tuple[int, int, int, int], int] = table()
         # (asn, entry, egress) -> LDP pair draw in [0, 10000).
-        self.ldp_draws: Dict[Tuple[int, int, int], int] = {}
+        self.ldp_draws: Dict[Tuple[int, int, int], int] = table()
         # (asn, router) -> the router's loopback PrefixFec.
-        self.fecs: Dict[Tuple[int, int], PrefixFec] = {}
+        self.fecs: Dict[Tuple[int, int], PrefixFec] = table()
         # (quoted labels, LSE-TTL) -> decoded RFC 4950 stack.
-        self.stacks: Dict[Tuple[Tuple[int, ...], int], tuple] = {}
+        self.stacks: Dict[Tuple[Tuple[int, ...], int], tuple] = table()
         # (gateway address, asn, router) -> the monitor gateway's
         # HopObs; destination address -> the destination host's.
-        self.gateway_hops: Dict[Tuple[int, int, int], object] = {}
-        self.host_hops: Dict[int, object] = {}
+        self.gateway_hops: Dict[Tuple[int, int, int], object] = table()
+        self.host_hops: Dict[int, object] = table()
         # id(steps) -> (steps, plain IP HopObs tuple).
-        self.ip_hops: Dict[int, tuple] = {}
+        self.ip_hops: Dict[int, tuple] = table()
         # (id(steps), label generation, ttl_propagate) -> (steps, LDP
         # HopObs tuple).
-        self.ldp_hops: Dict[Tuple[int, int, bool], tuple] = {}
+        self.ldp_hops: Dict[Tuple[int, int, bool], tuple] = table()
 
 
 def _dag_link_ids(dag: SpfResult, entry: int) -> frozenset:

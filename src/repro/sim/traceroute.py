@@ -32,9 +32,11 @@ RFC 4884/4950 reply bytes depend only on the MPLS object (the quoted
 probe datagram is skipped by the decoder), so every probe expiring with
 the same stack, in any snapshot, decodes to the same tuple — each
 distinct stack still takes the real encode + decode round trip once.
-Like the DataPlane's memos it is bypassed when ``dataplane.memoize`` is
-off; its hit/miss counters are per engine and flushed to
-:mod:`repro.obs` after each ``trace_all`` or single ``trace``.
+Both tables come from ``dataplane.decisions``, so when
+``dataplane.memoize`` is off they forget like the DataPlane's own and
+every stack is decoded afresh, each counted as a miss.  The hit/miss
+counters are per engine and flushed to :mod:`repro.obs` after each
+``trace_all`` or single ``trace``.
 
 ``trace_all`` tallies probes, unanswered probes and traces per stop
 reason locally and publishes each counter once per call (stop reasons
@@ -50,14 +52,19 @@ it reads no clock and records no children.
 from __future__ import annotations
 
 from itertools import chain
-from typing import List, Optional
+from typing import List
 
 from ..igp.ecmp import flow_hash, fold, fold_ramp
 from ..mpls.lse import LabelStack, LabelStackEntry
 from ..net.icmp import TimeExceeded, build_probe_quote
 from ..obs import NullClock, Span, emit, get_registry, get_tracer
 from ..traces import StopReason, Trace, TraceHop, make_hop
-from .dataplane import DataPlane, HopObs, UnreachableError
+from .dataplane import (
+    DataPlane,
+    HopObs,
+    UnreachableError,
+    publish_cache_deltas,
+)
 from .monitors import Monitor
 
 _LOSS_SCALE = float(1 << 64)
@@ -132,11 +139,6 @@ class TracerouteEngine:
         self.loss_rate = loss_rate
         self.gap_limit = gap_limit
         self.max_ttl = max_ttl
-        decisions = dataplane.decisions
-        self._stack_cache: Optional[dict] = \
-            decisions.stacks if decisions is not None else None
-        self._gateway_hops: Optional[dict] = \
-            decisions.gateway_hops if decisions is not None else None
         self.stack_cache_hits = 0
         self.stack_cache_misses = 0
         self._flushed = [0, 0]
@@ -264,18 +266,10 @@ class TracerouteEngine:
         forward theirs to the parent bus, so serial and sharded runs
         report cache totals from these events alike.
         """
-        deltas = dict(self.dataplane.flush_cache_metrics())
-        if self._stack_cache is not None:
-            flushed = self._flushed
-            for index, (name, counter, value) in enumerate((
-                    ("stack_hits", _STACK_HITS, self.stack_cache_hits),
-                    ("stack_misses", _STACK_MISSES,
-                     self.stack_cache_misses))):
-                delta = value - flushed[index]
-                if delta:
-                    counter.inc(delta)
-                deltas[name] = delta
-                flushed[index] = value
+        deltas = publish_cache_deltas(self._flushed, (
+            ("stack_hits", _STACK_HITS, self.stack_cache_hits),
+            ("stack_misses", _STACK_MISSES, self.stack_cache_misses)),
+            self.dataplane.flush_cache_metrics())
         hits = sum(value for name, value in deltas.items()
                    if name.endswith("_hits"))
         misses = sum(value for name, value in deltas.items()
@@ -289,30 +283,26 @@ class TracerouteEngine:
         """Traceroute's first hop, the monitor's gateway, as the
         study's flyweight (keyed by the ints it is built from, not by
         the monitor, whose dataclass hash runs in Python)."""
-        cache = self._gateway_hops
+        cache = self.dataplane.decisions.gateway_hops
         key = (monitor.gateway_addr, monitor.asn,
                monitor.attachment_router)
-        hop = cache.get(key) if cache is not None else None
+        hop = cache.get(key)
         if hop is None:
-            hop = HopObs(asn=monitor.asn,
-                         router_id=monitor.attachment_router,
-                         address=monitor.gateway_addr)
-            if cache is not None:
-                cache[key] = hop
+            hop = cache[key] = HopObs(asn=monitor.asn,
+                                      router_id=monitor.attachment_router,
+                                      address=monitor.gateway_addr)
         return hop
 
     def _quoted_stack(self, monitor: Monitor, dst_addr: int, ttl: int,
                       obs: HopObs) -> tuple:
         """The label stack a labelled RFC 4950 hop's reply quotes."""
-        cache = self._stack_cache
-        if cache is None:
-            return self._decode_stack(monitor, dst_addr, ttl, obs)
+        cache = self.dataplane.decisions.stacks
         key = (obs.labels, obs.lse_ttl)
         stack = cache.get(key)
         if stack is None:
             self.stack_cache_misses += 1
-            stack = self._decode_stack(monitor, dst_addr, ttl, obs)
-            cache[key] = stack
+            stack = cache[key] = self._decode_stack(monitor, dst_addr,
+                                                    ttl, obs)
         else:
             self.stack_cache_hits += 1
         return stack

@@ -351,6 +351,22 @@ def diff_cycles(reference: List[CycleResult],
     return None
 
 
+def find_divergence(reference: List[CycleResult], reference_end: tuple,
+                    results: List[CycleResult], run: Optional[StudyRun],
+                    config: VerifyConfig) -> Optional[Divergence]:
+    """A configuration's first divergence from the reference: its cycle
+    results (:func:`diff_cycles`), then, when it ran a study, its end
+    state against the reference's fingerprint ``reference_end``."""
+    divergence = diff_cycles(reference, results, config)
+    if divergence is None and run is not None \
+            and state_fingerprint(run.simulator.internet) != reference_end:
+        divergence = Divergence(
+            config=config.name, stage="end-state", cycle=None,
+            entries=(DiffEntry("state_fingerprint", "<reference>",
+                               "<differs>"),))
+    return divergence
+
+
 def _mid_cycle(spec: StudySpec) -> int:
     """Where the staged crash of a ``resume`` config fires."""
     return max(1, (spec.cycles + 1) // 2)
@@ -482,17 +498,11 @@ def run_matrix(spec: StudySpec,
             emit("verify.config", config=config.name, status="error",
                  error=str(error))
             continue
-        end = (state_fingerprint(run.simulator.internet)
-               if run is not None else None)
+        # Diffed before the audit's state round trip restores the run.
+        divergence = find_divergence(reference.results, reference_end,
+                                     results, run, config)
         violated = audit(results, run, run_delta, config=config.name)
         report.violations.extend(violated)
-        divergence = diff_cycles(reference.results, results, config)
-        if divergence is None and end is not None \
-                and end != reference_end:
-            divergence = Divergence(
-                config=config.name, stage="end-state", cycle=None,
-                entries=(DiffEntry("state_fingerprint",
-                                   "<reference>", "<differs>"),))
         outcome = ConfigOutcome(config=config, divergence=divergence,
                                 cycles=len(results), violations=violated)
         report.outcomes.append(outcome)

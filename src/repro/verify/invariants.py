@@ -189,10 +189,10 @@ def filter_drop_counters(result: CycleResult) -> List[str]:
 def cache_accounting(run: Any, delta: Mapping[str, Any]) -> List[str]:
     """Every probe resolves its route exactly once: hit or miss.
 
-    Over a memoized run, ``route_cache_hits + route_cache_misses``
-    equals ``sim_traces_total`` (DESIGN §8); an unmemoized run keeps
-    both counters at zero.  Negative counter deltas are impossible by
-    construction and flagged unconditionally.
+    ``route_cache_hits + route_cache_misses`` equals
+    ``sim_traces_total`` over every run (DESIGN §8); an unmemoized one
+    counts each lookup as a miss.  Negative counter deltas are
+    impossible by construction and flagged unconditionally.
     """
     traces = delta_total(delta, "sim_traces_total")
     hits = delta_total(delta, "route_cache_hits_total")
@@ -206,7 +206,7 @@ def cache_accounting(run: Any, delta: Mapping[str, Any]) -> List[str]:
             problems.append(
                 f"cache counter went backwards: {name}="
                 f"{delta_total(delta, name):g}")
-    if hits + misses and hits + misses != traces:
+    if hits + misses != traces:
         problems.append(
             f"route cache accounted for {hits + misses:g} probes, "
             f"but {traces:g} traces were simulated")

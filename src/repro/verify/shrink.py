@@ -28,12 +28,12 @@ from pathlib import Path
 from typing import Optional
 
 from ..obs import emit, get_registry
-from ..par import StudySpec, run_study
+from ..par import StudySpec
 from .differential import (
     Divergence,
     VerifyConfig,
-    diff_cycles,
     execute_config,
+    find_divergence,
     repro_command,
     state_fingerprint,
 )
@@ -66,17 +66,15 @@ def _still_diverges(spec: StudySpec, config: VerifyConfig,
     the cut went too far, so the candidate is rejected.
     """
     try:
-        reference = run_study(spec, workers=1)
+        reference_results, reference, _ = execute_config(
+            spec, VerifyConfig(name="reference", memoize=spec.memoize),
+            workdir)
         results, run, _ = execute_config(spec, config, workdir)
     except Exception:
         return None
-    divergence = diff_cycles(reference.results, results, config)
-    if divergence is None and run is not None \
-            and state_fingerprint(run.simulator.internet) \
-            != state_fingerprint(reference.simulator.internet):
-        divergence = Divergence(config=config.name, stage="end-state",
-                                cycle=None)
-    return divergence
+    return find_divergence(
+        reference_results, state_fingerprint(reference.simulator.internet),
+        results, run, config)
 
 
 class _Shrinker:

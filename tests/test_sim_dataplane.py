@@ -311,13 +311,15 @@ class TestMemoization:
         internet = build(MplsPolicy(enabled=True, ldp=True), ecmp=2)
         cached = DataPlane(internet)
         uncached = DataPlane(internet, memoize=False)
-        assert uncached.route_cache is None
         for asn in (DST_AS, OTHER_DST_AS):
             dst = a_destination(internet, asn)
             for flow_id in range(4):
                 assert cached.forward_path(
                     SRC_AS, 1, 99, dst, flow_id) == \
                     uncached.forward_path(SRC_AS, 1, 99, dst, flow_id)
+        # The uncached plane resolves every route afresh.
+        cache = uncached.route_cache
+        assert (cache.misses, cache.hits) == (8, 0)
 
     def test_route_cache_counts_once_per_forward(self):
         internet = build()
@@ -488,14 +490,17 @@ class TestStudyScopedDecisions:
                          ecmp=2, multi_link=True)
         dataplane = DataPlane(internet, egress_noise=0.5,
                               memoize=False)
-        assert dataplane.decisions is None
         for dst, _ in internet.destination_addresses():
             dataplane.forward_path(SRC_AS, 1, 99, dst, 1)
-        decisions = internet.decision_cache
-        # The hop tables (``ip_hops``, ``ldp_hops``) included.
-        assert not any(getattr(decisions, name)
-                       for name in decisions.__slots__)
-        assert dataplane.hop_cache_hits == dataplane.hop_cache_misses == 0
+        # Neither the study's table nor the plane's own keeps anything
+        # (the hop tables ``ip_hops``, ``ldp_hops`` included) ...
+        for decisions in (internet.decision_cache, dataplane.decisions):
+            assert not any(getattr(decisions, name)
+                           for name in decisions.__slots__)
+        assert not dataplane._plans and not dataplane._te_hops
+        # ... so every hop tuple is built afresh, each one a miss.
+        assert dataplane.hop_cache_hits == 0
+        assert dataplane.hop_cache_misses > 0
 
     def test_later_eras_hit_the_study_route_table(self):
         internet = build()
@@ -673,11 +678,11 @@ class TestStudyScopedHops:
         fresh = DataPlane(internet, memoize=False)
         expected = [fresh.forward_path(SRC_AS, 1, 99, dst)
                     for dst in dsts]
-        # DataPlanes owning their own SegmentCache free their segment
-        # lists with them, so a list's id can come back on a new one.
+        # A replaced SegmentCache frees its segment lists, so a list's
+        # id can come back on a new one.
         for era in range(6):
-            dataplane = DataPlane(internet, era=era,
-                                  cache=SegmentCache())
+            internet.segment_cache = SegmentCache()
+            dataplane = DataPlane(internet, era=era)
             assert [dataplane.forward_path(SRC_AS, 1, 99, dst)
                     for dst in dsts] == expected
             del dataplane
@@ -686,8 +691,8 @@ class TestStudyScopedHops:
     def test_hit_requires_the_very_segment_it_was_built_from(self):
         internet = build(_LDP, ecmp=2, transit_routers=12)
         dsts = [dst for dst, _ in internet.destination_addresses()]
-        cache = SegmentCache()
-        first = DataPlane(internet, cache=cache)
+        internet.segment_cache = SegmentCache()
+        first = DataPlane(internet)
         expected = [first.forward_path(SRC_AS, 1, 99, dst)
                     for dst in dsts]
         # Forge the reused-id hazard: every key now maps to an entry
@@ -698,7 +703,7 @@ class TestStudyScopedHops:
             for key, (steps, hops) in list(table.items()):
                 table[key] = (list(steps), hops[::-1])
                 forged += 1
-        second = DataPlane(internet, era=1, cache=cache)
+        second = DataPlane(internet, era=1)
         assert [second.forward_path(SRC_AS, 1, 99, dst)
                 for dst in dsts] == expected
         # Each forged entry is rebuilt once, never served.

@@ -210,13 +210,13 @@ class TestMplsLifecycle:
                                         mpls_pair_fraction=0.4))
         active_small = {
             (i, e) for i in range(3) for e in range(3) if i != e
-            and network.ldp_pair_active(i, e)
+            and network.ldp_pair_active(i, e, internet.decision_cache)
         }
         network.apply_policy(MplsPolicy(enabled=True,
                                         mpls_pair_fraction=0.9))
         active_big = {
             (i, e) for i in range(3) for e in range(3) if i != e
-            and network.ldp_pair_active(i, e)
+            and network.ldp_pair_active(i, e, internet.decision_cache)
         }
         assert active_small <= active_big
 

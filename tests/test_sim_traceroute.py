@@ -344,9 +344,12 @@ class TestStudyScopedStackMemo:
         fresh = TracerouteEngine(DataPlane(internet, memoize=False),
                                  loss_rate=0.0)
         memoized = TracerouteEngine(DataPlane(internet), loss_rate=0.0)
-        assert fresh.trace(monitors[0], dst) \
-            == memoized.trace(monitors[0], dst)
-        assert fresh.stack_cache_hits == fresh.stack_cache_misses == 0
+        trace = fresh.trace(monitors[0], dst)
+        assert trace == memoized.trace(monitors[0], dst)
+        quoted = sum(1 for hop in trace.hops if hop.quoted_stack)
+        assert quoted
+        assert (fresh.stack_cache_hits, fresh.stack_cache_misses) \
+            == (0, quoted)
 
 
 def _per_probe_trace(engine, monitor, dst):

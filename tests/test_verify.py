@@ -9,8 +9,8 @@ from repro.cli import main
 from repro.core.filters import FilterStats
 from repro.core.pipeline import LprPipeline
 from repro.analysis.flightreport import flight_report
-from repro.obs import (EventBus, get_event_bus, get_registry,
-                       read_events, set_event_bus)
+from repro.obs import (EventBus, delta_total, get_event_bus,
+                       get_registry, read_events, set_event_bus)
 from repro.par import CheckpointStore, StudySpec, run_study
 from repro.sim.dataplane import DataPlane
 from repro.verify import (
@@ -52,10 +52,8 @@ def _broken_resolve(original):
     """A stale-cache bug: memoized lookups perturb some AS paths."""
     def resolve(self, src_asn, dst_addr):
         origin, as_path, prefix = original(self, src_asn, dst_addr)
-        decisions = self.decisions
-        if (origin is not None and decisions is not None
-                and dst_addr % 7 == 0
-                and (src_asn, dst_addr >> 8) in decisions.routes):
+        if (origin is not None and dst_addr % 7 == 0
+                and (src_asn, dst_addr >> 8) in self.decisions.routes):
             return origin, as_path[:1] + as_path[1:][::-1], prefix
         return origin, as_path, prefix
     return resolve
@@ -150,9 +148,24 @@ class TestRunCheckers:
         problems = cache_accounting(mock.Mock(), delta)
         assert any("90" in problem for problem in problems)
 
-    def test_unmemoized_run_is_exempt(self):
+    def test_traces_without_route_lookups_fire(self):
+        """Unmemoized runs count every lookup as a miss, so traces
+        with no lookup at all are flagged too."""
         delta = {"sim_traces_total": _delta(100.0)}
-        assert cache_accounting(mock.Mock(), delta) == []
+        problems = cache_accounting(mock.Mock(), delta)
+        assert any("accounted for 0 probes" in problem
+                   for problem in problems)
+
+    def test_unmemoized_run_counts_every_lookup_a_miss(self):
+        registry = get_registry()
+        before = registry.snapshot()
+        run = run_study(replace(SPEC, memoize=False), workers=1)
+        delta = registry.diff(before, registry.snapshot())
+        traces = delta_total(delta, "sim_traces_total")
+        assert traces > 0
+        assert delta_total(delta, "route_cache_hits_total") == 0
+        assert delta_total(delta, "route_cache_misses_total") == traces
+        assert cache_accounting(run, delta) == []
 
     def test_negative_cache_counter_fires(self):
         delta = {"hop_cache_hits_total": _delta(-1.0)}
@@ -412,7 +425,7 @@ class TestBrokenPlanDetection:
 
         def plan(self, network, entry, target, internal):
             built = original(self, network, entry, target, internal)
-            if self._plans is not None and built.te_sessions:
+            if self.memoize and built.te_sessions:
                 dropped.append(built)
                 built.te_sessions = ()
             return built
@@ -436,7 +449,7 @@ class TestReferenceRun:
         cached = []
 
         def plan(self, network, entry, target, internal):
-            cached.append(self._plans is not None)
+            cached.append(self.memoize)
             return original(self, network, entry, target, internal)
 
         with mock.patch.object(DataPlane, "_plan", plan):
