@@ -9,19 +9,24 @@ tunnel.  If both hold, the label-based inference is corroborated by an
 entirely independent mechanism.
 
 :func:`validate_classification` runs that campaign over classified
-IOTPs and reports agreement rates.
+IOTPs and reports agreement rates.  It is the only part of
+:mod:`repro.core` that drives the simulator, so it imports
+:class:`~repro.sim.mda.MdaProber` when it runs: importing the LPR
+pipeline loads no :mod:`repro.sim` (DESIGN §3, import layering).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Set, Tuple
 
-from ..sim.dataplane import DataPlane
-from ..sim.mda import MdaProber, MdaResult
-from ..sim.monitors import Monitor
 from .classification import ClassificationResult, TunnelClass
 from .model import Iotp, IotpKey
+
+if TYPE_CHECKING:
+    from ..sim.dataplane import DataPlane
+    from ..sim.mda import MdaProber
+    from ..sim.monitors import Monitor
 
 
 @dataclass
@@ -87,6 +92,8 @@ def validate_classification(
     ``monitors`` maps monitor names (as recorded in the LSPs) to
     :class:`Monitor` objects.
     """
+    from ..sim.mda import MdaProber
+
     report = ValidationReport()
     probers: Dict[str, MdaProber] = {}
     for key in sorted(iotps):

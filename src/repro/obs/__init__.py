@@ -28,7 +28,10 @@ registry, health, progress and event tail over HTTP while a study
 runs; :mod:`repro.obs.resources` samples per-process RSS/CPU/GC on
 every heartbeat; :class:`StallWatchdog` (:mod:`repro.obs.watchdog`)
 flags shards whose heartbeats go silent past a deadline.  All of it is
-opt-in and clock-injected, so the determinism contract holds.
+opt-in and clock-injected, so the determinism contract holds.  The
+server's HTTP transport loads in :meth:`TelemetryServer.start`:
+importing this package loads no ``http.server`` (DESIGN §3, import
+layering).
 """
 
 from .log import configure as configure_logging

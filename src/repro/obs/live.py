@@ -26,6 +26,11 @@ can never perturb results; byte-identity of a telemetry-served run
 against a bare serial one is asserted end-to-end in the flight-recorder
 tests (DESIGN §6).
 
+The HTTP transport loads in :meth:`TelemetryServer.start`: importing
+this module (or :mod:`repro.obs`, or the CLI) loads no ``http.server``,
+``ssl`` or ``email``, so the processes that never serve — every serial
+study, every ``repro classify``, every pool worker — never pay for them.
+
 :class:`HealthMonitor` is the tiny shared truth behind ``/healthz``,
 and an event-bus subscriber (:meth:`HealthMonitor.on_event`): any
 event is a beat, ``shard.stalled``/``shard.recovered`` (judged by the
@@ -38,7 +43,6 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -153,36 +157,6 @@ class HealthMonitor:
             }
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin HTTP shim: all routing lives in TelemetryServer.respond."""
-
-    server_version = "repro-telemetry"
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        telemetry = self.server.telemetry  # type: ignore[attr-defined]
-        try:
-            status, content_type, body = telemetry.respond(self.path)
-        except Exception as error:  # never kill the serving thread
-            status, content_type = 500, "text/plain; charset=utf-8"
-            body = f"telemetry error: {error}\n".encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # scraper went away mid-response
-
-    def log_message(self, format: str, *args: Any) -> None:
-        pass  # scrapes must not spam the study's stderr
-
-
-class _TelemetryHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    telemetry: "TelemetryServer"
-
-
 class TelemetryServer:
     """Serves /metrics, /healthz, /progress and /events for one study.
 
@@ -204,7 +178,7 @@ class TelemetryServer:
         self._bus = bus
         self.health = health or HealthMonitor()
         self._tracker: Optional[ProgressTracker] = None
-        self._httpd: Optional[_TelemetryHTTPServer] = None
+        self._httpd: Any = None  # a ThreadingHTTPServer once started
         self._thread: Optional[threading.Thread] = None
 
     def set_tracker(self, tracker: Optional[ProgressTracker]) -> None:
@@ -220,8 +194,38 @@ class TelemetryServer:
     def start(self) -> "TelemetryServer":
         if self._httpd is not None:
             return self
-        httpd = _TelemetryHTTPServer((self.host, self.port), _Handler)
-        httpd.telemetry = self
+        # The transport loads here, not at import: the plane is opt-in,
+        # and http.server pulls in the ssl and email packages.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        telemetry = self
+
+        class Handler(BaseHTTPRequestHandler):
+            """Thin HTTP shim: all routing lives in :meth:`respond`."""
+
+            server_version = "repro-telemetry"
+
+            def do_GET(self) -> None:  # noqa: N802 (http.server API)
+                try:
+                    status, content_type, body = telemetry.respond(
+                        self.path)
+                except Exception as error:  # never kill the serving thread
+                    status, content_type = 500, "text/plain; charset=utf-8"
+                    body = f"telemetry error: {error}\n".encode("utf-8")
+                self.send_response(status)
+                self.send_header("Content-Type", content_type)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                try:
+                    self.wfile.write(body)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # scraper went away mid-response
+
+            def log_message(self, format: str, *args: Any) -> None:
+                pass  # scrapes must not spam the study's stderr
+
+        # ThreadingHTTPServer serves each request on a daemon thread.
+        httpd = ThreadingHTTPServer((self.host, self.port), Handler)
         self.host, self.port = httpd.server_address[:2]
         self._httpd = httpd
         self._thread = threading.Thread(

@@ -12,14 +12,17 @@ allocators, TE sessions and all.
 plans shards over the missing cycles
 (:func:`~repro.par.shard.plan_shards`) and runs them — in-process on
 the parent's own simulator with one worker, on a process pool
-otherwise.  Both executors run a shard's cycles through one loop
-(:func:`_run_cycles`), which fires staged faults
-(:mod:`repro.par.faults`) by cycle and, when checkpointing, encodes
-each cycle's entry in the process that ran it, so cycle *k*'s bytes
-are the same whatever the layout (DESIGN §8).  Results are assembled
-in cycle order and the parent simulator ends in the campaign's end
-state, so post-study experiments (Figs 6, 16, 17 re-run cycles on top
-of it) see exactly what an uninterrupted serial run leaves behind.
+otherwise.  The pool's modules (``multiprocessing``,
+``concurrent.futures``) load on the first pool round, so a serial
+study never loads them (DESIGN §3, import layering).  Both executors
+run a shard's cycles through one loop (:func:`_run_cycles`), which
+fires staged faults (:mod:`repro.par.faults`) by cycle and, when
+checkpointing, encodes each cycle's entry in the process that ran it,
+so cycle *k*'s bytes are the same whatever the layout (DESIGN §8).
+Results are assembled in cycle order and the parent simulator ends in
+the campaign's end state, so post-study experiments (Figs 6, 16, 17
+re-run cycles on top of it) see exactly what an uninterrupted serial
+run leaves behind.
 
 The runner is also the **flight recorder's** main instrument
 (DESIGN §9): it emits study/shard/cycle lifecycle events and a
@@ -35,13 +38,7 @@ study span so ``--profile`` and ``--trace-out`` account for time spent
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -302,6 +299,8 @@ def _pool_context():
     imports); spawn otherwise.  Workers derive everything from the
     pickled spec either way, so the start method never affects output.
     """
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
@@ -412,6 +411,12 @@ def run_study(spec: StudySpec, workers: int = 1, *,
         are still in flight.  A shard flagged stalled is unflagged once
         its future resolves, result or error.
         """
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+
         profile = not isinstance(get_tracer().clock, NullClock)
         executed: List[ShardResult] = []
         failed: List[Tuple[Shard, BaseException]] = []

@@ -329,6 +329,10 @@ def label_dynamics_campaign(simulator: ArkSimulator, cycle: int,
     advance — successive traces then show the label sawtooth of Fig 17.
     Occasional event-driven re-optimizations are thrown in, matching the
     paper's observation that some step durations differ.
+
+    The data plane (and its engine) is rebuilt only when the control
+    plane changed — at the first probe and after each re-optimization —
+    so the probes between two re-optimizations share its walk plans.
     """
     plan = simulator.scenario.plan(cycle)
     simulator.internet.apply_policies(plan.policies)
@@ -336,6 +340,7 @@ def label_dynamics_campaign(simulator: ArkSimulator, cycle: int,
     monitor, destination = _flow_through(simulator, target_asn, cycle)
     traces: List[Trace] = []
     probes_per_reopt = max(1, reoptimize_interval_s // probe_interval_s)
+    engine = None
     for probe_index in range(probes):
         timer_fired = probe_index % probes_per_reopt == 0
         event_fired = flow_hash(0xFEED, cycle, probe_index) % 97 == 0
@@ -343,11 +348,13 @@ def label_dynamics_campaign(simulator: ArkSimulator, cycle: int,
             if network.rsvp is not None:
                 network.rsvp.reoptimize_all()
             network.churn_labels(churn_per_tick)
-        engine = TracerouteEngine(
-            DataPlane(simulator.internet, memoize=simulator.memoize),
-            seed=flow_hash(simulator.scenario.universe.seed, 0xF17),
-            loss_rate=0.0,
-        )
+            engine = None
+        if engine is None:
+            engine = TracerouteEngine(
+                DataPlane(simulator.internet, memoize=simulator.memoize),
+                seed=flow_hash(simulator.scenario.universe.seed, 0xF17),
+                loss_rate=0.0,
+            )
         traces.append(engine.trace(
             monitor, destination,
             timestamp=probe_index * float(probe_interval_s),
@@ -395,9 +402,19 @@ def _rides_te_tunnel(dataplane: DataPlane, network, monitor: Monitor,
         return False
     # TE labels live in per-session LFIBs, and allocators are per
     # router: the first labelled hop rides a tunnel when some session
-    # bound that very label at that very router.
+    # bound that very label at that very router.  Without TTL
+    # propagation the LSRs stay hidden and the one revealing exit hop
+    # quotes the label its predecessor on the session's route bound
+    # (DataPlane._mpls_hops).
     if network.rsvp is None:
         return False
     hop = labelled[0]
-    return any(session.labels.get(hop.router_id) == hop.labels[0]
-               for session in network.rsvp.sessions)
+    label = hop.labels[0]
+    if network.policy.ttl_propagate:
+        return any(session.labels.get(hop.router_id) == label
+                   for session in network.rsvp.sessions)
+    return any(router == hop.router_id
+               and session.labels.get(previous) == label
+               for session in network.rsvp.sessions
+               for previous, router in zip(session.routers,
+                                           session.routers[1:]))

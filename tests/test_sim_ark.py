@@ -7,11 +7,22 @@ import pickle
 from repro.igp.ecmp import flow_hash
 from repro.obs import FakeClock, Tracer, get_tracer, set_tracer
 from repro.sim import ArkSimulator, paper_scenario
-from repro.sim.ark import daily_campaign, label_dynamics_campaign
+from repro.sim import ark
+from repro.sim.ark import (
+    _flow_through,
+    _rides_te_tunnel,
+    daily_campaign,
+    label_dynamics_campaign,
+)
 from repro.sim.config import MplsPolicy
-from repro.sim.monitors import split_into_teams
+from repro.sim.dataplane import DataPlane
+from repro.sim.monitors import Monitor, split_into_teams
+from repro.sim.network import AsNetwork
 from repro.sim.scenarios import LEVEL3, LEVEL3_RISE_CYCLE, VODAFONE
+from repro.sim.traceroute import TracerouteEngine
 from repro.traces import StopReason
+
+from test_sim_dataplane import SRC_AS, TRANSIT, a_destination, build
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +196,126 @@ class TestCampaigns:
                         .add(hop.labels[0])
         assert labels_by_addr
         assert any(len(labels) > 1 for labels in labels_by_addr.values())
+
+
+def _per_probe_reference(simulator, cycle, target_asn, probes,
+                         probe_interval_s=120, reoptimize_interval_s=3600,
+                         churn_per_tick=900):
+    """label_dynamics_campaign as it was first written: a fresh data
+    plane and engine for every probe."""
+    plan = simulator.scenario.plan(cycle)
+    simulator.internet.apply_policies(plan.policies)
+    network = simulator.internet.network(target_asn)
+    monitor, destination = _flow_through(simulator, target_asn, cycle)
+    probes_per_reopt = max(1, reoptimize_interval_s // probe_interval_s)
+    traces = []
+    for probe_index in range(probes):
+        timer_fired = probe_index % probes_per_reopt == 0
+        event_fired = flow_hash(0xFEED, cycle, probe_index) % 97 == 0
+        if probe_index and (timer_fired or event_fired):
+            if network.rsvp is not None:
+                network.rsvp.reoptimize_all()
+            network.churn_labels(churn_per_tick)
+        engine = TracerouteEngine(
+            DataPlane(simulator.internet, memoize=simulator.memoize),
+            seed=flow_hash(simulator.scenario.universe.seed, 0xF17),
+            loss_rate=0.0,
+        )
+        traces.append(engine.trace(
+            monitor, destination,
+            timestamp=probe_index * float(probe_interval_s)))
+    return traces
+
+
+class TestLabelDynamicsRebuilds:
+    """The Fig 17 campaign rebuilds its data plane per control-plane
+    state, not per probe, and traces exactly what a per-probe rebuild
+    traces."""
+
+    def test_one_data_plane_per_control_plane_state(self, monkeypatch):
+        simulator = ArkSimulator(paper_scenario(scale=0.5, seed=3))
+        built, changes = [], []
+
+        class CountingDataPlane(DataPlane):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        churn_labels = AsNetwork.churn_labels
+
+        def counting_churn(network, *args, **kwargs):
+            changes.append(1)
+            return churn_labels(network, *args, **kwargs)
+
+        monkeypatch.setattr(ark, "DataPlane", CountingDataPlane)
+        monkeypatch.setattr(AsNetwork, "churn_labels", counting_churn)
+        traces = label_dynamics_campaign(
+            simulator, cycle=45, target_asn=VODAFONE, probes=60,
+            reoptimize_interval_s=1200)
+        assert len(traces) == 60
+        assert changes  # the timer fired at least once
+        # One plane for the flow search, then one per state.
+        assert len(built) == 1 + 1 + len(changes)
+
+    @pytest.mark.parametrize("memoize", [True, False])
+    def test_traces_match_a_per_probe_rebuild(self, memoize):
+        def fresh():
+            return ArkSimulator(paper_scenario(scale=0.5, seed=3),
+                                memoize=memoize)
+
+        traces = label_dynamics_campaign(
+            fresh(), cycle=45, target_asn=VODAFONE, probes=60,
+            reoptimize_interval_s=1200)
+        reference = _per_probe_reference(
+            fresh(), cycle=45, target_asn=VODAFONE, probes=60,
+            reoptimize_interval_s=1200)
+        assert traces == reference
+        # The labels do move: the comparison spans several states.
+        assert len({tuple(hop.labels for hop in trace.hops)
+                    for trace in traces}) > 1
+
+
+class TestRidesTeTunnel:
+    """The Fig 17 flow finder on the linear test topology, one TE
+    tunnel (or none) per border pair of the transit."""
+
+    @staticmethod
+    def _probe(policy):
+        internet = build(policy)
+        network = internet.network(TRANSIT)
+        dataplane = DataPlane(internet)
+        monitor = Monitor("mon", SRC_AS, attachment_router=1,
+                          gateway_addr=0, src_addr=99)
+        dst = a_destination(internet)
+        hops = dataplane.forward_path(SRC_AS, 1, 99, dst)
+        labelled = [hop for hop in hops
+                    if hop.asn == TRANSIT and hop.labels]
+        assert labelled  # the flow does cross an LSP
+        return network, labelled[0], _rides_te_tunnel(
+            dataplane, network, monitor, dst, minimum_lsrs=1)
+
+    @pytest.mark.parametrize("ttl_propagate", [True, False])
+    def test_te_tunnel_recognised(self, ttl_propagate):
+        """Without TTL propagation the one revealing exit hop quotes
+        its predecessor's binding, not its own."""
+        _, _, rides = self._probe(MplsPolicy(
+            enabled=True, ldp=False, te_pair_fraction=1.0,
+            te_tunnels_per_pair=1, ttl_propagate=ttl_propagate))
+        assert rides
+
+    @pytest.mark.parametrize("te_pair_fraction", [0.0, 0.3])
+    @pytest.mark.parametrize("ttl_propagate", [True, False])
+    def test_ldp_transit_is_not_a_tunnel(self, ttl_propagate,
+                                         te_pair_fraction):
+        """An LDP LSP stays False, also when (at 0.3) another pair's
+        tunnel ends at the very exit router the flow reveals."""
+        network, hop, rides = self._probe(MplsPolicy(
+            enabled=True, ldp=True, te_pair_fraction=te_pair_fraction,
+            te_tunnels_per_pair=1, ttl_propagate=ttl_propagate))
+        assert not rides
+        if te_pair_fraction and not ttl_propagate:
+            assert any(session.egress == hop.router_id
+                       for session in network.rsvp.sessions)
 
 
 class TestStudyScopedState:
