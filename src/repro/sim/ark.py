@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..igp.ecmp import flow_hash, fold
 from ..obs import get_registry, span
-from ..traces import Trace
+from ..traces import Trace, gc_paused
 from .config import MplsPolicy
 from .dataplane import DataPlane
 from .monitors import Monitor, build_monitors, split_into_teams
@@ -217,9 +217,11 @@ class ArkSimulator:
         ``repro.par`` workers use this to reconstruct their shard's
         starting state from ``(seed, scenario, cycle)`` alone, and the
         parallel runner uses it to leave the parent simulator in the
-        serial end-of-campaign state (DESIGN §8).
+        serial end-of-campaign state (DESIGN §8).  The replay builds
+        whole control planes and frees the previous cycle's, none of
+        it cyclic garbage, so it runs with the collector paused.
         """
-        with span("sim.control"):
+        with span("sim.control"), gc_paused():
             for cycle in range(first, last + 1):
                 self._apply_cycle(cycle)
                 for _ in range(self.snapshots_per_cycle):

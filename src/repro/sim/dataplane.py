@@ -7,13 +7,16 @@ the probe carried when its TTL expired there (what RFC 4950 quotes).
 
 Paris semantics make the path a pure function of (flow key, network
 state), so per-AS segments are enumerated once and cached; a flow then
-just selects one equal-cost segment by hash.  Segments depend only on
-the immutable intra-AS topology (plus any links flapped away this era),
-so the cache — a :class:`~repro.sim.network.SegmentCache` hosted on the
+just selects one equal-cost segment by hash.  Intact segments depend
+only on the immutable intra-AS topology, so their cache — a
+:class:`~repro.sim.network.SegmentCache` hosted on the
 :class:`~repro.sim.network.Internet` — is *shared* across every
 DataPlane of a study: rebuilding the DataPlane each snapshot changes the
 era (the flap/churn draw) without throwing the warm path enumerations
-away.
+away.  Segments under this era's flapped links are filtered from the
+intact ones (recomputed by SPF when no intact shortest path survives
+or the intact list is truncated) and live on the era's walk plans
+only.
 
 Memoization has three scopes (DESIGN §8), all exact, plus the shared
 segment cache above:
@@ -37,9 +40,13 @@ segment cache above:
   :class:`~repro.mpls.lfib.LabelManager` per rebuild, append-only LDP
   bindings within one) and ``ttl_propagate``.  Each entry holds its
   segment list and is checked by identity on a hit, so a key can
-  never outlive the segment it was built from;
-* **era-scoped** — walk plans and TE tunnel hop tuples, both dying
-  with the DataPlane.  A plan, keyed by ``(asn, entry, target,
+  never outlive the segment it was built from.  Only intact step
+  lists (and the surviving ones a flap filters from them) are keyed
+  here;
+* **era-scoped** — walk plans, TE tunnel hop tuples, and IP and LDP
+  hop tuples over step lists SPF rebuilt for the era's flaps
+  (:class:`~repro.sim.network.SpfSegments`), all dying with the
+  DataPlane.  A plan, keyed by ``(asn, entry, target,
   internal)``, holds what the snapshot's control plane decides for
   that AS walk once: the pair's TE sessions, its SR policies (transit
   walks only), the established LDP FEC if the walk rides LDP, and —
@@ -70,7 +77,8 @@ from ..mpls.fec import PrefixFec
 from ..mpls.vendor import get_profile
 from ..net.ip import Prefix
 from ..obs import get_registry
-from .network import AsNetwork, DecisionCache, Forgetful, Internet
+from .network import (AsNetwork, DecisionCache, Forgetful, Internet,
+                      SpfSegments)
 
 _ROUTE_HITS = get_registry().counter(
     "route_cache_hits_total",
@@ -248,8 +256,11 @@ class DataPlane:
         # (asn, entry, target, internal) -> this era's _WalkPlan.
         self._plans: Dict[tuple, _WalkPlan] = table()
         # Hop tuples as (steps, hops) entries: TE per era, IP and LDP
-        # in the study's decision table.
+        # in the study's decision table -- except over step lists SPF
+        # rebuilt for this era's flaps, which go in ``_era_hops``
+        # (keyed like the study tables: an int for IP, a tuple for LDP).
         self._te_hops: Dict[tuple, tuple] = table()
+        self._era_hops: Dict[object, tuple] = table()
         self.hop_cache_hits = 0
         self.hop_cache_misses = 0
         self._flushed = [0, 0, 0, 0]
@@ -523,9 +534,10 @@ class DataPlane:
         and the frozen :class:`HopObs` flyweights can be shared across
         traces.  IP and LDP tuples live in the study's
         :class:`DecisionCache` (keyed by the segment, plus the label
-        generation and ``ttl_propagate`` for LDP); TE tuples in this
-        era's cache.  SR hops are never cached — their shrinking label
-        stacks depend on the flow's ECMP walk itself.
+        generation and ``ttl_propagate`` for LDP), except over step
+        lists SPF rebuilt for this era's flaps; those and TE tuples
+        live in this era's tables.  SR hops are never cached — their
+        shrinking label stacks depend on the flow's ECMP walk itself.
         """
         if entry == target:
             return ()
@@ -555,7 +567,8 @@ class DataPlane:
             # Links flapped this era: the DAG of the reduced topology
             # (the intact one if the flap would disconnect the pair —
             # a flap on the only path reconverges before traffic is
-            # affected at our observation timescale).
+            # affected at our observation timescale).  The plan keeps
+            # it for the era; the shared cache stores none of it.
             flapped = self.flapped_links(asn)
             segments = plan.segments = (
                 self._cache.degraded_segments(network, entry, target,
@@ -574,13 +587,18 @@ class DataPlane:
             if draw is None:
                 draw = picks[key] = flow_hash(*key)
             steps = segments[draw % len(segments)]
+        # Step lists SPF rebuilt for this era's flaps die with the era,
+        # and so do the hop tuples built over them.
+        era_scoped = type(segments) is SpfSegments
         bindings = plan.ldp_labels
         if bindings is not None:
-            return self._hops(self.decisions.ldp_hops,
+            return self._hops(self._era_hops if era_scoped
+                              else self.decisions.ldp_hops,
                               (id(steps), network.labels.generation,
                                network.policy.ttl_propagate),
                               network, steps, bindings)
-        return self._hops(self.decisions.ip_hops, id(steps), network,
+        return self._hops(self._era_hops if era_scoped
+                          else self.decisions.ip_hops, id(steps), network,
                           steps, None)
 
     def _sr_hops(self, network: AsNetwork, sr_policy,

@@ -36,6 +36,7 @@ from ..mpls.rsvpte import RsvpTeEngine, TeSession
 from ..mpls.srte import SegmentRoutingEngine
 from ..net.ip import Prefix, ip_to_int
 from ..net.ip2as import Ip2AsMapper
+from ..traces import gc_paused
 from .config import AsSpec, MplsPolicy, UniverseSpec
 
 _TEN = ip_to_int("10.0.0.0")
@@ -541,20 +542,33 @@ class AsNetwork:
                 f"mpls={'on' if self.policy.enabled else 'off'})")
 
 
+class SpfSegments(list):
+    """Step lists recomputed by SPF under one era's withdrawn links.
+
+    Unlike intact step lists, they live only as long as that era's
+    flap draw, so hop tuples built over them are era-scoped too."""
+
+    __slots__ = ()
+
+
 class SegmentCache:
     """Equal-cost segment sets, shared across the forwarding plane.
 
     A *segment* is one ``[(router, link), ...]`` step sequence between
-    two routers of an AS.  Segments depend only on the intra-AS topology
-    (immutable after construction) and on the set of links withdrawn
-    from the IGP — never on MPLS state — so a single cache can serve
-    every :class:`~repro.sim.dataplane.DataPlane` of a whole study:
-    snapshots, cycles and post-study campaigns all hit the same entries
-    instead of re-enumerating DAG paths per era.  A flap that misses
-    the pair's shortest-path DAG leaves its segments intact, so it is
-    served the intact entry; entries computed under withdrawn links
-    that do touch the DAG are keyed by the exact excluded-link set,
-    which makes hits exact across eras and flap rates.
+    two routers of an AS.  Intact segments depend only on the intra-AS
+    topology (immutable after construction) — never on MPLS state — so
+    a single cache serves every :class:`~repro.sim.dataplane.DataPlane`
+    of a whole study: snapshots, cycles and post-study campaigns all
+    hit the same entries instead of re-enumerating DAG paths per era.
+
+    Segments under links withdrawn from the IGP (one era's flap draw)
+    are never stored here: they live as long as that draw, on the
+    era's walk plans.  A flap off the pair's shortest-path DAG is
+    served the intact list itself; one that leaves an intact shortest
+    path standing is served the surviving intact step lists; only a
+    flap that cuts every intact shortest path, or one on a truncated
+    intact list, runs SPF (tallied in ``spf_runs``), and its step
+    lists are fresh :class:`SpfSegments`.
     """
 
     SEGMENT_LIMIT = 64
@@ -564,17 +578,13 @@ class SegmentCache:
         self._base: Dict[Tuple[int, int, int], List[list]] = {}
         # (asn, entry, target) -> link ids of the intact DAG from entry
         self._dag_links: Dict[Tuple[int, int, int], frozenset] = {}
-        # (asn, entry, target, excluded link ids) -> degraded segments
-        self._degraded: Dict[Tuple[int, int, int, frozenset],
-                             List[list]] = {}
-        # Plain-int hit/miss tallies.  Deliberately not registry
-        # counters: the cache is shared internet-wide across eras and
-        # worker layouts, so its totals are per-process observability,
-        # inspected directly by tests and benchmarks.
+        # Plain-int tallies.  Deliberately not registry counters: the
+        # cache is shared internet-wide across eras and worker layouts,
+        # so its totals are per-process observability, inspected
+        # directly by tests and benchmarks.
         self.base_hits = 0
         self.base_misses = 0
-        self.degraded_hits = 0
-        self.degraded_misses = 0
+        self.spf_runs = 0
 
     def base_segments(self, network: AsNetwork, entry: int,
                       target: int) -> List[list]:
@@ -607,33 +617,40 @@ class SegmentCache:
         Successor lists are sorted by ``(neighbor, link_id)``, so
         ``all_paths`` enumerates the same list in the same order.
 
+        When some intact shortest path avoids every excluded link (and
+        the intact list is complete, i.e. shorter than
+        ``SEGMENT_LIMIT``), ``entry``'s distance is unchanged, so the
+        degraded DAG's paths from ``entry`` are exactly the intact
+        shortest paths that avoid the excluded links.  Both DFS
+        enumerations follow ``(neighbor, link_id)`` order, so the
+        surviving intact step lists, in intact order, are the answer:
+        a new list of the very intact step-list objects.
+
         Otherwise the DAG is recomputed without the excluded links,
         falling back to the intact segments when the exclusion would
         disconnect the pair — a flap on the only path reconverges before
-        traffic is affected at our observation timescale.  Those entries
-        are keyed by the exact excluded-link frozenset, so two eras whose
-        flap draws overlap on an AS hit the same entries.
+        traffic is affected at our observation timescale.  Nothing is
+        stored per excluded set: the caller keeps the result for as long
+        as its flap draw lasts.
         """
         pair = (network.asn, entry, target)
         links = self._dag_links.get(pair)
         if links is None:
             links = self._dag_links[pair] = _dag_link_ids(
                 network.spf.to_destination(target), entry)
+        base = self.base_segments(network, entry, target)
         if links.isdisjoint(excluded):
-            return self.base_segments(network, entry, target)
-        key = pair + (excluded,)
-        segments = self._degraded.get(key)
-        if segments is None:
-            self.degraded_misses += 1
-            dag = spf_to(network.topology, target,
-                         excluded_links=excluded)
-            segments = dag.all_paths(entry, limit=self.SEGMENT_LIMIT)
-            if not segments:
-                segments = self.base_segments(network, entry, target)
-            self._degraded[key] = segments
-        else:
-            self.degraded_hits += 1
-        return segments
+            return base
+        if len(base) < self.SEGMENT_LIMIT:
+            surviving = [steps for steps in base if excluded.isdisjoint(
+                [link.link_id for _router, link in steps])]
+            if surviving:
+                return surviving
+        self.spf_runs += 1
+        segments = spf_to(network.topology, target,
+                          excluded_links=excluded).all_paths(
+                              entry, limit=self.SEGMENT_LIMIT)
+        return SpfSegments(segments) if segments else base
 
 
 class Forgetful(dict):
@@ -685,7 +702,9 @@ class DecisionCache:
       one, RSVP-TE binds only its own session FECs), and every rebuild
       — re-enabling MPLS, ``restore_state`` — makes a new manager.
 
-    TE hops stay per era (the DataPlane's own cache); SR hops are
+    Both key only intact step lists, which live as long as the study.
+    TE hops, and IP or LDP hops over step lists SPF rebuilt for one
+    era's flaps, stay per era (the DataPlane's own tables); SR hops are
     never cached.
 
     Derived data only: it never enters :meth:`Internet.capture_state`.
@@ -938,7 +957,9 @@ class Internet:
 
         The snapshot's AS set and per-AS topology shapes must match
         this universe (same spec); anything else raises ValueError
-        rather than silently mixing state across universes.
+        rather than silently mixing state across universes.  The
+        rebuild runs with the collector paused, like
+        :meth:`~repro.sim.ark.ArkSimulator.fast_forward`.
         """
         if state.get("version") != self.STATE_VERSION:
             raise ValueError(
@@ -948,8 +969,9 @@ class Internet:
         if set(networks) != set(self.networks):
             raise ValueError("snapshot AS set does not match this "
                              "universe")
-        for asn in sorted(networks):
-            self.networks[asn].restore_state(networks[asn])
+        with gc_paused():
+            for asn in sorted(networks):
+                self.networks[asn].restore_state(networks[asn])
 
     def __repr__(self) -> str:
         return f"Internet(ases={len(self.networks)})"

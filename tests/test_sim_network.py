@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from repro.bgp.asgraph import Tier
 from repro.igp.spf import spf_to
 from repro.net.ip import Prefix, int_to_ip, ip_to_int
+from repro.sim.ark import ArkSimulator
 from repro.sim.config import AsSpec, MplsPolicy, UniverseSpec
 from repro.sim.dataplane import DataPlane
 from repro.sim.network import (
     Internet,
+    SpfSegments,
     destination_prefix,
     infra_block,
     loopback_address,
@@ -279,21 +281,86 @@ class TestSegmentCacheCounters:
         assert first is second
         assert (cache.base_misses, cache.base_hits) == (1, 1)
 
-    def test_degraded_entries_keyed_by_flapped_set(self):
+    def test_degraded_calls_store_nothing_per_excluded_set(self):
         internet = Internet(tiny_universe())
         cache = internet.segment_cache
         network = internet.network(100)
         on_dag = _dag_links(network, 0, 7)
         assert len(on_dag) >= 2
-        one = frozenset(on_dag[:1])
-        two = frozenset(on_dag[:2])
-        # Two eras whose flap draws overlap on the same AS hit the
-        # same entry; a different excluded set is its own entry.
-        cache.degraded_segments(network, 0, 7, one)
-        cache.degraded_segments(network, 0, 7, one)
-        cache.degraded_segments(network, 0, 7, two)
-        assert cache.degraded_misses == 2
-        assert cache.degraded_hits == 1
+        for excluded in (on_dag[:1], on_dag[:1], on_dag[:2], on_dag):
+            cache.degraded_segments(network, 0, 7, frozenset(excluded))
+        # The calls only warm the pair's intact entries, whatever was
+        # excluded.
+        for table in vars(cache).values():
+            if isinstance(table, dict):
+                assert set(table) <= {(100, 0, 7)}
+
+    def test_flap_cutting_some_paths_serves_the_surviving_ones(self):
+        internet = Internet(tiny_universe())
+        cache = internet.segment_cache
+        network = internet.network(100)
+        base = cache.base_segments(network, 0, 7)
+        assert len(base) >= 2
+        # A link on the first intact path that the last one avoids.
+        last = {link.link_id for _router, link in base[-1]}
+        cut = next(link.link_id for _router, link in base[0]
+                   if link.link_id not in last)
+        degraded = cache.degraded_segments(network, 0, 7,
+                                           frozenset([cut]))
+        survivors = [steps for steps in base
+                     if cut not in [link.link_id for _r, link in steps]]
+        assert survivors and len(survivors) < len(base)
+        assert len(degraded) == len(survivors)
+        assert all(mine is theirs
+                   for mine, theirs in zip(degraded, survivors))
+        assert type(degraded) is list
+        assert cache.spf_runs == 0
+
+    def test_flap_cutting_every_shortest_path_runs_spf(self):
+        internet = Internet(tiny_universe())
+        cache = internet.segment_cache
+        network = internet.network(100)
+        base = cache.base_segments(network, 0, 7)
+        # A link every intact path takes.
+        shared = set.intersection(*({link.link_id for _r, link in steps}
+                                    for steps in base))
+        assert shared
+        excluded = frozenset(sorted(shared)[:1])
+        degraded = cache.degraded_segments(network, 0, 7, excluded)
+        assert cache.spf_runs == 1
+        assert isinstance(degraded, SpfSegments)
+        assert degraded == spf_to(network.topology, 7,
+                                  excluded_links=excluded).all_paths(
+                                      0, limit=cache.SEGMENT_LIMIT)
+
+    def test_truncated_intact_list_runs_spf(self):
+        # AS6453 of the full-scale paper universe has pairs whose intact
+        # enumeration stops at SEGMENT_LIMIT; filtering such a list
+        # would miss the shortest paths past the cut.
+        internet = Internet(build_universe(scale=1.0))
+        cache = internet.segment_cache
+        network = internet.network(6453)
+        limit = cache.SEGMENT_LIMIT
+        entry, target = next(
+            (entry, target) for entry in sorted(network.topology.routers)
+            for target in sorted(network.topology.routers)
+            if len(cache.base_segments(network, entry, target)) == limit)
+        base = cache.base_segments(network, entry, target)
+        for _router, link in base[0]:
+            excluded = frozenset([link.link_id])
+            reference = spf_to(network.topology, target,
+                               excluded_links=excluded).all_paths(
+                                   entry, limit=limit)
+            filtered = [steps for steps in base if link.link_id
+                        not in [step.link_id for _r, step in steps]]
+            if filtered and filtered != reference:
+                break
+        else:
+            pytest.fail("no flap where filtering the truncated list errs")
+        runs = cache.spf_runs
+        assert cache.degraded_segments(network, entry, target,
+                                       excluded) == reference
+        assert cache.spf_runs == runs + 1
 
     def test_flap_off_the_dag_serves_the_intact_segments(self):
         internet = Internet(tiny_universe())
@@ -304,7 +371,7 @@ class TestSegmentCacheCounters:
         assert off_dag
         base = cache.base_segments(network, 0, 7)
         assert cache.degraded_segments(network, 0, 7, off_dag) is base
-        assert (cache.degraded_misses, cache.degraded_hits) == (0, 0)
+        assert cache.spf_runs == 0
 
     def test_dataplanes_of_different_eras_share_the_cache(self):
         internet = Internet(tiny_universe())
@@ -371,3 +438,27 @@ class TestDegradedSegmentsExact:
                 entry, limit=limit)
         assert internet.segment_cache.degraded_segments(
             network, entry, target, excluded) == reference
+
+
+class TestFlapDegradedSegmentsDieWithTheirEra:
+    """A study with many flaps keeps nothing per flap draw study-wide."""
+
+    def test_study_tables_hold_only_intact_step_lists(self):
+        simulator = ArkSimulator(paper_scenario(scale=0.4),
+                                 snapshots_per_cycle=2, flap_rate=0.2)
+        for cycle in range(1, 4):
+            simulator.run_cycle(cycle)
+        internet = simulator.internet
+        cache = internet.segment_cache
+        for table in vars(cache).values():
+            if isinstance(table, dict):
+                assert all(len(key) == 3 for key in table)
+        intact = {id(steps) for segments in cache._base.values()
+                  for steps in segments}
+        decisions = internet.decision_cache
+        entries = list(decisions.ip_hops.values()) \
+            + list(decisions.ldp_hops.values())
+        assert entries
+        assert all(id(steps) in intact for steps, _hops in entries)
+        # The flaps did force SPF rebuilds, whose hops stayed per era.
+        assert cache.spf_runs > 0
