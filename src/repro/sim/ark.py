@@ -228,8 +228,13 @@ class ArkSimulator:
                     self.internet.tick()
 
     def run_cycle(self, cycle: int) -> CycleData:
-        """Execute one monthly cycle with its follow-up snapshots."""
+        """Execute one monthly cycle with its follow-up snapshots.
+
+        The cycle starts a generation of the decoded-stack memo: stacks
+        no probe quoted in the previous cycle are dropped.
+        """
         data = CycleData(cycle=cycle)
+        self.internet.decision_cache.age_stacks()
         with span("sim.cycle", cycle=cycle):
             with span("sim.control"):
                 plan = self._apply_cycle(cycle)

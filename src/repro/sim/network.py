@@ -707,6 +707,17 @@ class DecisionCache:
     era's flaps, stay per era (the DataPlane's own tables); SR hops are
     never cached.
 
+    ``stacks`` holds decoded RFC 4950 stacks in two generations: the
+    current probed cycle's table and ``stacks_prior``, the previous
+    one's.  A stack found only in the prior table is copied forward,
+    and :meth:`age_stacks`, called as each probed cycle starts, drops
+    the older generation, so a stack lives while some probe quoted it
+    in the current or the previous cycle.  RSVP-TE re-signals its
+    labels every cycle, so a study-long table would keep every
+    cycle's TE stacks (DESIGN §8, *decoded stacks live two cycles*).
+    Drivers that never call :meth:`age_stacks` keep one study-long
+    table.
+
     Derived data only: it never enters :meth:`Internet.capture_state`.
     ``table`` is the type of every table; a ``DataPlane(memoize=False)``
     runs the same code over its own cache of :class:`Forgetful` ones.
@@ -714,7 +725,8 @@ class DecisionCache:
 
     __slots__ = ("routes", "egress", "border_hops", "flow_digests",
                  "picks", "selectors", "ldp_draws", "fecs", "stacks",
-                 "gateway_hops", "host_hops", "ip_hops", "ldp_hops")
+                 "stacks_prior", "gateway_hops", "host_hops", "ip_hops",
+                 "ldp_hops")
 
     def __init__(self, table: type = dict) -> None:
         # (src_asn, dst_addr >> 8) -> (dst origin | None, AS path tuple
@@ -739,8 +751,11 @@ class DecisionCache:
         self.ldp_draws: Dict[Tuple[int, int, int], int] = table()
         # (asn, router) -> the router's loopback PrefixFec.
         self.fecs: Dict[Tuple[int, int], PrefixFec] = table()
-        # (quoted labels, LSE-TTL) -> decoded RFC 4950 stack.
+        # (quoted labels, LSE-TTL) -> decoded RFC 4950 stack, quoted
+        # in this probed cycle; the previous cycle's in stacks_prior.
         self.stacks: Dict[Tuple[Tuple[int, ...], int], tuple] = table()
+        self.stacks_prior: Dict[Tuple[Tuple[int, ...], int], tuple] = \
+            table()
         # (gateway address, asn, router) -> the monitor gateway's
         # HopObs; destination address -> the destination host's.
         self.gateway_hops: Dict[Tuple[int, int, int], object] = table()
@@ -750,6 +765,12 @@ class DecisionCache:
         # (id(steps), label generation, ttl_propagate) -> (steps, LDP
         # HopObs tuple).
         self.ldp_hops: Dict[Tuple[int, int, bool], tuple] = table()
+
+    def age_stacks(self) -> None:
+        """Start a generation of ``stacks``: the current table becomes
+        the prior one and the older generation is dropped."""
+        self.stacks_prior = self.stacks
+        self.stacks = type(self.stacks)()
 
 
 def _dag_link_ids(dag: SpfResult, entry: int) -> frozenset:

@@ -27,16 +27,22 @@ flyweight :class:`~repro.sim.dataplane.HopObs` in the
 last hop.
 
 The decoded quoted label stack is memoized per ``(labels, LSE-TTL)``
-pair in the study-scoped :class:`~repro.sim.network.DecisionCache`: the
-RFC 4884/4950 reply bytes depend only on the MPLS object (the quoted
-probe datagram is skipped by the decoder), so every probe expiring with
-the same stack, in any snapshot, decodes to the same tuple — each
-distinct stack still takes the real encode + decode round trip once.
-Both tables come from ``dataplane.decisions``, so when
-``dataplane.memoize`` is off they forget like the DataPlane's own and
-every stack is decoded afresh, each counted as a miss.  The hit/miss
-counters are per engine and flushed to :mod:`repro.obs` after each
-``trace_all`` or single ``trace``.
+pair in the :class:`~repro.sim.network.DecisionCache`: the RFC
+4884/4950 reply bytes depend only on the MPLS object (the quoted probe
+datagram is skipped by the decoder), so every probe expiring with the
+same stack, in any snapshot, decodes to the same tuple.  The memo has
+two generations, the current probed cycle's ``stacks`` and the
+previous one's ``stacks_prior``: a key is looked up in the current
+table, then in the prior one (a hit there is copied forward), and only
+when both miss does the stack take the real encode + decode round
+trip, counted as a miss.  ``ArkSimulator.run_cycle`` ages the
+generations, so a stack no probe quoted for a whole cycle is decoded
+afresh when it is quoted again.  Both tables come from
+``dataplane.decisions``, so when ``dataplane.memoize`` is off they
+forget like the DataPlane's own and every stack is decoded afresh,
+each counted as a miss.  The hit/miss counters are per engine and
+flushed to :mod:`repro.obs` after each ``trace_all`` or single
+``trace``.
 
 ``trace_all`` tallies probes, unanswered probes and traces per stop
 reason locally and publishes each counter once per call (stop reasons
@@ -295,16 +301,23 @@ class TracerouteEngine:
 
     def _quoted_stack(self, monitor: Monitor, dst_addr: int, ttl: int,
                       obs: HopObs) -> tuple:
-        """The label stack a labelled RFC 4950 hop's reply quotes."""
-        cache = self.dataplane.decisions.stacks
+        """The label stack a labelled RFC 4950 hop's reply quotes:
+        from this cycle's table, else copied forward from the previous
+        cycle's, else decoded."""
+        decisions = self.dataplane.decisions
+        cache = decisions.stacks
         key = (obs.labels, obs.lse_ttl)
         stack = cache.get(key)
+        if stack is not None:
+            self.stack_cache_hits += 1
+            return stack
+        stack = decisions.stacks_prior.get(key)
         if stack is None:
             self.stack_cache_misses += 1
-            stack = cache[key] = self._decode_stack(monitor, dst_addr,
-                                                    ttl, obs)
+            stack = self._decode_stack(monitor, dst_addr, ttl, obs)
         else:
             self.stack_cache_hits += 1
+        cache[key] = stack
         return stack
 
     def _decode_stack(self, monitor: Monitor, dst_addr: int, ttl: int,

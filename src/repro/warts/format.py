@@ -24,6 +24,8 @@ Layout (all integers big-endian):
 
 The format is self-framing: a reader can skip unknown records by length,
 and truncated files fail loudly with :class:`WartsError`.
+:func:`encode_trace` writes a plain hop (a reply quoting no labels) in
+one pack and any other hop field by field.
 :class:`WartsReader` frames records off one buffer it refills by
 64 KiB chunk, reading each length prefix at a running offset; a
 record body is decoded at an offset too, a plain hop (a reply quoting
@@ -82,6 +84,10 @@ _PLAIN_HOP = struct.Struct("!BxIfB")
 """A whole plain hop (flags exactly ``_FLAG_RESPONDED``: a reply
 quoting no labels), read in one unpack: probe ttl, the flag byte
 skipped, address, rtt, quoted ttl."""
+_PLAIN_HOP_OUT = struct.Struct("!BBIfB")
+"""A whole plain hop as written, in one pack: probe ttl, flags
+(exactly ``_FLAG_RESPONDED``), address, rtt, quoted ttl -- the bytes
+of ``_HOP_HEAD`` then ``_HOP_RESPONSE``."""
 _TRACE_HEAD = struct.Struct("!IIdBH")
 
 Stack = Tuple[LabelStackEntry, ...]
@@ -92,20 +98,23 @@ class WartsError(ValueError):
 
 
 def _encode_hop(hop: TraceHop) -> bytes:
+    """One hop's bytes: a plain hop (a reply quoting no labels) in one
+    pack, any other hop field by field."""
+    probe_ttl, address, rtt_ms, stack, quoted_ttl = hop
+    if address is not None and not stack:
+        return _PLAIN_HOP_OUT.pack(probe_ttl, _FLAG_RESPONDED, address,
+                                   rtt_ms, quoted_ttl)
     flags = 0
-    if not hop.is_anonymous:
+    if address is not None:
         flags |= _FLAG_RESPONDED
-    if hop.quoted_stack:
+    if stack:
         flags |= _FLAG_LABELS
-    parts = [_HOP_HEAD.pack(hop.probe_ttl, flags)]
-    if not hop.is_anonymous:
-        parts.append(_HOP_RESPONSE.pack(hop.address, hop.rtt_ms,
-                                        hop.quoted_ttl))
-    if hop.quoted_stack:
-        parts.append(_U8.pack(len(hop.quoted_stack)))
-        parts.extend(
-            _U32.pack(entry.encode()) for entry in hop.quoted_stack
-        )
+    parts = [_HOP_HEAD.pack(probe_ttl, flags)]
+    if address is not None:
+        parts.append(_HOP_RESPONSE.pack(address, rtt_ms, quoted_ttl))
+    if stack:
+        parts.append(_U8.pack(len(stack)))
+        parts.extend(_U32.pack(entry.encode()) for entry in stack)
     return b"".join(parts)
 
 
@@ -127,7 +136,7 @@ def encode_trace(trace: Trace) -> bytes:
             len(trace.hops),
         ),
     ]
-    parts.extend(_encode_hop(hop) for hop in trace.hops)
+    parts.extend(map(_encode_hop, trace.hops))
     return b"".join(parts)
 
 

@@ -5,7 +5,8 @@ import pytest
 import pickle
 
 from repro.igp.ecmp import flow_hash
-from repro.obs import FakeClock, Tracer, get_tracer, set_tracer
+from repro.obs import (FakeClock, Tracer, get_registry, get_tracer,
+                       set_tracer)
 from repro.sim import ArkSimulator, paper_scenario
 from repro.sim import ark
 from repro.sim.ark import (
@@ -17,7 +18,7 @@ from repro.sim.ark import (
 from repro.sim.config import MplsPolicy
 from repro.sim.dataplane import DataPlane
 from repro.sim.monitors import Monitor, split_into_teams
-from repro.sim.network import AsNetwork
+from repro.sim.network import AsNetwork, DecisionCache
 from repro.sim.scenarios import LEVEL3, LEVEL3_RISE_CYCLE, VODAFONE
 from repro.sim.traceroute import TracerouteEngine
 from repro.traces import StopReason
@@ -332,6 +333,81 @@ class TestStudyScopedState:
         assert not replayed.internet.decision_cache.routes
         assert pickle.dumps(probed.internet.capture_state()) \
             == pickle.dumps(replayed.internet.capture_state())
+
+
+def _quoted_keys(data):
+    """The ``(labels, LSE-TTL)`` key of every RFC 4950 stack a cycle's
+    probes quoted."""
+    return {(hop.labels, hop.quoted_stack[0].ttl)
+            for trace in data.all_traces() for hop in trace.hops
+            if hop.quoted_stack}
+
+
+def _stack_lookups(action):
+    """``action()``'s result and the quoted-stack hits and misses it
+    published."""
+    registry = get_registry()
+    before = registry.snapshot()
+    result = action()
+    delta = registry.diff(before, registry.snapshot())
+    return result, tuple(
+        sum(entry["value"] for entry in
+            delta.get(name, {}).get("values", []))
+        for name in ("quoted_stack_cache_hits_total",
+                     "quoted_stack_cache_misses_total"))
+
+
+class TestStackGenerations:
+    """Decoded quoted stacks live while a probe quoted them in the
+    current or the previous probed cycle.  Vodafone re-signals its TE
+    tunnels every cycle, so the scenario's keys churn."""
+
+    CYCLES = range(1, 5)
+
+    def _run(self, memoize=True):
+        simulator = ArkSimulator(paper_scenario(scale=0.3, seed=9),
+                                 snapshots_per_cycle=2, memoize=memoize)
+        return simulator, [simulator.run_cycle(cycle)
+                           for cycle in self.CYCLES]
+
+    def test_table_holds_only_the_last_two_cycles_keys(self):
+        simulator = ArkSimulator(paper_scenario(scale=0.3, seed=9),
+                                 snapshots_per_cycle=2)
+        decisions = simulator.internet.decision_cache
+        quoted = [set()]
+        for cycle in self.CYCLES:
+            quoted.append(_quoted_keys(simulator.run_cycle(cycle)))
+            assert set(decisions.stacks) == quoted[-1]
+            assert set(decisions.stacks_prior) == quoted[-2]
+        # A study-long table would still hold these.
+        assert quoted[1] - quoted[-1] - quoted[-2]
+
+    def test_traces_match_an_unaged_table_and_no_memo(self, monkeypatch):
+        _, aged = self._run()
+        _, unmemoized = self._run(memoize=False)
+        monkeypatch.setattr(DecisionCache, "age_stacks", lambda self: None)
+        simulator, unaged = self._run()
+        assert set(simulator.internet.decision_cache.stacks) == set().union(
+            *map(_quoted_keys, unaged))
+        assert [data.snapshots for data in aged] \
+            == [data.snapshots for data in unaged] \
+            == [data.snapshots for data in unmemoized]
+
+    @pytest.mark.parametrize("memoize", [True, False])
+    def test_hits_and_misses_count_the_labelled_hops(self, memoize):
+        (_, cycles), (hits, misses) = _stack_lookups(
+            lambda: self._run(memoize))
+        labelled = sum(1 for data in cycles for trace in data.all_traces()
+                       for hop in trace.hops if hop.quoted_stack)
+        assert hits + misses == labelled
+        if not memoize:
+            assert misses == labelled
+            return
+        # A key misses once in a cycle unless the previous cycle
+        # quoted it too.
+        quoted = [set()] + [_quoted_keys(data) for data in cycles]
+        assert misses == sum(len(keys - previous) for previous, keys
+                             in zip(quoted, quoted[1:]))
 
 
 class TestControlSpans:

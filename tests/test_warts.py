@@ -1,6 +1,7 @@
 """Unit tests for the warts-like binary and JSONL trace codecs."""
 
 import gzip
+import hashlib
 import io
 import pickle
 import struct
@@ -638,6 +639,94 @@ def reference_decode(body):
         raise WartsError(f"{len(body) - offset} trailing bytes in record")
     return Trace(monitor=monitor, src=src, dst=dst, timestamp=timestamp,
                  stop_reason=list(StopReason)[stop_code], hops=hops)
+
+
+def reference_encode(trace):
+    """Field-by-field encode of one record body, written from the
+    layout in :mod:`repro.warts.format` alone: the oracle the encoder's
+    plain-hop fast path is held to."""
+    name = trace.monitor.encode("utf-8")
+    parts = [struct.pack("!B", len(name)), name, struct.pack(
+        "!IIdBH", trace.src, trace.dst, trace.timestamp,
+        list(StopReason).index(trace.stop_reason), len(trace.hops))]
+    for hop in trace.hops:
+        responded = hop.address is not None
+        parts.append(struct.pack(
+            "!BB", hop.probe_ttl,
+            (0x01 if responded else 0) | (0x02 if hop.quoted_stack else 0)))
+        if responded:
+            parts.append(struct.pack("!IfB", hop.address, hop.rtt_ms,
+                                     hop.quoted_ttl))
+        if hop.quoted_stack:
+            parts.append(struct.pack("!B", len(hop.quoted_stack)))
+            parts.extend(struct.pack("!I", entry.encode())
+                         for entry in hop.quoted_stack)
+    return b"".join(parts)
+
+
+_TWO_LSES = (LabelStackEntry(17, tc=5, bottom=False, ttl=253),
+             LabelStackEntry(42, bottom=True, ttl=253))
+
+HOP_KINDS = {
+    "plain": TraceHop(1, ip_to_int("10.0.0.1"), 0.75),
+    "plain-qttl": TraceHop(2, ip_to_int("10.0.0.2"), 2.125, (), 3),
+    "anonymous": TraceHop(3, None),
+    "labelled": TraceHop(4, ip_to_int("10.0.0.4"), 4.5, _TWO_LSES[1:]),
+    "labelled-qttl": TraceHop(5, ip_to_int("10.0.0.5"), 5.25,
+                              _TWO_LSES, 2),
+    "labelled-anonymous": TraceHop(6, None, 0.0, _TWO_LSES),
+}
+
+
+def hop_kinds_trace(hops=tuple(HOP_KINDS.values())):
+    return Trace(monitor="mon-kinds", src=ip_to_int("192.0.2.9"),
+                 dst=ip_to_int("203.0.113.77"), timestamp=86_400.5,
+                 stop_reason=StopReason.GAP_LIMIT, hops=list(hops))
+
+
+class TestHopEncode:
+    """Plain hops (a reply quoting no labels) encode in one pack; every
+    hop kind writes the bytes of a field-by-field encode."""
+
+    @pytest.mark.parametrize("kind", sorted(HOP_KINDS))
+    def test_each_hop_kind_matches_the_reference(self, kind):
+        trace = hop_kinds_trace([HOP_KINDS[kind]])
+        body = encode_trace(trace)
+        assert body == reference_encode(trace)
+        assert decode_trace(body) == trace
+
+    def test_mixed_record_matches_the_reference(self):
+        trace = hop_kinds_trace()
+        assert encode_trace(trace) == reference_encode(trace)
+
+    def test_archive_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "kinds.rwts"
+        traces = [hop_kinds_trace(), sample_trace(), anonymous_trace(),
+                  labeled_trace("mon-q", [100, None, 200])]
+        assert write_archive(path, traces) == 4
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9746104d0c4773076892e1cf25912ce4"
+            "383c4c7e6a4eb86520fdc0f4de6afafa")
+
+    @given(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=255),
+        st.one_of(st.none(), st.integers(min_value=0,
+                                         max_value=0xFFFFFFFF)),
+        st.floats(width=32),
+        st.integers(min_value=0, max_value=255),
+        st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1),
+                 max_size=3)), max_size=8))
+    def test_random_hops_match_the_reference(self, hop_specs):
+        hops = [TraceHop(ttl, address, rtt_ms if address is not None
+                         else 0.0, tuple(
+                             LabelStackEntry(
+                                 label, bottom=(index == len(labels) - 1),
+                                 ttl=ttl)
+                             for index, label in enumerate(labels)),
+                         quoted_ttl if address is not None else 1)
+                for ttl, address, rtt_ms, quoted_ttl, labels in hop_specs]
+        trace = hop_kinds_trace(hops)
+        assert encode_trace(trace) == reference_encode(trace)
 
 
 def decode_outcome(decode, body):
