@@ -2,9 +2,9 @@
 
 from .aggregate import (LongitudinalStudy, MeanWithCi, mean_with_ci,
                         t_critical_95)
+from ..core.report import format_table
 from .render import (
     bar_chart,
-    format_table,
     series_chart,
     sparkline,
     stacked_shares,
@@ -28,7 +28,6 @@ from .experiments import (
     FOCUS_ASES,
     Study,
     regenerate,
-    regenerate_all,
     run_longitudinal_study,
 )
 from .flightreport import flight_report, flight_report_data, load_trace
@@ -61,7 +60,6 @@ __all__ = [
     "FOCUS_ASES",
     "Study",
     "regenerate",
-    "regenerate_all",
     "run_longitudinal_study",
     "flight_report",
     "flight_report_data",

@@ -9,10 +9,11 @@ module, so ``EXPERIMENTS.md`` and the bench output always agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from ..core.pipeline import LprPipeline, persistence_sweep
 from ..obs import span
+from ..options import ALL_ARTIFACTS
 from ..par import StudySpec, run_study
 from ..sim.ark import ArkSimulator, daily_campaign, \
     label_dynamics_campaign
@@ -175,15 +176,3 @@ def _regenerate(study: Study, artifact: str) -> ArtifactResult:
     raise KeyError(f"unknown artifact {artifact!r}; "
                    f"known: {sorted(ALL_ARTIFACTS)}")
 
-
-ALL_ARTIFACTS = (
-    "fig5a", "fig5b", "fig6", "fig7", "fig8", "fig9",
-    "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-    "fig16", "fig17", "table1", "table2",
-)
-
-
-def regenerate_all(study: Study) -> Dict[str, ArtifactResult]:
-    """Rebuild every table and figure of the paper from one study."""
-    return {artifact: regenerate(study, artifact)
-            for artifact in ALL_ARTIFACTS}

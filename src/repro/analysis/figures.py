@@ -40,12 +40,12 @@ from ..core.metrics import (
     width_distribution_by_class,
 )
 from ..core.pipeline import CycleResult, PersistencePoint
+from ..core.report import format_table
 from ..net.ip import int_to_ip
 from ..net.ip2as import Ip2AsMapper
 from ..traces import Trace
 from .aggregate import LongitudinalStudy
-from .render import bar_chart, format_table, series_chart, sparkline, \
-    stacked_shares
+from .render import bar_chart, series_chart, sparkline, stacked_shares
 
 
 @dataclass

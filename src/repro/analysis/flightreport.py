@@ -41,7 +41,8 @@ from typing import (
 
 from ..obs.events import Event, read_events
 from ..obs.metrics import delta_total
-from .render import format_table, sparkline
+from ..core.report import format_table
+from .render import sparkline
 
 Grouped = Dict[str, List[Event]]
 

@@ -1,8 +1,9 @@
 """Plain-text rendering of tables and figures.
 
 Everything the paper plots is reproduced as terminal-friendly text:
-aligned tables, horizontal bar charts for PDFs, and sparkline-style strip
-charts for per-cycle series.  The benchmark harness prints these so that
+horizontal bar charts for PDFs and sparkline-style strip charts for
+per-cycle series (tables are aligned by
+:func:`repro.core.report.format_table`).  The benchmark harness prints these so that
 a run's output can be eyeballed against the paper's figures directly.
 """
 
@@ -11,25 +12,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
-
-
-def format_table(headers: Sequence[str],
-                 rows: Sequence[Sequence[object]]) -> str:
-    """Align a list of rows under headers (monospace table)."""
-    cells = [[str(value) for value in row] for row in rows]
-    widths = [len(header) for header in headers]
-    for row in cells:
-        for index, text in enumerate(row):
-            widths[index] = max(widths[index], len(text))
-    lines = [
-        "  ".join(header.ljust(widths[i])
-                  for i, header in enumerate(headers)),
-        "  ".join("-" * width for width in widths),
-    ]
-    for row in cells:
-        lines.append("  ".join(text.ljust(widths[i])
-                               for i, text in enumerate(row)))
-    return "\n".join(lines)
 
 
 def bar_chart(pdf: Mapping[object, float], width: int = 40,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
 from .aggregate import LongitudinalStudy, MeanWithCi
-from .render import format_table
+from ..core.report import format_table
 
 _STAGE_LABELS = {
     "incomplete": "Incomplete LSPs",

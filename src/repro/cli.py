@@ -45,20 +45,10 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .analysis import (
-    ALL_ARTIFACTS,
-    flight_report,
-    flight_report_data,
-    format_table,
-    regenerate,
-    run_longitudinal_study,
-)
 from .core import LprPipeline
-from .core.report import render_report
+from .core.report import format_table, render_report
 from .core.revelation import TunnelVisibility, visibility_census
 from .net.ip2as import Ip2AsMapper
-from .par import DEFAULT_SNAPSHOT_STRIDE, StudySpec
-from .par.runner import DEFAULT_BACKOFF_BASE, DEFAULT_MAX_RETRIES
 from .obs import (
     EventBus,
     HealthMonitor,
@@ -78,10 +68,14 @@ from .obs import (
     write_chrome_trace,
     write_metrics_json,
 )
-from .sim import ArkSimulator, paper_scenario
-from .sim.scenarios import check_scale
+from .options import (
+    ALL_ARTIFACTS,
+    CONFIG_NAMES,
+    DEFAULT_BACKOFF_BASE,
+    DEFAULT_MAX_RETRIES,
+    DEFAULT_SNAPSHOT_STRIDE,
+)
 from .traces import Trace
-from .verify import CONFIG_NAMES, default_matrix, run_matrix
 from .warts import WartsError, read_archive, salvage_archive, \
     write_archive
 
@@ -263,6 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _scale_error(scale: float) -> bool:
     """Print the one-line --scale error; True when ``scale`` is bad."""
+    from .sim.scenarios import check_scale
+
     try:
         check_scale(scale)
     except ValueError as error:
@@ -274,6 +270,8 @@ def _scale_error(scale: float) -> bool:
 def cmd_simulate(args) -> int:
     if _scale_error(args.scale):
         return 2
+    from .sim import ArkSimulator, paper_scenario
+
     simulator = ArkSimulator(
         paper_scenario(scale=args.scale, seed=args.seed))
     args.out.mkdir(parents=True, exist_ok=True)
@@ -458,6 +456,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_study(args) -> int:
+    from .analysis import regenerate, run_longitudinal_study
+
     timed = (args.profile or args.progress
              or args.trace_out is not None
              or args.serve_telemetry is not None
@@ -564,6 +564,8 @@ def cmd_study(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .analysis import flight_report, flight_report_data
+
     try:
         if args.format == "json":
             data = flight_report_data(args.events,
@@ -594,6 +596,9 @@ def cmd_verify(args) -> int:
         print(f"--snapshots-per-cycle must be >= 1, "
               f"got {args.snapshots_per_cycle}", file=sys.stderr)
         return 2
+    from .par import StudySpec
+    from .verify import default_matrix, run_matrix
+
     bus = None
     previous_bus = get_event_bus()
     if args.events_out is not None:

@@ -5,12 +5,14 @@ the paper's §4.4 discusses AS by AS: class mix, Mono-FEC subclass split,
 tunnel geometry (length / width / symmetry), destination-AS fan-out,
 and the dynamic tag.  Used by the ``repro`` CLI and the examples; handy
 whenever the question is "how does *this* network use MPLS?".
+:func:`format_table` aligns every table the CLI, the verify report and
+the paper's artifacts print.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..net.ip import int_to_ip
 from .classification import (
@@ -21,6 +23,25 @@ from .classification import (
 from .metrics import balanced_share, distribution, share_at_most
 from .model import Iotp, IotpKey
 from .pipeline import CycleResult
+
+
+def format_table(headers: Sequence[str],
+                 rows: Sequence[Sequence[object]]) -> str:
+    """Align a list of rows under headers (monospace table)."""
+    cells = [[str(value) for value in row] for row in rows]
+    widths = [len(header) for header in headers]
+    for row in cells:
+        for index, text in enumerate(row):
+            widths[index] = max(widths[index], len(text))
+    lines = [
+        "  ".join(header.ljust(widths[i])
+                  for i, header in enumerate(headers)),
+        "  ".join("-" * width for width in widths),
+    ]
+    for row in cells:
+        lines.append("  ".join(text.ljust(widths[i])
+                               for i, text in enumerate(row)))
+    return "\n".join(lines)
 
 
 @dataclass

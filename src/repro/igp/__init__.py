@@ -2,7 +2,7 @@
 
 from .topology import Link, Router, Topology, TopologyError
 from .spf import SpfResult, SpfTable, spf_to
-from .ecmp import FlowKey, branch_distribution, flow_hash, select_next_hop
+from .ecmp import flow_hash
 
 __all__ = [
     "Link",
@@ -12,8 +12,5 @@ __all__ = [
     "SpfResult",
     "SpfTable",
     "spf_to",
-    "FlowKey",
-    "branch_distribution",
     "flow_hash",
-    "select_next_hop",
 ]

@@ -1,9 +1,11 @@
-"""Deterministic per-flow ECMP next-hop selection.
+"""Deterministic flow hashing for ECMP and destination steering.
 
 Real routers hash selected header fields (addresses, protocol, ports) and
 use the digest to pick one of the equal-cost successors.  Paris traceroute
 keeps those fields constant across the TTL sweep so that one trace follows
 one consistent path; different destinations hash to different branches.
+The simulator's walk (:mod:`repro.sim.dataplane`) hashes each flow once
+and picks a whole equal-cost segment by that digest.
 
 Python's builtin ``hash`` is salted per process, so we implement a small
 stable 64-bit mixer (splitmix64 over a running state) that gives the same
@@ -13,9 +15,7 @@ branch decisions for the same flow across runs and machines.
 from __future__ import annotations
 
 from struct import Struct
-from typing import Dict, List, Sequence, Tuple
-
-from .spf import NextHop
+from typing import Dict, Tuple
 
 _MASK64 = (1 << 64) - 1
 
@@ -106,59 +106,3 @@ def destination_draw(selector: int, ingress: int, egress: int) -> int:
     ``options[draw % len(options)]`` whatever its transport fields.
     """
     return flow_hash(selector, ingress, egress)
-
-
-class FlowKey:
-    """The header fields a hash-based load balancer inspects.
-
-    ICMP-Paris probes (what Archipelago sends) keep checksum and identifier
-    constant per destination, so the per-flow key reduces to addresses plus
-    protocol.  Transport probes would add ports.
-    """
-
-    __slots__ = ("src", "dst", "proto", "sport", "dport")
-
-    def __init__(self, src: int, dst: int, proto: int = 1, sport: int = 0,
-                 dport: int = 0):
-        self.src = src
-        self.dst = dst
-        self.proto = proto
-        self.sport = sport
-        self.dport = dport
-
-    def digest(self, per_router_salt: int = 0) -> int:
-        """Hash the key; the salt models per-router hash seed diversity."""
-        return flow_hash(
-            self.src, self.dst, self.proto, self.sport, self.dport,
-            per_router_salt,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"FlowKey(src={self.src}, dst={self.dst}, proto={self.proto})"
-        )
-
-
-def select_next_hop(choices: Sequence[NextHop], key: FlowKey,
-                    router_salt: int = 0) -> NextHop:
-    """Pick one successor for a flow among equal-cost choices.
-
-    The choice is a pure function of (flow key, router salt, choice count):
-    the same flow always takes the same branch at the same router, which is
-    exactly the invariant Paris traceroute relies on.
-    """
-    if not choices:
-        raise ValueError("no next hops to choose from")
-    if len(choices) == 1:
-        return choices[0]
-    index = key.digest(router_salt) % len(choices)
-    return choices[index]
-
-
-def branch_distribution(choices_count: int, keys: Sequence[FlowKey],
-                        router_salt: int = 0) -> List[int]:
-    """Histogram of branch picks for a set of flows (testing/diagnostics)."""
-    counts = [0] * choices_count
-    for key in keys:
-        counts[key.digest(router_salt) % choices_count] += 1
-    return counts

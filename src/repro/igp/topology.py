@@ -143,10 +143,6 @@ class Topology:
         """Routers flagged as AS borders (LER candidates)."""
         return [r for r in self.routers.values() if r.is_border]
 
-    def degree(self, router_id: int) -> int:
-        """Number of links attached to a router."""
-        return len(self._adjacency[router_id])
-
     def interface_addresses(self) -> Dict[int, int]:
         """Map interface address -> owning router id (loopbacks included)."""
         owners: Dict[int, int] = {}

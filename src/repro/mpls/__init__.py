@@ -29,7 +29,6 @@ from .vendor import (
     CISCO,
     JUNIPER,
     LEGACY,
-    LdpAllocationPolicy,
     VendorProfile,
     get_profile,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "CISCO",
     "JUNIPER",
     "LEGACY",
-    "LdpAllocationPolicy",
     "VendorProfile",
     "get_profile",
 ]

@@ -50,10 +50,6 @@ class TunnelFec:
         return TunnelFec(self.ingress, self.egress, self.tunnel_id,
                          self.instance + 1)
 
-    def session_key(self) -> tuple:
-        """Identity of the tunnel irrespective of signalling generation."""
-        return (self.ingress, self.egress, self.tunnel_id)
-
     def __str__(self) -> str:
         return (
             f"te:{self.ingress}->{self.egress}#{self.tunnel_id}"

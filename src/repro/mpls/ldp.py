@@ -14,14 +14,14 @@ traceroute output.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..igp.spf import SpfTable
 from ..igp.topology import Link, Topology
 from ..net.ip import Prefix
 from .fec import PrefixFec
 from .lfib import LabelManager, LfibAction, LfibEntry
-from .vendor import LdpAllocationPolicy, get_profile
+from .vendor import get_profile
 
 
 class LdpEngine:
@@ -67,19 +67,6 @@ class LdpEngine:
         """Whether the egress signals PHP (vendor default)."""
         vendor = self.topology.routers[egress_router].vendor
         return get_profile(vendor).php_default
-
-    def advertised_prefixes(self, router_id: int,
-                            igp_prefixes: Iterable[Prefix]) -> List[Prefix]:
-        """Prefixes a router would bind LDP labels for, per vendor policy.
-
-        Cisco's default binds every IGP prefix; Juniper's binds loopbacks
-        (/32s) only.  Transit LSPs target loopbacks either way.
-        """
-        policy = get_profile(self.topology.routers[router_id].vendor
-                             ).ldp_policy
-        if policy is LdpAllocationPolicy.ALL_PREFIXES:
-            return list(igp_prefixes)
-        return [p for p in igp_prefixes if p.length == 32]
 
     def establish_fec(self, egress_router: int) -> PrefixFec:
         """Build the LSP-tree towards one egress router's loopback.

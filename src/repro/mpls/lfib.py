@@ -319,12 +319,6 @@ class LabelManager:
         lfib.bind(fec, label)
         return label
 
-    def release_for(self, router_id: int, fec: Hashable) -> None:
-        """Unbind a FEC at a router and return its label to the pool."""
-        label = self.lfibs[router_id].unbind(fec)
-        if label is not None:
-            self.allocators[router_id].release(label)
-
     def capture(self) -> Dict[int, Tuple[tuple, tuple]]:
         """Per-router (allocator, LFIB) snapshots, sorted by router."""
         return {

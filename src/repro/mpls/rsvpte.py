@@ -15,10 +15,10 @@ sawtooth of Fig 17, climbing faster on routers that carry more sessions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..igp.spf import NextHop, SpfTable
-from ..igp.topology import Link, Topology
+from ..igp.topology import Topology
 from .fec import TunnelFec
 from .lfib import LabelManager, LfibAction, LfibEntry
 
@@ -98,9 +98,8 @@ class RsvpTeEngine:
             raise RsvpError(f"no path enumerated from {ingress} to {egress}")
         return paths[tunnel_id % len(paths)]
 
-    def signal(self, ingress: int, egress: int, tunnel_id: int,
-               explicit_route: Optional[Sequence[NextHop]] = None
-               ) -> TeSession:
+    def signal(self, ingress: int, egress: int,
+               tunnel_id: int) -> TeSession:
         """Signal (or re-signal) a tunnel; returns the active session.
 
         If the tunnel already exists it is re-optimized make-before-break:
@@ -111,23 +110,13 @@ class RsvpTeEngine:
         previous = self._sessions.get(key)
         fec = (previous.fec.reoptimized() if previous is not None
                else TunnelFec(ingress, egress, tunnel_id))
-        route = (list(explicit_route) if explicit_route is not None
-                 else self.compute_route(ingress, egress, tunnel_id))
-
-        session = TeSession(fec=fec, route=route)
+        session = TeSession(
+            fec=fec, route=self.compute_route(ingress, egress, tunnel_id))
         self._allocate_and_install(session)
         if previous is not None:
             self._release(previous)
         self._sessions[key] = session
         return session
-
-    def reoptimize(self, ingress: int, egress: int,
-                   tunnel_id: int) -> TeSession:
-        """Re-signal an existing tunnel along a freshly computed route."""
-        if (ingress, egress, tunnel_id) not in self._sessions:
-            raise RsvpError(f"tunnel {ingress}->{egress}#{tunnel_id} "
-                            f"not signalled")
-        return self.signal(ingress, egress, tunnel_id)
 
     def reoptimize_all(self) -> List[TeSession]:
         """Re-signal every active tunnel (a head-end timer tick)."""
@@ -142,12 +131,6 @@ class RsvpTeEngine:
             raise RsvpError(f"tunnel {ingress}->{egress}#{tunnel_id} "
                             f"not signalled")
         self._release(session)
-
-    def teardown_all(self) -> None:
-        """Remove every tunnel (e.g. MPLS disabled on the AS)."""
-        for key in sorted(self._sessions):
-            self._release(self._sessions[key])
-        self._sessions.clear()
 
     def capture_sessions(self) -> tuple:
         """Picklable snapshot of every session, in signalling order.
@@ -227,11 +210,3 @@ class RsvpTeEngine:
             self.labels.lfib(router).entries.pop(label, None)
             self.labels.lfib(router).unbind(session.fec)
             self.labels.allocator(router).release(label)
-
-    def ingress_push(self, session: TeSession
-                     ) -> Tuple[Optional[int], int, Link]:
-        """What the head-end pushes: (label or None, next hop, link)."""
-        next_router, link = session.route[0]
-        if next_router == session.egress and self.php:
-            return (None, next_router, link)
-        return (session.labels[next_router], next_router, link)

@@ -24,9 +24,9 @@ LDP/RSVP-TE allocations in mixed networks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..igp.ecmp import destination_draw, flow_hash
+from ..igp.ecmp import flow_hash
 from ..igp.spf import SpfTable
 from ..igp.topology import Link, Topology
 
@@ -73,13 +73,6 @@ class SegmentRoutingEngine:
             raise SrError(f"unknown router {router_id}")
         return self.srgb_base + router_id
 
-    def router_of_sid(self, label: int) -> Optional[int]:
-        """Reverse SID lookup, None when outside the SRGB."""
-        router_id = label - self.srgb_base
-        if router_id in self.topology.routers:
-            return router_id
-        return None
-
     def install_policy(self, ingress: int, egress: int,
                        waypoints: Sequence[int]) -> SrPolicy:
         """Register a policy; waypoints must be known routers."""
@@ -94,10 +87,6 @@ class SegmentRoutingEngine:
                           policy_id=len(existing))
         existing.append(policy)
         return policy
-
-    def remove_policies(self, ingress: int, egress: int) -> int:
-        """Drop every policy of one pair; returns how many existed."""
-        return len(self._policies.pop((ingress, egress), []))
 
     def clear(self) -> None:
         """Drop every policy."""
@@ -114,24 +103,10 @@ class SegmentRoutingEngine:
         self._policies = {pair: list(policies)
                           for pair, policies in state}
 
-    @property
-    def policy_count(self) -> int:
-        """Total installed policies."""
-        return sum(len(p) for p in self._policies.values())
-
     def policies_between(self, ingress: int, egress: int
                          ) -> List[SrPolicy]:
         """The policies of one ordered pair."""
         return list(self._policies.get((ingress, egress), []))
-
-    def policy_for(self, ingress: int, egress: int,
-                   selector: int) -> Optional[SrPolicy]:
-        """Deterministically map a destination selector to a policy."""
-        policies = self._policies.get((ingress, egress))
-        if not policies:
-            return None
-        return policies[destination_draw(selector, ingress, egress)
-                        % len(policies)]
 
     # -- data plane -----------------------------------------------------------
 

@@ -1,9 +1,8 @@
 """Router vendor profiles.
 
 The paper (§2.2) notes that parts of label-distribution behaviour are
-vendor-specific rather than standardized: the dynamic label range, whether
-LDP binds labels for every IGP prefix or only for loopbacks, default PHP
-signalling, ttl-propagate defaults, and whether RSVP-TE head-ends
+vendor-specific rather than standardized: the dynamic label range,
+default PHP signalling, ttl-propagate defaults, and whether RSVP-TE head-ends
 periodically re-optimize their LSPs (a Juniper trait the paper exploits in
 §4.5 / Fig 17).  These profiles drive the simulator so that the observable
 label patterns have the same vendor texture as the CAIDA data.
@@ -12,14 +11,6 @@ label patterns have the same vendor texture as the CAIDA data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-
-
-class LdpAllocationPolicy(Enum):
-    """Which prefixes an LSR allocates LDP labels for."""
-
-    ALL_PREFIXES = "all-prefixes"   # Cisco default
-    LOOPBACKS_ONLY = "loopbacks"    # Juniper default
 
 
 @dataclass(frozen=True)
@@ -30,7 +21,6 @@ class VendorProfile:
         name: human-readable vendor name.
         label_min: lowest dynamically assignable label value.
         label_max: highest dynamically assignable label value.
-        ldp_policy: which prefixes LDP binds labels for.
         php_default: whether penultimate hop popping is signalled by
             default (advertising implicit-null for directly attached FECs).
         ttl_propagate_default: whether the ingress copies IP-TTL into the
@@ -45,7 +35,6 @@ class VendorProfile:
     name: str
     label_min: int
     label_max: int
-    ldp_policy: LdpAllocationPolicy
     php_default: bool
     ttl_propagate_default: bool
     rfc4950: bool
@@ -63,7 +52,6 @@ CISCO = VendorProfile(
     name="cisco",
     label_min=16_000,
     label_max=100_000,
-    ldp_policy=LdpAllocationPolicy.ALL_PREFIXES,
     php_default=True,
     ttl_propagate_default=True,
     rfc4950=True,
@@ -74,7 +62,6 @@ JUNIPER = VendorProfile(
     name="juniper",
     label_min=300_000,
     label_max=800_000,
-    ldp_policy=LdpAllocationPolicy.LOOPBACKS_ONLY,
     php_default=True,
     ttl_propagate_default=True,
     rfc4950=True,
@@ -88,7 +75,6 @@ LEGACY = VendorProfile(
     name="legacy",
     label_min=16,
     label_max=1_048_575,
-    ldp_policy=LdpAllocationPolicy.ALL_PREFIXES,
     php_default=False,
     ttl_propagate_default=False,
     rfc4950=False,
@@ -99,11 +85,7 @@ PROFILES = {profile.name: profile for profile in (CISCO, JUNIPER, LEGACY)}
 
 
 def get_profile(name: str) -> VendorProfile:
-    """Look up a vendor profile by name.
-
-    >>> get_profile("cisco").ldp_policy
-    <LdpAllocationPolicy.ALL_PREFIXES: 'all-prefixes'>
-    """
+    """Look up a vendor profile by name."""
     try:
         return PROFILES[name]
     except KeyError:

@@ -199,15 +199,3 @@ def build_probe_quote(src: int, dst: int, probe_ttl: int) -> bytes:
         src, dst,
     )
     return header + struct.pack("!BBHI", 8, 0, 0, probe_ttl)
-
-
-def parse_probe_quote(quoted: bytes) -> Tuple[int, int, int]:
-    """Recover (src, dst, probe_ttl) from a quoted datagram."""
-    if len(quoted) < 20:
-        raise IcmpError("quoted datagram shorter than an IPv4 header")
-    fields = struct.unpack("!BBHHHBBHII", quoted[:20])
-    if fields[0] >> 4 != 4:
-        raise IcmpError("quoted datagram is not IPv4")
-    probe_ttl = fields[3]
-    src, dst = fields[8], fields[9]
-    return src, dst, probe_ttl

@@ -59,7 +59,6 @@ from .trace import (
 )
 from .export import (
     PROMETHEUS_CONTENT_TYPE,
-    registry_to_json,
     snapshot_to_json,
     to_chrome_trace,
     to_prometheus,
@@ -108,7 +107,6 @@ __all__ = [
     "set_tracer",
     "span",
     "traced",
-    "registry_to_json",
     "snapshot_to_json",
     "to_chrome_trace",
     "to_prometheus",

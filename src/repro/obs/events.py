@@ -48,7 +48,6 @@ from typing import (
     Deque,
     Dict,
     IO,
-    Iterator,
     List,
     Optional,
     Tuple,
@@ -225,11 +224,6 @@ def read_events(path: Union[str, Path]) -> List[Event]:
                     f"{path}:{number}: bad flight-recorder line: "
                     f"{error}") from error
     return events
-
-
-def iter_kind(events: Iterator[Event], kind: str) -> List[Event]:
-    """The sub-list of ``events`` with one ``kind``, in order."""
-    return [event for event in events if event.kind == kind]
 
 
 _bus = EventBus()

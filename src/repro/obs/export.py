@@ -36,13 +36,6 @@ def snapshot_to_json(snapshot: Mapping[str, Any], indent: int = 2) -> str:
     return json.dumps(snapshot, indent=indent, sort_keys=True)
 
 
-def registry_to_json(registry: Optional[MetricsRegistry] = None,
-                     indent: int = 2) -> str:
-    """Serialize a whole registry's current state to JSON."""
-    return snapshot_to_json((registry or get_registry()).snapshot(),
-                            indent=indent)
-
-
 def write_metrics_json(path: Union[str, Path],
                        registry: Optional[MetricsRegistry] = None,
                        trace: Optional[Tracer] = None) -> None:

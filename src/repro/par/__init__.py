@@ -44,12 +44,8 @@ worker deaths so the recovery paths stay covered
 from .shard import Shard, plan_shards, shard_cycles
 from .checkpoint import CHECKPOINT_VERSION, CheckpointStore, spec_hash
 from .faults import KILL, RAISE, FaultInjected, FaultPlan, ShardFault
-from .statestore import (
-    DEFAULT_SNAPSHOT_STRIDE,
-    STATE_VERSION,
-    StateStore,
-    state_spec_hash,
-)
+from ..options import DEFAULT_SNAPSHOT_STRIDE
+from .statestore import STATE_VERSION, StateStore, state_spec_hash
 from .runner import (
     ShardResult,
     StudyFailure,

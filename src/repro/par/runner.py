@@ -62,13 +62,15 @@ from ..obs import (
     set_tracer,
     span,
 )
+from ..options import DEFAULT_BACKOFF_BASE, DEFAULT_MAX_RETRIES, \
+    DEFAULT_SNAPSHOT_STRIDE
 from ..sim import ArkSimulator
 from ..sim.scenarios import CYCLES, paper_scenario
 from ..traces import gc_paused
 from .checkpoint import CheckpointStore
 from .faults import FaultPlan
 from .shard import Shard, plan_shards, shard_cycles
-from .statestore import DEFAULT_SNAPSHOT_STRIDE, StateStore
+from .statestore import StateStore
 
 _SHARDS_RUN = get_registry().counter(
     "par_shards_total", "Shards executed by study runs", execution=True)
@@ -91,12 +93,6 @@ _SHARDS_STALLED = get_registry().counter(
     "par_shards_stalled_total",
     "Shards flagged silent past the --stall-timeout deadline",
     execution=True)
-
-DEFAULT_MAX_RETRIES = 2
-"""Re-dispatches a crashed shard gets before the study aborts."""
-
-DEFAULT_BACKOFF_BASE = 0.5
-"""Seconds before the first retry round; each later round doubles it."""
 
 
 class StudyFailure(RuntimeError):
@@ -321,7 +317,8 @@ def run_study(spec: StudySpec, workers: int = 1, *,
 
     The one place that declares, defaults and documents how a campaign
     executes; the CLI and :func:`repro.analysis.run_longitudinal_study`
-    forward their options here unchanged.
+    forward their options here unchanged.  The default values live in
+    :mod:`repro.options`, which the CLI's parser reads too.
 
     Results come back ordered by cycle whatever the pool's scheduling,
     and each pool shard's metrics delta is absorbed into this process's

@@ -46,11 +46,6 @@ STATE_VERSION = 1
 """Bumped when the snapshot container shape changes; old files are then
 rejected (reason ``version``) instead of mis-read."""
 
-DEFAULT_SNAPSHOT_STRIDE = 8
-"""Cycles between snapshots.  Smaller strides cut tail replay, larger
-strides cut disk and capture time; 8 keeps the worst-case tail under
-one stride while a 60-cycle campaign stores only 7 snapshots."""
-
 _FILE_PATTERN = re.compile(r"^state-(\d{4})\.snap$")
 
 

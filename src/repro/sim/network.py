@@ -927,20 +927,6 @@ class Internet:
                 result.append((prefix.network + 1, network.asn))
         return result
 
-    def egress_towards(self, asn: int, next_asn: int, dst_prefix: Prefix
-                       ) -> Tuple[int, int, int, int, int]:
-        """Pick the inter-AS link used to leave ``asn`` for ``next_asn``.
-
-        Returns (local border, local addr, remote asn, remote border,
-        remote addr).  Deterministic per destination prefix, modelling
-        hot-potato egress selection among multiple sessions.
-        """
-        links = self.networks[asn].interas.get(next_asn)
-        if not links:
-            raise KeyError(f"AS{asn} has no link to AS{next_asn}")
-        return links[flow_hash(dst_prefix.network, asn, next_asn)
-                     % len(links)]
-
     def apply_policies(self, policies: Dict[int, MplsPolicy]) -> None:
         """Apply per-AS MPLS policies (missing ASNs keep their current)."""
         for asn in sorted(policies):

@@ -127,11 +127,6 @@ class Trace:
         """True when at least one hop quoted a label stack."""
         return any(hop.has_labels for hop in self.hops)
 
-    @property
-    def reached_destination(self) -> bool:
-        """True when the trace completed."""
-        return self.stop_reason is StopReason.COMPLETED
-
     def addresses(self) -> List[int]:
         """Responding addresses in TTL order."""
         return [hop.address for hop in self.hops

@@ -32,8 +32,8 @@ from .invariants import (
     check_cycle,
     check_run,
 )
+from ..options import CONFIG_NAMES
 from .differential import (
-    CONFIG_NAMES,
     ConfigOutcome,
     DiffEntry,
     Divergence,

@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..analysis.render import format_table
 from ..core.pipeline import CycleResult
+from ..core.report import format_table
 from ..obs import emit, get_registry
 from ..par import (
     FaultInjected,
@@ -122,9 +122,6 @@ def default_matrix(workers: int = 2) -> List[VerifyConfig]:
                      description="cycle 1 round-tripped through the "
                                  "salvage reader (clean archives)"),
     ]
-
-
-CONFIG_NAMES = tuple(config.name for config in default_matrix())
 
 
 @dataclass(frozen=True)

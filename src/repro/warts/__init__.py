@@ -1,4 +1,4 @@
-"""Warts-like trace archive codecs (binary and JSON-lines)."""
+"""Warts-like binary trace archive codec."""
 
 from .format import (
     MAX_RECORD_LENGTH,
@@ -11,14 +11,6 @@ from .format import (
     salvage_archive,
     write_archive,
 )
-from .jsonl import (
-    dump_jsonl,
-    load_jsonl,
-    read_jsonl,
-    trace_from_dict,
-    trace_to_dict,
-    write_jsonl,
-)
 
 __all__ = [
     "MAX_RECORD_LENGTH",
@@ -30,10 +22,4 @@ __all__ = [
     "read_archive",
     "salvage_archive",
     "write_archive",
-    "dump_jsonl",
-    "load_jsonl",
-    "read_jsonl",
-    "trace_from_dict",
-    "trace_to_dict",
-    "write_jsonl",
 ]

@@ -6,7 +6,6 @@ from repro.analysis.aggregate import (LongitudinalStudy, mean_with_ci,
                                       t_critical_95)
 from repro.analysis.render import (
     bar_chart,
-    format_table,
     series_chart,
     sparkline,
     stacked_shares,
@@ -18,6 +17,7 @@ from repro.core.classification import (
     TunnelClass,
 )
 from repro.core.filters import FilterStats
+from repro.core.report import format_table
 from repro.core.pipeline import CycleResult, DatasetStats
 
 

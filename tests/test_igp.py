@@ -3,16 +3,17 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.igp.ecmp import FlowKey, _splitmix64, branch_distribution, \
-    flow_hash, fold, fold_ramp, select_next_hop
+from repro.igp.ecmp import _splitmix64, flow_hash, fold, fold_ramp
 from repro.igp.spf import SpfTable, spf_to
 from repro.igp.topology import Router, Topology, TopologyError
+from repro.sim.dataplane import DataPlane
 
 from helpers import (
     chain_topology,
     diamond_topology,
     parallel_link_topology,
 )
+from test_sim_dataplane import SRC_AS, TRANSIT, a_destination, build
 
 
 class TestTopology:
@@ -217,33 +218,43 @@ class TestEcmpHashing:
         for n in range(1, 256):
             assert fold_ramp(state, n) == scalar[:n], n
 
+    # The walk hashes each flow once and draws a whole equal-cost
+    # segment per AS crossing (DataPlane._walk_as, decisions.picks).
+
     def test_same_flow_same_branch(self):
-        topology = diamond_topology()
-        result = spf_to(topology, 3)
-        choices = result.next_hops(0)
-        key = FlowKey(src=111, dst=222)
-        picks = {select_next_hop(choices, key) for _ in range(10)}
-        assert len(picks) == 1
+        internet, dst = _ecmp_internet()
+        paths = {_transit_routers(DataPlane(internet), dst, flow_id=5)
+                 for _ in range(3)}
+        assert len(paths) == 1
 
     def test_different_flows_spread(self):
-        keys = [FlowKey(src=1, dst=dst) for dst in range(200)]
-        counts = branch_distribution(2, keys)
-        assert counts[0] + counts[1] == 200
-        assert min(counts) > 40  # roughly balanced
-
-    def test_router_salt_changes_selection(self):
-        keys = [FlowKey(src=1, dst=dst) for dst in range(64)]
-        unsalted = branch_distribution(2, keys, router_salt=0)
-        salted = branch_distribution(2, keys, router_salt=7)
-        # Totals conserved even if the split differs.
-        assert sum(unsalted) == sum(salted) == 64
+        internet, dst = _ecmp_internet()
+        dataplane = DataPlane(internet)
+        paths = {_transit_routers(dataplane, dst, flow_id)
+                 for flow_id in range(64)}
+        assert len(paths) >= 2
+        # One draw per flow, all for the transit AS's one crossing.
+        assert len(dataplane.decisions.picks) == 64
+        assert {key[1] for key in dataplane.decisions.picks} == {TRANSIT}
 
     def test_single_choice_shortcut(self):
-        topology = chain_topology(3)
-        result = spf_to(topology, 2)
-        choices = result.next_hops(0)
-        assert select_next_hop(choices, FlowKey(1, 2)) == choices[0]
+        internet = build(ecmp=1)
+        dst = a_destination(internet)
+        dataplane = DataPlane(internet)
+        paths = {_transit_routers(dataplane, dst, flow_id)
+                 for flow_id in range(8)}
+        assert len(paths) == 1
+        assert len(dataplane.decisions.picks) == 0
 
-    def test_empty_choices_raise(self):
-        with pytest.raises(ValueError):
-            select_next_hop([], FlowKey(1, 2))
+
+def _ecmp_internet():
+    """A transit pair with several equal-cost segments, and a
+    destination behind it."""
+    internet = build(ecmp=3, transit_routers=14)
+    return internet, a_destination(internet)
+
+
+def _transit_routers(dataplane, dst, flow_id):
+    return tuple(hop.router_id for hop in
+                 dataplane.forward_path(SRC_AS, 1, 99, dst, flow_id)
+                 if hop.asn == TRANSIT)

@@ -58,6 +58,42 @@ def test_lower_layer_loads_no_upper_layer(layer):
     assert _offenders(loaded, NOT_AT_IMPORT) == []
 
 
+# What the CLI loads only in the handlers that run them.
+CLI_HANDLER_LAYERS = ["repro.sim", "repro.par", "repro.verify",
+                      "repro.analysis"]
+
+
+@pytest.fixture(scope="module")
+def staged_cycle(tmp_path_factory):
+    """One small simulated cycle on disk, as ``repro simulate`` writes
+    it."""
+    out = tmp_path_factory.mktemp("campaign")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-m", "repro", "simulate",
+                    "--cycles", "1", "--scale", "0.25", "--out", str(out)],
+                   env=env, capture_output=True, check=True)
+    return out / "cycle-01"
+
+
+def test_cli_import_loads_no_handler_layer():
+    assert _offenders(_loaded_by("import repro.cli"),
+                      CLI_HANDLER_LAYERS) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["classify", "--cycle-dir", "{cycle}"],
+    ["show", "--archive", "{cycle}/snapshot-0.rwts", "--limit", "1"],
+    ["audit", "--cycle-dir", "{cycle}", "--limit", "2"],
+])
+def test_archive_commands_load_no_simulator_runner_oracle_or_analysis(
+        staged_cycle, command):
+    argv = [arg.format(cycle=staged_cycle) for arg in command]
+    loaded = _loaded_by("from repro.cli import main\n"
+                        f"assert main({argv!r}) == 0\n")
+    assert "repro.warts.format" in loaded
+    assert _offenders(loaded, CLI_HANDLER_LAYERS) == []
+
+
 @pytest.mark.parametrize("code", [
     "import repro.cli",
     "from repro.obs import TelemetryServer",

@@ -160,19 +160,3 @@ class TestPolicies:
         fecs = engine.establish_transit_fecs()
         egresses = {engine.egress_of(fec) for fec in fecs}
         assert egresses == {0, 3}
-
-    def test_advertised_prefixes_cisco_all(self):
-        topology = chain_topology(2, vendor="cisco")
-        engine = engine_for(topology)
-        prefixes = [Prefix.parse("10.0.0.0/30"),
-                    Prefix.parse("10.255.0.1/32")]
-        assert engine.advertised_prefixes(0, prefixes) == prefixes
-
-    def test_advertised_prefixes_juniper_loopbacks(self):
-        topology = chain_topology(2, vendor="juniper")
-        engine = engine_for(topology)
-        prefixes = [Prefix.parse("10.0.0.0/30"),
-                    Prefix.parse("10.255.0.1/32")]
-        assert engine.advertised_prefixes(0, prefixes) == [
-            Prefix.parse("10.255.0.1/32")
-        ]

@@ -11,8 +11,7 @@ from repro.mpls.lfib import (
     LfibAction,
     LfibEntry,
 )
-from repro.mpls.vendor import CISCO, JUNIPER, VendorProfile, \
-    LdpAllocationPolicy
+from repro.mpls.vendor import CISCO, JUNIPER, VendorProfile
 from repro.net.ip import Prefix
 
 
@@ -21,7 +20,6 @@ def tiny_profile(span=4):
         name="tiny",
         label_min=100,
         label_max=100 + span - 1,
-        ldp_policy=LdpAllocationPolicy.ALL_PREFIXES,
         php_default=True,
         ttl_propagate_default=True,
         rfc4950=True,
@@ -131,11 +129,3 @@ class TestLabelManager:
         for router in range(20):
             label = manager.allocate_for(router, fec)
             assert JUNIPER.label_min <= label <= JUNIPER.label_max
-
-    def test_release_for(self):
-        manager = LabelManager({0: "cisco"})
-        fec = PrefixFec(Prefix.parse("10.0.0.1/32"))
-        manager.allocate_for(0, fec)
-        manager.release_for(0, fec)
-        assert manager.allocator(0).in_use == 0
-        assert manager.lfib(0).label_for(fec) is None

@@ -48,15 +48,6 @@ class TestSignalling:
         second = engine.signal(0, 3, tunnel_id=1)
         assert first.routers != second.routers
 
-    def test_explicit_route_honoured(self):
-        topology = diamond_topology()
-        engine = engine_for(topology)
-        dag = engine.spf.to_destination(3)
-        explicit = dag.all_paths(0)[1]
-        session = engine.signal(0, 3, tunnel_id=0,
-                                explicit_route=explicit)
-        assert session.route == list(explicit)
-
     def test_unreachable_egress_raises(self):
         from repro.igp.topology import Router
 
@@ -74,20 +65,22 @@ class TestSignalling:
         assert engine.session(0, 2, 6) is None
 
     def test_ingress_push(self):
+        # The head-end pushes its first hop's session label: the label
+        # the forwarding walk reads from ``session.labels`` there.
         topology = chain_topology(4)
         engine = engine_for(topology)
         session = engine.signal(0, 3, tunnel_id=0)
-        label, next_hop, _ = engine.ingress_push(session)
+        next_hop, _ = session.route[0]
         assert next_hop == 1
-        assert label == session.labels[1]
+        assert session.labels.get(next_hop) is not None
 
     def test_ingress_push_one_hop_php(self):
+        # A one-hop tunnel to a PHP egress pushes no label at all.
         topology = chain_topology(2)
         engine = engine_for(topology)
         session = engine.signal(0, 1, tunnel_id=0)
-        label, next_hop, _ = engine.ingress_push(session)
-        assert label is None
-        assert next_hop == 1
+        assert [router for router, _ in session.route] == [1]
+        assert session.labels == {}
 
 
 class TestReoptimization:
@@ -95,7 +88,7 @@ class TestReoptimization:
         topology = chain_topology(4)
         engine = engine_for(topology)
         before = dict(engine.signal(0, 3, tunnel_id=0).labels)
-        after = dict(engine.reoptimize(0, 3, 0).labels)
+        after = dict(engine.reoptimize_all()[0].labels)
         assert before != after
         for router in before:
             assert after[router] > before[router]  # sequential allocator
@@ -104,22 +97,17 @@ class TestReoptimization:
         topology = chain_topology(4)
         engine = engine_for(topology)
         engine.signal(0, 3, tunnel_id=0)
-        session = engine.reoptimize(0, 3, 0)
+        session, = engine.reoptimize_all()
         assert session.fec.instance == 1
+        assert engine.session(0, 3, 0) is session
 
     def test_reoptimize_releases_old_labels(self):
         topology = chain_topology(4)
         engine = engine_for(topology)
         engine.signal(0, 3, tunnel_id=0)
-        engine.reoptimize(0, 3, 0)
+        engine.reoptimize_all()
         # One session through router 1 => exactly one label in use there.
         assert engine.labels.allocator(1).in_use == 1
-
-    def test_reoptimize_unknown_raises(self):
-        topology = chain_topology(3)
-        engine = engine_for(topology)
-        with pytest.raises(RsvpError):
-            engine.reoptimize(0, 2, 0)
 
     def test_reoptimize_all(self):
         topology = chain_topology(4)
@@ -157,12 +145,3 @@ class TestTeardown:
         engine = engine_for(topology)
         with pytest.raises(RsvpError):
             engine.teardown(0, 2, 0)
-
-    def test_teardown_all(self):
-        topology = chain_topology(4)
-        engine = engine_for(topology)
-        engine.signal(0, 3, tunnel_id=0)
-        engine.signal(0, 3, tunnel_id=1)
-        engine.teardown_all()
-        assert engine.sessions == []
-        assert engine.labels.allocator(1).in_use == 0

@@ -28,12 +28,6 @@ class TestSids:
         with pytest.raises(SrError):
             engine.node_sid(42)
 
-    def test_reverse_lookup(self):
-        engine = engine_for(chain_topology(3))
-        assert engine.router_of_sid(DEFAULT_SRGB_BASE + 2) == 2
-        assert engine.router_of_sid(DEFAULT_SRGB_BASE + 99) is None
-        assert engine.router_of_sid(100) is None
-
 
 class TestPolicies:
     def test_install_and_lookup(self):
@@ -41,20 +35,34 @@ class TestPolicies:
         policy = engine.install_policy(0, 3, waypoints=[2])
         assert policy.segment_targets == (2, 3)
         assert engine.policies_between(0, 3) == [policy]
-        assert engine.policy_count == 1
+        assert engine.policies_between(3, 0) == []
 
     def test_policy_for_is_deterministic(self):
-        engine = engine_for(chain_topology(4))
-        engine.install_policy(0, 3, waypoints=[1])
-        engine.install_policy(0, 3, waypoints=[2])
-        picks = {engine.policy_for(0, 3, selector).policy_id
-                 for selector in range(64)}
-        assert picks == {0, 1}
-        assert engine.policy_for(0, 3, 7) == engine.policy_for(0, 3, 7)
+        # SR policy steering, as the walk picks it (DataPlane._option).
+        from repro.sim import MplsPolicy
+        from repro.sim.dataplane import DataPlane
+        from test_sim_dataplane import DST_AS, build as build_internet
 
-    def test_policy_for_missing_pair(self):
-        engine = engine_for(chain_topology(4))
-        assert engine.policy_for(0, 3, 1) is None
+        internet = build_internet(
+            MplsPolicy(enabled=True, ldp=True, sr_pair_fraction=1.0,
+                       sr_policies_per_pair=2, sr_waypoints=1),
+            transit_routers=12, prefix_count=8)
+        dataplane = DataPlane(internet)
+        stacks = set()
+        for dst, owner in internet.destination_addresses():
+            if owner != DST_AS:
+                continue
+            # Steering is by destination /24: every flow to one
+            # destination rides the same policy (one segment per
+            # policy, so the same stacks).
+            per_flow = {
+                tuple(hop.labels for hop in
+                      dataplane.forward_path(65301, 1, 99, dst, flow_id))
+                for flow_id in range(4)}
+            assert len(per_flow) == 1
+            stacks |= per_flow
+        # Two policies for the pair, and its /24s use both.
+        assert len(stacks) == 2
 
     def test_validation(self):
         engine = engine_for(chain_topology(4))
@@ -63,14 +71,13 @@ class TestPolicies:
         with pytest.raises(SrError):
             engine.install_policy(0, 3, waypoints=[99])
 
-    def test_remove_and_clear(self):
+    def test_clear(self):
         engine = engine_for(chain_topology(4))
         engine.install_policy(0, 3, waypoints=[])
         engine.install_policy(3, 0, waypoints=[])
-        assert engine.remove_policies(0, 3) == 1
-        assert engine.policy_count == 1
         engine.clear()
-        assert engine.policy_count == 0
+        assert engine.policies_between(0, 3) == []
+        assert engine.policies_between(3, 0) == []
 
 
 class TestWalk:

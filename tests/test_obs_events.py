@@ -23,7 +23,6 @@ from repro.obs import (
     to_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.events import iter_kind
 from repro.obs.progress import _format_seconds
 
 
@@ -93,13 +92,6 @@ class TestEventBus:
                                  "cycle": 3})
         assert event == Event(seq=7, kind="x", ts=1.5,
                               fields={"cycle": 3})
-
-    def test_iter_kind_filters(self):
-        bus = EventBus()
-        bus.emit("a")
-        bus.emit("b")
-        bus.emit("a")
-        assert len(list(iter_kind(bus.events, "a"))) == 2
 
     def test_global_bus_swap_and_emit(self):
         previous = get_event_bus()

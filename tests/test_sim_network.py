@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bgp.asgraph import Tier
 from repro.igp.spf import spf_to
-from repro.net.ip import Prefix, int_to_ip, ip_to_int
+from repro.net.ip import int_to_ip, ip_to_int
 from repro.sim.ark import ArkSimulator
 from repro.sim.config import AsSpec, MplsPolicy, UniverseSpec
 from repro.sim.dataplane import DataPlane
@@ -153,16 +153,29 @@ class TestInternetConstruction:
         assert len(by_asn[502]) == 2
 
     def test_egress_towards_is_deterministic(self):
-        internet = Internet(tiny_universe())
-        prefix = Prefix.parse("50.3.0.0/24")
-        first = internet.egress_towards(100, 200, prefix)
-        second = internet.egress_towards(100, 200, prefix)
-        assert first == second
+        # Hot-potato egress, as the walk picks it
+        # (DataPlane._transit_step): one peering link per destination
+        # /24, whatever the flow.
+        from test_sim_dataplane import DST_AS, OTHER_DST_AS, SRC_AS, \
+            build
 
-    def test_egress_towards_unknown_neighbor(self):
-        internet = Internet(tiny_universe())
-        with pytest.raises(KeyError):
-            internet.egress_towards(501, 502, Prefix.parse("50.0.0.0/24"))
+        internet = build(multi_link=True, prefix_count=8)
+        dataplane = DataPlane(internet, era=0, egress_noise=0.0)
+        entries = set()
+        for dst, owner in internet.destination_addresses():
+            if owner not in (DST_AS, OTHER_DST_AS):
+                continue
+            # The first hop inside the destination AS: where the
+            # transit handed the probe over.
+            entry = {next(hop.address for hop in
+                          dataplane.forward_path(SRC_AS, 1, 99, dst,
+                                                 flow_id)
+                          if hop.asn == owner)
+                     for flow_id in range(4)}
+            assert len(entry) == 1
+            entries |= entry
+        # Two links per destination AS; some AS's /24s use both.
+        assert len(entries) >= 3
 
 
 class TestMplsLifecycle:

@@ -499,6 +499,12 @@ class TestConfigNames:
             "state-cold", "state-warm", "strict-archive",
             "tolerant-archive")
 
+    def test_parser_choices_name_the_matrix(self):
+        # The CLI offers CONFIG_NAMES without loading the oracle; they
+        # must name exactly the configurations default_matrix builds.
+        assert tuple(config.name for config in default_matrix(workers=3)) \
+            == CONFIG_NAMES
+
 
 class TestVerifyCli:
     def test_defaults(self):

@@ -1,4 +1,4 @@
-"""Unit tests for the warts-like binary and JSONL trace codecs."""
+"""Unit tests for the warts-like binary trace codec."""
 
 import gzip
 import hashlib
@@ -25,12 +25,6 @@ from repro.warts.format import (
     read_archive,
     salvage_archive,
     write_archive,
-)
-from repro.warts.jsonl import (
-    dump_jsonl,
-    load_jsonl,
-    trace_from_dict,
-    trace_to_dict,
 )
 
 
@@ -279,74 +273,6 @@ class TestTolerantReader:
         data = archive_bytes([sample_trace()])[:-3]
         list(WartsReader(io.BytesIO(data), tolerant=True))
         assert counter.value(reason="truncated_body") == before + 1
-
-
-class TestJsonlCodec:
-    def test_dict_round_trip(self):
-        trace = anonymous_trace()
-        rebuilt = trace_from_dict(trace_to_dict(trace))
-        assert rebuilt.hops[1].is_anonymous
-        assert rebuilt.hops[2].quoted_stack == trace.hops[2].quoted_stack
-        assert rebuilt.monitor == trace.monitor
-
-    def test_stream_round_trip(self):
-        originals = [sample_trace(), anonymous_trace()]
-        buffer = io.StringIO()
-        assert dump_jsonl(originals, buffer) == 2
-        buffer.seek(0)
-        loaded = list(load_jsonl(buffer))
-        assert len(loaded) == 2
-        assert loaded[0].dst == originals[0].dst
-
-    def test_blank_lines_skipped(self):
-        buffer = io.StringIO()
-        dump_jsonl([sample_trace()], buffer)
-        text = "\n" + buffer.getvalue() + "\n\n"
-        assert len(list(load_jsonl(io.StringIO(text)))) == 1
-
-    def test_bad_line_reports_number(self):
-        with pytest.raises(ValueError, match="line 1"):
-            list(load_jsonl(io.StringIO('{"nope": 1}\n')))
-
-    @pytest.mark.parametrize("line", [
-        "[1, 2]",                              # not an object
-        '{"hops": null}',                      # hops not a list
-        '{"monitor": "m", "src": 5, "dst": "1.2.3.4", "timestamp": 0,'
-        ' "stop_reason": "completed", "hops": []}',  # int address
-    ])
-    def test_wrongly_typed_line_reports_number(self, line):
-        good = io.StringIO()
-        dump_jsonl([sample_trace()], good)
-        text = good.getvalue() + "\n" + line + "\n"
-        with pytest.raises(ValueError, match="bad trace on line 3"):
-            list(load_jsonl(io.StringIO(text)))
-
-    def test_addresses_rendered_dotted(self):
-        data = trace_to_dict(sample_trace())
-        assert data["src"] == "192.0.2.1"
-        assert data["hops"][0]["address"].startswith("10.0.0.")
-
-    def test_minimal_hand_written_record_round_trips(self):
-        # Hand-written JSONL omits optional keys: no mpls list, no
-        # quoted_ttl.  Both must default instead of raising KeyError.
-        minimal = {
-            "monitor": "mon-hand",
-            "src": "192.0.2.1",
-            "dst": "198.51.100.7",
-            "timestamp": 12.5,
-            "stop_reason": StopReason.COMPLETED.value,
-            "hops": [
-                {"probe_ttl": 1, "address": "10.0.0.1", "rtt_ms": 0.7},
-                {"probe_ttl": 2, "address": None, "rtt_ms": 0.0},
-            ],
-        }
-        trace = trace_from_dict(minimal)
-        assert trace.hops[0].quoted_stack == ()
-        assert trace.hops[0].quoted_ttl == 1
-        assert trace.hops[1].is_anonymous
-        # Full round trip: dict -> trace -> dict -> trace.
-        again = trace_from_dict(trace_to_dict(trace))
-        assert traces_equal(trace, again)
 
 
 @given(st.lists(st.tuples(
