@@ -133,28 +133,3 @@ class LdpEngine:
             for router in sorted(self.topology.border_routers(),
                                  key=lambda r: r.router_id)
         ]
-
-    def ingress_push_choices(
-        self, ingress_router: int, fec: PrefixFec
-    ) -> List[Tuple[Optional[int], int, Link]]:
-        """Label-push options at an ingress LER for a FEC.
-
-        Returns one ``(label_to_push, next_hop, link)`` tuple per ECMP
-        successor.  ``label_to_push`` is None when the next hop is the
-        PHP egress itself (single-hop LSP: nothing to push).
-        """
-        egress_router = self._established.get(fec)
-        if egress_router is None:
-            raise KeyError(f"FEC not established: {fec}")
-        if ingress_router == egress_router:
-            return []
-        dag = self.spf.to_destination(egress_router)
-        php = self.uses_php(egress_router)
-        choices: List[Tuple[Optional[int], int, Link]] = []
-        for next_hop, link in dag.next_hops(ingress_router):
-            if next_hop == egress_router and php:
-                choices.append((None, next_hop, link))
-            else:
-                label = self.labels.lfib(next_hop).label_for(fec)
-                choices.append((label, next_hop, link))
-        return choices

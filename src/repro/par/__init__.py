@@ -31,6 +31,10 @@ What a study leaves on disk lives in one content-addressed store
   plane every ``snapshot_stride`` cycles, so workers and resumed runs
   restore the nearest snapshot and replay only the tail (DESIGN §10).
 
+The process that runs a cycle persists both kinds, so no entry is
+pickled after crossing a process boundary and a failed shard keeps the
+cycles it finished.
+
 Persisted metrics keep result metrics only: every metric declares at
 registration whether it is execution telemetry, and a checkpoint holds
 a cycle's result with its results-only metrics

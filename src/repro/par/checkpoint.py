@@ -12,8 +12,9 @@ Layout: ``<checkpoint-dir>/<spec-hash>/cycle-<NNNN>.ckpt`` holds one
 cycle, whoever computed it — the in-process executor or a pool worker.
 The key names no worker layout, so any layout resumes from any other,
 and the bytes do not depend on the layout either: the process that ran
-a cycle encodes its entry (:meth:`CheckpointStore.encode`) and the
-entry is written unchanged.  The trust model — spec-hash directory,
+a cycle saves it (:meth:`CheckpointStore.save`), so no result is
+pickled again after crossing a process boundary, and a shard that
+fails keeps the cycles it finished.  The trust model — spec-hash directory,
 embedded re-verified hash, atomic writes, rejection reasons, counters
 ``par_checkpoint_*`` and events ``checkpoint.*`` — is the shared
 :class:`~repro.par.store.ContentStore`.
@@ -56,19 +57,16 @@ class CheckpointStore(ContentStore):
     PATTERN = "cycle-{:04d}.ckpt"
     NOUN = "Cycle checkpoint"
 
-    def encode(self, result: CycleResult) -> bytes:
-        """The stored bytes of one cycle.
+    def save(self, result: CycleResult) -> Path:
+        """Atomically persist one cycle's result under its cycle.
 
         Pickle records which objects a graph shares, and a result that
-        crossed a process boundary shares fewer, so a cycle is encoded
-        in the process that computed it — that is what makes its bytes
-        the same whatever layout computed it.
+        crossed a process boundary shares fewer, so a cycle is saved by
+        the process that computed it — that is what makes its bytes the
+        same whatever layout computed it.
         """
-        return self._encode(result.cycle, result=result)
-
-    def save(self, cycle: int, entry: bytes) -> Path:
-        """Atomically persist one :meth:`encode`-d entry."""
-        return self._write(cycle, entry)
+        return self._write(result.cycle,
+                           self._encode(result.cycle, result=result))
 
     def load(self, cycle: int) -> Optional[CycleResult]:
         """One cycle's verified result, or None.

@@ -16,13 +16,17 @@ otherwise.  The pool's modules (``multiprocessing``,
 ``concurrent.futures``) load on the first pool round, so a serial
 study never loads them (DESIGN §3, import layering).  Both executors
 run a shard's cycles through one loop (:func:`_run_cycles`), which
-fires staged faults (:mod:`repro.par.faults`) by cycle and, when
-checkpointing, encodes each cycle's entry in the process that ran it,
-so cycle *k*'s bytes are the same whatever the layout (DESIGN §8).
-Results are assembled in cycle order and the parent simulator ends in
-the campaign's end state, so post-study experiments (Figs 6, 16, 17
-re-run cycles on top of it) see exactly what an uninterrupted serial
-run leaves behind.
+fires staged faults (:mod:`repro.par.faults`) by cycle and keeps one
+rule: **the process that runs a cycle persists it**.  Right after a
+cycle's heartbeat it saves the cycle's checkpoint and, on a stride
+multiple, its control-plane snapshot, so cycle *k*'s bytes are the
+same whatever the layout (DESIGN §8) and a failed shard keeps the
+cycles it finished.  A pool parent therefore holds no simulator while
+it forks: it dispatches first and builds its own after the last pool
+round.  Results are assembled in cycle order and the parent simulator
+ends in the campaign's end state, so post-study experiments (Figs 6,
+16, 17 re-run cycles on top of it) see exactly what an uninterrupted
+serial run leaves behind.
 
 The runner is also the **flight recorder's** main instrument
 (DESIGN §9): it emits study/shard/cycle lifecycle events and a
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.pipeline import CycleResult, LprPipeline
 from ..obs import (
@@ -152,10 +156,6 @@ class ShardResult:
     spans: Optional[List[Span]] = None
     """The worker's tracer roots, returned only on profiled runs and
     grafted under the parent's study span."""
-    entries: Optional[List[bytes]] = None
-    """With a checkpoint store: one encoded entry per entry of
-    ``results`` (:meth:`CheckpointStore.encode`), which the parent
-    writes unchanged."""
 
 
 @dataclass
@@ -171,19 +171,21 @@ class StudyRun:
 
 
 def _advance(simulator: ArkSimulator, cursor: int, target: int,
-             state_store: Optional[StateStore]) -> int:
+             state_store: Optional[StateStore],
+             listed: Optional[Tuple[int, ...]] = None) -> int:
     """Move ``simulator`` from the state after cycle ``cursor`` to the
     state after ``target``; returns the cycles replayed.
 
     With a state store the newest usable snapshot in ``(cursor,
-    target]`` is restored first and only the tail is replayed.
-    Probing never mutates the control plane (DESIGN §6), so the state
-    is byte-identical either way.
+    target]`` — among ``listed`` when given — is restored first and
+    only the tail is replayed.  Probing never mutates the control
+    plane (DESIGN §6), so the state is byte-identical either way.
     """
     if target <= cursor:
         return 0
     if state_store is not None:
-        found = state_store.load_nearest(target, after=cursor)
+        found = state_store.load_nearest(target, after=cursor,
+                                         listed=listed)
         if found is not None:
             cursor, state = found
             simulator.internet.restore_state(state)
@@ -203,30 +205,40 @@ def _heartbeat(shard_id: int, resources: bool, cycles_done: int = 0,
 
 
 def _run_cycles(shard: Shard, simulator: ArkSimulator,
-                pipeline: LprPipeline, store: Optional[CheckpointStore],
-                fault_plan: Optional[FaultPlan], attempt: int,
-                resources: bool
-                ) -> Iterator[Tuple[CycleResult, Optional[bytes]]]:
+                pipeline: LprPipeline, fault_plan: Optional[FaultPlan],
+                attempt: int, resources: bool,
+                store: Optional[CheckpointStore],
+                state_store: Optional[StateStore], stride: int
+                ) -> List[CycleResult]:
     """Run a shard's cycles on a simulator holding the state after
-    ``shard.first - 1``, yielding each result with its encoded
-    checkpoint entry (None without a store) after its heartbeat.
+    ``shard.first - 1`` and persist each one in this process.
 
-    The loop takes no registry snapshot: a cycle's metrics are the
-    pipeline's own window, already on its result.
+    After a cycle's heartbeat its checkpoint is saved and, on a
+    ``stride`` multiple, its control-plane snapshot — unless a
+    verified one is already there.  A cycle that raises leaves the
+    cycles before it saved.  The loop takes no registry snapshot: a
+    cycle's metrics are the pipeline's own window, already on its
+    result.
     """
     sim_traces = get_registry().counter("sim_traces_total")
     traces_start = sim_traces.value()
+    results: List[CycleResult] = []
     for done, cycle in enumerate(shard.cycles, 1):
         # The cycle's traces are built and die inside one GC-quiet
-        # scope; the yield (the caller's work) runs outside it.
+        # scope; persisting it runs outside.
         with gc_paused():
             if fault_plan is not None:
                 fault_plan.maybe_fire(cycle, attempt)
             result = pipeline.process_cycle(simulator.run_cycle(cycle))
-            entry = None if store is None else store.encode(result)
         _heartbeat(shard.shard_id, resources, done,
                    sim_traces.value() - traces_start)
-        yield result, entry
+        if store is not None:
+            store.save(result)
+        if (state_store is not None and cycle % stride == 0
+                and state_store.load(cycle) is None):
+            state_store.save(cycle, simulator.internet.capture_state())
+        results.append(result)
+    return results
 
 
 def _forward_events(queue) -> None:
@@ -242,8 +254,9 @@ def _forward_events(queue) -> None:
 
 
 def _run_shard(
-    args: Tuple[StudySpec, Shard, int, Optional[FaultPlan], bool, Any,
-                bool, Any]
+    args: Tuple[StudySpec, Shard, int, Optional[FaultPlan], bool, bool,
+                Optional[CheckpointStore], Optional[StateStore], int,
+                Optional[Tuple[int, ...]]]
 ) -> ShardResult:
     """Pool worker entry: reconstruct state, run the shard locally.
 
@@ -251,42 +264,37 @@ def _run_shard(
     profiles, so the returned ``par.worker`` span tree carries real
     durations the parent grafts into its own trace.  It beats on
     entry and after the prefix replay — what arms the stall
-    watchdog's deadline — then once per finished cycle.
+    watchdog's deadline — then once per finished cycle, and persists
+    each cycle itself (:func:`_run_cycles`).
 
-    With ``state_dir`` set the worker warm-starts from the newest
-    usable snapshot at or before ``first - 1`` (:func:`_advance`);
+    With a state store the worker warm-starts from the newest usable
+    snapshot at or before ``first - 1`` among ``listed``, the
+    snapshots on disk when the run planned its shards, so which one it
+    restores never depends on what a sibling wrote meanwhile;
     ``replayed_cycles`` records what was actually replayed.
     """
-    (spec, shard, attempt, fault_plan, profile, state_dir, resources,
-     checkpoint_dir) = args
+    (spec, shard, attempt, fault_plan, profile, resources, store,
+     state_store, stride, listed) = args
     tracer = set_tracer(Tracer(MonotonicClock() if profile
                                else NullClock()))
     _heartbeat(shard.shard_id, resources)
     simulator, pipeline = build_study(spec)
     registry = get_registry()
     before = registry.snapshot()
-    store = (CheckpointStore(checkpoint_dir, spec)
-             if checkpoint_dir is not None else None)
-    state_store = (StateStore(state_dir, spec)
-                   if state_dir is not None else None)
-    results: List[CycleResult] = []
-    entries: List[Optional[bytes]] = []
     with tracer.span("par.worker", first=shard.first, last=shard.last):
-        replayed = _advance(simulator, 0, shard.first - 1, state_store)
+        replayed = _advance(simulator, 0, shard.first - 1, state_store,
+                            listed)
         if shard.first > 1:
             _heartbeat(shard.shard_id, resources)  # prefix replayed
-        for result, entry in _run_cycles(shard, simulator, pipeline,
-                                         store, fault_plan, attempt,
-                                         resources):
-            results.append(result)
-            entries.append(entry)
+        results = _run_cycles(shard, simulator, pipeline, fault_plan,
+                              attempt, resources, store, state_store,
+                              stride)
     return ShardResult(
         shard_id=shard.shard_id,
         results=results,
         metrics_delta=registry.diff(before, registry.snapshot()),
         replayed_cycles=replayed,
         spans=tracer.roots if profile else None,
-        entries=entries if store is not None else None,
     )
 
 
@@ -340,21 +348,23 @@ def run_study(spec: StudySpec, workers: int = 1, *,
     :class:`StudyFailure`.
 
     With ``checkpoint_dir`` set every finished cycle is persisted
-    through a :class:`CheckpointStore` under its cycle, with identical
-    bytes whichever executor wrote it; a restarted run looks every
-    cycle up once, restores the hits and plans shards over the missing
+    through a :class:`CheckpointStore` under its cycle by the process
+    that ran it, with identical bytes whichever executor that was —
+    also when its shard fails later; a restarted run looks every cycle
+    up once, restores the hits and plans shards over the missing
     cycles only, so any worker layout resumes from any other.
     ``fault_plan`` is the test-only injection hook
     (:mod:`repro.par.faults`); production runs leave it None.
 
     With ``state_dir`` set, control-plane snapshots are shared through
-    a :class:`StateStore` every ``snapshot_stride`` cycles: the pool
-    parent seeds the store while advancing its own end-state simulator
-    *before* dispatching, each worker warm-starts from the nearest
-    snapshot ≤ its shard's first cycle instead of replaying the whole
-    prefix, and the in-process executor writes snapshots as it runs so
-    an interrupted study resumes warm.  A snapshot that does not
-    verify is rewritten.  Snapshots only shortcut
+    a :class:`StateStore` every ``snapshot_stride`` cycles: whoever
+    runs a stride cycle saves its snapshot unless a verified one is
+    there (a rejected file is rewritten), and whoever must reach a
+    cycle restores the nearest snapshot ≤ it and replays only the
+    tail — a pool worker among the snapshots listed when the run
+    planned its shards, the pool parent among all of them once the
+    pool is done.  A cycle restored from a checkpoint that has no
+    snapshot stays without one.  Snapshots only shortcut
     :meth:`~repro.sim.ark.ArkSimulator.fast_forward` — never probing —
     so output stays byte-identical with or without them.
 
@@ -439,7 +449,8 @@ def run_study(spec: StudySpec, workers: int = 1, *,
             futures = {
                 pool.submit(_run_shard, (
                     spec, shard, attempts[shard], fault_plan, profile,
-                    state_dir, resources, checkpoint_dir)): shard
+                    resources, store, state_store, snapshot_stride,
+                    listed)): shard
                 for shard in pending}
             for shard in pending:
                 if watchdog is not None:
@@ -498,47 +509,34 @@ def run_study(spec: StudySpec, workers: int = 1, *,
             emit("study.plan", shards=len(shards), workers=workers,
                  restored=len(restored),
                  ranges=[[shard.first, shard.last] for shard in shards])
-            simulator, pipeline = build_study(spec)
             executed: Dict[int, CycleResult] = {}
             completed: List[ShardResult] = []
+            cursor = 0
             if workers == 1:
                 # The shards run on the parent's own simulator; its
                 # control plane only moves forward, jumping restored
                 # gaps in one hop (snapshot plus tail replay).
+                simulator, pipeline = build_study(spec)
                 sim_traces = get_registry().counter("sim_traces_total")
-                cursor = 0
                 for shard in shards:
                     emit("shard.dispatch", shard=shard.shard_id,
                          first=shard.first, last=shard.last, attempt=1)
                     replayed = _advance(simulator, cursor,
                                         shard.first - 1, state_store)
                     traces_start = sim_traces.value()
-                    for result, entry in _run_cycles(
-                            shard, simulator, pipeline, store,
-                            fault_plan, 0, resources):
-                        cycle = cursor = result.cycle
-                        executed[cycle] = result
-                        if store is not None:
-                            store.save(cycle, entry)
-                        if (state_store is not None
-                                and cycle % snapshot_stride == 0
-                                and state_store.load(cycle) is None):
-                            state_store.save(
-                                cycle, simulator.internet.capture_state())
+                    for result in _run_cycles(
+                            shard, simulator, pipeline, fault_plan, 0,
+                            resources, store, state_store,
+                            snapshot_stride):
+                        executed[result.cycle] = result
+                    cursor = shard.last
                     _finish(shard.shard_id, len(shard), replayed,
                             sim_traces.value() - traces_start)
             else:
-                # The parent simulator never probes, but its end state
-                # backs post-study experiments — and, with a state
-                # store, its one replay pass seeds the snapshots every
-                # worker warm-starts from, so it runs *before* dispatch.
-                cursor = 0
-                if state_store is not None:
-                    with span("par.state_seed", cycles=spec.cycles,
-                              stride=snapshot_stride):
-                        _seed_state_store(simulator, state_store,
-                                          spec.cycles, snapshot_stride)
-                    cursor = spec.cycles
+                # Workers fork from a parent that holds no simulator
+                # yet, and restore only the snapshots listed now.
+                listed = (tuple(state_store.cycles())
+                          if state_store is not None else None)
                 pending = list(shards)
                 attempts: Dict[Shard, int] = {s: 0 for s in shards}
                 next_id = len(shards)
@@ -550,10 +548,6 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                             sleep(delay)
                     done_round, failed = _pool_round(pending)
                     for result in done_round:
-                        if store is not None:
-                            for cycle_result, entry in zip(
-                                    result.results, result.entries):
-                                store.save(cycle_result.cycle, entry)
                         for cycle_result in result.results:
                             executed[cycle_result.cycle] = cycle_result
                         completed.append(result)
@@ -594,6 +588,9 @@ def run_study(spec: StudySpec, workers: int = 1, *,
                             attempts[child] = attempt + 1
                             pending.append(child)
                     round_index += 1
+                # The parent simulator never probes; its end state
+                # backs post-study experiments and is reached below.
+                simulator, pipeline = build_study(spec)
 
             # Assemble in cycle order: graft and absorb what the pool
             # sent home, absorb restored cycles' result metrics, and
@@ -621,8 +618,8 @@ def run_study(spec: StudySpec, workers: int = 1, *,
 
             # Post-study experiments run extra cycles on top of the
             # campaign's end state, so the parent simulator must hold
-            # it — replayed here unless execution or seeding left it
-            # there already.
+            # it — restored from the newest snapshot and replayed here
+            # unless in-process execution left it there already.
             if cursor < spec.cycles:
                 with span("par.fast_forward",
                           cycles=spec.cycles - cursor):
@@ -640,22 +637,3 @@ def run_study(spec: StudySpec, workers: int = 1, *,
     return StudyRun(simulator=simulator, pipeline=pipeline,
                     results=results, shards=completed)
 
-
-def _seed_state_store(simulator: ArkSimulator, state_store: StateStore,
-                      cycles: int, stride: int) -> None:
-    """Advance ``simulator`` to the campaign's end state, writing every
-    stride snapshot that does not verify on the way.
-
-    The pass warm-starts from the newest usable snapshot before the
-    first missing one, so a resumed or repeated study pays only for
-    the snapshots it still lacks, and a rejected file is replaced.
-    """
-    missing = [cycle for cycle in range(stride, cycles + 1, stride)
-               if state_store.load(cycle) is None]
-    cursor = missing[0] - 1 if missing else cycles
-    _advance(simulator, 0, cursor, state_store)
-    for cycle in missing:
-        _advance(simulator, cursor, cycle, None)
-        cursor = cycle
-        state_store.save(cycle, simulator.internet.capture_state())
-    _advance(simulator, cursor, cycles, None)

@@ -10,15 +10,17 @@ state *after* cycle N loads the nearest snapshot ≤ N and replays only
 the tail — near-O(1) in campaign length once the store is warm
 (DESIGN §10).
 
-Three parties share one store:
-
-* the **pool parent** seeds it while advancing its own end-state
-  simulator (writing any stride snapshot that does not verify), so
-  even a first run's late shards warm-start;
-* **workers** load the nearest snapshot ≤ their shard's first cycle
-  and replay only the remainder;
-* the **in-process executor** writes snapshots as it runs, so an
-  interrupted ``repro study --state-dir DIR`` resumes warm.
+One rule fills it: **the process that runs a cycle persists it**.  A
+pool worker or the in-process executor saves each stride cycle's
+snapshot right after the cycle unless a verified one is there, so an
+interrupted ``repro study --state-dir DIR`` resumes warm.  Readers
+restore the nearest snapshot ≤ the cycle they must reach: a **pool
+worker** only among those listed when its run planned the shards, so
+sibling timing never matters (a first run's late shards replay cold, a
+repeated run warm-starts); the **pool parent**, after the pool, for
+the campaign's end state; the **in-process executor** across cycles
+restored from checkpoints — which are never run, so one without a
+snapshot stays without one.
 
 The trust model is the shared :class:`~repro.par.store.ContentStore`
 (``<state-dir>/<spec-hash>/state-<cycle>.snap``, counters
@@ -38,7 +40,7 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .store import ContentStore
 
@@ -79,17 +81,21 @@ class StateStore(ContentStore):
         payload = self._read(cycle)
         return None if payload is None else payload["state"]
 
-    def load_nearest(self, target: int, after: int = 0
+    def load_nearest(self, target: int, after: int = 0,
+                     listed: Optional[Sequence[int]] = None
                      ) -> Optional[Tuple[int, object]]:
         """The newest usable snapshot in ``(after, target]``.
 
         Returns ``(cycle, state)``; candidates are tried newest-first,
         so a rejected file degrades the warm start instead of failing
         it.  ``after`` lets a mid-run caller skip snapshots at or
-        before its current position.  A fruitless search counts one
-        miss (a cold replay will follow).
+        before its current position; ``listed`` (ascending) replaces
+        the files on disk as the candidates, for a caller that must not
+        see snapshots written since it listed them.  A fruitless search
+        counts one miss (a cold replay will follow).
         """
-        for cycle in reversed(self.cycles()):
+        for cycle in reversed(self.cycles() if listed is None
+                              else listed):
             if cycle > target or cycle <= after:
                 continue
             state = self.load(cycle)

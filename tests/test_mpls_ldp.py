@@ -2,22 +2,23 @@
 
 The assertions here encode the invariants LPR later exploits:
 router-scoped labels (one label per router per FEC), ECMP inheritance from
-the IGP DAG, PHP at the penultimate hop.
+the IGP DAG, PHP at the penultimate hop.  What an ingress pushes is read
+off the forwarding walk (``DataPlane.forward_path``), the one place that
+decides it.
 """
 
-import pytest
-
 from repro.igp.spf import SpfTable
-from repro.mpls.fec import PrefixFec
 from repro.mpls.ldp import LdpEngine
 from repro.mpls.lfib import LfibAction
 from repro.net.ip import Prefix
 
 from helpers import (
+    TRANSIT_AS,
     chain_topology,
     diamond_topology,
     label_manager_for,
-    parallel_link_topology,
+    ldp_transit,
+    transit_walks,
 )
 
 
@@ -102,55 +103,61 @@ class TestEstablishFec:
 
 
 class TestIngressPush:
+    """The label an ingress LER pushes, as the forwarding walk shows it
+    (``DataPlane.forward_path``): the hop after the ingress carries the
+    label its router bound to the egress FEC."""
+
     def test_chain_pushes_next_hop_label(self):
-        topology = chain_topology(4)
-        engine = engine_for(topology)
-        fec = engine.establish_fec(3)
-        choices = engine.ingress_push_choices(0, fec)
-        assert len(choices) == 1
-        label, next_hop, _ = choices[0]
-        assert next_hop == 1
-        assert label == engine.labels.lfib(1).label_for(fec)
+        internet = ldp_transit()
+        network = internet.network(TRANSIT_AS)
+        walks = list(transit_walks(internet))
+        assert walks
+        for hops in walks:
+            ingress, first, egress = hops[0], hops[1], hops[-1]
+            fec = network.loopback_fec(egress.router_id)
+            label = network.labels.lfib(first.router_id).label_for(fec)
+            assert first.labels == (label,)
+            # The ingress LFIB swaps onto that label towards that hop.
+            lfib = network.labels.lfib(ingress.router_id)
+            assert (first.router_id, label) in {
+                (entry.next_hop, entry.out_label)
+                for entry in lfib.choices(lfib.label_for(fec))}
 
     def test_one_hop_php_pushes_nothing(self):
-        topology = chain_topology(2)
-        engine = engine_for(topology)
-        fec = engine.establish_fec(1)
-        choices = engine.ingress_push_choices(0, fec)
-        assert choices == [(None, 1, topology.links[0])]
+        internet = ldp_transit(router_count=2, border_count=2)
+        network = internet.network(TRANSIT_AS)
+        walks = list(transit_walks(internet))
+        assert walks
+        for _ingress, egress in walks:
+            assert network.ldp.uses_php(egress.router_id)
+            assert not egress.labels
 
     def test_ecmp_push_choices(self):
-        topology = diamond_topology()
-        engine = engine_for(topology)
-        fec = engine.establish_fec(3)
-        choices = engine.ingress_push_choices(0, fec)
-        assert len(choices) == 2
-        labels = {label for label, _, _ in choices}
-        assert len(labels) == 2  # different downstream routers, labels
+        internet = ldp_transit(seed=25, router_count=12, ecmp_breadth=2)
+        pushed = {(hops[1].router_id, hops[1].labels)
+                  for hops in transit_walks(internet, flows=4)}
+        # Flows split over downstream routers, each with its own label.
+        assert len(pushed) >= 2
+        assert len({labels for _, labels in pushed}) == len(pushed)
 
     def test_parallel_links_same_label_different_links(self):
-        topology = parallel_link_topology()
-        engine = engine_for(topology)
-        fec = engine.establish_fec(2)
-        choices = engine.ingress_push_choices(0, fec)
-        assert len(choices) == 2
-        labels = {label for label, _, _ in choices}
-        links = {link.link_id for _, _, link in choices}
-        assert len(labels) == 1   # same downstream router => same label
-        assert len(links) == 2    # but two distinct links
+        internet = ldp_transit(router_count=16, border_count=4,
+                               ecmp_breadth=3, parallel_link_fraction=0.5)
+        addresses, labels = {}, {}
+        for hops in transit_walks(internet, flows=8):
+            first = hops[1]
+            addresses.setdefault(first.router_id, set()).add(first.address)
+            labels.setdefault(first.router_id, set()).add(first.labels)
+        # Same downstream router => same label, over distinct links.
+        assert any(len(seen) == 2 for seen in addresses.values())
+        assert all(len(seen) == 1 for seen in labels.values())
 
     def test_ingress_equals_egress_empty(self):
-        topology = chain_topology(3)
-        engine = engine_for(topology)
-        fec = engine.establish_fec(2)
-        assert engine.ingress_push_choices(2, fec) == []
-
-    def test_unestablished_fec_raises(self):
-        topology = chain_topology(3)
-        engine = engine_for(topology)
-        fec = PrefixFec(Prefix.parse("10.9.9.9/32"))
-        with pytest.raises(KeyError):
-            engine.ingress_push_choices(0, fec)
+        internet = ldp_transit(router_count=3, border_count=1)
+        walks = list(transit_walks(internet))
+        assert walks
+        for hops in walks:
+            assert len(hops) == 1 and not hops[0].labels
 
 
 class TestPolicies:

@@ -267,6 +267,31 @@ class TestCheckpointResume:
         assert delta_total(delta, "sim_cycles_total") == 2
         assert delta_total(delta, "pipeline_cycles_total") == 4
 
+    def test_failed_shard_keeps_its_finished_cycles(self, tmp_path):
+        # Workers persist each cycle as they finish it, so the second
+        # shard (cycles 4-6) failing at cycle 6 leaves 4 and 5 behind.
+        spec = StudySpec(scale=0.25, seed=7, cycles=6,
+                         snapshots_per_cycle=2)
+        serial = run_study(spec, workers=1,
+                           checkpoint_dir=tmp_path / "serial")
+        plan = FaultPlan({6: ShardFault(kind=RAISE, attempts=(0,))})
+        with pytest.raises(StudyFailure):
+            run_study(spec, workers=2, checkpoint_dir=tmp_path / "pool",
+                      fault_plan=plan, max_retries=0, backoff_base=0.0)
+        expected = CheckpointStore(tmp_path / "serial", spec)
+        store = CheckpointStore(tmp_path / "pool", spec)
+        for cycle in (4, 5):
+            assert store.path_for(cycle).read_bytes() == \
+                expected.path_for(cycle).read_bytes()
+        assert not store.path_for(6).exists()
+        before_hits = _counter_total("par_checkpoint_hits_total")
+        resumed, events = _run_recorded(spec, workers=2,
+                                        checkpoint_dir=tmp_path / "pool")
+        assert _counter_total("par_checkpoint_hits_total") == \
+            before_hits + 5
+        assert _dispatched(events) == [(6, 6)]
+        _assert_identical(serial, resumed)
+
     def test_misfiled_entry_is_rejected(self, tmp_path):
         # An entry copied under another cycle's key is caught by the
         # key check, not restored as the wrong cycle.

@@ -13,6 +13,8 @@ from repro.mpls.ldp import LdpEngine
 from repro.mpls.lfib import LabelManager
 from repro.mpls.rsvpte import RsvpTeEngine
 
+from helpers import TRANSIT_AS, ldp_transit, transit_walks
+
 
 # -- random AS graph strategy --------------------------------------------------
 
@@ -172,32 +174,34 @@ class TestLdpProperties:
                             == downstream.label_for(fec)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**16))
-    def test_lsp_walk_terminates_at_egress(self, seed):
-        """Following LFIB entries from any ingress reaches the egress
-        in finitely many swaps (no loops, no dead ends)."""
-        topology = random_topology(seed)
-        labels = manager_for(topology)
-        engine = LdpEngine(topology, SpfTable(topology), labels)
-        for fec in engine.establish_transit_fecs():
-            egress = engine.egress_of(fec)
-            for ingress in (r.router_id
-                            for r in topology.border_routers()):
-                if ingress == egress:
-                    continue
-                choices = engine.ingress_push_choices(ingress, fec)
-                for label, next_hop, _ in choices:
-                    current, current_label = next_hop, label
-                    for _ in range(len(topology.routers) + 1):
-                        if current == egress or current_label is None:
-                            break
-                        entries = labels.lfib(current) \
-                            .choices(current_label)
-                        assert entries, (current, current_label)
-                        entry = entries[0]
-                        current, current_label = (entry.next_hop,
-                                                  entry.out_label)
-                    assert current == egress
+    @given(st.integers(min_value=0, max_value=2**16),
+           st.integers(min_value=2, max_value=12),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from(["cisco", "juniper", "legacy"]))
+    def test_lsp_walk_terminates_at_egress(self, seed, routers, ecmp,
+                                           vendor):
+        """Every forwarding walk over LDP follows LFIB entries from the
+        ingress to the egress border: each hop is the next hop of the
+        previous router's entry, carrying its out-label (none after a
+        PHP pop), with no loop and no dead end."""
+        internet = ldp_transit(seed=seed, router_count=routers,
+                               border_count=min(3, routers),
+                               ecmp_breadth=ecmp, vendor=vendor)
+        network = internet.network(TRANSIT_AS)
+        labels = network.labels
+        for hops in transit_walks(internet, flows=2):
+            egress = hops[-1].router_id
+            assert network.topology.routers[egress].is_border
+            assert len({hop.router_id for hop in hops}) == len(hops)
+            fec = network.loopback_fec(egress)
+            for here, there in zip(hops, hops[1:]):
+                lfib = labels.lfib(here.router_id)
+                entries = lfib.choices(lfib.label_for(fec))
+                assert entries, (here.router_id, fec)
+                assert (there.router_id,
+                        there.labels[0] if there.labels else None) in {
+                    (entry.next_hop, entry.out_label)
+                    for entry in entries}
 
 
 class TestRsvpProperties:

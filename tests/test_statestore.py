@@ -14,8 +14,9 @@ Four layers, inside out:
   wrong-version snapshots are rejected (never restored) and the search
   degrades to older snapshots, then to a cold replay;
 * **whole studies** — serial and parallel runs with a state store are
-  byte-identical to cold runs (results, checkpoints, end state), and an
-  interrupted ``--state-dir`` study resumes warm.
+  byte-identical to cold runs (results, checkpoints, end state), an
+  interrupted ``--state-dir`` study resumes warm, and a pool worker
+  restores only snapshots listed when its run planned the shards.
 """
 
 import dataclasses
@@ -27,7 +28,7 @@ import pytest
 
 from repro.mpls.lfib import LabelAllocator, LabelAllocatorError
 from repro.mpls.vendor import PROFILES, get_profile
-from repro.obs import get_registry
+from repro.obs import delta_total, get_event_bus, get_registry
 from repro.par import (
     CheckpointStore,
     StateStore,
@@ -37,6 +38,7 @@ from repro.par import (
     spec_hash,
     state_spec_hash,
 )
+from repro.par import runner
 from repro.par.faults import RAISE, FaultInjected, FaultPlan, ShardFault
 
 SPEC = StudySpec(scale=0.25, seed=7, cycles=6, snapshots_per_cycle=2)
@@ -353,16 +355,69 @@ class TestWarmStudies:
         assert StateStore(tmp_path, SPEC).cycles() == [2, 4, 6]
 
     def test_parallel_warm_identical_to_cold(self, cold_run, tmp_path):
-        before = _counter_total("state_snapshot_hits_total")
-        warm = run_study(SPEC, workers=3, state_dir=tmp_path,
-                         snapshot_stride=2)
-        _assert_identical(cold_run, warm)
-        # The parent seeds the store before dispatch, so even this
-        # first run's late shards restore instead of replaying.
-        assert _counter_total("state_snapshot_hits_total") > before
-        late = [s for s in warm.shards if s.results[0].cycle > 2]
-        assert late and all(
+        first = run_study(SPEC, workers=3, state_dir=tmp_path,
+                          snapshot_stride=2)
+        _assert_identical(cold_run, first)
+        # The store was empty when the first run planned, so its late
+        # shards replay cold; each worker writes the stride snapshot
+        # of the cycles it ran.
+        late = [s for s in first.shards if s.results[0].cycle > 1]
+        assert len(late) == 2 and all(
+            s.replayed_cycles == s.results[0].cycle - 1 for s in late)
+        assert all(delta_total(s.metrics_delta,
+                               "state_snapshot_writes_total") == 1
+                   for s in first.shards)
+        assert StateStore(tmp_path, SPEC).cycles() == [2, 4, 6]
+        # A second run over the same directory warm-starts.
+        second = run_study(SPEC, workers=3, state_dir=tmp_path,
+                           snapshot_stride=2)
+        _assert_identical(cold_run, second)
+        late = [s for s in second.shards if s.results[0].cycle > 1]
+        assert len(late) == 2 and all(
             s.replayed_cycles < s.results[0].cycle - 1 for s in late)
+
+    def test_workers_restore_only_snapshots_listed_at_plan_time(
+            self, cold_run, tmp_path):
+        simulator, _ = build_study(SPEC)
+        simulator.fast_forward(1, 2)
+        store = StateStore(tmp_path, SPEC)
+        store.save(2, simulator.internet.capture_state())
+        # Cycle 5 fails once, so its shard is retried as cycles 5 and
+        # 6 in a second pool round — after its siblings wrote the
+        # snapshots of cycles 1-4.  The retries still restore the
+        # snapshot of cycle 2, the only one listed at plan time.
+        plan = FaultPlan({5: ShardFault(kind=RAISE, attempts=(0,))})
+        run = run_study(SPEC, workers=3, state_dir=tmp_path,
+                        snapshot_stride=1, fault_plan=plan,
+                        backoff_base=0.0)
+        _assert_identical(cold_run, run)
+        replayed = {s.results[0].cycle: s.replayed_cycles
+                    for s in run.shards}
+        assert replayed == {1: 0, 3: 0, 5: 2, 6: 3}
+        assert store.cycles() == [1, 2, 3, 4, 5, 6]
+
+    def test_pool_dispatches_before_the_parent_builds(self, tmp_path,
+                                                      monkeypatch):
+        calls = []
+
+        def recording_build(spec):
+            calls.append("build")
+            return build_study(spec)
+
+        def recording_bus(event):
+            if event.kind == "shard.dispatch":
+                calls.append("dispatch")
+
+        monkeypatch.setattr(runner, "build_study", recording_build)
+        unsubscribe = get_event_bus().subscribe(recording_bus)
+        try:
+            run_study(dataclasses.replace(SPEC, cycles=2), workers=2,
+                      state_dir=tmp_path)
+        finally:
+            unsubscribe()
+        # Forked workers build in their own processes; the parent
+        # builds once, after it dispatched every shard.
+        assert calls == ["dispatch", "dispatch", "build"]
 
     def test_checkpoints_byte_identical_warm_vs_cold(self, tmp_path):
         run_study(SPEC, workers=1, checkpoint_dir=tmp_path / "cold")
